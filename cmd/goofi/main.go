@@ -54,7 +54,7 @@ func main() {
 		precision = flag.Float64("precision", 0, "run batches until the severe-rate 95% CI half-width is below this (e.g. 0.001)")
 		noPrune   = flag.Bool("no-prune", false, "disable fault-space pruning; simulate every injection")
 		noLock    = flag.Bool("no-lockstep", false, "disable lockstep batching; run every simulated experiment solo")
-		lockK     = flag.Int("lockstep-k", 0, "experiments per lockstep batch (0 = automatic)")
+		lockK     = flag.Int("lockstep-k", 0, "experiments per lockstep batch (0 = derived from the post-prune simulated count)")
 		model     = flag.String("model", "", "fault model (see -list-models; default is the paper's permanent single bit-flip)")
 		burstW    = flag.Int("burst-width", 0, "adjacent-bit span for -model burst (0 = default)")
 		detector  = flag.String("detector", "", "arm in-loop detectors: cfe, automaton, or cfe+automaton (see -list-detectors)")

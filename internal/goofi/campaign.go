@@ -120,7 +120,8 @@ type Config struct {
 	DisableLockstep bool
 
 	// LockstepK bounds how many experiments share one lockstep batch
-	// (0 = derived from the campaign size and worker count).
+	// (0 = derived from the post-prune simulated count and the worker
+	// count).
 	LockstepK int
 
 	// Model selects the fault model for every injection (the zero
@@ -206,8 +207,13 @@ type Record struct {
 
 // Result is a completed campaign.
 type Result struct {
-	Config  Config
-	Golden  *workload.Outcome
+	Config Config
+
+	// Golden is the campaign's reference run. Campaigns of a variant's
+	// default spec share one outcome across the process, so treat it as
+	// read-only.
+	Golden *workload.Outcome
+
 	Records []Record
 
 	// WarmStart reports the checkpoint fast path's work avoidance;
@@ -267,7 +273,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if shard != nil {
 		shardTotal = shard.Size()
 	}
-	if cfg.Spec.Iterations == 0 {
+	defaultSpec := cfg.Spec.Iterations == 0
+	if defaultSpec {
 		cfg.Spec = workload.SpecFor(cfg.Variant)
 	}
 	if cfg.Classify == (classify.Config{}) {
@@ -323,26 +330,27 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	} else if warm != nil {
 		golden = warm.golden
 	} else {
-		goldenSpec := cfg.Spec
-		goldenSpec.RecordStateHashes = useWarm
-		var capture *prune.Capture
-		if usePrune && prn == nil {
-			capture = prune.NewCapture()
-			goldenSpec.Observer = capture.Observer()
+		// The annotated golden run of a variant's default spec is the
+		// same for every campaign, so it comes from the process-wide
+		// memo; warm-start counters and the dead verdict stay per
+		// campaign.
+		var (
+			ix  *prune.Index
+			err error
+		)
+		if defaultSpec && (useWarm || usePrune) {
+			golden, ix, err = prepFor(cfg.Variant, prog)
+		} else {
+			golden, ix, err = runGolden(prog, cfg.Spec, useWarm, usePrune && prn == nil)
 		}
-		golden = workload.Run(prog, goldenSpec)
-		if golden.Detected() {
-			return nil, fmt.Errorf("goofi: reference execution trapped: %v", golden.Trap)
+		if err != nil {
+			return nil, err
 		}
 		if useWarm {
 			warm = newWarmState(prog, cfg.Spec, golden, cfg.CheckpointCap)
 		}
-		if capture != nil {
-			// A nil index means the capture saw something it could not
-			// model; pruning silently degrades to full simulation.
-			if ix := capture.Finish(golden.Instructions); ix != nil {
-				prn = newPruneState(ix, golden, cfg.Classify)
-			}
+		if usePrune && prn == nil && ix != nil {
+			prn = newPruneState(ix, golden, cfg.Classify)
 		}
 	}
 
@@ -486,7 +494,19 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 
 	var lockstep *LockstepStats
 	if useLockstep {
-		lockstep = &LockstepStats{K: lockstepK(cfg, workers)}
+		// Size batches from the experiments this call will dispatch:
+		// pruning and resume typically leave a small fraction of the
+		// plan to simulate.
+		sim := 0
+		for i := range injections {
+			if completed[i] || !inShard(i) {
+				continue
+			}
+			if plan == nil || plan.decision[i] == pdSimulate || plan.decision[i] == pdRep {
+				sim++
+			}
+		}
+		lockstep = &LockstepStats{K: lockstepK(cfg, workers, sim)}
 	}
 
 	// runSolo executes one experiment the classic way — isolated,

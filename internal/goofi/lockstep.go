@@ -22,18 +22,21 @@ type LockstepStats struct {
 	// abandoned-representative fallback pass.
 	Solo int `json:"solo"`
 
-	// K is the per-batch lane bound in effect (configured or derived).
+	// K is the per-batch lane bound in effect (configured, or derived
+	// from the post-prune simulated count).
 	K int `json:"k"`
 }
 
-// lockstepK derives the per-batch lane bound: enough lanes per batch
-// to amortise the leader's shared replay, few enough batches per
-// worker to keep the pool busy.
-func lockstepK(cfg Config, workers int) int {
+// lockstepK derives the per-batch lane bound from sim, the number of
+// experiments the campaign will actually simulate: about four
+// At-contiguous batches per worker, so the pool stays busy, with 4 to
+// 64 lanes each to amortise the leader's shared replay.
+func lockstepK(cfg Config, workers, sim int) int {
 	if cfg.LockstepK > 0 {
 		return cfg.LockstepK
 	}
-	k := (cfg.Experiments + workers - 1) / workers
+	per := 4 * workers
+	k := (sim + per - 1) / per
 	if k < 4 {
 		k = 4
 	}

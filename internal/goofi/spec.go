@@ -68,7 +68,8 @@ type CampaignSpec struct {
 	DisableLockstep bool `json:"disableLockstep,omitempty"`
 
 	// LockstepK bounds how many experiments share one lockstep batch
-	// (0 = derived from the campaign size and worker count).
+	// (0 = derived from the post-prune simulated count and the worker
+	// count).
 	LockstepK int `json:"lockstepK,omitempty"`
 
 	// Model selects the fault model ("" or "bitflip" = the paper's

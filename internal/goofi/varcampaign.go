@@ -26,7 +26,9 @@ type VarConfig struct {
 	Name string
 
 	// New constructs a fresh controller for each run. The controller
-	// is driven through Stateful.Update with inputs [r, y].
+	// is driven through Stateful.Update with inputs [r, y]. Runs execute
+	// concurrently, so each call must return a controller that shares
+	// no mutable state (such as a stateful assertion) with the others.
 	New func() control.Stateful
 
 	// Experiments is the number of faults to inject.

@@ -21,12 +21,15 @@ func protectedFactory() func() control.Stateful {
 	}
 }
 
-func guardedFactory(extra core.Assertion) func() control.Stateful {
+// guardedFactory builds guarded PI controllers. extra, if non-nil,
+// builds an additional assertion per controller: stateful assertions
+// must not be shared across the campaign's concurrent runs.
+func guardedFactory(extra func() core.Assertion) func() control.Stateful {
 	return func() control.Stateful {
 		cfg := control.PaperPIConfig(plant.DefaultSampleInterval)
 		assert := core.Assertion(core.RangeAssertion{Min: cfg.OutMin, Max: cfg.OutMax})
 		if extra != nil {
-			assert = core.All(assert, extra)
+			assert = core.All(assert, extra())
 		}
 		g := core.NewGuard(control.NewPI(cfg), assert)
 		return core.NewGuardedController(g)
@@ -187,7 +190,7 @@ func TestVariableCampaignRateAssertion(t *testing.T) {
 	rangeOnly := severe(guardedFactory(nil))
 	// Legitimate per-iteration state change is bounded by
 	// T·Ki·e ≈ 3.9 degrees; 8 leaves safety margin.
-	withRate := severe(guardedFactory(core.NewRateAssertion(8)))
+	withRate := severe(guardedFactory(func() core.Assertion { return core.NewRateAssertion(8) }))
 
 	if withRate > rangeOnly {
 		t.Errorf("rate assertion increased severe count: %d -> %d", rangeOnly, withRate)

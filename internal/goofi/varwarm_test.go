@@ -18,8 +18,9 @@ func varWarmFactories() map[string]func() control.Stateful {
 		"pi":        piFactory(),
 		"protected": protectedFactory(),
 		"guarded":   guardedFactory(nil),
-		"guarded-rate": guardedFactory(
-			core.NewRateAssertion(5.0)),
+		"guarded-rate": guardedFactory(func() core.Assertion {
+			return core.NewRateAssertion(5.0)
+		}),
 	}
 }
 
@@ -68,9 +69,11 @@ func TestVarWarmStartRecordsByteIdentical(t *testing.T) {
 // cannot promise a faithful clone (the closure may capture state), so
 // the campaign must fall back to full replay — and still be correct.
 func TestVarWarmStartDeclinesUncloneable(t *testing.T) {
-	factory := guardedFactory(core.FuncAssertion{
-		CheckFunc: func(_ int, v float64) bool { return v > -1e9 },
-		Label:     "opaque",
+	factory := guardedFactory(func() core.Assertion {
+		return core.FuncAssertion{
+			CheckFunc: func(_ int, v float64) bool { return v > -1e9 },
+			Label:     "opaque",
+		}
 	})
 	warm := VarConfig{Name: "opaque", New: factory, Experiments: 40, Seed: 3, Iterations: 120}
 	cold := warm

@@ -138,17 +138,28 @@ func locOf(b cpu.StateBit) (uint32, bool) {
 // FIRST event a location receives within one instruction decides the
 // fate of a fault present when the instruction begins.
 const (
-	evUse uint8 = iota // the pre-instruction value influences behaviour
-	evDef              // overwritten at full width
-	evWB               // cache data word written back to memory word aux
+	evUse uint32 = iota // the pre-instruction value influences behaviour
+	evDef               // overwritten at full width
+	evWB                // cache data word written back to a memory word
 )
 
-// event is one def/use touch of a location by one dynamic instruction.
-type event struct {
-	idx  uint32 // dynamic instruction index
-	kind uint8
-	aux  uint32 // evWB: memory byte address receiving the write-back
-}
+// maxInstr bounds the dynamic instruction index an event can pack.
+const maxInstr = 1 << 30
+
+// event is one def/use touch of a location by one dynamic instruction,
+// packed as idx<<2 | kind: golden runs produce hundreds of thousands of
+// events, and an index may stay live for the whole process.
+type event uint32
+
+func packEvent(idx, kind uint32) event { return event(idx<<2 | kind) }
+
+func (e event) idx() uint32  { return uint32(e) >> 2 }
+func (e event) kind() uint32 { return uint32(e) & 3 }
+
+// wbKey names the write-back event of location loc at instruction idx;
+// the memory byte address receiving it lives in a side map, since
+// write-backs are rare next to plain defs and uses.
+type wbKey struct{ loc, idx uint32 }
 
 // Capture observes a golden run and builds the per-location event
 // index. Attach Observer() to the golden RunSpec, then call Finish.
@@ -159,6 +170,7 @@ type Capture struct {
 	vm        *cpu.CPU
 	count     uint64
 	events    [numLocs][]event
+	wb        map[wbKey]uint32
 	lastTouch [numLocs]uint32 // idx+1 of the last event, for intra-instruction dedup
 }
 
@@ -172,12 +184,18 @@ func (c *Capture) Observer() func(iteration int, instr uint64, vm *cpu.CPU) {
 	return c.observe
 }
 
-func (c *Capture) add(loc uint32, idx uint32, kind uint8, aux uint32) {
+func (c *Capture) add(loc uint32, idx uint32, kind uint32, aux uint32) {
 	if c.lastTouch[loc] == idx+1 {
 		return // a same-instruction event landed first and wins
 	}
 	c.lastTouch[loc] = idx + 1
-	c.events[loc] = append(c.events[loc], event{idx: idx, kind: kind, aux: aux})
+	c.events[loc] = append(c.events[loc], packEvent(idx, kind))
+	if kind == evWB {
+		if c.wb == nil {
+			c.wb = make(map[wbKey]uint32)
+		}
+		c.wb[wbKey{loc, idx}] = aux
+	}
 }
 
 func regVal(vm *cpu.CPU, r int) uint32 {
@@ -197,7 +215,7 @@ func (c *Capture) observe(_ int, instr uint64, vm *cpu.CPU) {
 	if c.bad {
 		return
 	}
-	if instr != c.count || instr >= 1<<31 {
+	if instr != c.count || instr >= maxInstr {
 		c.bad = true
 		return
 	}
@@ -332,6 +350,7 @@ func (c *Capture) cacheEvents(vm *cpu.CPU, addr uint32, isStore bool, idx uint32
 // queries. It is immutable and safe for concurrent use.
 type Index struct {
 	events    [numLocs][]event
+	wb        map[wbKey]uint32
 	total     uint64
 	lineValid [cpu.CacheLines]bool
 	lineDirty [cpu.CacheLines]bool
@@ -342,10 +361,22 @@ type Index struct {
 // cannot vouch for the run (decode failure, instruction count mismatch,
 // or an index overflow) — callers then simply simulate everything.
 func (c *Capture) Finish(total uint64) *Index {
-	if c.bad || c.vm == nil || c.count != total || total >= 1<<31 {
+	if c.bad || c.vm == nil || c.count != total || total >= maxInstr {
 		return nil
 	}
-	ix := &Index{events: c.events, total: total}
+	// Copy the per-location lists into one exact-size backing array,
+	// dropping append's spare capacity.
+	n := 0
+	for _, evs := range c.events {
+		n += len(evs)
+	}
+	backing := make([]event, 0, n)
+	ix := &Index{wb: c.wb, total: total}
+	for l, evs := range c.events {
+		start := len(backing)
+		backing = append(backing, evs...)
+		ix.events[l] = backing[start:len(backing):len(backing)]
+	}
 	for l := 0; l < cpu.CacheLines; l++ {
 		_, valid, dirty := c.vm.Cache.LineState(l)
 		ix.lineValid[l] = valid
@@ -391,26 +422,30 @@ func (ix *Index) Fate(bit cpu.StateBit, at uint64) (Fate, bool) {
 		// always first used by the faulted instruction itself.
 		return Fate{Key: Key{Loc: loc, Bit: bit.Bit, At: at}}, true
 	}
-	evs := ix.events[loc][:]
-	i := sort.Search(len(evs), func(j int) bool { return uint64(evs[j].idx) >= at })
+	evs := ix.events[loc]
+	i := sort.Search(len(evs), func(j int) bool { return uint64(evs[j].idx()) >= at })
 	for {
 		if i >= len(evs) {
 			return ix.endFate(loc, bit.Bit), true
 		}
-		switch e := evs[i]; e.kind {
+		switch e := evs[i]; e.kind() {
 		case evDef:
 			return Fate{Dead: true}, true
 		case evUse:
-			return Fate{Key: Key{Loc: loc, Bit: bit.Bit, At: uint64(e.idx)}}, true
+			return Fate{Key: Key{Loc: loc, Bit: bit.Bit, At: uint64(e.idx())}}, true
 		default: // evWB: follow the flip into its memory word
-			ml, ok := memLoc(e.aux)
+			addr, ok := ix.wb[wbKey{loc, e.idx()}]
 			if !ok {
 				return Fate{}, false
 			}
-			after := uint64(e.idx)
+			ml, ok := memLoc(addr)
+			if !ok {
+				return Fate{}, false
+			}
+			after := uint64(e.idx())
 			loc = ml
-			evs = ix.events[loc][:]
-			i = sort.Search(len(evs), func(j int) bool { return uint64(evs[j].idx) > after })
+			evs = ix.events[loc]
+			i = sort.Search(len(evs), func(j int) bool { return uint64(evs[j].idx()) > after })
 		}
 	}
 }
