@@ -16,8 +16,8 @@
 //	curl localhost:8077/metrics
 //
 // With -journal set, every job transition is written through an
-// fsync'd write-ahead journal and each finished experiment is appended
-// to the campaign's record file as it happens. SIGINT/SIGTERM shuts
+// fsync'd write-ahead journal, and with -data each finished experiment
+// is appended to the campaign's record segments as it happens. SIGINT/SIGTERM shuts
 // down gracefully: running campaigns stop at the next experiment
 // boundary and are journaled as interrupted; the next start replays
 // the journal and resumes them from their persisted records, skipping
@@ -26,7 +26,8 @@
 // campaign's records — the restart re-runs just those experiments.
 // -no-resume parks interrupted campaigns instead of re-running them.
 //
-// With -executors N, ctrlguardd becomes a distributed coordinator:
+// Every campaign runs through the same shard coordinator. By default
+// it is one shard on the daemon's own engine; with -executors N,
 // campaigns are split into shards and leased to N local ctrlexec
 // subprocesses (plus any remote ctrlexec -serve instances that
 // register themselves), with dead or wedged executors detected by
@@ -89,7 +90,6 @@ func main() {
 		tenants   = flag.String("tenants", "", "JSON file of tenant definitions (API keys, weights, rate limits, quotas); empty = open single-tenant server")
 		cacheDir  = flag.String("cache", "", "directory for the content-addressed result cache (empty = no memoization)")
 		cacheMax  = flag.Int64("cache-max-bytes", 0, "LRU-evict the result cache past this size (0 = unbounded)")
-		segBytes  = flag.Int64("seg-bytes", 0, "cap per incremental record segment (0 = 4 MiB default)")
 		retainAge = flag.Duration("retain-age", 0, "delete record files of campaigns finished longer ago than this (0 = keep forever)")
 		retainB   = flag.Int64("retain-bytes", 0, "bound total record bytes of finished campaigns, oldest deleted first (0 = unbounded)")
 	)
@@ -138,7 +138,6 @@ func main() {
 		Tenants:         tenantList,
 		CacheDir:        *cacheDir,
 		CacheMaxBytes:   *cacheMax,
-		SegmentBytes:    *segBytes,
 		RetainAge:       *retainAge,
 		RetainBytes:     *retainB,
 	})

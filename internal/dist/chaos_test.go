@@ -124,7 +124,7 @@ func TestProcExternalSIGKILLReLease(t *testing.T) {
 		SegmentDir: t.TempDir(),
 		Campaign:   "c-sigkill",
 		Logger:     quietLogger(),
-		OnRecord: func(rec goofi.Record) {
+		OnRecord: func(rec goofi.Record, _ int) {
 			mu.Lock()
 			defer mu.Unlock()
 			if rec.ID >= 30 || killed {

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"os"
@@ -41,10 +42,12 @@ type Options struct {
 	// fails (default DefaultMaxAttempts).
 	MaxAttempts int
 
-	// SegmentDir holds the per-shard record segments. Every record an
-	// executor streams is appended (durably) to its shard's segment
-	// before the campaign result exists, so a coordinator crash or an
-	// executor death costs only un-streamed work. Created if missing.
+	// SegmentDir, if set, holds the per-shard record segments. Every
+	// record an executor streams is appended (durably) to its shard's
+	// segment before the campaign result exists, so a coordinator crash
+	// or an executor death costs only un-streamed work. Created if
+	// missing. Empty keeps records in memory only: a re-leased shard
+	// still resumes from them, but nothing survives the process.
 	SegmentDir string
 
 	// Campaign names the job in journal entries.
@@ -60,13 +63,10 @@ type Options struct {
 	// their records come straight from their salvaged segments.
 	CompletedShards map[int]bool
 
-	// OnProgress, if non-nil, is called after each ingested record with
-	// the campaign-wide completed count and the plan total.
-	OnProgress func(done, total int)
-
 	// OnRecord, if non-nil, observes every record as the coordinator
-	// ingests it, in arrival order (not experiment order).
-	OnRecord func(goofi.Record)
+	// ingests it, in arrival order (not experiment order), together with
+	// the campaign-wide count of distinct records held so far.
+	OnRecord func(rec goofi.Record, done int)
 
 	// Logger for coordinator decisions (default: discard into the
 	// standard logger).
@@ -104,7 +104,9 @@ func (o *Options) withDefaults() Options {
 // scheduling counters.
 type Result struct {
 	// Records is the complete record set in experiment order,
-	// byte-identical to a single-process run of the same spec.
+	// byte-identical to a single-process run of the same spec. When Run
+	// fails or is cancelled it holds the records ingested so far, still
+	// in experiment order.
 	Records []goofi.Record
 
 	// Faults aggregates executor-side isolation stats across the leases
@@ -113,8 +115,14 @@ type Result struct {
 	// stats.
 	Faults goofi.FaultStats
 
-	// Prune aggregates the per-shard pruning tallies the same way.
-	Prune goofi.PruneStats
+	// Prune aggregates the per-shard pruning tallies the same way; nil
+	// when no completed lease reported any (pruning declined).
+	Prune *goofi.PruneStats
+
+	// Detect is the armed detectors' configuration as the completed
+	// leases report it, with verdict counts tallied over Records; nil
+	// when no detectors were armed or no lease completed here.
+	Detect *goofi.DetectStats
 
 	// Shards is the number of shards the plan was split into.
 	Shards int
@@ -130,8 +138,8 @@ type shardState struct {
 	shard goofi.Shard
 
 	mu       sync.Mutex
-	records  map[int]goofi.Record // ingested, newest wins
-	appender *goofi.RecordAppender
+	records  map[int]goofi.Record  // ingested, newest wins
+	appender *goofi.RecordAppender // nil without a SegmentDir
 	attempt  int
 	result   *ShardResult
 	lastJot  time.Time // last journaled renewal
@@ -183,18 +191,17 @@ func Run(ctx context.Context, spec goofi.CampaignSpec, executors []Executor, opt
 		return nil, fmt.Errorf("dist: no executors")
 	}
 	if spec.Sequential() {
-		return nil, fmt.Errorf("dist: precision-driven campaigns cannot shard (experiment IDs are not stable across batches)")
+		return nil, fmt.Errorf("dist: precision-driven campaigns cannot shard (their experiment count is not fixed in advance)")
 	}
 	cfg, err := spec.Resolve()
 	if err != nil {
 		return nil, err
 	}
 	o := opts.withDefaults()
-	if o.SegmentDir == "" {
-		return nil, fmt.Errorf("dist: Options.SegmentDir is required")
-	}
-	if err := os.MkdirAll(o.SegmentDir, 0o755); err != nil {
-		return nil, fmt.Errorf("dist: segment dir: %w", err)
+	if o.SegmentDir != "" {
+		if err := os.MkdirAll(o.SegmentDir, 0o755); err != nil {
+			return nil, fmt.Errorf("dist: segment dir: %w", err)
+		}
 	}
 
 	total := cfg.Experiments
@@ -224,17 +231,20 @@ func Run(ctx context.Context, spec goofi.CampaignSpec, executors []Executor, opt
 	}()
 	for i, sh := range shards {
 		st := &shardState{idx: i, shard: sh, records: make(map[int]goofi.Record)}
-		ap, salvaged, err := goofi.OpenRecordAppender(c.segmentPath(i))
+		c.states[i] = st
+		if o.SegmentDir == "" {
+			continue
+		}
+		ap, salvaged, err := goofi.OpenRecordAppender(SegmentPath(o.SegmentDir, i))
 		if err != nil {
 			return nil, fmt.Errorf("dist: shard %d segment: %w", i, err)
 		}
 		st.appender = ap
 		for _, r := range salvaged {
-			if r.ID >= sh.Start && r.ID < sh.End {
+			if sh.Contains(r.ID) {
 				st.records[r.ID] = r
 			}
 		}
-		c.states[i] = st
 		c.done += len(st.records)
 	}
 
@@ -266,55 +276,94 @@ func Run(ctx context.Context, spec goofi.CampaignSpec, executors []Executor, opt
 		wg.Wait()
 	}
 
+	// Aggregate the per-lease stats and gather the shard records, which
+	// concatenate in experiment order because shards are contiguous.
 	c.mu.Lock()
 	failure := c.failure
-	releases := c.releases
+	res := &Result{Shards: len(shards), Releases: c.releases}
 	c.mu.Unlock()
-	if failure != nil {
-		return nil, failure
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	// Merge the shard segments into the canonical experiment-ordered
-	// record set and aggregate the per-lease stats.
 	sets := make([][]goofi.Record, len(c.states))
-	res := &Result{Shards: len(shards), Releases: releases}
 	for i, st := range c.states {
 		sets[i] = st.resume()
-		if r := st.result; r != nil {
-			res.Faults.Retried += r.Faults.Retried
-			res.Faults.Panicked += r.Faults.Panicked
-			res.Faults.TimedOut += r.Faults.TimedOut
-			res.Faults.Abandoned += r.Faults.Abandoned
-			res.Faults.Resumed += r.Faults.Resumed
-			if p := r.Prune; p != nil {
-				res.Prune.Planned += p.Planned
-				res.Prune.Simulated += p.Simulated
-				res.Prune.PrunedDead += p.PrunedDead
-				res.Prune.Collapsed += p.Collapsed
-				res.Prune.Classes += p.Classes
+		r := st.result
+		if r == nil {
+			continue
+		}
+		res.Faults.Add(r.Faults)
+		if r.Prune != nil {
+			if res.Prune == nil {
+				res.Prune = &goofi.PruneStats{}
 			}
+			res.Prune.Add(*r.Prune)
+		}
+		if r.Detect != nil && res.Detect == nil {
+			d := *r.Detect
+			res.Detect = &d
 		}
 	}
-	res.Records, err = MergeRecords(total, sets...)
-	if err != nil {
+	if failure == nil {
+		failure = ctx.Err()
+	}
+	if failure != nil {
+		// Hand back what was ingested: a cancelled campaign keeps its
+		// partial records like a cancelled solo run does.
+		for _, set := range sets {
+			res.Records = append(res.Records, set...)
+		}
+	} else if res.Records, err = MergeRecords(total, sets...); err != nil {
 		return nil, err
 	}
+	if res.Detect != nil {
+		// Shard results count only their own records; the campaign's
+		// verdict counts come from the merged set.
+		res.Detect.CFEDetected, res.Detect.AutomatonDetected = goofi.TallyDetect(res.Records)
+	}
+	if failure != nil {
+		return res, failure
+	}
 
-	if !o.KeepSegments {
+	if !o.KeepSegments && o.SegmentDir != "" {
 		for _, st := range c.states {
 			st.appender.Close()
 			st.appender = nil
-			os.Remove(c.segmentPath(st.idx))
+			os.Remove(SegmentPath(o.SegmentDir, st.idx))
 		}
 	}
 	return res, nil
 }
 
-func (c *coordinator) segmentPath(shard int) string {
-	return filepath.Join(c.opts.SegmentDir, fmt.Sprintf("shard-%04d.jsonl", shard))
+// SegmentPath names shard's record segment inside dir.
+func SegmentPath(dir string, shard int) string {
+	return filepath.Join(dir, fmt.Sprintf("shard-%04d.jsonl", shard))
+}
+
+// LoadSegments reads every record persisted in dir's shard segments —
+// the live or crash-salvaged state of a campaign Run has not finished
+// — in experiment-ID order, the newest record winning per ID. A torn
+// final line in a segment is dropped, as on resume; a missing
+// directory holds no records.
+func LoadSegments(dir string) ([]goofi.Record, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "shard-*.jsonl"))
+	if err != nil {
+		return nil, err
+	}
+	byID := make(map[int]goofi.Record)
+	for _, p := range paths {
+		recs, err := goofi.LoadRecords(p)
+		var trunc *goofi.TruncatedError
+		if err != nil && !errors.As(err, &trunc) {
+			return nil, fmt.Errorf("dist: segment %s: %w", filepath.Base(p), err)
+		}
+		for _, r := range recs {
+			byID[r.ID] = r
+		}
+	}
+	out := make([]goofi.Record, 0, len(byID))
+	for _, r := range byID {
+		out = append(out, r)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out, nil
 }
 
 // jot writes a journal entry for a shard event, if journaling is on.
@@ -503,10 +552,12 @@ func (c *coordinator) renew(st *shardState, ex Executor) {
 func (c *coordinator) ingest(st *shardState, rec goofi.Record) {
 	st.mu.Lock()
 	_, dup := st.records[rec.ID]
-	if err := st.appender.Append(rec); err != nil {
-		// The record survives in memory; the segment just lost
-		// durability for it. Log and carry on — the merge uses memory.
-		c.opts.Logger.Printf("dist: shard %d segment append: %v", st.idx, err)
+	if st.appender != nil {
+		if err := st.appender.Append(rec); err != nil {
+			// The record survives in memory; the segment just lost
+			// durability for it. Log and carry on — the merge uses memory.
+			c.opts.Logger.Printf("dist: shard %d segment append: %v", st.idx, err)
+		}
 	}
 	st.records[rec.ID] = rec
 	st.mu.Unlock()
@@ -518,9 +569,6 @@ func (c *coordinator) ingest(st *shardState, rec goofi.Record) {
 	done := c.done
 	c.mu.Unlock()
 	if c.opts.OnRecord != nil {
-		c.opts.OnRecord(rec)
-	}
-	if c.opts.OnProgress != nil {
-		c.opts.OnProgress(done, c.total)
+		c.opts.OnRecord(rec, done)
 	}
 }

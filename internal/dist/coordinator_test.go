@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"log"
 	"os"
@@ -77,9 +78,6 @@ func TestCoordinatorRejectsBadInput(t *testing.T) {
 	spec := goofi.CampaignSpec{Variant: "alg1", Experiments: 10, Seed: 1}
 	if _, err := Run(context.Background(), spec, nil, Options{SegmentDir: t.TempDir()}); err == nil {
 		t.Fatal("no executors: want error")
-	}
-	if _, err := Run(context.Background(), spec, []Executor{Engine{}}, Options{}); err == nil {
-		t.Fatal("missing SegmentDir: want error")
 	}
 	seq := goofi.CampaignSpec{Variant: "alg1", Precision: 0.05, Seed: 1}
 	if _, err := Run(context.Background(), seq, []Executor{Engine{}}, Options{SegmentDir: t.TempDir()}); err == nil {
@@ -264,5 +262,112 @@ func TestMergeRecordsErrors(t *testing.T) {
 	}
 	if merged[0].ID != 0 || merged[1].ID != 1 {
 		t.Fatalf("merge out of order: %v", merged)
+	}
+}
+
+// TestCoordinatorDetectStatsMatchSolo: a sharded detector campaign
+// reports the same detector stats, false positives included, as the
+// solo engine — the shards' configuration plus verdicts tallied over
+// the merged records. It runs without a SegmentDir, in memory only.
+func TestCoordinatorDetectStatsMatchSolo(t *testing.T) {
+	spec := goofi.CampaignSpec{Variant: "alg2", Experiments: 40, Seed: 13, Detector: "cfe+automaton"}
+	cfg, err := spec.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, err := goofi.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(context.Background(), spec, []Executor{Engine{}, Engine{}}, Options{
+		ShardSize: 15,
+		Logger:    quietLogger(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := distBytes(t, res); !bytes.Equal(got, soloBytes(t, spec)) {
+		t.Fatal("distributed detector campaign differs from solo run")
+	}
+	if res.Detect == nil || solo.Detect == nil || *res.Detect != *solo.Detect {
+		t.Fatalf("Detect = %+v, want the solo run's %+v", res.Detect, solo.Detect)
+	}
+	if res.Prune != nil {
+		t.Fatalf("Prune = %+v for a detector campaign, which declines pruning", res.Prune)
+	}
+}
+
+// TestCoordinatorCancelKeepsPartialRecords: cancelling a run returns
+// the records ingested so far, in experiment order and each identical
+// to the solo run's, together with the context error.
+func TestCoordinatorCancelKeepsPartialRecords(t *testing.T) {
+	spec := goofi.CampaignSpec{Variant: "alg1", Experiments: 200, Seed: 17, Workers: 1}
+	cfg, err := spec.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, err := goofi.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	slow := Engine{Configure: func(cfg *goofi.Config) {
+		cfg.Chaos = func(id, attempt int) { time.Sleep(2 * time.Millisecond) }
+	}}
+	res, err := Run(ctx, spec, []Executor{slow}, Options{
+		SegmentDir: t.TempDir(),
+		Logger:     quietLogger(),
+		OnRecord: func(_ goofi.Record, done int) {
+			if done == 20 {
+				cancel()
+			}
+		},
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res == nil || len(res.Records) < 20 || len(res.Records) >= 200 {
+		t.Fatalf("partial result = %+v, want 20..199 records", res)
+	}
+	for i, rec := range res.Records {
+		if i > 0 && rec.ID <= res.Records[i-1].ID {
+			t.Fatalf("partial records out of order at %d: %d after %d", i, rec.ID, res.Records[i-1].ID)
+		}
+		if rec != solo.Records[rec.ID] {
+			t.Fatalf("partial record %d differs from the solo run's", rec.ID)
+		}
+	}
+}
+
+// TestLoadSegments reads a segment directory the way a server shows a
+// running or crashed campaign: every shard's records in ID order, the
+// newest line winning per ID, a torn final line dropped.
+func TestLoadSegments(t *testing.T) {
+	dir := t.TempDir()
+	if recs, err := LoadSegments(filepath.Join(dir, "missing")); err != nil || len(recs) != 0 {
+		t.Fatalf("missing dir: %d records, err %v; want none", len(recs), err)
+	}
+	write := func(shard int, body string) {
+		if err := os.WriteFile(SegmentPath(dir, shard), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(1, `{"id":5,"outcome":"a"}`+"\n"+`{"id":3,"outcome":"a"}`+"\n")
+	write(0, `{"id":1,"outcome":"abandoned"}`+"\n"+`{"id":0,"outcome":"a"}`+"\n"+`{"id":1,"outcome":"b"}`+"\n"+`{"id":2,"outc`)
+	recs, err := LoadSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range recs {
+		got = append(got, fmt.Sprintf("%d:%s", r.ID, r.Outcome))
+	}
+	if want := "0:a 1:b 3:a 5:a"; strings.Join(got, " ") != want {
+		t.Fatalf("LoadSegments = %v, want %s", got, want)
+	}
+	write(2, `{"id":bogus}`+"\n"+`{"id":7}`+"\n")
+	if _, err := LoadSegments(dir); err == nil {
+		t.Fatal("mid-segment corruption: want error")
 	}
 }

@@ -72,13 +72,14 @@ type ShardTask struct {
 // land in the coordinator's segment as they complete); the result
 // carries only the accounting.
 type ShardResult struct {
-	Shard   int               `json:"shard"`
-	Start   int               `json:"start"`
-	End     int               `json:"end"`
-	Done    int               `json:"done"`    // records completed, including resumed
-	Resumed int               `json:"resumed"` // reused from Resume, not re-executed
-	Faults  goofi.FaultStats  `json:"faults"`
-	Prune   *goofi.PruneStats `json:"prune,omitempty"`
+	Shard   int                `json:"shard"`
+	Start   int                `json:"start"`
+	End     int                `json:"end"`
+	Done    int                `json:"done"`    // records completed, including resumed
+	Resumed int                `json:"resumed"` // reused from Resume, not re-executed
+	Faults  goofi.FaultStats   `json:"faults"`
+	Prune   *goofi.PruneStats  `json:"prune,omitempty"`
+	Detect  *goofi.DetectStats `json:"detect,omitempty"`
 }
 
 // Event is one line of the executor→coordinator stream (JSON lines

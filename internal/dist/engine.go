@@ -19,12 +19,21 @@ import (
 // task.Resume records matching the deterministic plan are reused
 // without being re-executed or re-streamed.
 func RunShard(ctx context.Context, task ShardTask, emit func(Event)) error {
+	return runShard(ctx, task, nil, emit)
+}
+
+// runShard is RunShard with an optional configure hook applied to the
+// resolved engine config.
+func runShard(ctx context.Context, task ShardTask, configure func(*goofi.Config), emit func(Event)) error {
 	cfg, err := task.Spec.Resolve()
 	if err != nil {
 		return err
 	}
 	if task.Spec.Sequential() {
-		return fmt.Errorf("dist: precision-driven campaigns cannot shard (experiment IDs are not stable across batches)")
+		return fmt.Errorf("dist: precision-driven campaigns cannot shard (their experiment count is not fixed in advance)")
+	}
+	if configure != nil {
+		configure(&cfg)
 	}
 	cfg.Shard = &goofi.Shard{Start: task.Start, End: task.End}
 	cfg.Resume = task.Resume
@@ -63,20 +72,36 @@ func RunShard(ctx context.Context, task ShardTask, emit func(Event)) error {
 		Resumed: res.Faults.Resumed,
 		Faults:  res.Faults,
 		Prune:   res.Prune,
+		Detect:  res.Detect,
 	}})
 	return nil
 }
 
 // Engine is the in-process Executor: shard tasks run on this process's
-// goofi engine with no isolation boundary. It is the fallback when no
-// executor binary is available, and the reference implementation the
-// transported executors are tested against.
-type Engine struct{}
+// goofi engine with no isolation boundary. It is how a server without
+// executors runs every campaign (as one shard), and the reference
+// implementation the transported executors are tested against.
+type Engine struct {
+	// Configure, if non-nil, adjusts every shard's resolved engine
+	// config before it runs. TEST-ONLY: the server's chaos harness
+	// plants worker panics and hangs through it.
+	Configure func(*goofi.Config)
+}
 
 // Name implements Executor.
 func (Engine) Name() string { return "inproc" }
 
-// Run implements Executor.
-func (Engine) Run(ctx context.Context, task ShardTask, sink func(Event)) error {
-	return RunShard(ctx, task, sink)
+// Run implements Executor. It beats like a transported executor, so a
+// shard whose engine is busy without finishing a record (the golden
+// run, a long experiment) keeps its lease.
+func (e Engine) Run(ctx context.Context, task ShardTask, sink func(Event)) error {
+	var mu sync.Mutex
+	emit := func(ev Event) {
+		mu.Lock()
+		defer mu.Unlock()
+		sink(ev)
+	}
+	stop := keepAlive(ctx, task.Shard, emit)
+	defer stop()
+	return runShard(ctx, task, e.Configure, emit)
 }

@@ -529,7 +529,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		mu.Lock()
 		records[i] = rec
 		completed[i] = true
-		faults.add(fs)
+		faults.Add(fs)
 		if lockstep != nil {
 			lockstep.Solo++
 		}
@@ -684,7 +684,7 @@ feed:
 				records[m] = rec
 				completed[m] = true
 				done++
-				faults.add(fs)
+				faults.Add(fs)
 				if lockstep != nil {
 					lockstep.Solo++
 				}

@@ -52,7 +52,8 @@ type FaultStats struct {
 	Resumed int `json:"resumed,omitempty"`
 }
 
-func (s *FaultStats) add(o FaultStats) {
+// Add accumulates another tally (a later batch or another shard).
+func (s *FaultStats) Add(o FaultStats) {
 	s.Retried += o.Retried
 	s.Panicked += o.Panicked
 	s.TimedOut += o.TimedOut

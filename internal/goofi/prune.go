@@ -70,7 +70,8 @@ type PruneStats struct {
 	Classes int `json:"classes"`
 }
 
-func (s *PruneStats) add(o PruneStats) {
+// Add accumulates another tally (a later batch or another shard).
+func (s *PruneStats) Add(o PruneStats) {
 	s.Planned += o.Planned
 	s.Simulated += o.Simulated
 	s.PrunedDead += o.PrunedDead

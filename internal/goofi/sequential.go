@@ -3,6 +3,8 @@ package goofi
 import (
 	"context"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"ctrlguard/internal/stats"
 )
@@ -76,6 +78,12 @@ type PrecisionResult struct {
 // batch, until the metric's confidence half-width reaches the target or
 // the experiment budget is exhausted. Results are deterministic for a
 // given configuration.
+//
+// Batch b owns the experiment IDs [b·BatchSize, (b+1)·BatchSize), so
+// every record of the campaign has a distinct, stable ID. Records in
+// Campaign.Resume are matched against their batch's plan like a
+// fixed-count campaign's, and Campaign.OnRecord and Campaign.OnResume
+// see campaign-wide IDs.
 func RunUntilPrecision(cfg PrecisionConfig) (*PrecisionResult, error) {
 	return RunUntilPrecisionContext(context.Background(), cfg)
 }
@@ -123,9 +131,30 @@ func RunUntilPrecisionContext(ctx context.Context, cfg PrecisionConfig) (*Precis
 		batch.warm = warm
 		batch.prune = prn
 		batch.det = det
+		first := res.Experiments
+		batch.Resume = nil
+		for _, rec := range cfg.Campaign.Resume {
+			if rec.ID >= first && rec.ID < first+batch.Experiments {
+				batch.Resume = append(batch.Resume, shiftID(rec, -first))
+			}
+		}
+		if on := cfg.Campaign.OnRecord; on != nil {
+			batch.OnRecord = func(rec Record) { on(shiftID(rec, first)) }
+		}
+		if on := cfg.Campaign.OnResume; on != nil {
+			batch.OnResume = func(recs []Record) {
+				for i := range recs {
+					recs[i] = shiftID(recs[i], first)
+				}
+				on(recs)
+			}
+		}
 
 		out, err := RunContext(ctx, batch)
 		if out != nil {
+			for i := range out.Records {
+				out.Records[i] = shiftID(out.Records[i], first)
+			}
 			warm = out.Config.warm
 			prn = out.Config.prune
 			det = out.Config.det
@@ -136,7 +165,7 @@ func RunUntilPrecisionContext(ctx context.Context, cfg PrecisionConfig) (*Precis
 				if res.Prune == nil {
 					res.Prune = &PruneStats{}
 				}
-				res.Prune.add(*out.Prune)
+				res.Prune.Add(*out.Prune)
 			}
 			if out.Detect != nil {
 				if res.Detect == nil {
@@ -156,7 +185,7 @@ func RunUntilPrecisionContext(ctx context.Context, cfg PrecisionConfig) (*Precis
 				res.Lockstep.Solo += out.Lockstep.Solo
 				res.Lockstep.K = out.Lockstep.K
 			}
-			res.Faults.add(out.Faults)
+			res.Faults.Add(out.Faults)
 		}
 		if out != nil && len(out.Records) > 0 {
 			res.Records = append(res.Records, out.Records...)
@@ -181,4 +210,16 @@ func RunUntilPrecisionContext(ctx context.Context, cfg PrecisionConfig) (*Precis
 		}
 	}
 	return res, nil
+}
+
+// shiftID moves a record by delta experiment IDs, together with the
+// representative ID a class member's provenance names.
+func shiftID(rec Record, delta int) Record {
+	rec.ID += delta
+	if rep, ok := strings.CutPrefix(rec.Provenance, provenanceMemberPrefix); ok {
+		if id, err := strconv.Atoi(rep); err == nil {
+			rec.Provenance = ProvenanceMemberOf(id + delta)
+		}
+	}
+	return rec
 }

@@ -1,6 +1,8 @@
 package goofi
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"ctrlguard/internal/stats"
@@ -99,4 +101,72 @@ func TestRunUntilPrecisionDefaultMetric(t *testing.T) {
 		t.Errorf("estimate %+v inconsistent with records %+v", res.Estimate, want)
 	}
 	var _ stats.Proportion = res.Estimate
+}
+
+// TestRunUntilPrecisionStableIDsResume pins the batch ID layout — batch
+// b owns [b·B, (b+1)·B), class-member provenance included — and that a
+// run resumed from a prefix of its records reuses them and converges
+// on the identical record set.
+func TestRunUntilPrecisionStableIDsResume(t *testing.T) {
+	cfg := PrecisionConfig{
+		Campaign:        Config{Variant: workload.AlgorithmI, Seed: 11},
+		TargetHalfWidth: 1e-9,
+		BatchSize:       60,
+		MaxExperiments:  150,
+	}
+	full, err := RunUntilPrecision(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.Records) != 150 {
+		t.Fatalf("%d records, want 150", len(full.Records))
+	}
+	members := 0
+	for i, rec := range full.Records {
+		if rec.ID != i {
+			t.Fatalf("record %d has ID %d, want campaign-wide ID %d", i, rec.ID, i)
+		}
+		if rep, ok := strings.CutPrefix(rec.Provenance, provenanceMemberPrefix); ok {
+			members++
+			if id, _ := strconv.Atoi(rep); id/60 != i/60 || id >= i {
+				t.Errorf("member %d names representative %s outside its batch", i, rep)
+			}
+		}
+	}
+	if members == 0 {
+		t.Log("no class members drawn; provenance shifting unexercised")
+	}
+
+	resumed := cfg
+	resumed.Campaign.Resume = full.Records[:100]
+	var reused, emitted int
+	resumed.Campaign.OnResume = func(recs []Record) {
+		for _, rec := range recs {
+			if rec.ID >= 100 {
+				t.Errorf("resumed record with ID %d beyond the resume set", rec.ID)
+			}
+		}
+		reused += len(recs)
+	}
+	resumed.Campaign.OnRecord = func(rec Record) {
+		if rec.ID < 100 {
+			t.Errorf("experiment %d re-emitted despite a resume record", rec.ID)
+		}
+		emitted++
+	}
+	again, err := RunUntilPrecision(resumed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reused != 100 || emitted != 50 || again.Faults.Resumed != 100 {
+		t.Errorf("reused %d, emitted %d, Faults.Resumed %d; want 100, 50, 100", reused, emitted, again.Faults.Resumed)
+	}
+	if len(again.Records) != len(full.Records) {
+		t.Fatalf("resumed run has %d records, want %d", len(again.Records), len(full.Records))
+	}
+	for i := range full.Records {
+		if again.Records[i] != full.Records[i] {
+			t.Fatalf("record %d differs after resume: %+v vs %+v", i, again.Records[i], full.Records[i])
+		}
+	}
 }

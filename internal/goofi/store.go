@@ -190,7 +190,7 @@ const appenderSyncEvery = 64
 type RecordAppender struct {
 	f       *os.File
 	bw      *bufio.Writer
-	size    int64
+	enc     *json.Encoder
 	unsynct int
 }
 
@@ -227,8 +227,8 @@ func OpenRecordAppender(path string) (*RecordAppender, []Record, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("goofi: seek %s: %w", path, err)
 	}
-	a := &RecordAppender{f: f, bw: bufio.NewWriter(f), size: good}
-	return a, recs, nil
+	bw := bufio.NewWriter(f)
+	return &RecordAppender{f: f, bw: bw, enc: json.NewEncoder(bw)}, recs, nil
 }
 
 // tornOffset returns the byte offset at which a stream's final,
@@ -252,17 +252,9 @@ func tornOffset(b []byte) int64 {
 // Append writes one record and flushes it to the OS; every
 // appenderSyncEvery records the file is also fsync'd.
 func (a *RecordAppender) Append(rec Record) error {
-	// Marshal-then-write (byte-identical to json.Encoder.Encode) so the
-	// appender can account the file size for segment rolling.
-	b, err := json.Marshal(&rec)
-	if err != nil {
+	if err := a.enc.Encode(&rec); err != nil {
 		return fmt.Errorf("goofi: append record: %w", err)
 	}
-	b = append(b, '\n')
-	if _, err := a.bw.Write(b); err != nil {
-		return fmt.Errorf("goofi: append record: %w", err)
-	}
-	a.size += int64(len(b))
 	if err := a.bw.Flush(); err != nil {
 		return fmt.Errorf("goofi: flush record: %w", err)
 	}
@@ -275,10 +267,6 @@ func (a *RecordAppender) Append(rec Record) error {
 	}
 	return nil
 }
-
-// Size is the record file's current length in bytes, counting both
-// the salvaged prefix and every append so far.
-func (a *RecordAppender) Size() int64 { return a.size }
 
 // Close flushes, fsyncs, and closes the file.
 func (a *RecordAppender) Close() error {

@@ -183,3 +183,69 @@ func TestSaveRecordsBadPath(t *testing.T) {
 		t.Error("expected error for unwritable path")
 	}
 }
+
+// scanTestRecords returns n distinct records for the scanner tests.
+func scanTestRecords(n int) []Record {
+	recs := make([]Record, n)
+	for i := range recs {
+		recs[i] = Record{ID: i, Variant: "alg1", Region: "data", Element: "r1", Bit: uint(i % 31), At: uint64(i % 50), Outcome: "non-effective"}
+	}
+	return recs
+}
+
+func TestRecordScannerMatchesReadRecords(t *testing.T) {
+	recs := scanTestRecords(10)
+	var buf bytes.Buffer
+	WriteRecords(&buf, recs)
+	sc := NewRecordScanner(bytes.NewReader(buf.Bytes()))
+	var got []Record
+	for sc.Scan() {
+		got = append(got, sc.Record())
+	}
+	if sc.Err() != nil {
+		t.Fatal(sc.Err())
+	}
+	if len(got) != len(recs) {
+		t.Fatalf("scanned %d records, want %d", len(got), len(recs))
+	}
+	for i := range got {
+		if got[i] != recs[i] {
+			t.Fatalf("record %d mismatch", i)
+		}
+	}
+}
+
+func TestRecordScannerTornTail(t *testing.T) {
+	recs := scanTestRecords(3)
+	var buf bytes.Buffer
+	WriteRecords(&buf, recs)
+	buf.WriteString(`{"id":9999,"vari`)
+	sc := NewRecordScanner(bytes.NewReader(buf.Bytes()))
+	n := 0
+	for sc.Scan() {
+		n++
+	}
+	var trunc *TruncatedError
+	if !errors.As(sc.Err(), &trunc) {
+		t.Fatalf("torn tail gave %v, want TruncatedError", sc.Err())
+	}
+	if n != 3 {
+		t.Fatalf("scanned %d intact records, want 3", n)
+	}
+}
+
+func TestRecordScannerMidStreamCorruption(t *testing.T) {
+	recs := scanTestRecords(3)
+	var buf bytes.Buffer
+	WriteRecords(&buf, recs)
+	lines := strings.SplitAfter(buf.String(), "\n")
+	lines[1] = "{\"id\":bogus}\n"
+	sc := NewRecordScanner(strings.NewReader(strings.Join(lines, "")))
+	for sc.Scan() {
+	}
+	err := sc.Err()
+	var trunc *TruncatedError
+	if err == nil || errors.As(err, &trunc) {
+		t.Fatalf("mid-stream corruption gave %v, want a hard error", err)
+	}
+}

@@ -126,15 +126,19 @@ func (m *Manager) allow(ten tenant.Tenant) error {
 func (m *Manager) enqueue(ten tenant.Tenant, c *Campaign) (*Campaign, error) {
 	m.mu.Lock()
 	u := m.usageLocked(ten.Name)
+	// The usage record is shared with finishing runners: read it only
+	// under m.mu, messages included.
 	if ten.MaxQueuedJobs > 0 && u.QueuedJobs >= ten.MaxQueuedJobs {
+		reason := fmt.Sprintf("%d outstanding jobs (max %d)", u.QueuedJobs, ten.MaxQueuedJobs)
 		m.mu.Unlock()
 		metrics.RequestsQuotaRejected.Add(1)
-		return nil, &QuotaError{Tenant: ten.Name, Reason: fmt.Sprintf("%d outstanding jobs (max %d)", u.QueuedJobs, ten.MaxQueuedJobs)}
+		return nil, &QuotaError{Tenant: ten.Name, Reason: reason}
 	}
 	if ten.MaxQueuedExperiments > 0 && u.QueuedExperiments+c.total > ten.MaxQueuedExperiments {
+		reason := fmt.Sprintf("%d outstanding experiments + %d requested (max %d)", u.QueuedExperiments, c.total, ten.MaxQueuedExperiments)
 		m.mu.Unlock()
 		metrics.RequestsQuotaRejected.Add(1)
-		return nil, &QuotaError{Tenant: ten.Name, Reason: fmt.Sprintf("%d outstanding experiments + %d requested (max %d)", u.QueuedExperiments, c.total, ten.MaxQueuedExperiments)}
+		return nil, &QuotaError{Tenant: ten.Name, Reason: reason}
 	}
 	c.ID = fmt.Sprintf("c%06d", m.nextID+1)
 	if err := m.queue.Push(ten.Name, ten.FairWeight(), c); err != nil {

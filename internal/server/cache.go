@@ -144,24 +144,10 @@ func (m *Manager) serveFromCache(ten tenant.Tenant, c *Campaign) (bool, error) {
 	return true, nil
 }
 
-// cachePutFile memoizes a completed campaign whose canonical record
-// file is already on disk (the common path).
-func (m *Manager) cachePutFile(c *Campaign, faults goofi.FaultStats, path string) {
-	if faults.Abandoned > 0 || !m.memoizable(c) {
-		return
-	}
-	key, err := memoKey(c.Spec)
-	if err != nil {
-		return
-	}
-	if err := m.cache.PutFile(key, path); err != nil {
-		m.logger.Printf("campaign %s: memoization failed (continuing): %v", c.ID, err)
-	}
-}
-
-// cachePut memoizes a completed campaign straight from memory (no
-// data directory configured).
-func (m *Manager) cachePut(c *Campaign, faults goofi.FaultStats, recs []goofi.Record) {
+// cachePut memoizes a cleanly completed campaign: from its canonical
+// record file when one was written, else straight from memory (no data
+// directory configured).
+func (m *Manager) cachePut(c *Campaign, faults goofi.FaultStats, recs []goofi.Record, path string) {
 	if len(recs) == 0 || faults.Abandoned > 0 || !m.memoizable(c) {
 		return
 	}
@@ -169,11 +155,15 @@ func (m *Manager) cachePut(c *Campaign, faults goofi.FaultStats, recs []goofi.Re
 	if err != nil {
 		return
 	}
-	var buf bytes.Buffer
-	if err := goofi.WriteRecords(&buf, recs); err != nil {
-		return
+	if path != "" {
+		err = m.cache.PutFile(key, path)
+	} else {
+		var buf bytes.Buffer
+		if err = goofi.WriteRecords(&buf, recs); err == nil {
+			err = m.cache.Put(key, buf.Bytes())
+		}
 	}
-	if err := m.cache.Put(key, buf.Bytes()); err != nil {
+	if err != nil {
 		m.logger.Printf("campaign %s: memoization failed (continuing): %v", c.ID, err)
 	}
 }

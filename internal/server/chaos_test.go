@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"ctrlguard/internal/dist"
 	"ctrlguard/internal/goofi"
 )
 
@@ -109,11 +110,11 @@ func TestChaosCrashRestartResume(t *testing.T) {
 	waitForProgress(t, ts1, v.ID, 25)
 	s1.mgr.kill() // the process vanishes: no terminal journaling, no final rewrite
 
-	// The incremental segment store survives with a partial prefix
-	// (salvage tolerates a torn tail in the newest segment only).
-	partial, err := goofi.LoadSegmentRecords(filepath.Join(dataDir, v.ID+".records"))
+	// The shard segments survive with a partial prefix (salvage
+	// tolerates a torn tail).
+	partial, err := dist.LoadSegments(filepath.Join(dataDir, v.ID+".shards"))
 	if err != nil {
-		t.Fatalf("post-crash segment store unreadable: %v", err)
+		t.Fatalf("post-crash segments unreadable: %v", err)
 	}
 	if len(partial) == 0 || len(partial) >= 150 {
 		t.Fatalf("post-crash store has %d records, want a strict partial prefix", len(partial))
@@ -148,8 +149,8 @@ func TestChaosCrashRestartResume(t *testing.T) {
 	if string(got) != string(want) {
 		t.Errorf("final record file differs from an uninterrupted run (%d vs %d bytes)", len(got), len(want))
 	}
-	if _, err := os.Stat(filepath.Join(dataDir, v.ID+".records")); !os.IsNotExist(err) {
-		t.Errorf("incremental segment store not cleaned up after completion")
+	if _, err := os.Stat(filepath.Join(dataDir, v.ID+".shards")); !os.IsNotExist(err) {
+		t.Errorf("record segments not cleaned up after completion")
 	}
 
 	after := metricsMap(t, ts2)
@@ -240,13 +241,9 @@ func TestChaosResumeDropsTornTail(t *testing.T) {
 	waitForProgress(t, ts1, v.ID, 25)
 	s1.mgr.kill()
 
-	// The crash tore the final record in half — in the live tail
-	// segment, the only file the seal ordering permits to be torn.
-	segs, err := goofi.SegmentFiles(filepath.Join(dataDir, v.ID+".records"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("post-crash segment store missing: %v (%d segments)", err, len(segs))
-	}
-	f, err := os.OpenFile(segs[len(segs)-1], os.O_APPEND|os.O_WRONLY, 0o644)
+	// The crash tore the final record of the campaign's one shard
+	// segment in half.
+	f, err := os.OpenFile(dist.SegmentPath(filepath.Join(dataDir, v.ID+".shards"), 0), os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,5 +385,45 @@ func TestChaosWorkerFaultMetrics(t *testing.T) {
 		if got := after[metric] - before[metric]; got < delta {
 			t.Errorf("%s advanced by %v, want at least %v", metric, got, delta)
 		}
+	}
+}
+
+// TestChaosSequentialResume: a precision-driven campaign killed
+// mid-run resumes from its persisted records on restart — its batches
+// own stable experiment IDs — and writes the same record file as an
+// undisturbed run.
+func TestChaosSequentialResume(t *testing.T) {
+	const spec = `{"variant":"alg1","precision":0.000001,"maxExperiments":150,"seed":77,"workers":2}`
+	cleanDir := t.TempDir()
+	_, ts0 := newTestServer(t, Config{Workers: 1, QueueDepth: 2, DataDir: cleanDir})
+	clean := submit(t, ts0, spec)
+	waitForState(t, ts0, clean.ID, StateDone, 2*time.Minute)
+	want, err := os.ReadFile(filepath.Join(cleanDir, clean.ID+".jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dataDir, journalDir := t.TempDir(), t.TempDir()
+	s1, ts1 := newTestServer(t, Config{
+		Workers: 1, QueueDepth: 2, DataDir: dataDir, JournalDir: journalDir,
+		ConfigHook: slowHook(3 * time.Millisecond),
+	})
+	v := submit(t, ts1, spec)
+	waitForProgress(t, ts1, v.ID, 25)
+	s1.mgr.kill()
+
+	_, ts2 := newTestServer(t, Config{Workers: 1, QueueDepth: 2, DataDir: dataDir, JournalDir: journalDir})
+	waitForState(t, ts2, v.ID, StateDone, 2*time.Minute)
+	var final View
+	getJSON(t, ts2.URL+"/api/v1/campaigns/"+v.ID, &final)
+	if final.Faults.Resumed == 0 {
+		t.Errorf("resumed sequential campaign reused no records: %+v", final.Faults)
+	}
+	got, err := os.ReadFile(filepath.Join(dataDir, v.ID+".jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("resumed sequential record file differs from a clean run (%d vs %d bytes)", len(got), len(want))
 	}
 }

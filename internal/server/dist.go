@@ -16,14 +16,16 @@ import (
 	"ctrlguard/internal/journal"
 )
 
-// Distributed campaigns: with executors configured, the manager stops
-// running eligible campaigns on its own goroutines and becomes a
-// coordinator instead — the plan is split into contiguous shards and
-// leased out to ctrlexec processes (local subprocesses and/or remote
-// HTTP executors that registered themselves), with the dist package's
-// lease machinery recovering from any executor death mid-shard. The
-// merged result is byte-identical to a solo run, so everything
-// downstream (reports, records, resume) is unchanged.
+// Every fixed-count campaign runs through the shard coordinator,
+// dist.Run. Without executors the campaign is one shard on this
+// process's engine (dist.Engine). With executors configured — local
+// ctrlexec subprocesses and/or remote HTTP executors that registered
+// themselves — the plan is split into contiguous shards and leased
+// out, and the dist package's lease machinery recovers from any
+// executor death mid-shard. Either way every record streams into a
+// per-shard segment under <id>.shards/ (the resume source), and the
+// merged result is byte-identical to a plain goofi run, so progress,
+// persistence, caching, stats and resume have one implementation.
 
 // execTTL is how long a remote executor registration stays live without
 // a heartbeat re-POST (ctrlexec beats every 5s).
@@ -86,22 +88,11 @@ func (r *execRegistry) live() []execEntry {
 	return out
 }
 
-// distEligible reports whether a campaign should run through the
-// coordinator: executors are available and the job is a plain
-// (non-sequential) campaign. Precision-driven campaigns batch their
-// experiments adaptively, so their IDs are not stable across processes
-// and they stay on the solo path.
-func (m *Manager) distEligible(c *Campaign) bool {
-	if c.Kind != KindCampaign || c.Spec.Sequential() {
-		return false
-	}
-	return m.distWorkers > 0 || (m.registry != nil && len(m.registry.live()) > 0)
-}
-
-// distExecutors assembles the executor set for one campaign: the
-// configured number of local ctrlexec subprocess slots plus every live
-// remote registration at lease time.
-func (m *Manager) distExecutors() []dist.Executor {
+// executors picks where a campaign's shards run and how large they
+// are: the configured local ctrlexec slots plus every live remote
+// registration at lease time, or, with neither, this process's engine
+// running the whole plan as one shard.
+func (m *Manager) executors(c *Campaign) ([]dist.Executor, int) {
 	var out []dist.Executor
 	for i := 0; i < m.distWorkers; i++ {
 		out = append(out, &dist.Proc{
@@ -111,55 +102,79 @@ func (m *Manager) distExecutors() []dist.Executor {
 			OnSpawn: m.spawnHook,
 		})
 	}
-	if m.registry != nil {
-		for _, e := range m.registry.live() {
-			out = append(out, &dist.HTTP{URL: e.URL, Tag: e.Name})
-		}
+	for _, e := range m.registry.live() {
+		out = append(out, &dist.HTTP{URL: e.URL, Tag: e.Name})
 	}
-	return out
+	if len(out) == 0 {
+		return []dist.Executor{dist.Engine{Configure: m.hook}}, c.Spec.Experiments
+	}
+	return out, m.shardSize
 }
 
-// executeDist runs one campaign as a distributed coordinator. The
-// shard segments live next to the record file (<id>.shards/) so a
-// coordinator restart salvages them; journaled shard completions skip
-// finished shards entirely.
-func (m *Manager) executeDist(ctx context.Context, c *Campaign, resumed bool) {
-	segDir := ""
-	if m.dataDir != "" {
-		segDir = filepath.Join(m.dataDir, c.ID+".shards")
-	} else {
-		tmp, err := os.MkdirTemp("", "ctrlguard-shards-")
-		if err != nil {
-			m.finalize(c, nil, goofi.FaultStats{}, fmt.Errorf("segment dir: %w", err), "")
-			return
-		}
-		segDir = tmp
-		defer os.RemoveAll(tmp)
+// segmentDir is where a campaign's live record segments go; empty
+// without a data directory, when records stay in memory only.
+func (m *Manager) segmentDir(c *Campaign) string {
+	if m.dataDir == "" {
+		return ""
 	}
-	if !resumed {
-		// A fresh submission must not inherit segments from an earlier
-		// unjournaled run under the same ID.
-		os.RemoveAll(segDir)
-	}
+	return filepath.Join(m.dataDir, c.ID+".shards")
+}
 
+// startRun points a starting campaign at its segment directory. A
+// resumed campaign keeps the segments as its resume source; a fresh
+// submission must not inherit files from an earlier unjournaled run
+// under the same ID.
+func (m *Manager) startRun(c *Campaign, resumed bool) string {
+	dir := m.segmentDir(c)
+	if dir != "" && !resumed {
+		os.RemoveAll(dir)
+		os.Remove(filepath.Join(m.dataDir, c.ID+".jsonl"))
+	}
+	c.mu.Lock()
+	c.segDir = dir
+	c.dataPath = ""
+	c.records = nil
+	c.mu.Unlock()
+	return dir
+}
+
+// runCampaign executes one fixed-count campaign through dist.Run. A
+// resumed campaign skips shards journaled complete and resumes the
+// rest from their salvaged segments.
+func (m *Manager) runCampaign(ctx context.Context, c *Campaign, resumed bool) {
+	segDir := m.startRun(c, resumed)
 	c.mu.Lock()
 	completed := c.shardsDone
 	c.mu.Unlock()
 	if !resumed {
 		completed = nil
 	}
-
-	var lastJournal time.Time
-	var mu sync.Mutex
+	executors, shardSize := m.executors(c)
+	progress := m.progressFunc(c)
 	opts := dist.Options{
-		ShardSize:       m.shardSize,
+		ShardSize:       shardSize,
 		LeaseTTL:        m.leaseTTL,
 		SegmentDir:      segDir,
 		Campaign:        c.ID,
 		CompletedShards: completed,
 		Logger:          m.logger,
 		TaskHook:        m.distTaskHook,
-		Journal: func(e journal.Entry) {
+		OnRecord: func(rec goofi.Record, done int) {
+			metrics.ExperimentsTotal.Add(1)
+			progress(rec, done)
+		},
+	}
+	// Leases to executors are journaled so a restarted coordinator skips
+	// finished shards. An in-process campaign's single shard finishes
+	// with the campaign, so journaling its lease would only add fsyncs;
+	// and its engine cannot die apart from this process, so an error it
+	// returns is the engine's own, deterministic, and not worth retrying.
+	if _, inproc := executors[0].(dist.Engine); inproc {
+		opts.MaxAttempts = 1
+	} else {
+		m.logger.Printf("campaign %s: distributing across %d executors (shard size %d)",
+			c.ID, len(executors), shardSize)
+		opts.Journal = func(e journal.Entry) {
 			switch e.Type {
 			case journal.EventShardLeased:
 				metrics.ShardsLeased.Add(1)
@@ -169,79 +184,165 @@ func (m *Manager) executeDist(ctx context.Context, c *Campaign, resumed bool) {
 				metrics.ShardsExpired.Add(1)
 			}
 			m.appendJournal(e)
-		},
-		OnRecord: func(rec goofi.Record) {
-			metrics.ExperimentsTotal.Add(1)
-			c.mu.Lock()
-			c.outcomes[rec.Outcome]++
-			c.mu.Unlock()
-		},
-		OnProgress: func(done, total int) {
-			c.mu.Lock()
-			c.done, c.total = done, total
-			c.broadcastLocked(c.eventLocked("progress"))
-			outcomes := copyCounts(c.outcomes)
-			c.mu.Unlock()
-			mu.Lock()
-			due := time.Since(lastJournal) >= journalProgressEvery
-			if due {
-				lastJournal = time.Now()
-			}
-			mu.Unlock()
-			if due {
-				m.appendJournal(journal.Entry{Job: c.ID, Type: journal.EventProgress,
-					Done: done, Total: total, Outcomes: outcomes})
-			}
-		},
+		}
 	}
-
-	executors := m.distExecutors()
-	m.logger.Printf("campaign %s: distributing across %d executors (shard size %d)",
-		c.ID, len(executors), opts.ShardSize)
 	res, runErr := dist.Run(ctx, c.Spec, executors, opts)
 
 	var recs []goofi.Record
 	var faults goofi.FaultStats
-	path := ""
 	if res != nil {
-		recs = res.Records
-		faults = res.Faults
+		recs, faults = res.Records, res.Faults
 		metrics.ExperimentsResumed.Add(int64(faults.Resumed))
-		prune := res.Prune
-		metrics.ExperimentsPlanned.Add(int64(prune.Planned))
-		metrics.ExperimentsSimulated.Add(int64(prune.Simulated))
-		metrics.ExperimentsPrunedDead.Add(int64(prune.PrunedDead))
-		metrics.ExperimentsCollapsed.Add(int64(prune.Collapsed))
-		// The coordinator merges shard records without a campaign Result,
-		// so detector verdicts are tallied from the records themselves
-		// (shard golden runs stay on the executors, so no FP stats here).
-		cfe, auto := goofi.TallyDetect(recs)
-		metrics.DetectorCFEDetected.Add(int64(cfe))
-		metrics.DetectorAutomatonDetected.Add(int64(auto))
-		c.mu.Lock()
-		p := prune
-		c.prune = &p
-		// The coordinator counts progress from salvaged segments too;
-		// outcomes for those records arrive only with the final merge.
-		c.outcomes = make(map[string]int)
+		m.noteStats(c, res.Prune, res.Detect)
+		// Salvaged segments count towards progress as the coordinator
+		// opens them, but their outcomes arrive only with the result.
+		outcomes := make(map[string]int)
 		for _, rec := range recs {
-			c.outcomes[rec.Outcome]++
+			outcomes[rec.Outcome]++
 		}
+		c.mu.Lock()
+		c.outcomes = outcomes
 		c.mu.Unlock()
 	}
-	if m.dataDir != "" && len(recs) > 0 && !m.killed.Load() {
-		path = filepath.Join(m.dataDir, c.ID+".jsonl")
-		if err := goofi.SaveRecords(path, recs); err != nil {
-			path = ""
-			if runErr == nil {
-				runErr = err
-			}
+	m.conclude(c, recs, faults, runErr)
+}
+
+// runSequential executes a precision-driven campaign on this process's
+// engine. Its experiment count is decided as it runs, so it cannot be
+// split into shards up front, but its records land in a segment under
+// <id>.shards/ like every campaign's, and because batch b owns the
+// stable experiment IDs [b·B, (b+1)·B) a resumed run reuses them.
+func (m *Manager) runSequential(ctx context.Context, c *Campaign, resumed bool) {
+	cfg, err := c.Spec.Resolve()
+	if err != nil { // validated at Submit; only a programming error lands here
+		m.finalize(c, nil, goofi.FaultStats{}, err, "")
+		return
+	}
+	if m.hook != nil {
+		m.hook(&cfg)
+	}
+	var seg *goofi.RecordAppender
+	if segDir := m.startRun(c, resumed); segDir != "" {
+		if err := os.MkdirAll(segDir, 0o755); err != nil {
+			m.logger.Printf("campaign %s: record segment unavailable: %v", c.ID, err)
+		} else if seg, cfg.Resume, err = goofi.OpenRecordAppender(dist.SegmentPath(segDir, 0)); err != nil {
+			m.logger.Printf("campaign %s: record segment unavailable: %v", c.ID, err)
 		}
 	}
-	if runErr == nil {
-		// dist.Run already removed the segment files on success; drop
-		// the now-empty working directory too.
-		os.Remove(segDir)
+
+	progress := m.progressFunc(c)
+	done := 0
+	cfg.OnResume = func(recs []goofi.Record) {
+		metrics.ExperimentsResumed.Add(int64(len(recs)))
+		for _, rec := range recs {
+			done++
+			progress(rec, done)
+		}
+	}
+	cfg.OnRecord = func(rec goofi.Record) {
+		metrics.ExperimentsTotal.Add(1)
+		if seg != nil {
+			if err := seg.Append(rec); err != nil {
+				m.logger.Printf("campaign %s: record append failed: %v", c.ID, err)
+				seg.Close()
+				seg = nil
+			}
+		}
+		done++
+		progress(rec, done)
+	}
+	res, runErr := goofi.RunUntilPrecisionContext(ctx, goofi.PrecisionConfig{
+		Campaign:        cfg,
+		TargetHalfWidth: c.Spec.Precision,
+		MaxExperiments:  c.Spec.MaxExperiments,
+	})
+	if seg != nil {
+		if err := seg.Close(); err != nil {
+			m.logger.Printf("campaign %s: record segment close failed: %v", c.ID, err)
+		}
+	}
+	var recs []goofi.Record
+	var faults goofi.FaultStats
+	if res != nil {
+		recs, faults = res.Records, res.Faults
+		m.noteStats(c, res.Prune, res.Detect)
+	}
+	m.conclude(c, recs, faults, runErr)
+}
+
+// progressFunc returns the callback a running campaign reports each
+// record through, with the campaign-wide count of records done:
+// subscribers hear every one, the journal at most one entry per
+// journalProgressEvery (resume correctness comes from the segments).
+func (m *Manager) progressFunc(c *Campaign) func(rec goofi.Record, done int) {
+	var last time.Time // guarded by c.mu
+	return func(rec goofi.Record, done int) {
+		c.mu.Lock()
+		c.done = max(c.done, done) // shards ingest concurrently
+		c.outcomes[rec.Outcome]++
+		c.broadcastLocked(c.eventLocked("progress"))
+		var e *journal.Entry
+		if time.Since(last) >= journalProgressEvery {
+			last = time.Now()
+			e = &journal.Entry{Job: c.ID, Type: journal.EventProgress,
+				Done: c.done, Total: c.total, Outcomes: copyCounts(c.outcomes)}
+		}
+		c.mu.Unlock()
+		if e != nil {
+			m.appendJournal(*e)
+		}
+	}
+}
+
+// noteStats publishes a run's pruning and detector stats on the
+// campaign view and in the process metrics.
+func (m *Manager) noteStats(c *Campaign, p *goofi.PruneStats, d *goofi.DetectStats) {
+	if p != nil {
+		metrics.ExperimentsPlanned.Add(int64(p.Planned))
+		metrics.ExperimentsSimulated.Add(int64(p.Simulated))
+		metrics.ExperimentsPrunedDead.Add(int64(p.PrunedDead))
+		metrics.ExperimentsCollapsed.Add(int64(p.Collapsed))
+	}
+	if d != nil {
+		metrics.DetectorCFEDetected.Add(int64(d.CFEDetected))
+		metrics.DetectorAutomatonDetected.Add(int64(d.AutomatonDetected))
+		metrics.DetectorFalsePositives.Add(int64(d.FalsePositives))
+	}
+	c.mu.Lock()
+	c.prune, c.detect = p, d
+	c.mu.Unlock()
+}
+
+// conclude settles a campaign whose run returned. A campaign merely
+// interrupted by shutdown keeps its segments for the next start to
+// resume from. Otherwise its records — complete, or the partial set of
+// a cancelled or failed run — become the canonical experiment-ordered
+// <id>.jsonl, the segments go, and a clean result is memoized. A chaos
+// kill persists nothing, exactly like a real SIGKILL.
+func (m *Manager) conclude(c *Campaign, recs []goofi.Record, faults goofi.FaultStats, runErr error) {
+	path := ""
+	if !m.killed.Load() && !m.interrupted(c, runErr) {
+		c.mu.Lock()
+		segDir := c.segDir
+		c.mu.Unlock()
+		if m.dataDir != "" && len(recs) > 0 {
+			path = filepath.Join(m.dataDir, c.ID+".jsonl")
+			if err := goofi.SaveRecords(path, recs); err != nil {
+				path = ""
+				if runErr == nil {
+					runErr = err
+				}
+			}
+		}
+		if segDir != "" && (path != "" || len(recs) == 0) {
+			os.RemoveAll(segDir)
+			c.mu.Lock()
+			c.segDir = ""
+			c.mu.Unlock()
+		}
+		if runErr == nil {
+			m.cachePut(c, faults, recs, path)
+		}
 	}
 	m.finalize(c, recs, faults, runErr, path)
 }

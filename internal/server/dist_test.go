@@ -385,3 +385,37 @@ func TestExecutorRegistryAPI(t *testing.T) {
 		t.Fatalf("double delete: %d, want 404", resp.StatusCode)
 	}
 }
+
+// TestDistCampaignCachesAndReportsDetectors: a sharded campaign behaves
+// like an in-process one beyond its record bytes — it seeds the result
+// cache for duplicate submissions and reports the detector stats,
+// false positives included, that a solo run reports.
+func TestDistCampaignCachesAndReportsDetectors(t *testing.T) {
+	spec := goofi.CampaignSpec{Variant: "alg2", Experiments: 40, Seed: 19, Detector: "cfe+automaton"}
+	cfg, err := spec.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, err := goofi.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{
+		DataDir:   t.TempDir(),
+		CacheDir:  t.TempDir(),
+		Executors: 2,
+		ExecBin:   ctrlexecBin(t),
+		ShardSize: 15,
+	})
+	const body = `{"variant":"alg2","n":40,"seed":19,"detector":"cfe+automaton"}`
+	v := submit(t, ts, body)
+	waitForState(t, ts, v.ID, StateDone, time.Minute)
+	var got View
+	getJSON(t, ts.URL+"/api/v1/campaigns/"+v.ID, &got)
+	if got.Detect == nil || *got.Detect != *solo.Detect {
+		t.Fatalf("distributed Detect = %+v, want the solo run's %+v", got.Detect, solo.Detect)
+	}
+	if dup := submit(t, ts, body); !dup.CacheHit || dup.State != StateDone {
+		t.Fatalf("duplicate of a distributed campaign not served from cache: state %s, cacheHit %v", dup.State, dup.CacheHit)
+	}
+}

@@ -33,13 +33,14 @@ const (
 // through its GUI and every experiment landed in a SQL database for
 // later analysis. Manager is that service core for ctrlguardd — a
 // bounded job queue feeding a pool of campaign runners, each campaign
-// executing through goofi.RunContext with live progress fan-out and
-// JSONL persistence.
+// executing through the dist shard coordinator (in-process unless
+// executors are configured) with live progress fan-out and JSONL
+// persistence.
 //
 // The manager practices the paper's best-effort recovery on itself:
 // every job lifecycle transition is written through an fsync'd journal
 // before the server acknowledges it, each completed experiment is
-// appended to the campaign's record file as it happens, and a restarted
+// appended to the campaign's record segments as it happens, and a restarted
 // manager replays the journal, re-enqueues every interrupted campaign,
 // and resumes it from its persisted records — so a crash costs the tail
 // of the running campaign, never the queue.
@@ -103,10 +104,10 @@ type Campaign struct {
 	errMsg     string
 	records    []goofi.Record
 	dataPath   string
-	segDir     string // live segmented record store (resume source)
+	segDir     string // <id>.shards/: live record segments (resume source)
 	cacheHit   bool   // served from the content-addressed result cache
-	resumed    bool // re-enqueued by journal recovery after a restart
-	userCancel bool // cancelled via the API, as opposed to a shutdown
+	resumed    bool   // re-enqueued by journal recovery after a restart
+	userCancel bool   // cancelled via the API, as opposed to a shutdown
 	faults     goofi.FaultStats
 	prune      *goofi.PruneStats
 	detect     *goofi.DetectStats
@@ -177,7 +178,8 @@ func (c *Campaign) Snapshot() View {
 
 // Records returns the campaign's completed experiment records. For a
 // job restored from the journal after a restart, the records are loaded
-// lazily from its persisted JSONL file (tolerating a crash-torn tail).
+// lazily from its persisted JSONL file (tolerating a crash-torn tail);
+// a running campaign's come from its live segments.
 func (c *Campaign) Records() []goofi.Record {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -190,26 +192,23 @@ func (c *Campaign) Records() []goofi.Record {
 				c.records = recs
 			}
 		case c.segDir != "":
-			// No canonical file yet (crash before the final rewrite):
-			// fold the partial run's segments instead.
-			if recs, err := goofi.LoadSegmentRecords(c.segDir); err == nil {
-				c.records = recs
-			}
+			// No canonical file yet (still running, or a crash before
+			// the final rewrite): the segments, read afresh each time.
+			recs, _ := dist.LoadSegments(c.segDir)
+			return recs
 		}
 	}
 	return append([]goofi.Record(nil), c.records...)
 }
 
 // RecordPage returns records[offset : offset+limit] plus the total
-// count. Unlike Records it never materializes the full set for a
-// disk-backed campaign: the canonical file is scanned record-by-record
-// through a RecordScanner, and a segmented store pages through only
-// the segments the window intersects.
+// count. Unlike Records it never materializes the full set of a
+// finished disk-backed campaign: the canonical file is scanned
+// record-by-record through a RecordScanner.
 func (c *Campaign) RecordPage(offset, limit int) ([]goofi.Record, int, error) {
 	c.mu.Lock()
-	inMemory := c.records != nil || c.Kind != KindCampaign
+	inMemory := c.records != nil || c.Kind != KindCampaign || c.dataPath == ""
 	dataPath := c.dataPath
-	segDir := c.segDir
 	c.mu.Unlock()
 	if inMemory {
 		recs := c.Records()
@@ -218,30 +217,25 @@ func (c *Campaign) RecordPage(offset, limit int) ([]goofi.Record, int, error) {
 		hi := min(lo+limit, total)
 		return recs[lo:hi:hi], total, nil
 	}
-	if dataPath != "" {
-		f, err := os.Open(dataPath)
-		if err == nil {
-			defer f.Close()
-			var page []goofi.Record
-			total := 0
-			sc := goofi.NewRecordScanner(f)
-			for sc.Scan() {
-				if total >= offset && len(page) < limit {
-					page = append(page, sc.Record())
-				}
-				total++
-			}
-			var trunc *goofi.TruncatedError
-			if serr := sc.Err(); serr != nil && !errors.As(serr, &trunc) {
-				return nil, 0, serr
-			}
-			return page, total, nil
+	f, err := os.Open(dataPath)
+	if err != nil {
+		return nil, 0, nil // reclaimed by retention since the check
+	}
+	defer f.Close()
+	var page []goofi.Record
+	total := 0
+	sc := goofi.NewRecordScanner(f)
+	for sc.Scan() {
+		if total >= offset && len(page) < limit {
+			page = append(page, sc.Record())
 		}
+		total++
 	}
-	if segDir != "" {
-		return goofi.SegmentPage(segDir, offset, limit)
+	var trunc *goofi.TruncatedError
+	if serr := sc.Err(); serr != nil && !errors.As(serr, &trunc) {
+		return nil, 0, serr
 	}
-	return nil, 0, nil
+	return page, total, nil
 }
 
 // Subscribe registers a progress listener. The returned channel
@@ -314,10 +308,10 @@ type Options struct {
 	// QueueDepth bounds the number of campaigns waiting to run (min 1).
 	// Jobs re-enqueued by journal recovery do not count against it.
 	QueueDepth int
-	// DataDir, if set, receives each campaign's records as <id>.jsonl —
-	// appended experiment-by-experiment while the campaign runs (the
-	// crash-recovery source), atomically rewritten in experiment order
-	// when it finishes.
+	// DataDir, if set, receives each campaign's records: appended
+	// experiment-by-experiment to segments under <id>.shards/ while the
+	// campaign runs (the crash-recovery source), then written atomically
+	// in experiment order as <id>.jsonl when it finishes.
 	DataDir string
 	// JournalPath, if set, is the write-ahead journal of job lifecycle
 	// events. With a journal, a restarted manager re-enqueues and
@@ -336,10 +330,10 @@ type Options struct {
 	// configs leave it nil.
 	ConfigHook func(*goofi.Config)
 
-	// Executors, when positive, turns the manager into a distributed
-	// coordinator: eligible campaigns are sharded across this many
-	// local ctrlexec subprocesses (plus any registered remote
-	// executors) instead of running in-process. Requires ExecBin.
+	// Executors, when positive, shards fixed-count campaigns across
+	// this many local ctrlexec subprocesses (plus any registered remote
+	// executors) instead of running each as one in-process shard.
+	// Requires ExecBin.
 	Executors int
 	// ExecBin is the ctrlexec binary local executor slots spawn.
 	ExecBin string
@@ -371,9 +365,6 @@ type Options struct {
 	// CacheMaxBytes bounds the memoization cache (0 = unbounded);
 	// least-recently-used results are evicted past it.
 	CacheMaxBytes int64
-	// SegmentBytes caps each incremental record segment (default
-	// goofi.DefaultSegmentBytes).
-	SegmentBytes int64
 	// JournalMaxBytes triggers automatic journal compaction when the
 	// write-ahead journal grows past it (0 = startup-only compaction).
 	JournalMaxBytes int64
@@ -407,7 +398,6 @@ type Manager struct {
 	// cache.go, retention.go).
 	tenants     *tenant.Registry
 	cache       *castore.Store
-	segBytes    int64
 	retainAge   time.Duration
 	retainBytes int64
 	buckets     map[string]*tenant.Bucket // m.mu-guarded, one per tenant
@@ -461,7 +451,6 @@ func NewManager(opts Options) (*Manager, error) {
 		logger:       opts.Logger,
 		hook:         opts.ConfigHook,
 		tenants:      registry,
-		segBytes:     opts.SegmentBytes,
 		retainAge:    opts.RetainAge,
 		retainBytes:  opts.RetainBytes,
 		buckets:      make(map[string]*tenant.Bucket),
@@ -567,7 +556,7 @@ func (m *Manager) restoreJobs(entries []journal.Entry, resume bool) []*Campaign 
 			if _, err := os.Stat(path); err == nil {
 				c.dataPath = path
 			}
-			segDir := filepath.Join(m.dataDir, c.ID+".records")
+			segDir := m.segmentDir(c)
 			if _, err := os.Stat(segDir); err == nil {
 				c.segDir = segDir
 			}
@@ -752,8 +741,8 @@ func (m *Manager) runner() {
 }
 
 // journalProgressEvery throttles progress journaling: resume
-// correctness comes from the per-record JSONL appends, so the journal
-// only needs a coarse progress trail.
+// correctness comes from the per-record segment appends, so the
+// journal only needs a coarse progress trail.
 const journalProgressEvery = 2 * time.Second
 
 // execute runs one campaign to completion (or cancellation).
@@ -783,173 +772,14 @@ func (m *Manager) execute(c *Campaign) {
 	defer metrics.BusyWorkers.Add(-1)
 	m.appendJournal(journal.Entry{Job: c.ID, Type: journal.EventStarted, State: string(StateRunning)})
 
-	if c.Kind == KindTune {
+	switch {
+	case c.Kind == KindTune:
 		m.runTune(ctx, c)
-		return
+	case c.Spec.Sequential():
+		m.runSequential(ctx, c, resumed)
+	default:
+		m.runCampaign(ctx, c, resumed)
 	}
-
-	// With executors available, eligible campaigns run through the
-	// distributed coordinator instead of this worker's goroutines.
-	if m.distEligible(c) {
-		m.executeDist(ctx, c, resumed)
-		return
-	}
-
-	cfg, err := c.Spec.Resolve()
-	if err != nil { // validated at Submit; only a programming error lands here
-		m.finalize(c, nil, goofi.FaultStats{}, err, "")
-		return
-	}
-	if m.hook != nil {
-		m.hook(&cfg)
-	}
-
-	// Incremental persistence: each record is appended to the
-	// campaign's segmented store (<id>.records/) as it completes, so a
-	// crash leaves salvageable partial segments. On resume the salvaged
-	// records seed goofi's Resume path; sequential (precision-driven)
-	// campaigns restart from scratch because their per-batch experiment
-	// IDs are not stable across runs.
-	path := ""
-	var seg *goofi.SegmentStore
-	if m.dataDir != "" {
-		path = filepath.Join(m.dataDir, c.ID+".jsonl")
-		segDir := filepath.Join(m.dataDir, c.ID+".records")
-		if !resumed || c.Spec.Sequential() {
-			os.Remove(path) // stale files from an unjournaled earlier run
-			os.RemoveAll(segDir)
-		}
-		var salvaged []goofi.Record
-		seg, salvaged, err = goofi.OpenSegmentStore(segDir, m.segBytes)
-		if err != nil {
-			m.logger.Printf("campaign %s: incremental record store unavailable: %v", c.ID, err)
-			seg = nil
-		} else {
-			c.mu.Lock()
-			c.segDir = segDir
-			c.mu.Unlock()
-			if resumed && !c.Spec.Sequential() {
-				// A graceful shutdown also leaves a partial canonical
-				// <id>.jsonl (the final-rewrite path ran); merge it in.
-				// Resume dedups by experiment ID, newest record wins.
-				if legacy, lerr := goofi.LoadRecords(path); lerr == nil {
-					salvaged = append(legacy, salvaged...)
-				}
-				cfg.Resume = salvaged
-			}
-		}
-	}
-
-	var lastJournal time.Time
-	noteProgress := func(rec goofi.Record) {
-		c.mu.Lock()
-		c.done++
-		c.outcomes[rec.Outcome]++
-		done, total := c.done, c.total
-		outcomes := copyCounts(c.outcomes)
-		c.broadcastLocked(c.eventLocked("progress"))
-		c.mu.Unlock()
-		if time.Since(lastJournal) >= journalProgressEvery {
-			lastJournal = time.Now()
-			m.appendJournal(journal.Entry{Job: c.ID, Type: journal.EventProgress,
-				Done: done, Total: total, Outcomes: outcomes})
-		}
-	}
-	cfg.OnResume = func(recs []goofi.Record) {
-		metrics.ExperimentsResumed.Add(int64(len(recs)))
-		for _, rec := range recs {
-			noteProgress(rec)
-		}
-	}
-	cfg.OnRecord = func(rec goofi.Record) {
-		metrics.ExperimentsTotal.Add(1)
-		if seg != nil {
-			if err := seg.Append(rec); err != nil {
-				m.logger.Printf("campaign %s: record append failed: %v", c.ID, err)
-				seg.Close()
-				seg = nil
-			}
-		}
-		noteProgress(rec)
-	}
-
-	var recs []goofi.Record
-	var faults goofi.FaultStats
-	var pruneStats *goofi.PruneStats
-	var detStats *goofi.DetectStats
-	var runErr error
-	if c.Spec.Sequential() {
-		res, err := goofi.RunUntilPrecisionContext(ctx, goofi.PrecisionConfig{
-			Campaign:        cfg,
-			TargetHalfWidth: c.Spec.Precision,
-			MaxExperiments:  c.Spec.MaxExperiments,
-		})
-		if res != nil {
-			recs = res.Records
-			faults = res.Faults
-			pruneStats = res.Prune
-			detStats = res.Detect
-		}
-		runErr = err
-	} else {
-		res, err := goofi.RunContext(ctx, cfg)
-		if res != nil {
-			recs = res.Records
-			faults = res.Faults
-			pruneStats = res.Prune
-			detStats = res.Detect
-		}
-		runErr = err
-	}
-	if pruneStats != nil {
-		metrics.ExperimentsPlanned.Add(int64(pruneStats.Planned))
-		metrics.ExperimentsSimulated.Add(int64(pruneStats.Simulated))
-		metrics.ExperimentsPrunedDead.Add(int64(pruneStats.PrunedDead))
-		metrics.ExperimentsCollapsed.Add(int64(pruneStats.Collapsed))
-		c.mu.Lock()
-		c.prune = pruneStats
-		c.mu.Unlock()
-	}
-	if detStats != nil {
-		metrics.DetectorCFEDetected.Add(int64(detStats.CFEDetected))
-		metrics.DetectorAutomatonDetected.Add(int64(detStats.AutomatonDetected))
-		metrics.DetectorFalsePositives.Add(int64(detStats.FalsePositives))
-		c.mu.Lock()
-		c.detect = detStats
-		c.mu.Unlock()
-	}
-
-	if seg != nil {
-		if err := seg.Close(); err != nil {
-			m.logger.Printf("campaign %s: segment close failed: %v", c.ID, err)
-		}
-	}
-	// Final rewrite: the same records, atomically replacing the
-	// unordered incremental segments with the experiment-ordered
-	// canonical file. A chaos kill skips this, exactly like a real
-	// SIGKILL would.
-	if path != "" && len(recs) > 0 && !m.killed.Load() {
-		if err := goofi.SaveRecords(path, recs); err != nil {
-			path = ""
-			if runErr == nil {
-				runErr = err
-			}
-		} else if runErr == nil {
-			// The canonical file now holds everything the segments do:
-			// drop them, and memoize the result for duplicate specs.
-			os.RemoveAll(filepath.Join(m.dataDir, c.ID+".records"))
-			c.mu.Lock()
-			c.segDir = ""
-			c.mu.Unlock()
-			m.cachePutFile(c, faults, path)
-		}
-	} else if len(recs) == 0 {
-		path = ""
-	}
-	if path == "" && runErr == nil && !m.killed.Load() {
-		m.cachePut(c, faults, recs)
-	}
-	m.finalize(c, recs, faults, runErr, path)
 }
 
 // runTune executes a tuning job: the full design-space search, with
@@ -1003,14 +833,12 @@ func (m *Manager) finalize(c *Campaign, recs []goofi.Record, faults goofi.FaultS
 	c.faults = faults
 	c.finished = time.Now()
 	switch {
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		if m.closing.Load() && !c.userCancel {
-			c.state = StateInterrupted
-			metrics.CampaignsInterrupted.Add(1)
-		} else {
-			c.state = StateCancelled
-			metrics.CampaignsCancelled.Add(1)
-		}
+	case m.interruptedLocked(c, err):
+		c.state = StateInterrupted
+		metrics.CampaignsInterrupted.Add(1)
+	case isCancel(err):
+		c.state = StateCancelled
+		metrics.CampaignsCancelled.Add(1)
 	case err != nil:
 		c.state = StateFailed
 		c.errMsg = err.Error()
@@ -1031,4 +859,21 @@ func (m *Manager) finalize(c *Campaign, recs []goofi.Record, faults goofi.FaultS
 	metrics.ExperimentsAbandoned.Add(int64(faults.Abandoned))
 	m.releaseUsage(c)
 	m.journalTerminal(c)
+}
+
+func isCancel(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// interrupted reports whether err stops c for a shutdown, to be
+// resumed on the next start, rather than for good.
+func (m *Manager) interrupted(c *Campaign, err error) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return m.interruptedLocked(c, err)
+}
+
+// interruptedLocked is interrupted with c.mu held.
+func (m *Manager) interruptedLocked(c *Campaign, err error) bool {
+	return isCancel(err) && m.closing.Load() && !c.userCancel
 }

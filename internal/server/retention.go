@@ -4,8 +4,6 @@ import (
 	"os"
 	"sort"
 	"time"
-
-	"ctrlguard/internal/goofi"
 )
 
 // Retention keeps the data directory bounded on long-lived servers.
@@ -69,9 +67,9 @@ func (m *Manager) retentionSweep(now time.Time) (deleted int) {
 			}
 		}
 		if r.segDir != "" {
-			if files, err := goofi.SegmentFiles(r.segDir); err == nil {
-				for _, f := range files {
-					if fi, err := os.Stat(f); err == nil {
+			if ents, err := os.ReadDir(r.segDir); err == nil {
+				for _, e := range ents {
+					if fi, err := e.Info(); err == nil {
 						r.bytes += fi.Size()
 					}
 				}

@@ -64,9 +64,9 @@ type Config struct {
 	// (default 16); submissions beyond it are rejected with 503.
 	QueueDepth int
 
-	// DataDir, if set, receives each campaign's records as
-	// <id>.jsonl through the goofi JSONL store — appended live while
-	// the campaign runs, rewritten atomically when it finishes.
+	// DataDir, if set, receives each campaign's records: appended live
+	// to per-shard segments under <id>.shards/ while the campaign runs,
+	// then written atomically as the experiment-ordered <id>.jsonl.
 	DataDir string
 
 	// JournalDir, if set, holds journal.wal — the fsync'd write-ahead
@@ -88,10 +88,10 @@ type Config struct {
 	// panics and hangs through it; leave nil in production.
 	ConfigHook func(*goofi.Config)
 
-	// Executors, when positive, runs eligible campaigns through the
-	// distributed coordinator with this many local ctrlexec
-	// subprocesses (plus any remote executors that register
-	// themselves). Requires ExecBin.
+	// Executors, when positive, shards fixed-count campaigns across
+	// this many local ctrlexec subprocesses (plus any remote executors
+	// that register themselves) instead of running each as one
+	// in-process shard. Requires ExecBin.
 	Executors int
 
 	// ExecBin is the ctrlexec binary local executor slots spawn.
@@ -123,10 +123,6 @@ type Config struct {
 
 	// CacheMaxBytes bounds the memoization cache (0 = unbounded).
 	CacheMaxBytes int64
-
-	// SegmentBytes caps each incremental record segment (default
-	// goofi.DefaultSegmentBytes).
-	SegmentBytes int64
 
 	// JournalMaxBytes triggers automatic journal compaction once the
 	// write-ahead journal grows past it (0 = startup-only compaction).
@@ -188,7 +184,6 @@ func New(cfg Config) (*Server, error) {
 		Tenants:         cfg.Tenants,
 		CacheDir:        cfg.CacheDir,
 		CacheMaxBytes:   cfg.CacheMaxBytes,
-		SegmentBytes:    cfg.SegmentBytes,
 		JournalMaxBytes: cfg.JournalMaxBytes,
 		RetainAge:       cfg.RetainAge,
 		RetainBytes:     cfg.RetainBytes,
