@@ -203,25 +203,23 @@ func BenchmarkFig10AssertionMiss(b *testing.B) {
 
 // The warm/full pair measures the same campaign with the checkpoint
 // fast path on and off; their ratio is the speedup the CI bench gate
-// asserts on (cmd/benchgate -speedup). Both disable the fault-space
-// pruner and the lockstep batcher so the pair keeps measuring
-// checkpointing alone; the pruned benchmark layers the pruner back on
+// asserts on (cmd/benchgate -speedup). Both ablate the fault-space
+// pruner and the lockstep batcher (goofi.Config.Ablate) so the pair
+// keeps measuring checkpointing alone; the pruned benchmark layers the pruner back on
 // top of the warm start, and the lockstep benchmark measures the
 // composed production engine. One op = one whole campaign, so run
 // these with -benchtime=1x.
 const fastPathExperiments = 300
 
-func benchWholeCampaign(b *testing.B, disableWarmStart, disablePrune, disableLockstep bool) {
+func benchWholeCampaign(b *testing.B, ablate goofi.Layer) {
 	var res *goofi.Result
 	for i := 0; i < b.N; i++ {
 		var err error
 		res, err = goofi.Run(goofi.Config{
-			Variant:          workload.AlgorithmI,
-			Experiments:      fastPathExperiments,
-			Seed:             2001,
-			DisableWarmStart: disableWarmStart,
-			DisablePrune:     disablePrune,
-			DisableLockstep:  disableLockstep,
+			Variant:     workload.AlgorithmI,
+			Experiments: fastPathExperiments,
+			Seed:        2001,
+			Ablate:      ablate,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -247,11 +245,11 @@ func benchWholeCampaign(b *testing.B, disableWarmStart, disablePrune, disableLoc
 }
 
 func BenchmarkCampaignWarmStart(b *testing.B) {
-	benchWholeCampaign(b, false, true, true)
+	benchWholeCampaign(b, goofi.LayerPrune|goofi.LayerLockstep)
 }
 
 func BenchmarkCampaignFullReplay(b *testing.B) {
-	benchWholeCampaign(b, true, true, true)
+	benchWholeCampaign(b, goofi.LayerWarmStart|goofi.LayerPrune|goofi.LayerLockstep)
 }
 
 // BenchmarkCampaignPruned layers fault-space pruning on top of the
@@ -259,7 +257,7 @@ func BenchmarkCampaignFullReplay(b *testing.B) {
 // BenchmarkCampaignWarmStart — the pruner's contribution on top of the
 // checkpoint fast path.
 func BenchmarkCampaignPruned(b *testing.B) {
-	benchWholeCampaign(b, false, false, true)
+	benchWholeCampaign(b, goofi.LayerLockstep)
 }
 
 // BenchmarkCampaignLockstep is the production default: warm start,
@@ -267,7 +265,7 @@ func BenchmarkCampaignPruned(b *testing.B) {
 // gate asserts its speedup over BenchmarkCampaignFullReplay — the
 // whole fast-path stack against the naive campaign.
 func BenchmarkCampaignLockstep(b *testing.B) {
-	benchWholeCampaign(b, false, false, false)
+	benchWholeCampaign(b, 0)
 }
 
 // --- Tables 2, 3, 4: the fault-injection campaigns ---

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -52,9 +53,6 @@ func main() {
 		disasm    = flag.Bool("disasm", false, "print the workload's disassembly and exit")
 		mark      = flag.Bool("markdown", false, "with -compare: emit a markdown report instead of tables")
 		precision = flag.Float64("precision", 0, "run batches until the severe-rate 95% CI half-width is below this (e.g. 0.001)")
-		noPrune   = flag.Bool("no-prune", false, "disable fault-space pruning; simulate every injection")
-		noLock    = flag.Bool("no-lockstep", false, "disable lockstep batching; run every simulated experiment solo")
-		lockK     = flag.Int("lockstep-k", 0, "experiments per lockstep batch (0 = derived from the post-prune simulated count)")
 		model     = flag.String("model", "", "fault model (see -list-models; default is the paper's permanent single bit-flip)")
 		burstW    = flag.Int("burst-width", 0, "adjacent-bit span for -model burst (0 = default)")
 		detector  = flag.String("detector", "", "arm in-loop detectors: cfe, automaton, or cfe+automaton (see -list-detectors)")
@@ -82,7 +80,6 @@ func main() {
 	spec := goofi.CampaignSpec{
 		Alg: *alg, Variant: *variant, Experiments: *n,
 		Seed: *seed, Workers: *workers, Precision: *precision,
-		DisablePrune: *noPrune, DisableLockstep: *noLock, LockstepK: *lockK,
 		Model: *model, BurstWidth: *burstW, Detector: *detector,
 	}
 	// Cancel on SIGINT so a long campaign still flushes the records
@@ -180,18 +177,7 @@ func runPrecision(ctx context.Context, cfg goofi.Config, target float64) error {
 		return err
 	}
 	fmt.Printf("experiments: %d in %d batches (converged: %v)\n", res.Experiments, res.Batches, res.Converged)
-	if p := res.Prune; p != nil {
-		fmt.Printf("pruning: %d planned, %d simulated, %d pruned dead, %d collapsed into %d classes\n",
-			p.Planned, p.Simulated, p.PrunedDead, p.Collapsed, p.Classes)
-	}
-	if l := res.Lockstep; l != nil {
-		fmt.Printf("lockstep: %d lanes in %d batches (K=%d), %d solo runs\n",
-			l.Lanes, l.Batches, l.K, l.Solo)
-	}
-	if d := res.Detect; d != nil {
-		fmt.Printf("detectors: %d caught by signature monitor, %d by automaton, %d golden false positives, %.1f%% modeled overhead\n",
-			d.CFEDetected, d.AutomatonDetected, d.FalsePositives, d.Overhead*100)
-	}
+	printStats(os.Stdout, "", res.Plan, res.Prune, res.Lockstep, res.Detect)
 	fmt.Printf("severe rate: %s (half-width %.4f%%)\n", res.Estimate, res.HalfWidth*100)
 	a := goofi.Analyze(res.Records)
 	fmt.Println(a.Summary())
@@ -297,22 +283,33 @@ func campaign(ctx context.Context, base goofi.Config, v workload.Variant, n int,
 		}
 	}
 	res, err := goofi.RunContext(ctx, cfg)
-	if res != nil && res.Prune != nil && !quiet {
-		p := res.Prune
-		fmt.Fprintf(os.Stderr, "%s: pruning: %d planned, %d simulated, %d pruned dead, %d collapsed into %d classes\n",
-			v, p.Planned, p.Simulated, p.PrunedDead, p.Collapsed, p.Classes)
-	}
-	if res != nil && res.Lockstep != nil && !quiet {
-		l := res.Lockstep
-		fmt.Fprintf(os.Stderr, "%s: lockstep: %d lanes in %d batches (K=%d), %d solo runs\n",
-			v, l.Lanes, l.Batches, l.K, l.Solo)
-	}
-	if res != nil && res.Detect != nil && !quiet {
-		d := res.Detect
-		fmt.Fprintf(os.Stderr, "%s: detectors (%s): %d caught by signature monitor, %d by automaton, %d golden false positives, %.1f%% modeled overhead\n",
-			v, base.Detect, d.CFEDetected, d.AutomatonDetected, d.FalsePositives, d.Overhead*100)
+	if res != nil && !quiet {
+		printStats(os.Stderr, string(v)+": ", res.Plan, res.Prune, res.Lockstep, res.Detect)
 	}
 	return res, err
+}
+
+// printStats prints one line per fast-path layer and one for the armed
+// detectors, each line starting with prefix: the layer's counters when
+// it ran, the planner's reason when it declined.
+func printStats(w io.Writer, prefix string, plan goofi.ExecPlan, p *goofi.PruneStats, l *goofi.LockstepStats, d *goofi.DetectStats) {
+	for _, layer := range []goofi.Layer{goofi.LayerWarmStart, goofi.LayerPrune, goofi.LayerLockstep} {
+		if why, ok := plan.Declined[layer.String()]; ok {
+			fmt.Fprintf(w, "%s%s: declined (%s)\n", prefix, layer, why)
+		}
+	}
+	if p != nil {
+		fmt.Fprintf(w, "%spruning: %d planned, %d simulated, %d pruned dead, %d collapsed into %d classes\n",
+			prefix, p.Planned, p.Simulated, p.PrunedDead, p.Collapsed, p.Classes)
+	}
+	if l != nil {
+		fmt.Fprintf(w, "%slockstep: %d lanes in %d batches (K=%d), %d solo runs\n",
+			prefix, l.Lanes, l.Batches, l.K, l.Solo)
+	}
+	if d != nil {
+		fmt.Fprintf(w, "%sdetectors (%s): %d caught by signature monitor, %d by automaton, %d golden false positives, %.1f%% modeled overhead\n",
+			prefix, detect.Spec{CFE: d.CFE, Automaton: d.Automaton}, d.CFEDetected, d.AutomatonDetected, d.FalsePositives, d.Overhead*100)
+	}
 }
 
 func tableFor(v workload.Variant) string {

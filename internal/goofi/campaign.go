@@ -96,40 +96,16 @@ type Config struct {
 	// production configs leave it nil.
 	Chaos func(id, attempt int)
 
-	// DisableWarmStart forces every experiment to replay from
-	// iteration 0 instead of resuming from a cached checkpoint at its
-	// injection iteration. The fast path produces byte-identical
-	// records (guaranteed by tests), so this exists for benchmarking
-	// and belt-and-braces validation, not correctness.
-	DisableWarmStart bool
-
-	// DisablePrune forces every experiment to be simulated instead of
-	// letting the fault-space pruner synthesize records for provably
-	// dead faults and collapse first-use equivalence classes to one
-	// representative run. Pruning produces byte-identical aggregate
-	// statistics (guaranteed by tests), so like DisableWarmStart this
-	// exists for benchmarking and cross-validation, not correctness.
-	DisablePrune bool
-
-	// DisableLockstep forces every simulated experiment to run solo
-	// instead of batching experiments of one campaign over a single
-	// shared golden-prefix replay (the lockstep engine). Records are
-	// byte-identical either way (guaranteed by tests), so like the
-	// other Disable knobs this exists for benchmarking and
-	// cross-validation, not correctness.
-	DisableLockstep bool
-
-	// LockstepK bounds how many experiments share one lockstep batch
-	// (0 = derived from the post-prune simulated count and the worker
-	// count).
-	LockstepK int
+	// Ablate switches fast-path layers off. TEST-AND-BENCH-ONLY: every
+	// layer keeps records byte-identical (pinned by tests), so the
+	// cross-validation tests and the per-layer benchmarks use it to
+	// compare the stacks with and without a layer; production configs
+	// leave it zero. Declined layers are reported in Result.Plan.
+	Ablate Layer
 
 	// Model selects the fault model for every injection (the zero
 	// value is the paper's permanent single bit-flip). Non-default
-	// models cleanly decline the prune and warm-start fast paths: the
-	// pruner's def-use reasoning and the checkpoint reconvergence
-	// argument are proven only for permanent single flips, so campaigns
-	// run full simulations rather than risk silent misclassification.
+	// models decline the prune and warm-start fast paths (see planFor).
 	Model inject.FaultModel
 
 	// BurstWidth is the adjacent-bit span for Model "burst"
@@ -138,13 +114,9 @@ type Config struct {
 
 	// Detect arms in-loop detectors (signature monitoring and/or a
 	// behavior-derived automaton mined from this campaign's golden run)
-	// on every experiment. Armed campaigns decline prune and warm-start
-	// too: both fast paths skip instructions the detectors must see.
+	// on every experiment. Armed campaigns decline every fast path (see
+	// planFor).
 	Detect detect.Spec
-
-	// CheckpointCap bounds the per-campaign checkpoint cache
-	// (0 = DefaultCheckpointCap).
-	CheckpointCap int
 
 	// Shard, if non-nil, restricts the campaign to the contiguous
 	// experiment-ID range [Shard.Start, Shard.End) of the full plan.
@@ -172,6 +144,10 @@ type Config struct {
 	// monitored golden run) across the batches of a sequential
 	// campaign, like warm and prune.
 	det *detectState
+
+	// lockstepK, if positive, overrides the derived lockstep batch
+	// size (see lockstepBatchK).
+	lockstepK int
 }
 
 // Record is the logged result of a single fault-injection experiment —
@@ -216,18 +192,20 @@ type Result struct {
 
 	Records []Record
 
+	// Plan is the fast-path decision the campaign executed, with the
+	// reason for every declined layer.
+	Plan ExecPlan
+
 	// WarmStart reports the checkpoint fast path's work avoidance;
-	// nil when the fast path was disabled.
+	// nil exactly when Plan declined the layer.
 	WarmStart *WarmStartStats
 
-	// Prune reports the fault-space pruner's work avoidance; nil when
-	// pruning was disabled or inapplicable (detail-mode observer set,
-	// non-default fault model, or armed detectors).
+	// Prune reports the fault-space pruner's work avoidance; nil
+	// exactly when Plan declined the layer.
 	Prune *PruneStats
 
-	// Lockstep reports the batching engine's work sharing; nil when
-	// lockstep was disabled or inapplicable (detail-mode observers,
-	// armed detectors, tracing, per-experiment deadlines, chaos hooks).
+	// Lockstep reports the batching engine's work sharing; nil exactly
+	// when Plan declined the layer.
 	Lockstep *LockstepStats
 
 	// Detect reports the armed detectors' configuration, verdict counts
@@ -268,13 +246,16 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("goofi: shard-scoped campaigns cannot trace (tracing needs the whole campaign)")
 		}
 	}
+	if cfg.Trace != nil && cfg.Detect.Enabled() {
+		return nil, fmt.Errorf("goofi: trace mode does not support detector campaigns (the detail-mode replay cannot arm monitors)")
+	}
 	inShard := func(i int) bool { return shard == nil || shard.Contains(i) }
 	shardTotal := cfg.Experiments
 	if shard != nil {
 		shardTotal = shard.Size()
 	}
-	defaultSpec := cfg.Spec.Iterations == 0
-	if defaultSpec {
+	xp := planFor(cfg)
+	if cfg.Spec.Iterations == 0 {
 		cfg.Spec = workload.SpecFor(cfg.Variant)
 	}
 	if cfg.Classify == (classify.Config{}) {
@@ -282,41 +263,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	prog := workload.Program(cfg.Variant)
 
-	// The warm-start fast path records state digests during the golden
-	// run so injected runs can detect re-convergence, and shares
-	// pre-injection checkpoints across the worker pool. The fault-space
-	// pruner piggybacks a def-use observer on the same golden run to
-	// build its event index. Detail-mode observers must see every
-	// instruction of every run, so they force full replays and disable
-	// pruning; trace mode simulates every selected experiment in detail,
-	// so it declines pruning too. Non-default fault models and armed
-	// detectors cleanly decline BOTH fast paths: the pruner's def-use
-	// reasoning assumes permanent single flips (prune.SupportsModel) and
-	// the checkpoint/golden-splice shortcuts skip instructions a
-	// detector must see — declining runs everything fully simulated
-	// instead of silently misclassifying.
-	detectOn := cfg.Detect.Enabled()
-	if cfg.Trace != nil && detectOn {
-		return nil, fmt.Errorf("goofi: trace mode does not support detector campaigns (the detail-mode replay cannot arm monitors)")
-	}
-	modelPrunable := prune.SupportsModel(string(cfg.Model))
-	warm := cfg.warm
-	prn := cfg.prune
-	useWarm := !cfg.DisableWarmStart && cfg.Spec.Observer == nil && modelPrunable && !detectOn
-	usePrune := !cfg.DisablePrune && cfg.Spec.Observer == nil && cfg.Trace == nil && modelPrunable && !detectOn
-
-	// The lockstep batcher shares one golden-prefix replay across a
-	// batch of experiments, forking a lane per injection point. It
-	// composes with warm start and pruning and — unlike them — is valid
-	// for every fault model, but not with hooks that must see every
-	// instruction (observers, detectors), detail-mode tracing, or the
-	// per-attempt deadline/chaos machinery, whose fault isolation is
-	// built around solo runs.
-	useLockstep := !cfg.DisableLockstep && cfg.Spec.Observer == nil && !detectOn &&
-		cfg.Trace == nil && cfg.Chaos == nil && cfg.ExperimentTimeout == 0
-
 	det := cfg.det
-	if detectOn && det == nil {
+	if cfg.Detect.Enabled() && det == nil {
 		var err error
 		if det, err = newDetectState(prog, cfg); err != nil {
 			return nil, err
@@ -324,6 +272,11 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	cfg.det = det // runExperiment arms a fresh monitor stack per run
 
+	// The warm start records state digests during the golden run and the
+	// pruner piggybacks a def-use observer on it to build its event
+	// index; sequential campaigns carry both over from earlier batches.
+	warm := cfg.warm
+	prn := cfg.prune
 	var golden *workload.Outcome
 	if det != nil {
 		golden = det.golden
@@ -331,27 +284,30 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		golden = warm.golden
 	} else {
 		// The annotated golden run of a variant's default spec is the
-		// same for every campaign, so it comes from the process-wide
-		// memo; warm-start counters and the dead verdict stay per
-		// campaign.
+		// same for every campaign, so the plan takes it from the
+		// process-wide memo; warm-start counters and the dead verdict
+		// stay per campaign.
 		var (
 			ix  *prune.Index
 			err error
 		)
-		if defaultSpec && (useWarm || usePrune) {
+		if xp.memo {
 			golden, ix, err = prepFor(cfg.Variant, prog)
 		} else {
-			golden, ix, err = runGolden(prog, cfg.Spec, useWarm, usePrune && prn == nil)
+			golden, ix, err = runGolden(prog, cfg.Spec, xp.WarmStart, xp.Prune && prn == nil)
 		}
 		if err != nil {
 			return nil, err
 		}
-		if useWarm {
-			warm = newWarmState(prog, cfg.Spec, golden, cfg.CheckpointCap)
+		if xp.WarmStart {
+			warm = newWarmState(prog, cfg.Spec, golden, checkpointCap)
 		}
-		if usePrune && prn == nil && ix != nil {
+		if xp.Prune && prn == nil && ix != nil {
 			prn = newPruneState(ix, golden, cfg.Classify)
 		}
+	}
+	if xp.Prune && prn == nil {
+		xp.decline(LayerPrune, "the golden-run capture built no def-use index")
 	}
 
 	// Set-up phase: pre-draw every experiment's fault so the campaign
@@ -369,7 +325,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	// index before anything executes. The plan is deterministic for a
 	// given (spec, seed), so resumed campaigns rebuild it identically.
 	var plan *prunePlan
-	if prn != nil && usePrune {
+	if xp.Prune {
 		plan = buildPrunePlan(prn.idx, injections)
 	}
 	prov := func(i int) string {
@@ -387,7 +343,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	for i := range order {
 		order[i] = i
 	}
-	if warm != nil || useLockstep {
+	if xp.WarmStart || xp.Lockstep {
 		sort.SliceStable(order, func(a, b int) bool {
 			return injections[order[a]].At < injections[order[b]].At
 		})
@@ -446,42 +402,54 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	}
 
+	// emit books experiment i's record. An out-of-shard class
+	// representative runs only to supply its class verdict: its record
+	// is kept for fan-out but not counted or handed to OnRecord. Callers
+	// hold mu (or run before the workers start).
+	emit := func(i int, rec Record) {
+		records[i], completed[i] = rec, true
+		if !inShard(i) {
+			return
+		}
+		done++
+		if cfg.Progress != nil {
+			cfg.Progress(done, shardTotal)
+		}
+		if cfg.OnRecord != nil {
+			cfg.OnRecord(rec)
+		}
+	}
 	// fanOut infers the records of rep's equivalence-class members from
-	// its verdict. Callers must hold mu (or run before the workers
-	// start).
+	// its verdict, skipping members reused from a resumed run and other
+	// shards' members.
 	fanOut := func(rep int) {
 		for _, m := range plan.members[rep] {
-			if completed[m] || !inShard(m) {
-				continue // reused from a resumed run, or another shard's
+			if !completed[m] && inShard(m) {
+				emit(m, memberRecord(m, injections[m], records[rep]))
 			}
-			rec := memberRecord(m, injections[m], records[rep])
-			records[m] = rec
-			completed[m] = true
-			done++
-			if cfg.Progress != nil {
-				cfg.Progress(done, shardTotal)
-			}
-			if cfg.OnRecord != nil {
-				cfg.OnRecord(rec)
-			}
+		}
+	}
+	// settle emits a simulated experiment's record; a class
+	// representative's verdict is stamped and fanned out to its members
+	// unless it was abandoned, which leaves the members to the fallback
+	// pass below.
+	settle := func(i int, rec Record) {
+		rep := plan != nil && plan.decision[i] == pdRep && rec.Outcome != OutcomeAbandoned
+		if rep {
+			rec.Provenance = prov(i)
+		}
+		emit(i, rec)
+		if rep {
+			fanOut(i)
 		}
 	}
 
 	if plan != nil && ctx.Err() == nil {
-		// Dead faults never execute: synthesize their records up front.
+		// Dead faults never execute: synthesize their records up front,
+		// carrying the golden run's verdict against itself.
 		for i := range injections {
-			if completed[i] || plan.decision[i] != pdDead || !inShard(i) {
-				continue
-			}
-			rec := deadRecord(cfg, i, injections[i], prn.deadVerdict)
-			records[i] = rec
-			completed[i] = true
-			done++
-			if cfg.Progress != nil {
-				cfg.Progress(done, shardTotal)
-			}
-			if cfg.OnRecord != nil {
-				cfg.OnRecord(rec)
+			if !completed[i] && plan.decision[i] == pdDead && inShard(i) {
+				emit(i, verdictRecord(cfg, i, injections[i], prn.deadVerdict, ProvenanceDead))
 			}
 		}
 		// Representatives already settled by a resumed run fan out now.
@@ -493,7 +461,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	var lockstep *LockstepStats
-	if useLockstep {
+	if xp.Lockstep {
 		// Size batches from the experiments this call will dispatch:
 		// pruning and resume typically leave a small fraction of the
 		// plan to simulate.
@@ -506,16 +474,13 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				sim++
 			}
 		}
-		lockstep = &LockstepStats{K: lockstepK(cfg, workers, sim)}
+		lockstep = &LockstepStats{K: lockstepBatchK(cfg, workers, sim)}
 	}
 
 	// runSolo executes one experiment the classic way — isolated,
 	// retried, deadline-bounded — and books its record.
 	runSolo := func(i int) {
 		rec, fs := runExperimentIsolated(prog, cfg, golden, warm, i, injections[i])
-		if plan != nil && plan.decision[i] == pdRep && rec.Outcome != OutcomeAbandoned {
-			rec.Provenance = prov(i)
-		}
 		var tr *trace.Trace
 		if cfg.Trace != nil && cfg.Trace.OnTrace != nil && cfg.Trace.shouldTrace(rec) {
 			// Capture errors mean cancellation; the partial
@@ -527,28 +492,13 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			}
 		}
 		mu.Lock()
-		records[i] = rec
-		completed[i] = true
 		faults.Add(fs)
 		if lockstep != nil {
 			lockstep.Solo++
 		}
-		// An out-of-shard representative ran only to supply its
-		// class verdict: record the run for fan-out, emit nothing.
-		if inShard(i) {
-			done++
-			if cfg.Progress != nil {
-				cfg.Progress(done, shardTotal)
-			}
-			if cfg.OnRecord != nil {
-				cfg.OnRecord(rec)
-			}
-		}
-		if plan != nil && plan.decision[i] == pdRep && rec.Outcome != OutcomeAbandoned {
-			fanOut(i)
-		}
+		settle(i, rec)
 		if tr != nil {
-			cfg.Trace.OnTrace(rec, tr)
+			cfg.Trace.OnTrace(records[i], tr)
 		}
 		mu.Unlock()
 	}
@@ -576,25 +526,9 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 								continue
 							}
 							rec := buildRecord(cfg, golden, i, injections[i], outs[j])
-							if plan != nil && plan.decision[i] == pdRep {
-								rec.Provenance = prov(i)
-							}
 							mu.Lock()
-							records[i] = rec
-							completed[i] = true
 							lockstep.Lanes++
-							if inShard(i) {
-								done++
-								if cfg.Progress != nil {
-									cfg.Progress(done, shardTotal)
-								}
-								if cfg.OnRecord != nil {
-									cfg.OnRecord(rec)
-								}
-							}
-							if plan != nil && plan.decision[i] == pdRep {
-								fanOut(i)
-							}
+							settle(i, rec)
 							mu.Unlock()
 						}
 						continue
@@ -677,22 +611,8 @@ feed:
 				continue
 			}
 			for _, m := range members {
-				if completed[m] || !inShard(m) || ctx.Err() != nil {
-					continue
-				}
-				rec, fs := runExperimentIsolated(prog, cfg, golden, warm, m, injections[m])
-				records[m] = rec
-				completed[m] = true
-				done++
-				faults.Add(fs)
-				if lockstep != nil {
-					lockstep.Solo++
-				}
-				if cfg.Progress != nil {
-					cfg.Progress(done, shardTotal)
-				}
-				if cfg.OnRecord != nil {
-					cfg.OnRecord(rec)
+				if !completed[m] && inShard(m) && ctx.Err() == nil {
+					runSolo(m)
 				}
 			}
 		}
@@ -702,7 +622,7 @@ feed:
 	if shard != nil {
 		lo, hi = shard.Start, shard.End
 	}
-	res := &Result{Config: cfg, Golden: golden, Records: records, Faults: faults}
+	res := &Result{Config: cfg, Plan: xp, Golden: golden, Records: records, Faults: faults, Lockstep: lockstep}
 	if warm != nil {
 		res.Config.warm = warm
 		res.WarmStart = warm.stats()
@@ -712,9 +632,6 @@ feed:
 	}
 	if det != nil {
 		res.Detect = det.tally(res.Records)
-	}
-	if lockstep != nil {
-		res.Lockstep = lockstep
 	}
 	if plan != nil {
 		res.Prune = tallyPrune(records, completed, shardTotal, lo, hi)

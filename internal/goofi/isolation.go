@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"ctrlguard/internal/classify"
 	"ctrlguard/internal/cpu"
 	"ctrlguard/internal/workload"
 )
@@ -105,19 +106,9 @@ func runExperimentIsolated(prog *cpu.Program, cfg Config, golden *workload.Outco
 		lastErr = err
 	}
 	stats.Abandoned++
-	return Record{
-		ID:         id,
-		Variant:    string(cfg.Variant),
-		Region:     string(inj.Bit.Region),
-		Element:    inj.Bit.Element,
-		Bit:        inj.Bit.Bit,
-		At:         inj.At,
-		Model:      string(inj.Model),
-		Width:      inj.Width,
-		Outcome:    OutcomeAbandoned,
-		Mechanism:  lastErr.Error(),
-		Provenance: ProvenanceSimulated,
-	}, stats
+	rec := verdictRecord(cfg, id, inj, classify.Verdict{}, ProvenanceSimulated)
+	rec.Outcome, rec.Mechanism = OutcomeAbandoned, lastErr.Error()
+	return rec, stats
 }
 
 // runAttempt is one panic-recovered, deadline-bounded attempt at an

@@ -18,7 +18,7 @@ func chaosConfig(n int, seed uint64) Config {
 		RetryBackoff: time.Millisecond,
 		// Chaos tests count exact per-experiment retries/panics; pruning
 		// would skip some experiments entirely.
-		DisablePrune: true,
+		Ablate: LayerPrune,
 	}
 }
 

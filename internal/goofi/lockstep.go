@@ -22,18 +22,18 @@ type LockstepStats struct {
 	// abandoned-representative fallback pass.
 	Solo int `json:"solo"`
 
-	// K is the per-batch lane bound in effect (configured, or derived
-	// from the post-prune simulated count).
+	// K is the per-batch lane bound in effect, derived from the
+	// post-prune simulated count.
 	K int `json:"k"`
 }
 
-// lockstepK derives the per-batch lane bound from sim, the number of
-// experiments the campaign will actually simulate: about four
+// lockstepBatchK derives the per-batch lane bound from sim, the number
+// of experiments the campaign will actually simulate: about four
 // At-contiguous batches per worker, so the pool stays busy, with 4 to
 // 64 lanes each to amortise the leader's shared replay.
-func lockstepK(cfg Config, workers, sim int) int {
-	if cfg.LockstepK > 0 {
-		return cfg.LockstepK
+func lockstepBatchK(cfg Config, workers, sim int) int {
+	if cfg.lockstepK > 0 {
+		return cfg.lockstepK
 	}
 	per := 4 * workers
 	k := (sim + per - 1) / per
@@ -90,28 +90,32 @@ func runBatchLockstep(prog *cpu.Program, cfg Config, warm *warmState, ids []int,
 // into its campaign record. Shared by the solo and lockstep paths so a
 // lane's record is constructed exactly like a solo run's.
 func buildRecord(cfg Config, golden *workload.Outcome, id int, inj workload.Injection, out *workload.Outcome) Record {
-	rec := Record{
+	if out.Detected() {
+		return verdictRecord(cfg, id, inj, classify.DetectedVerdict(string(out.Trap.Mech)), ProvenanceSimulated)
+	}
+	stateDiffers := !cpu.StatesEqual(golden.FinalState, out.FinalState)
+	v := classify.RunMulti(golden.MultiOutputs, out.MultiOutputs, stateDiffers, cfg.Classify)
+	return verdictRecord(cfg, id, inj, v, ProvenanceSimulated)
+}
+
+// verdictRecord is experiment id's record: the fields its injection
+// fixes plus verdict v. Simulated, lockstep-lane, pruned-dead and
+// abandoned records are all built here, so they share one shape.
+func verdictRecord(cfg Config, id int, inj workload.Injection, v classify.Verdict, provenance string) Record {
+	return Record{
 		ID:         id,
 		Variant:    string(cfg.Variant),
 		Region:     string(inj.Bit.Region),
 		Element:    inj.Bit.Element,
 		Bit:        inj.Bit.Bit,
 		At:         inj.At,
+		Outcome:    v.Outcome.String(),
+		Mechanism:  v.Mechanism,
+		FirstDev:   v.FirstDeviation,
+		StrongIts:  v.StrongIterations,
+		MaxDev:     v.MaxDeviation,
 		Model:      string(inj.Model),
 		Width:      inj.Width,
-		Provenance: ProvenanceSimulated,
+		Provenance: provenance,
 	}
-	var verdict classify.Verdict
-	if out.Detected() {
-		verdict = classify.DetectedVerdict(string(out.Trap.Mech))
-	} else {
-		stateDiffers := !cpu.StatesEqual(golden.FinalState, out.FinalState)
-		verdict = classify.RunMulti(golden.MultiOutputs, out.MultiOutputs, stateDiffers, cfg.Classify)
-	}
-	rec.Outcome = verdict.Outcome.String()
-	rec.Mechanism = verdict.Mechanism
-	rec.FirstDev = verdict.FirstDeviation
-	rec.StrongIts = verdict.StrongIterations
-	rec.MaxDev = verdict.MaxDeviation
-	return rec
 }

@@ -37,7 +37,7 @@ func recordBytes(t *testing.T, recs []Record) []byte {
 // is the cross-validation property CI's lockstep-crossval job sweeps.
 func lockstepIdentityCheck(t *testing.T, v workload.Variant, m inject.FaultModel, n int, seed uint64, k int) {
 	t.Helper()
-	base := Config{Variant: v, Experiments: n, Seed: seed, Model: m, LockstepK: k}
+	base := Config{Variant: v, Experiments: n, Seed: seed, Model: m, lockstepK: k}
 	batched, err := Run(base)
 	if err != nil {
 		t.Fatalf("%s/%s lockstep: %v", v, m, err)
@@ -45,7 +45,7 @@ func lockstepIdentityCheck(t *testing.T, v workload.Variant, m inject.FaultModel
 	want := recordBytes(t, batched.Records)
 
 	solo := base
-	solo.DisableLockstep = true
+	solo.Ablate = LayerLockstep
 	plain, err := Run(solo)
 	if err != nil {
 		t.Fatalf("%s/%s solo: %v", v, m, err)
@@ -61,8 +61,7 @@ func lockstepIdentityCheck(t *testing.T, v workload.Variant, m inject.FaultModel
 	// own pinned invariant, and disabling it forces the interpreter to
 	// execute full replays.
 	interp := base
-	interp.DisableLockstep = true
-	interp.DisableWarmStart = true
+	interp.Ablate = LayerLockstep | LayerWarmStart
 	interp.Spec = workload.SpecFor(v)
 	interp.Spec.Interpret = true
 	classic, err := Run(interp)
@@ -125,7 +124,7 @@ func TestLockstepCrossVal(t *testing.T) {
 // a solo run — nothing double-counted, nothing lost.
 func TestLockstepStatsReported(t *testing.T) {
 	res, err := Run(Config{Variant: workload.AlgorithmI, Experiments: 60, Seed: 11,
-		DisablePrune: true, Workers: 4})
+		Ablate: LayerPrune, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,26 +143,12 @@ func TestLockstepStatsReported(t *testing.T) {
 	}
 
 	disabled, err := Run(Config{Variant: workload.AlgorithmI, Experiments: 60, Seed: 11,
-		DisablePrune: true, DisableLockstep: true})
+		Ablate: LayerPrune | LayerLockstep})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if disabled.Lockstep != nil {
 		t.Error("Result.Lockstep reported with lockstep disabled")
-	}
-}
-
-// TestLockstepDeclinesDetectorsAndChaos pins the decline contract: the
-// hooks whose fault isolation or instruction visibility is built around
-// solo runs must turn batching off entirely.
-func TestLockstepDeclinesDetectorsAndChaos(t *testing.T) {
-	res, err := Run(Config{Variant: workload.AlgorithmI, Experiments: 20, Seed: 3,
-		Chaos: func(int, int) {}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Lockstep != nil {
-		t.Error("lockstep ran under a chaos hook")
 	}
 }
 

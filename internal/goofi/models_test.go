@@ -60,7 +60,7 @@ func TestDefaultModelRecordsUnstamped(t *testing.T) {
 }
 
 // modelIdentityCheck runs one campaign three ways — solo, with
-// warm-start/pruning explicitly disabled, and as a random shard
+// warm-start/pruning explicitly ablated, and as a random shard
 // partition merged in order — and requires byte-identical record files.
 // This is the cross-validation property the distributed coordinator and
 // the resume machinery rest on for the extended fault models.
@@ -79,8 +79,7 @@ func modelIdentityCheck(t *testing.T, rng *rand.Rand, v workload.Variant, m inje
 	// Explicitly disabled fast paths must change nothing: the model
 	// already declined them, and the decline must be total.
 	disabled := base
-	disabled.DisableWarmStart = true
-	disabled.DisablePrune = true
+	disabled.Ablate = LayerWarmStart | LayerPrune
 	plain, err := Run(disabled)
 	if err != nil {
 		t.Fatalf("%s/%s disabled: %v", v, m, err)
@@ -90,7 +89,7 @@ func modelIdentityCheck(t *testing.T, rng *rand.Rand, v workload.Variant, m inje
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Errorf("%s/%s: -no-prune/-no-warm-start run differs from the declined solo run", v, m)
+		t.Errorf("%s/%s: warm-start/prune-ablated run differs from the declined solo run", v, m)
 	}
 
 	// Sharded execution in a random partition, merged in shard order.

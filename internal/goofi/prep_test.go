@@ -103,13 +103,10 @@ func TestGoldenMemoComputedOnce(t *testing.T) {
 func TestGoldenMemoDeclines(t *testing.T) {
 	base := Config{Variant: workload.AlgorithmI, Experiments: 10, Seed: 5, Workers: 1}
 	cases := map[string]func(*Config){
-		"transient": func(c *Config) { c.Model = inject.ModelTransient },
-		"burst":     func(c *Config) { c.Model = inject.ModelBurst },
-		"detector":  func(c *Config) { c.Detect = detect.Spec{CFE: true} },
-		"no-fast-paths": func(c *Config) {
-			c.DisableWarmStart = true
-			c.DisablePrune = true
-		},
+		"transient":     func(c *Config) { c.Model = inject.ModelTransient },
+		"burst":         func(c *Config) { c.Model = inject.ModelBurst },
+		"detector":      func(c *Config) { c.Detect = detect.Spec{CFE: true} },
+		"no-fast-paths": func(c *Config) { c.Ablate = LayerWarmStart | LayerPrune },
 	}
 	for name, mod := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -141,8 +138,8 @@ func TestLockstepKFromSimulatedCount(t *testing.T) {
 		{"override wins", 3, 2, 1000, 3},
 	}
 	for _, c := range cases {
-		if got := lockstepK(Config{LockstepK: c.override}, c.workers, c.sim); got != c.want {
-			t.Errorf("%s: lockstepK(workers=%d, sim=%d) = %d, want %d", c.name, c.workers, c.sim, got, c.want)
+		if got := lockstepBatchK(Config{lockstepK: c.override}, c.workers, c.sim); got != c.want {
+			t.Errorf("%s: lockstepBatchK(workers=%d, sim=%d) = %d, want %d", c.name, c.workers, c.sim, got, c.want)
 		}
 	}
 }

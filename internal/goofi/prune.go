@@ -162,25 +162,6 @@ func (p *prunePlan) provenance(i int) string {
 	}
 }
 
-// deadRecord synthesizes the record a full simulation of a dead fault
-// would produce: the golden run classified against itself.
-func deadRecord(cfg Config, id int, inj workload.Injection, v classify.Verdict) Record {
-	return Record{
-		ID:         id,
-		Variant:    string(cfg.Variant),
-		Region:     string(inj.Bit.Region),
-		Element:    inj.Bit.Element,
-		Bit:        inj.Bit.Bit,
-		At:         inj.At,
-		Outcome:    v.Outcome.String(),
-		Mechanism:  v.Mechanism,
-		FirstDev:   v.FirstDeviation,
-		StrongIts:  v.StrongIterations,
-		MaxDev:     v.MaxDeviation,
-		Provenance: ProvenanceDead,
-	}
-}
-
 // memberRecord clones a representative's verdict for class member id.
 func memberRecord(id int, inj workload.Injection, rep Record) Record {
 	rec := rep

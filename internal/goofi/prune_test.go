@@ -41,7 +41,7 @@ func TestPrunedCampaignMatchesUnpruned(t *testing.T) {
 				t.Fatal(err)
 			}
 			cold := pruneTestConfig(v)
-			cold.DisablePrune = true
+			cold.Ablate = LayerPrune
 			ref, err := Run(cold)
 			if err != nil {
 				t.Fatal(err)
@@ -51,7 +51,7 @@ func TestPrunedCampaignMatchesUnpruned(t *testing.T) {
 				t.Fatal("pruned campaign reported no pruning stats")
 			}
 			if ref.Prune != nil {
-				t.Fatalf("DisablePrune campaign reported pruning stats %+v", ref.Prune)
+				t.Fatalf("prune-ablated campaign reported pruning stats %+v", ref.Prune)
 			}
 			if len(pruned.Records) != len(ref.Records) {
 				t.Fatalf("%d records, want %d", len(pruned.Records), len(ref.Records))

@@ -50,14 +50,18 @@ type PrecisionResult struct {
 	Converged   bool // target reached before MaxExperiments
 	Experiments int
 
+	// Plan is the fast-path decision every batch executed (see
+	// Result.Plan).
+	Plan ExecPlan
+
 	// WarmStart reports the checkpoint fast path's work avoidance,
 	// cumulative over every batch (the batches share one golden run
-	// and checkpoint cache); nil when the fast path was disabled.
+	// and checkpoint cache); nil when Plan declined the layer.
 	WarmStart *WarmStartStats
 
 	// Prune accumulates the fault-space pruner's work avoidance over
-	// every batch (the batches share one event index); nil when pruning
-	// was disabled.
+	// every batch (the batches share one event index); nil when Plan
+	// declined the layer.
 	Prune *PruneStats
 
 	// Detect accumulates the armed detectors' verdict counts over every
@@ -66,7 +70,7 @@ type PrecisionResult struct {
 	Detect *DetectStats
 
 	// Lockstep accumulates the batching engine's work sharing over
-	// every batch; nil when lockstep was disabled or inapplicable.
+	// every batch; nil when Plan declined the layer.
 	Lockstep *LockstepStats
 
 	// Faults accumulates worker fault isolation's interventions over
@@ -158,6 +162,7 @@ func RunUntilPrecisionContext(ctx context.Context, cfg PrecisionConfig) (*Precis
 			warm = out.Config.warm
 			prn = out.Config.prune
 			det = out.Config.det
+			res.Plan = out.Plan
 			if out.WarmStart != nil {
 				res.WarmStart = out.WarmStart
 			}

@@ -142,14 +142,14 @@ func TestShardPartitionMergeByteIdentical(t *testing.T) {
 // pruner (and its cross-shard representative machinery) switched off.
 func TestShardDisabledPruneMerge(t *testing.T) {
 	const n = 40
-	solo, err := Run(Config{Variant: workload.AlgorithmI, Experiments: n, Seed: 7, DisablePrune: true})
+	solo, err := Run(Config{Variant: workload.AlgorithmI, Experiments: n, Seed: 7, Ablate: LayerPrune})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var merged []Record
 	for _, sh := range SplitShards(n, 17) {
 		res, err := Run(Config{Variant: workload.AlgorithmI, Experiments: n, Seed: 7,
-			DisablePrune: true, Shard: &Shard{Start: sh.Start, End: sh.End}})
+			Ablate: LayerPrune, Shard: &Shard{Start: sh.Start, End: sh.End}})
 		if err != nil {
 			t.Fatal(err)
 		}

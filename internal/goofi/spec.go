@@ -49,34 +49,9 @@ type CampaignSpec struct {
 	// (0 = the sequential campaign's default).
 	MaxExperiments int `json:"maxExperiments,omitempty"`
 
-	// DisableWarmStart turns off the checkpoint fast path, replaying
-	// every experiment from iteration 0. Results are byte-identical
-	// either way; the knob exists for benchmarking and validation.
-	DisableWarmStart bool `json:"disableWarmStart,omitempty"`
-
-	// DisablePrune turns off fault-space pruning, simulating every
-	// injection instead of synthesizing records for provably dead
-	// faults and collapsing equivalence classes. Aggregate statistics
-	// are byte-identical either way; the knob exists for benchmarking
-	// and cross-validation.
-	DisablePrune bool `json:"disablePrune,omitempty"`
-
-	// DisableLockstep turns off lockstep batching, running every
-	// simulated experiment solo instead of sharing one golden-prefix
-	// replay per batch. Records are byte-identical either way; the knob
-	// exists for benchmarking and cross-validation.
-	DisableLockstep bool `json:"disableLockstep,omitempty"`
-
-	// LockstepK bounds how many experiments share one lockstep batch
-	// (0 = derived from the post-prune simulated count and the worker
-	// count).
-	LockstepK int `json:"lockstepK,omitempty"`
-
 	// Model selects the fault model ("" or "bitflip" = the paper's
 	// permanent single bit-flip; "pc", "transient", "burst" are the
-	// attack-style extensions — see inject.Models). Non-default models
-	// decline the prune and warm-start fast paths, whose golden-run
-	// analyses assume permanent single flips.
+	// attack-style extensions — see inject.Models).
 	Model string `json:"model,omitempty"`
 
 	// BurstWidth is the adjacent-bit span of the burst model (0 =
@@ -84,9 +59,7 @@ type CampaignSpec struct {
 	BurstWidth int `json:"burstWidth,omitempty"`
 
 	// Detector arms in-loop detectors for every experiment: "cfe",
-	// "automaton", or "cfe+automaton" (see detect.Families). Armed
-	// campaigns decline prune and warm-start: both fast paths skip
-	// instructions the detectors must see.
+	// "automaton", or "cfe+automaton" (see detect.Families).
 	Detector string `json:"detector,omitempty"`
 }
 
@@ -112,9 +85,6 @@ func (s CampaignSpec) Resolve() (Config, error) {
 	if s.MaxExperiments < 0 {
 		return Config{}, fmt.Errorf("goofi: maxExperiments must be non-negative, got %d", s.MaxExperiments)
 	}
-	if s.LockstepK < 0 {
-		return Config{}, fmt.Errorf("goofi: lockstepK must be non-negative, got %d", s.LockstepK)
-	}
 	model, err := inject.ParseModel(s.Model)
 	if err != nil {
 		return Config{}, err
@@ -131,17 +101,13 @@ func (s CampaignSpec) Resolve() (Config, error) {
 		return Config{}, err
 	}
 	return Config{
-		Variant:          v,
-		Experiments:      s.Experiments,
-		Seed:             s.Seed,
-		Workers:          s.Workers,
-		DisableWarmStart: s.DisableWarmStart,
-		DisablePrune:     s.DisablePrune,
-		DisableLockstep:  s.DisableLockstep,
-		LockstepK:        s.LockstepK,
-		Model:            model,
-		BurstWidth:       s.BurstWidth,
-		Detect:           det,
+		Variant:     v,
+		Experiments: s.Experiments,
+		Seed:        s.Seed,
+		Workers:     s.Workers,
+		Model:       model,
+		BurstWidth:  s.BurstWidth,
+		Detect:      det,
 	}, nil
 }
 

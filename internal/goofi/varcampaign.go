@@ -50,13 +50,13 @@ type VarConfig struct {
 	// Workers bounds parallelism (0 = GOMAXPROCS).
 	Workers int
 
-	// DisableWarmStart forces every experiment to replay the
-	// pre-injection iterations instead of resuming from a controller
-	// clone captured during the golden run. Results are byte-identical
-	// either way. Warm start also disables itself when the controller
+	// noWarmStart forces every experiment to replay the pre-injection
+	// iterations instead of resuming from a controller clone captured
+	// during the golden run; tests use it to pin that both produce the
+	// same records. Warm start also disables itself when the controller
 	// does not support cloning (no CloneStateful method, or a guard
 	// with an uncloneable assertion).
-	DisableWarmStart bool
+	noWarmStart bool
 }
 
 func (cfg *VarConfig) fill() error {
@@ -273,11 +273,11 @@ func RunVariableBatch(ctx context.Context, cfgs []VarConfig) ([]*Result, error) 
 		for i := range c.exps {
 			it, flip := sampler.Next()
 			c.exps[i] = varExperiment{iteration: it, flip: flip}
-			if it > 0 && !cfg.DisableWarmStart {
+			if it > 0 && !cfg.noWarmStart {
 				want[it] = true
 			}
 		}
-		if cfg.DisableWarmStart {
+		if cfg.noWarmStart {
 			c.golden = runVarLoop(goldenCtrl, &c.cfg, -1, inject.VarFlip{})
 		} else {
 			c.golden, c.ckpts = runVarGolden(goldenCtrl, &c.cfg, want)

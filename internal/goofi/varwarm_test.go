@@ -33,7 +33,7 @@ func TestVarWarmStartRecordsByteIdentical(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			warm := VarConfig{Name: name, New: factory, Experiments: 120, Seed: 7, Iterations: 200}
 			cold := warm
-			cold.DisableWarmStart = true
+			cold.noWarmStart = true
 
 			a, err := RunVariable(warm)
 			if err != nil {
@@ -77,7 +77,7 @@ func TestVarWarmStartDeclinesUncloneable(t *testing.T) {
 	})
 	warm := VarConfig{Name: "opaque", New: factory, Experiments: 40, Seed: 3, Iterations: 120}
 	cold := warm
-	cold.DisableWarmStart = true
+	cold.noWarmStart = true
 
 	a, err := RunVariable(warm)
 	if err != nil {

@@ -9,12 +9,11 @@ import (
 	"ctrlguard/internal/workload"
 )
 
-// DefaultCheckpointCap bounds the checkpoint cache when
-// Config.CheckpointCap is zero. Each checkpoint holds a full machine
-// snapshot (~16 KiB of memory image plus registers and cache), so a few
-// dozen cover the hot injection iterations of a campaign without
-// noticeable memory cost.
-const DefaultCheckpointCap = 32
+// checkpointCap bounds a campaign's checkpoint cache. Each checkpoint
+// holds a full machine snapshot (~16 KiB of memory image plus registers
+// and cache), so a few dozen cover the hot injection iterations of a
+// campaign without noticeable memory cost.
+const checkpointCap = 32
 
 // WarmStartStats summarises how much re-execution the campaign fast
 // path avoided. For sequential (precision-driven) campaigns the counts
@@ -84,9 +83,6 @@ type warmState struct {
 }
 
 func newWarmState(prog *cpu.Program, spec workload.RunSpec, golden *workload.Outcome, cap int) *warmState {
-	if cap <= 0 {
-		cap = DefaultCheckpointCap
-	}
 	return &warmState{
 		prog:    prog,
 		spec:    spec,

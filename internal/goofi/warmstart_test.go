@@ -25,7 +25,7 @@ func warmTestConfig(v workload.Variant) Config {
 		Workers:     4,
 		// These tests pin warm-start bookkeeping exactly (resumed vs
 		// full replays); pruning would skip some experiments entirely.
-		DisablePrune: true,
+		Ablate: LayerPrune,
 	}
 }
 
@@ -42,7 +42,7 @@ func TestWarmStartRecordsByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			cold := warmTestConfig(v)
-			cold.DisableWarmStart = true
+			cold.Ablate |= LayerWarmStart
 			ref, err := Run(cold)
 			if err != nil {
 				t.Fatal(err)
@@ -85,7 +85,7 @@ func TestWarmStartRecordsByteIdentical(t *testing.T) {
 func TestWarmStartTraceByteIdentical(t *testing.T) {
 	warm := warmTestConfig(workload.AlgorithmII)
 	cold := warmTestConfig(workload.AlgorithmII)
-	cold.DisableWarmStart = true
+	cold.Ablate |= LayerWarmStart
 	for _, n := range []int{0, 7, 42} {
 		a, err := TraceExperiment(nil, warm, n)
 		if err != nil {
@@ -114,7 +114,7 @@ func TestWarmStartSequentialCampaignIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := pcfg
-	cold.Campaign.DisableWarmStart = true
+	cold.Campaign.Ablate |= LayerWarmStart
 	ref, err := RunUntilPrecision(cold)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestWarmStateIterationZeroFallsBack(t *testing.T) {
 	goldenSpec.RecordStateHashes = true
 	golden := workload.Run(prog, goldenSpec)
 
-	w := newWarmState(prog, spec, golden, 0)
+	w := newWarmState(prog, spec, golden, checkpointCap)
 	if ck := w.checkpointFor(0); ck != nil {
 		t.Error("instruction 0 yielded a checkpoint")
 	}

@@ -22,14 +22,13 @@ import (
 // the duplicate costs a hash and a file copy instead of thousands of
 // simulated experiments.
 //
-// What is deliberately NOT part of the key: Workers, LockstepK, and
-// the Disable* benchmarking knobs, all of which the engine guarantees
-// leave the record bytes unchanged. What is deliberately NOT cached:
-// precision-driven (sequential) campaigns, whose experiment count is
-// data-dependent and whose point is the fresh stopping decision; runs
-// under a test ConfigHook, which mutates the engine config after spec
-// resolution; and runs that abandoned experiments, whose records are
-// incomplete by definition.
+// What is deliberately NOT part of the key: Workers, which the engine
+// guarantees leaves the record bytes unchanged. What is deliberately
+// NOT cached: precision-driven (sequential) campaigns, whose experiment
+// count is data-dependent and whose point is the fresh stopping
+// decision; runs under a test ConfigHook, which mutates the engine
+// config after spec resolution; and runs that abandoned experiments,
+// whose records are incomplete by definition.
 
 // memoSpec is the canonical, order-stable projection of a spec that
 // determines its record bytes.

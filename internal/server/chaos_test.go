@@ -13,6 +13,7 @@ import (
 
 	"ctrlguard/internal/dist"
 	"ctrlguard/internal/goofi"
+	"ctrlguard/internal/journal"
 )
 
 // The chaos suite turns the paper's discipline on the harness itself:
@@ -161,6 +162,40 @@ func TestChaosCrashRestartResume(t *testing.T) {
 	if after["experiments_resumed"] <= before["experiments_resumed"] {
 		t.Errorf("experiments_resumed did not advance: %v -> %v",
 			before["experiments_resumed"], after["experiments_resumed"])
+	}
+}
+
+// TestChaosJournalReplaysRemovedFastPathFields: a journal written while
+// campaign specs still carried the fast-path knobs replays after they
+// were removed. The lenient replay decoder drops the unknown fields, and
+// the campaign resumes to the same bytes as a clean run.
+func TestChaosJournalReplaysRemovedFastPathFields(t *testing.T) {
+	want := cleanRecordFile(t)
+	dataDir, journalDir := t.TempDir(), t.TempDir()
+	jnl, _, err := journal.Open(filepath.Join(journalDir, "journal.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "c000001"
+	old := strings.TrimSuffix(chaosSpec, "}") + `,"disableLockstep":true,"lockstepK":8}`
+	if err := jnl.Append(journal.Entry{
+		Job: id, Type: journal.EventSubmitted, Kind: string(KindCampaign),
+		State: string(StateQueued), Total: 150, Spec: json.RawMessage(old),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2, DataDir: dataDir, JournalDir: journalDir})
+	waitForState(t, ts, id, StateDone, 2*time.Minute)
+	got, err := os.ReadFile(filepath.Join(dataDir, id+".jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("replayed campaign's record file differs from a clean run (%d vs %d bytes)", len(got), len(want))
 	}
 }
 
@@ -344,7 +379,7 @@ func TestChaosWorkerFaultMetrics(t *testing.T) {
 			cfg.RetryBackoff = time.Millisecond
 			// The assertions below count exact per-experiment panics and
 			// retries; pruning would skip some experiments entirely.
-			cfg.DisablePrune = true
+			cfg.Ablate = goofi.LayerPrune
 			cfg.Chaos = func(id, attempt int) {
 				if id == victim || attempt == 0 {
 					panic("chaos: worker crash")

@@ -329,6 +329,25 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsRemovedFastPathFields: the fast-path knobs left the
+// campaign spec, so the strict decoder answers a request that still
+// sends them with 400 instead of silently running a different engine.
+func TestSubmitRejectsRemovedFastPathFields(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
+	for _, field := range []string{`"disablePrune":true`, `"disableWarmStart":true`, `"disableLockstep":true`, `"lockstepK":8`} {
+		body := `{"variant":"alg1","n":10,"seed":1,` + field + `}`
+		resp, err := http.Post(ts.URL+"/api/v1/campaigns", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", body, resp.StatusCode, msg)
+		}
+	}
+}
+
 func TestQueueSheddingAndList(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 
