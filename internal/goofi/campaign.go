@@ -105,7 +105,8 @@ type Config struct {
 
 	// Model selects the fault model for every injection (the zero
 	// value is the paper's permanent single bit-flip). Non-default
-	// models decline the prune and warm-start fast paths (see planFor).
+	// models decline the prune fast path but keep the warm start and
+	// lockstep (see planFor).
 	Model inject.FaultModel
 
 	// BurstWidth is the adjacent-bit span for Model "burst"
@@ -285,14 +286,15 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	} else {
 		// The annotated golden run of a variant's default spec is the
 		// same for every campaign, so the plan takes it from the
-		// process-wide memo; warm-start counters and the dead verdict
-		// stay per campaign.
+		// process-wide memo, with the prune index only when the plan
+		// prunes; warm-start counters and the dead verdict stay per
+		// campaign.
 		var (
 			ix  *prune.Index
 			err error
 		)
 		if xp.memo {
-			golden, ix, err = prepFor(cfg.Variant, prog)
+			golden, ix, err = prepFor(cfg.Variant, prog, xp.Prune)
 		} else {
 			golden, ix, err = runGolden(prog, cfg.Spec, xp.WarmStart, xp.Prune && prn == nil)
 		}

@@ -20,11 +20,12 @@ var nonDefaultModels = []inject.FaultModel{
 	workload.ModelPC, workload.ModelTransient, workload.ModelBurst,
 }
 
-// TestModelCampaignDeclinesPruneAndWarmStart pins the decline contract:
-// a campaign under any non-default fault model runs every experiment
-// from scratch — no pruner, no warm-start — instead of misclassifying
-// through machinery calibrated for single persistent bit flips.
-func TestModelCampaignDeclinesPruneAndWarmStart(t *testing.T) {
+// TestModelCampaignDeclinesPrune pins the decline contract: a campaign
+// under any non-default fault model runs without the pruner, whose
+// def-use reasoning is calibrated for single persistent bit flips, but
+// keeps the warm start, whose golden splice is sound for every model.
+// Transients mostly wash out, so some of them must take the splice.
+func TestModelCampaignDeclinesPrune(t *testing.T) {
 	for _, m := range nonDefaultModels {
 		res, err := Run(Config{Variant: workload.AlgorithmI, Experiments: 40, Seed: 5, Model: m})
 		if err != nil {
@@ -33,8 +34,11 @@ func TestModelCampaignDeclinesPruneAndWarmStart(t *testing.T) {
 		if res.Prune != nil {
 			t.Errorf("%s: pruner ran on an unsupported model", m)
 		}
-		if res.WarmStart != nil {
-			t.Errorf("%s: warm-start fast path ran on an unsupported model", m)
+		if res.WarmStart == nil {
+			t.Fatalf("%s: warm-start fast path declined", m)
+		}
+		if m == workload.ModelTransient && res.WarmStart.EarlyExits == 0 {
+			t.Errorf("%s: no experiment re-converged: %+v", m, res.WarmStart)
 		}
 		for i, rec := range res.Records {
 			if rec.Model != string(m) {
@@ -59,11 +63,15 @@ func TestDefaultModelRecordsUnstamped(t *testing.T) {
 	}
 }
 
-// modelIdentityCheck runs one campaign three ways — solo, with
-// warm-start/pruning explicitly ablated, and as a random shard
-// partition merged in order — and requires byte-identical record files.
-// This is the cross-validation property the distributed coordinator and
-// the resume machinery rest on for the extended fault models.
+// modelIdentityCheck runs one campaign four ways — solo; with the warm
+// start and pruning ablated, i.e. plain simulation; with lockstep
+// ablated, so the warm start resumes solo runs from checkpoints; and as
+// a random shard partition merged in order — and requires
+// byte-identical record files. The solo run's lockstep lanes and the
+// lockstep-ablated run's checkpoint resumes are the two warm-start
+// paths, each splicing the golden remainder on re-convergence. This is
+// the cross-validation property the distributed coordinator and the
+// resume machinery rest on for the extended fault models.
 func modelIdentityCheck(t *testing.T, rng *rand.Rand, v workload.Variant, m inject.FaultModel, n int, seed uint64) {
 	t.Helper()
 	base := Config{Variant: v, Experiments: n, Seed: seed, Model: m}
@@ -76,20 +84,27 @@ func modelIdentityCheck(t *testing.T, rng *rand.Rand, v workload.Variant, m inje
 		t.Fatal(err)
 	}
 
-	// Explicitly disabled fast paths must change nothing: the model
-	// already declined them, and the decline must be total.
-	disabled := base
-	disabled.Ablate = LayerWarmStart | LayerPrune
-	plain, err := Run(disabled)
-	if err != nil {
-		t.Fatalf("%s/%s disabled: %v", v, m, err)
-	}
 	var got bytes.Buffer
-	if err := WriteRecords(&got, plain.Records); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Errorf("%s/%s: warm-start/prune-ablated run differs from the declined solo run", v, m)
+	for _, arm := range []struct {
+		name   string
+		ablate Layer
+	}{
+		{"warm-start/prune-ablated", LayerWarmStart | LayerPrune},
+		{"lockstep-ablated", LayerLockstep},
+	} {
+		cfg := base
+		cfg.Ablate = arm.ablate
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s/%s %s: %v", v, m, arm.name, err)
+		}
+		got.Reset()
+		if err := WriteRecords(&got, res.Records); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s/%s: %s run differs from the solo run", v, m, arm.name)
+		}
 	}
 
 	// Sharded execution in a random partition, merged in shard order.

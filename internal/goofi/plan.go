@@ -74,10 +74,15 @@ func (p *ExecPlan) decline(ls Layer, why string) {
 //   - Detail-mode observers and armed detectors must see every
 //     instruction of every run, which checkpoints, golden splices, dead
 //     faults and shared lockstep prefixes all skip.
-//   - The pruner's def-use reasoning and the warm start's reconvergence
-//     argument are proven only for permanent single bit-flips
-//     (prune.SupportsModel); other models run fully simulated rather than
-//     risk silent misclassification. Lockstep is valid for every model.
+//   - The pruner's def-use reasoning is proven only for permanent
+//     single bit-flips (prune.SupportsModel); other models simulate every
+//     experiment rather than risk silent misclassification. The warm
+//     start and lockstep are valid for every model: each model finishes
+//     changing machine state within the injected instruction's Step (the
+//     transient's restore included), while checkpoints precede the
+//     injection and re-convergence is tested only at later iteration
+//     boundaries, so an equal state digest and output history imply an
+//     equal remainder whatever the model.
 //   - Trace mode simulates every selected experiment in detail, so it
 //     declines pruning and batching.
 //   - Chaos hooks and per-experiment deadlines build their fault
@@ -95,7 +100,7 @@ func planFor(cfg Config) ExecPlan {
 		p.decline(allLayers, "armed detectors must see every instruction")
 	}
 	if !prune.SupportsModel(string(cfg.Model)) {
-		p.decline(LayerWarmStart|LayerPrune,
+		p.decline(LayerPrune,
 			fmt.Sprintf("fault model %q is not a permanent single bit-flip", cfg.Model))
 	}
 	if cfg.Trace != nil {

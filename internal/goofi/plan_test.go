@@ -60,15 +60,16 @@ func wantPlan(memo bool, declined map[Layer]string) ExecPlan {
 }
 
 // expectedPlan is the plan table: for each mode, the expected plan of a
-// bit-flip campaign, of a campaign under a non-default fault model m,
-// and of a detector campaign (any model).
+// bit-flip campaign, of a campaign under a non-default fault model m
+// (which declines only the pruner, so it keeps the warm start and the
+// golden memo), and of a detector campaign (any model).
 func expectedPlan(mode string, m inject.FaultModel, armed bool) ExecPlan {
 	W, P, L := LayerWarmStart, LayerPrune, LayerLockstep
 	wm := whyModel(m)
 	table := map[string][3]ExecPlan{
 		"default": {
 			wantPlan(true, nil),
-			wantPlan(false, map[Layer]string{W: wm, P: wm}),
+			wantPlan(true, map[Layer]string{P: wm}),
 			wantPlan(false, map[Layer]string{W: whyDetect, P: whyDetect, L: whyDetect}),
 		},
 		"observer": {
@@ -78,22 +79,22 @@ func expectedPlan(mode string, m inject.FaultModel, armed bool) ExecPlan {
 		},
 		"trace": {
 			wantPlan(true, map[Layer]string{P: whyTrace, L: whyTrace}),
-			wantPlan(false, map[Layer]string{W: wm, P: wm, L: whyTrace}),
+			wantPlan(true, map[Layer]string{P: wm, L: whyTrace}),
 			wantPlan(false, map[Layer]string{W: whyDetect, P: whyDetect, L: whyDetect}),
 		},
 		"chaos": {
 			wantPlan(true, map[Layer]string{L: whyChaos}),
-			wantPlan(false, map[Layer]string{W: wm, P: wm, L: whyChaos}),
+			wantPlan(true, map[Layer]string{P: wm, L: whyChaos}),
 			wantPlan(false, map[Layer]string{W: whyDetect, P: whyDetect, L: whyDetect}),
 		},
 		"timeout": {
 			wantPlan(true, map[Layer]string{L: whyTimeout}),
-			wantPlan(false, map[Layer]string{W: wm, P: wm, L: whyTimeout}),
+			wantPlan(true, map[Layer]string{P: wm, L: whyTimeout}),
 			wantPlan(false, map[Layer]string{W: whyDetect, P: whyDetect, L: whyDetect}),
 		},
 		"spec": {
 			wantPlan(false, nil),
-			wantPlan(false, map[Layer]string{W: wm, P: wm}),
+			wantPlan(false, map[Layer]string{P: wm}),
 			wantPlan(false, map[Layer]string{W: whyDetect, P: whyDetect, L: whyDetect}),
 		},
 		"ablate-warm-start": {
@@ -103,12 +104,12 @@ func expectedPlan(mode string, m inject.FaultModel, armed bool) ExecPlan {
 		},
 		"ablate-prune": {
 			wantPlan(true, map[Layer]string{P: whyAblated}),
-			wantPlan(false, map[Layer]string{W: wm, P: whyAblated}),
+			wantPlan(true, map[Layer]string{P: whyAblated}),
 			wantPlan(false, map[Layer]string{W: whyDetect, P: whyAblated, L: whyDetect}),
 		},
 		"ablate-lockstep": {
 			wantPlan(true, map[Layer]string{L: whyAblated}),
-			wantPlan(false, map[Layer]string{W: wm, P: wm, L: whyAblated}),
+			wantPlan(true, map[Layer]string{P: wm, L: whyAblated}),
 			wantPlan(false, map[Layer]string{W: whyDetect, P: whyDetect, L: whyAblated}),
 		},
 	}

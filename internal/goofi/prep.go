@@ -11,9 +11,9 @@ import (
 
 // goldenPrep is the part of a campaign's set-up phase that depends on
 // the workload variant alone: the golden run recorded with state hashes
-// and the pruner's def-use index over it (nil when the capture declined
-// the run). Both are read-only once built, so concurrent campaigns
-// share them.
+// and, for campaigns that prune, the pruner's def-use index over it
+// (nil when the capture declined the run). Both are read-only once
+// built, so concurrent campaigns share them.
 type goldenPrep struct {
 	once   sync.Once
 	golden *workload.Outcome
@@ -21,18 +21,28 @@ type goldenPrep struct {
 	err    error
 }
 
-// preps memoises goldenPrep per variant for campaigns that run the
-// variant's default spec. Like workload.Program it needs no eviction:
-// it holds at most one entry per compiled-in variant.
-var preps sync.Map // workload.Variant -> *goldenPrep
+// prepKey selects a memo entry: the variant, and whether the entry
+// carries the prune index. Warm-start-only campaigns (the non-default
+// fault models) take the hashed golden run alone, so they never pay
+// for the pruner's capture or keep its index alive; campaigns that
+// prune take the combined run, captured in the same pass.
+type prepKey struct {
+	variant workload.Variant
+	capture bool
+}
 
-// prepFor returns v's golden set-up, computing it at most once per
-// process.
-func prepFor(v workload.Variant, prog *cpu.Program) (*workload.Outcome, *prune.Index, error) {
-	e, _ := preps.LoadOrStore(v, new(goldenPrep))
+// preps memoises goldenPrep per prepKey for campaigns that run the
+// variant's default spec. Like workload.Program it needs no eviction:
+// it holds at most two entries per compiled-in variant.
+var preps sync.Map // prepKey -> *goldenPrep
+
+// prepFor returns v's golden set-up, with the prune index when capture
+// is set, computing each kind at most once per process.
+func prepFor(v workload.Variant, prog *cpu.Program, capture bool) (*workload.Outcome, *prune.Index, error) {
+	e, _ := preps.LoadOrStore(prepKey{v, capture}, new(goldenPrep))
 	p := e.(*goldenPrep)
 	p.once.Do(func() {
-		p.golden, p.idx, p.err = runGolden(prog, workload.SpecFor(v), true, true)
+		p.golden, p.idx, p.err = runGolden(prog, workload.SpecFor(v), true, capture)
 	})
 	return p.golden, p.idx, p.err
 }

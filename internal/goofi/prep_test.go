@@ -98,26 +98,47 @@ func TestGoldenMemoComputedOnce(t *testing.T) {
 }
 
 // TestGoldenMemoDeclines: campaigns that run no annotated golden run
-// (non-default fault models, detectors, both fast paths off) must not
-// fill the memo.
+// (detectors, both fast paths off) must not fill the memo, and
+// campaigns that warm-start without pruning (the non-default fault
+// models) must fill only the hashed-golden entry: a transient-only or
+// burst-only process never runs the pruner's capture nor keeps an
+// index.
 func TestGoldenMemoDeclines(t *testing.T) {
 	base := Config{Variant: workload.AlgorithmI, Experiments: 10, Seed: 5, Workers: 1}
-	cases := map[string]func(*Config){
-		"transient":     func(c *Config) { c.Model = inject.ModelTransient },
-		"burst":         func(c *Config) { c.Model = inject.ModelBurst },
-		"detector":      func(c *Config) { c.Detect = detect.Spec{CFE: true} },
-		"no-fast-paths": func(c *Config) { c.Ablate = LayerWarmStart | LayerPrune },
+	cases := map[string]struct {
+		mod      func(*Config)
+		warmOnly bool // one entry, without the prune index
+	}{
+		"transient":     {func(c *Config) { c.Model = inject.ModelTransient }, true},
+		"burst":         {func(c *Config) { c.Model = inject.ModelBurst }, true},
+		"detector":      {func(c *Config) { c.Detect = detect.Spec{CFE: true} }, false},
+		"no-fast-paths": {func(c *Config) { c.Ablate = LayerWarmStart | LayerPrune }, false},
 	}
-	for name, mod := range cases {
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			clearPreps()
 			cfg := base
-			mod(&cfg)
+			tc.mod(&cfg)
 			if _, err := Run(cfg); err != nil {
 				t.Fatal(err)
 			}
-			if n := prepCount(); n != 0 {
-				t.Fatalf("memo holds %d entries", n)
+			if !tc.warmOnly {
+				if n := prepCount(); n != 0 {
+					t.Fatalf("memo holds %d entries", n)
+				}
+				return
+			}
+			preps.Range(func(k, e any) bool {
+				if key := k.(prepKey); key.capture {
+					t.Errorf("memo holds a prune-capture entry for %s", key.variant)
+				}
+				if e.(*goldenPrep).idx != nil {
+					t.Error("memo holds a prune index")
+				}
+				return true
+			})
+			if n := prepCount(); n != 1 {
+				t.Fatalf("memo holds %d entries, want the hashed golden run only", n)
 			}
 		})
 	}

@@ -191,6 +191,45 @@ func TestCaptureCheckpointRejectsBadBoundaries(t *testing.T) {
 	}
 }
 
+// allModels lists every fault model the harness applies.
+var allModels = []FaultModel{ModelBitFlip, ModelPC, ModelTransient, ModelBurst}
+
+// edgeInjections are two edge cases at iteration k. The first hits r5,
+// dead at that point, at the last instruction of iteration k (the sync
+// store), so a transient's restore runs right before the iteration
+// boundary and the run must re-converge at k+1. The second sets bit 31
+// of r7, so a three-bit burst wraps to bits 0 and 1 of the same
+// register.
+func edgeInjections(golden *Outcome, k int) []Injection {
+	return []Injection{
+		{At: golden.IterationStarts[k+1] - 1, Bit: cpu.StateBit{Region: cpu.RegionRegisters, Element: "r5", Bit: 3}},
+		{At: golden.IterationStarts[k] + 23, Bit: cpu.StateBit{Region: cpu.RegionRegisters, Element: "r7", Bit: 31}},
+	}
+}
+
+// withModel stamps model m on every injection, bursts three bits wide.
+func withModel(injs []Injection, m FaultModel) []Injection {
+	for i := range injs {
+		injs[i].Model = m
+		if m == ModelBurst {
+			injs[i].Width = 3
+		}
+	}
+	return injs
+}
+
+// modelInjections returns the injection spread and the edge cases at
+// iteration k under model m.
+func modelInjections(golden *Outcome, k int, m FaultModel) []Injection {
+	return withModel(append(injections(golden, k), edgeInjections(golden, k)...), m)
+}
+
+// straddles reports whether inj is modelInjections' transient at the
+// last instruction of iteration k.
+func straddles(golden *Outcome, k int, inj Injection) bool {
+	return inj.Model == ModelTransient && inj.At == golden.IterationStarts[k+1]-1
+}
+
 func TestGoldenEarlyExitByteIdentical(t *testing.T) {
 	prog := Program(AlgorithmI)
 	spec := shortSpec()
@@ -201,31 +240,38 @@ func TestGoldenEarlyExitByteIdentical(t *testing.T) {
 		t.Fatalf("%d state hashes, want %d", len(golden.StateHashes), spec.Iterations)
 	}
 
-	reconverged := 0
-	for _, k := range []int{0, 1, 30, 60, 110} {
-		for _, inj := range injections(golden, k) {
-			inj := inj
-			full := spec
-			full.Injection = &inj
-			want := Run(prog, full)
+	for _, m := range allModels {
+		t.Run(string(m), func(t *testing.T) {
+			reconverged := 0
+			for _, k := range []int{0, 1, 30, 60, 110} {
+				for _, inj := range modelInjections(golden, k, m) {
+					inj := inj
+					full := spec
+					full.Injection = &inj
+					want := Run(prog, full)
 
-			fast := full
-			fast.Golden = golden
-			got := Run(prog, fast)
-			outcomesIdentical(t, inj.Bit.String(), got, want)
-			if got.ReconvergedAt != 0 {
-				reconverged++
-				if got.ReconvergedAt <= k {
-					t.Errorf("%s: reconverged at %d, before injection iteration %d",
-						inj.Bit, got.ReconvergedAt, k)
+					fast := full
+					fast.Golden = golden
+					got := Run(prog, fast)
+					outcomesIdentical(t, inj.Bit.String(), got, want)
+					if got.ReconvergedAt != 0 {
+						reconverged++
+						if got.ReconvergedAt <= k {
+							t.Errorf("%s: reconverged at %d, before injection iteration %d",
+								inj.Bit, got.ReconvergedAt, k)
+						}
+					} else if straddles(golden, k, inj) {
+						t.Errorf("%s at the end of iteration %d: restored transient took no early exit", inj.Bit, k)
+					}
 				}
 			}
-		}
-	}
-	// The sample includes masked faults (dead registers, clean cache
-	// metadata), so the early exit must actually fire for some of them.
-	if reconverged == 0 {
-		t.Error("no run took the early exit; the fast path is dead code")
+			// The sample includes masked faults (dead registers, clean
+			// cache metadata), so the early exit must actually fire for
+			// some of them.
+			if reconverged == 0 {
+				t.Error("no run took the early exit; the fast path is dead code")
+			}
+		})
 	}
 }
 
@@ -241,16 +287,24 @@ func TestGoldenEarlyExitWithCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, inj := range injections(golden, k) {
-		inj := inj
-		full := spec
-		full.Injection = &inj
-		want := Run(prog, full)
+	for _, m := range allModels {
+		t.Run(string(m), func(t *testing.T) {
+			for _, inj := range modelInjections(golden, k, m) {
+				inj := inj
+				full := spec
+				full.Injection = &inj
+				want := Run(prog, full)
 
-		fast := full
-		fast.From = ck
-		fast.Golden = golden
-		outcomesIdentical(t, inj.Bit.String(), Run(prog, fast), want)
+				fast := full
+				fast.From = ck
+				fast.Golden = golden
+				got := Run(prog, fast)
+				outcomesIdentical(t, inj.Bit.String(), got, want)
+				if straddles(golden, k, inj) && got.ReconvergedAt <= k {
+					t.Errorf("%s at the end of iteration %d: reconverged at %d", inj.Bit, k, got.ReconvergedAt)
+				}
+			}
+		})
 	}
 }
 

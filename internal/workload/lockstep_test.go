@@ -92,10 +92,12 @@ func TestLockstepUnreachableInjection(t *testing.T) {
 	outcomesIdentical(t, "reachable lane", outs[0], Run(prog, solo))
 }
 
-// TestLockstepWithCheckpoint pins warm-start composition: a From
-// checkpoint preceding every injection shortens the leader's replay
-// without changing any lane; a checkpoint past the earliest injection
-// is silently dropped, again without changing any lane.
+// TestLockstepWithCheckpoint pins warm-start composition under every
+// fault model: a From checkpoint preceding every injection shortens the
+// leader's replay without changing any lane; a checkpoint past the
+// earliest injection is silently dropped, again without changing any
+// lane. Lanes splice the golden remainder, so a transient restored at
+// the end of its iteration must re-converge.
 func TestLockstepWithCheckpoint(t *testing.T) {
 	prog := Program(AlgorithmII)
 	spec := shortSpec()
@@ -115,26 +117,37 @@ func TestLockstepWithCheckpoint(t *testing.T) {
 		{"checkpoint after earliest injection", []int{5, 60, 100}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var injs []*Injection
-			for _, k := range tc.ks {
-				injs = append(injs, &Injection{
-					At:  golden.IterationStarts[k] + 9,
-					Bit: cpu.StateBit{Region: cpu.RegionRegisters, Element: "r5", Bit: 3},
+			for _, m := range allModels {
+				t.Run(string(m), func(t *testing.T) {
+					var injs []*Injection
+					var iters []int
+					for _, k := range tc.ks {
+						mid := Injection{At: golden.IterationStarts[k] + 9,
+							Bit: cpu.StateBit{Region: cpu.RegionRegisters, Element: "r5", Bit: 3}}
+						for _, inj := range withModel(append(edgeInjections(golden, k), mid), m) {
+							inj := inj
+							injs = append(injs, &inj)
+							iters = append(iters, k)
+						}
+					}
+					batch := spec
+					batch.From = ck
+					batch.Golden = golden
+					outs, ok := RunBatch(prog, batch, injs)
+					if !ok {
+						t.Fatal("RunBatch declined")
+					}
+					for i, inj := range injs {
+						// The reference is the plain full replay: no
+						// checkpoint, no golden splice.
+						solo := spec
+						solo.Injection = inj
+						outcomesIdentical(t, tc.name, outs[i], Run(prog, solo))
+						if k := iters[i]; straddles(golden, k, *inj) && outs[i].ReconvergedAt <= k {
+							t.Errorf("%s at the end of iteration %d: lane reconverged at %d", inj.Bit, k, outs[i].ReconvergedAt)
+						}
+					}
 				})
-			}
-			batch := spec
-			batch.From = ck
-			batch.Golden = golden
-			outs, ok := RunBatch(prog, batch, injs)
-			if !ok {
-				t.Fatal("RunBatch declined")
-			}
-			for i, inj := range injs {
-				// The reference is the plain full replay: no checkpoint,
-				// no golden splice.
-				solo := spec
-				solo.Injection = inj
-				outcomesIdentical(t, tc.name, outs[i], Run(prog, solo))
 			}
 		})
 	}
