@@ -89,7 +89,7 @@ func main() {
 
 	cfg, err := spec.Resolve()
 	if err == nil && spec.Sequential() {
-		err = runPrecision(ctx, cfg, *precision)
+		err = runPrecision(ctx, cfg, *precision, *out)
 	} else if err == nil {
 		err = run(ctx, cfg, *n, *n2, *out, *compare, *swifi, *analyze, *trace, *disasm, *mark, *quiet)
 	}
@@ -161,20 +161,28 @@ func run(ctx context.Context, base goofi.Config, n, n2 int, out string,
 }
 
 // runPrecision runs a sequential campaign until the severe-rate
-// confidence interval reaches the requested half-width.
-func runPrecision(ctx context.Context, cfg goofi.Config, target float64) error {
+// confidence interval reaches the requested half-width, writing its
+// records (the partial set when interrupted) to out if set.
+func runPrecision(ctx context.Context, cfg goofi.Config, target float64, out string) error {
 	fmt.Printf("sequential campaign on %s until severe-rate CI half-width <= %.4f%%\n", cfg.Variant, target*100)
 	res, err := goofi.RunUntilPrecisionContext(ctx, goofi.PrecisionConfig{
 		Campaign:        cfg,
 		TargetHalfWidth: target,
 	})
-	if errors.Is(err, context.Canceled) && res != nil {
-		fmt.Fprintf(os.Stderr, "interrupted after %d experiments\n", res.Experiments)
-		if res.Experiments == 0 {
-			return context.Canceled
-		}
-	} else if err != nil {
+	if res == nil { // failed outright; a cancelled campaign keeps its records
 		return err
+	}
+	if out != "" && len(res.Records) > 0 {
+		if err := goofi.SaveRecords(out, res.Records); err != nil {
+			return err
+		}
+		fmt.Printf("records written to %s (%d experiments)\n", out, len(res.Records))
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "interrupted after %d experiments\n", len(res.Records))
+		if len(res.Records) == 0 {
+			return err
+		}
 	}
 	fmt.Printf("experiments: %d in %d batches (converged: %v)\n", res.Experiments, res.Batches, res.Converged)
 	printStats(os.Stdout, "", res.Plan, res.Prune, res.Lockstep, res.Detect)

@@ -46,8 +46,9 @@ type Options struct {
 	// record an executor streams is appended (durably) to its shard's
 	// segment before the campaign result exists, so a coordinator crash
 	// or an executor death costs only un-streamed work. Created if
-	// missing. Empty keeps records in memory only: a re-leased shard
-	// still resumes from them, but nothing survives the process.
+	// missing; the segments outlive the run, for the caller to remove.
+	// Empty keeps records in memory only: a re-leased shard still
+	// resumes from them, but nothing survives the process.
 	SegmentDir string
 
 	// Campaign names the job in journal entries.
@@ -71,10 +72,6 @@ type Options struct {
 	// Logger for coordinator decisions (default: discard into the
 	// standard logger).
 	Logger *log.Logger
-
-	// KeepSegments leaves the per-shard segment files in place after a
-	// successful run instead of removing them.
-	KeepSegments bool
 
 	// TaskHook, if non-nil, observes (and may mutate) every task just
 	// before it is leased. TEST-ONLY: the chaos suite uses it to plant
@@ -159,9 +156,8 @@ func (st *shardState) resume() []goofi.Record {
 }
 
 type coordinator struct {
-	opts  Options
-	spec  goofi.CampaignSpec
-	total int
+	opts Options
+	spec goofi.CampaignSpec
 
 	states []*shardState
 	queue  chan int
@@ -212,7 +208,6 @@ func Run(ctx context.Context, spec goofi.CampaignSpec, executors []Executor, opt
 	c := &coordinator{
 		opts:   o,
 		spec:   spec,
-		total:  total,
 		states: make([]*shardState, len(shards)),
 		// Buffered for every enqueue that can ever happen, so re-queues
 		// after a failed lease never block a slot goroutine.
@@ -321,14 +316,6 @@ func Run(ctx context.Context, spec goofi.CampaignSpec, executors []Executor, opt
 	if failure != nil {
 		return res, failure
 	}
-
-	if !o.KeepSegments && o.SegmentDir != "" {
-		for _, st := range c.states {
-			st.appender.Close()
-			st.appender = nil
-			os.Remove(SegmentPath(o.SegmentDir, st.idx))
-		}
-	}
 	return res, nil
 }
 
@@ -378,7 +365,6 @@ func (c *coordinator) jot(typ journal.EventType, shard int, executor string, don
 		Shard:    &sh,
 		Executor: executor,
 		Done:     done,
-		Total:    c.total,
 		Error:    errMsg,
 	})
 }

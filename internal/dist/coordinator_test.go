@@ -93,11 +93,10 @@ func TestCoordinatorJournalAndSegments(t *testing.T) {
 	var mu sync.Mutex
 	var entries []journal.Entry
 	res, err := Run(context.Background(), spec, []Executor{Engine{}}, Options{
-		ShardSize:    25,
-		SegmentDir:   segDir,
-		Campaign:     "c-jnl",
-		KeepSegments: true,
-		Logger:       quietLogger(),
+		ShardSize:  25,
+		SegmentDir: segDir,
+		Campaign:   "c-jnl",
+		Logger:     quietLogger(),
 		Journal: func(e journal.Entry) {
 			mu.Lock()
 			entries = append(entries, e)
@@ -127,7 +126,7 @@ func TestCoordinatorJournalAndSegments(t *testing.T) {
 		t.Fatalf("journaled %d leases / %d completions, want %d each", leased, completed, res.Shards)
 	}
 
-	// KeepSegments: every shard's segment survives and holds exactly its
+	// Every shard's segment survives and holds exactly its
 	// in-shard records.
 	for i := 0; i < res.Shards; i++ {
 		path := filepath.Join(segDir, "shard-000"+string(rune('0'+i))+".jsonl")
@@ -149,10 +148,9 @@ func TestCoordinatorSkipsCompletedShards(t *testing.T) {
 	// First: run shard 0 alone to produce its segment, as a previous
 	// coordinator incarnation would have.
 	first, err := Run(context.Background(), spec, []Executor{Engine{}}, Options{
-		ShardSize:    20,
-		SegmentDir:   segDir,
-		KeepSegments: true,
-		Logger:       quietLogger(),
+		ShardSize:  20,
+		SegmentDir: segDir,
+		Logger:     quietLogger(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -132,20 +132,6 @@ type Config struct {
 	// (which must see the whole campaign).
 	Shard *Shard
 
-	// warm carries the fast-path state across the batches of a
-	// sequential campaign, so later batches skip the golden run and
-	// reuse cached checkpoints.
-	warm *warmState
-
-	// prune carries the fault-space pruner's event index across the
-	// batches of a sequential campaign, like warm.
-	prune *pruneState
-
-	// det carries the detector state (block graph, mined automaton,
-	// monitored golden run) across the batches of a sequential
-	// campaign, like warm and prune.
-	det *detectState
-
 	// lockstepK, if positive, overrides the derived lockstep batch
 	// size (see lockstepBatchK).
 	lockstepK int
@@ -264,51 +250,42 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	prog := workload.Program(cfg.Variant)
 
-	det := cfg.det
-	if cfg.Detect.Enabled() && det == nil {
-		var err error
-		if det, err = newDetectState(prog, cfg); err != nil {
-			return nil, err
-		}
-	}
-	cfg.det = det // runExperiment arms a fresh monitor stack per run
-
 	// The warm start records state digests during the golden run and the
 	// pruner piggybacks a def-use observer on it to build its event
-	// index; sequential campaigns carry both over from earlier batches.
-	warm := cfg.warm
-	prn := cfg.prune
-	var golden *workload.Outcome
-	if det != nil {
-		golden = det.golden
-	} else if warm != nil {
-		golden = warm.golden
-	} else {
-		// The annotated golden run of a variant's default spec is the
-		// same for every campaign, so the plan takes it from the
-		// process-wide memo, with the prune index only when the plan
-		// prunes; warm-start counters and the dead verdict stay per
-		// campaign.
-		var (
-			ix  *prune.Index
-			err error
-		)
-		if xp.memo {
-			golden, ix, err = prepFor(cfg.Variant, prog, xp.Prune)
-		} else {
-			golden, ix, err = runGolden(prog, cfg.Spec, xp.WarmStart, xp.Prune && prn == nil)
+	// index. The annotated golden run of a variant's default spec is the
+	// same for every campaign, so the plan takes it from the
+	// process-wide memo, with the prune index only when the plan prunes;
+	// warm-start counters and the dead verdict stay per campaign. An
+	// armed campaign (which declines every fast path) takes its
+	// monitored golden run.
+	var (
+		golden *workload.Outcome
+		ix     *prune.Index
+		det    *detectState
+		err    error
+	)
+	switch {
+	case cfg.Detect.Enabled():
+		if det, err = newDetectState(prog, cfg); det != nil {
+			golden = det.golden
 		}
-		if err != nil {
-			return nil, err
-		}
-		if xp.WarmStart {
-			warm = newWarmState(prog, cfg.Spec, golden, checkpointCap)
-		}
-		if xp.Prune && prn == nil && ix != nil {
-			prn = newPruneState(ix, golden, cfg.Classify)
-		}
+	case xp.memo:
+		golden, ix, err = prepFor(cfg.Variant, prog, xp.Prune)
+	default:
+		golden, ix, err = runGolden(prog, cfg.Spec, xp.WarmStart, xp.Prune)
 	}
-	if xp.Prune && prn == nil {
+	if err != nil {
+		return nil, err
+	}
+	var warm *warmState
+	if xp.WarmStart {
+		warm = newWarmState(prog, cfg.Spec, golden, checkpointCap)
+	}
+	var prn *pruneState
+	switch {
+	case xp.Prune && ix != nil:
+		prn = newPruneState(ix, golden, cfg.Classify)
+	case xp.Prune:
 		xp.decline(LayerPrune, "the golden-run capture built no def-use index")
 	}
 
@@ -482,7 +459,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	// runSolo executes one experiment the classic way — isolated,
 	// retried, deadline-bounded — and books its record.
 	runSolo := func(i int) {
-		rec, fs := runExperimentIsolated(prog, cfg, golden, warm, i, injections[i])
+		rec, fs := runExperimentIsolated(prog, cfg, golden, warm, det, i, injections[i])
 		var tr *trace.Trace
 		if cfg.Trace != nil && cfg.Trace.OnTrace != nil && cfg.Trace.shouldTrace(rec) {
 			// Capture errors mean cancellation; the partial
@@ -626,11 +603,7 @@ feed:
 	}
 	res := &Result{Config: cfg, Plan: xp, Golden: golden, Records: records, Faults: faults, Lockstep: lockstep}
 	if warm != nil {
-		res.Config.warm = warm
 		res.WarmStart = warm.stats()
-	}
-	if prn != nil {
-		res.Config.prune = prn
 	}
 	if det != nil {
 		res.Detect = det.tally(res.Records)
@@ -658,12 +631,12 @@ feed:
 // runExperiment performs one fault injection and classifies it. A
 // non-zero deadline bounds the run's wall-clock time; an expired run
 // returns errExperimentDeadline instead of a (meaningless) record.
-func runExperiment(prog *cpu.Program, cfg Config, golden *workload.Outcome, warm *warmState, id int, inj workload.Injection, deadline time.Time) (Record, error) {
+func runExperiment(prog *cpu.Program, cfg Config, golden *workload.Outcome, warm *warmState, det *detectState, id int, inj workload.Injection, deadline time.Time) (Record, error) {
 	spec := cfg.Spec
 	spec.Injection = &inj
 	spec.Deadline = deadline
-	if cfg.det != nil {
-		spec.Monitor = cfg.det.newMonitor(prog)
+	if det != nil {
+		spec.Monitor = det.newMonitor(prog) // a fresh monitor stack per run
 	}
 	if warm != nil {
 		spec.Golden = warm.golden

@@ -46,7 +46,7 @@ type DetectStats struct {
 
 // detectState is the shared, immutable-after-setup detector state of
 // one campaign: built once from the golden run, reused by every
-// experiment (and across the batches of a sequential campaign).
+// experiment.
 type detectState struct {
 	spec      detect.Spec
 	graph     *detect.BlockGraph

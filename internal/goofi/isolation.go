@@ -84,7 +84,7 @@ func (cfg *Config) retryBudget() (retries int, backoff time.Duration) {
 // panic-recovered, deadline-bounded, retried with exponential backoff,
 // and finally abandoned with a distinct outcome rather than failing the
 // campaign.
-func runExperimentIsolated(prog *cpu.Program, cfg Config, golden *workload.Outcome, warm *warmState, id int, inj workload.Injection) (Record, FaultStats) {
+func runExperimentIsolated(prog *cpu.Program, cfg Config, golden *workload.Outcome, warm *warmState, det *detectState, id int, inj workload.Injection) (Record, FaultStats) {
 	retries, backoff := cfg.retryBudget()
 	var stats FaultStats
 	var lastErr error
@@ -94,7 +94,7 @@ func runExperimentIsolated(prog *cpu.Program, cfg Config, golden *workload.Outco
 			time.Sleep(backoff)
 			backoff *= 2
 		}
-		rec, err := runAttempt(prog, cfg, golden, warm, id, inj, attempt)
+		rec, err := runAttempt(prog, cfg, golden, warm, det, id, inj, attempt)
 		if err == nil {
 			return rec, stats
 		}
@@ -113,7 +113,7 @@ func runExperimentIsolated(prog *cpu.Program, cfg Config, golden *workload.Outco
 
 // runAttempt is one panic-recovered, deadline-bounded attempt at an
 // experiment.
-func runAttempt(prog *cpu.Program, cfg Config, golden *workload.Outcome, warm *warmState, id int, inj workload.Injection, attempt int) (rec Record, err error) {
+func runAttempt(prog *cpu.Program, cfg Config, golden *workload.Outcome, warm *warmState, det *detectState, id int, inj workload.Injection, attempt int) (rec Record, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("goofi: experiment %d panicked: %v", id, p)
@@ -131,7 +131,7 @@ func runAttempt(prog *cpu.Program, cfg Config, golden *workload.Outcome, warm *w
 			return Record{}, errExperimentDeadline
 		}
 	}
-	return runExperiment(prog, cfg, golden, warm, id, inj, deadline)
+	return runExperiment(prog, cfg, golden, warm, det, id, inj, deadline)
 }
 
 // resumable reports whether a persisted record can stand in for

@@ -250,4 +250,41 @@ func TestTraceRejectsDetectors(t *testing.T) {
 	if _, err := Run(cfg); err == nil {
 		t.Error("trace mode accepted armed detectors")
 	}
+	cfg.Trace = nil
+	if _, err := TraceExperiment(nil, cfg, 0); err == nil {
+		t.Error("TraceExperiment replayed a detector campaign without its monitors")
+	}
+}
+
+// TestTraceExperimentMatchesModelRecords: replaying experiment n of a
+// campaign under any fault model injects the very fault its record
+// logged and reaches the same verdict.
+func TestTraceExperimentMatchesModelRecords(t *testing.T) {
+	spec := workload.PaperRunSpec()
+	spec.Iterations = 80
+	for _, m := range append([]inject.FaultModel{workload.ModelBitFlip}, nonDefaultModels...) {
+		cfg := Config{Variant: workload.AlgorithmI, Experiments: 12, Seed: 23, Spec: spec, Model: m}
+		if m == workload.ModelBurst {
+			cfg.BurstWidth = 3
+		}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", m, err)
+		}
+		for _, n := range []int{0, 7, 11} {
+			tr, err := TraceExperiment(nil, cfg, n)
+			if err != nil {
+				t.Fatalf("%s experiment %d: %v", m, n, err)
+			}
+			rec, inj := res.Records[n], tr.Header.Injection
+			if inj.Element != rec.Element || inj.Bit != rec.Bit || inj.At != rec.At ||
+				inj.Model != rec.Model || inj.Width != rec.Width {
+				t.Errorf("%s experiment %d: trace injects %+v, record logged %s[%d]@%d model %q width %d",
+					m, n, inj, rec.Element, rec.Bit, rec.At, rec.Model, rec.Width)
+			}
+			if tr.Header.Outcome != rec.Outcome {
+				t.Errorf("%s experiment %d: trace outcome %q, record %q", m, n, tr.Header.Outcome, rec.Outcome)
+			}
+		}
+	}
 }

@@ -79,10 +79,8 @@ func (s *PruneStats) Add(o PruneStats) {
 	s.Classes += o.Classes
 }
 
-// pruneState carries the event index and the precomputed dead verdict
-// across the batches of a sequential campaign, exactly like warmState
-// carries the checkpoint cache: the instrumented golden replay is paid
-// for once.
+// pruneState is one campaign's event index and precomputed dead
+// verdict (the index itself comes from the per-process golden memo).
 type pruneState struct {
 	idx *prune.Index
 
@@ -107,7 +105,7 @@ const (
 )
 
 // prunePlan is the pruner's decision for every experiment of one
-// campaign batch. It is deterministic for a given (index, injections),
+// campaign. It is deterministic for a given (index, injections),
 // so resumed and restarted campaigns rebuild the identical plan.
 type prunePlan struct {
 	decision []uint8

@@ -1,6 +1,7 @@
 package goofi
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"strconv"
@@ -15,6 +16,12 @@ import (
 // Algorithm II campaign, for example, is too small to bound the severe
 // rate tightly (0.17 % ± 0.17 %); a precision-driven campaign makes the
 // trade-off explicit.
+
+// Default sizes of a sequential campaign (see PrecisionConfig).
+const (
+	DefaultBatchSize      = 500
+	DefaultMaxExperiments = 50000
+)
 
 // Metric extracts the proportion of interest from a tally.
 type Metric func(*stats.Counter) stats.Proportion
@@ -34,11 +41,49 @@ type PrecisionConfig struct {
 	// ±0.1 percentage points).
 	TargetHalfWidth float64
 
-	// BatchSize is the number of experiments per batch (default 500).
+	// BatchSize is the number of experiments per batch
+	// (default DefaultBatchSize).
 	BatchSize int
 
-	// MaxExperiments bounds the total effort (default 50000).
+	// MaxExperiments bounds the total effort
+	// (default DefaultMaxExperiments).
 	MaxExperiments int
+
+	// RunBatch, if non-nil, runs batch b, the fixed-count campaign cfg
+	// (see Batch), in place of RunContext and returns its records with
+	// batch-local IDs. Campaign.OnRecord and Campaign.OnResume reach
+	// the caller through cfg's hooks, which a runner must then honour
+	// as RunContext does. The server shards batches through it.
+	RunBatch func(ctx context.Context, b int, cfg Config) (*Result, error)
+}
+
+// withDefaults resolves the zero BatchSize, MaxExperiments and RunBatch.
+func (p PrecisionConfig) withDefaults() PrecisionConfig {
+	if p.BatchSize <= 0 {
+		p.BatchSize = DefaultBatchSize
+	}
+	if p.MaxExperiments <= 0 {
+		p.MaxExperiments = DefaultMaxExperiments
+	}
+	if p.RunBatch == nil {
+		p.RunBatch = func(ctx context.Context, _ int, cfg Config) (*Result, error) { return RunContext(ctx, cfg) }
+	}
+	return p
+}
+
+// Batch returns the fixed-count campaign that batch b runs:
+// min(BatchSize, remaining budget) experiments under the seed
+// Campaign.Seed + b·1_000_003 — a distinct seed per batch keeps samples
+// independent while staying reproducible. Its records take the
+// campaign-wide IDs [b·BatchSize, (b+1)·BatchSize). The returned config
+// carries none of Campaign's Resume, OnRecord or OnResume.
+func (p PrecisionConfig) Batch(b int) Config {
+	p = p.withDefaults()
+	cfg := p.Campaign
+	cfg.Experiments = min(p.BatchSize, p.MaxExperiments-b*p.BatchSize)
+	cfg.Seed = p.Campaign.Seed + uint64(b)*1_000_003
+	cfg.Resume, cfg.OnRecord, cfg.OnResume = nil, nil, nil
+	return cfg
 }
 
 // PrecisionResult is the outcome of a sequential campaign.
@@ -50,27 +95,20 @@ type PrecisionResult struct {
 	Converged   bool // target reached before MaxExperiments
 	Experiments int
 
-	// Plan is the fast-path decision every batch executed (see
-	// Result.Plan).
+	// Plan is the fast-path decision the batches executed (see
+	// Result.Plan); zero when RunBatch reports none.
 	Plan ExecPlan
 
-	// WarmStart reports the checkpoint fast path's work avoidance,
-	// cumulative over every batch (the batches share one golden run
-	// and checkpoint cache); nil when Plan declined the layer.
-	WarmStart *WarmStartStats
-
 	// Prune accumulates the fault-space pruner's work avoidance over
-	// every batch (the batches share one event index); nil when Plan
-	// declined the layer.
+	// every batch; nil when no batch pruned.
 	Prune *PruneStats
 
-	// Detect accumulates the armed detectors' verdict counts over every
-	// batch (the batches share one monitored golden run and mined
-	// automaton); nil when no detectors were armed.
+	// Detect is the armed detectors' configuration with verdict counts
+	// over every batch; nil when no detectors were armed.
 	Detect *DetectStats
 
 	// Lockstep accumulates the batching engine's work sharing over
-	// every batch; nil when Plan declined the layer.
+	// every batch; nil when no batch ran lockstep.
 	Lockstep *LockstepStats
 
 	// Faults accumulates worker fault isolation's interventions over
@@ -83,8 +121,9 @@ type PrecisionResult struct {
 // the experiment budget is exhausted. Results are deterministic for a
 // given configuration.
 //
-// Batch b owns the experiment IDs [b·BatchSize, (b+1)·BatchSize), so
-// every record of the campaign has a distinct, stable ID. Records in
+// Every batch is an ordinary fixed-count campaign (see Batch). Batch b
+// owns the experiment IDs [b·BatchSize, (b+1)·BatchSize), so every
+// record of the campaign has a distinct, stable ID. Records in
 // Campaign.Resume are matched against their batch's plan like a
 // fixed-count campaign's, and Campaign.OnRecord and Campaign.OnResume
 // see campaign-wide IDs.
@@ -103,12 +142,7 @@ func RunUntilPrecisionContext(ctx context.Context, cfg PrecisionConfig) (*Precis
 	if cfg.TargetHalfWidth <= 0 {
 		return nil, fmt.Errorf("goofi: TargetHalfWidth must be positive, got %v", cfg.TargetHalfWidth)
 	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 500
-	}
-	if cfg.MaxExperiments <= 0 {
-		cfg.MaxExperiments = 50000
-	}
+	cfg = cfg.withDefaults()
 	metric := cfg.Metric
 	if metric == nil {
 		metric = SevereProportion
@@ -116,110 +150,77 @@ func RunUntilPrecisionContext(ctx context.Context, cfg PrecisionConfig) (*Precis
 
 	res := &PrecisionResult{}
 	counter := stats.NewCounter()
-	// Every batch runs the same variant and spec, so the golden run,
-	// the checkpoint cache and the pruner's event index carry over from
-	// batch to batch: only the first batch pays for the reference
-	// execution.
-	var warm *warmState
-	var prn *pruneState
-	var det *detectState
-	for res.Experiments < cfg.MaxExperiments {
-		batch := cfg.Campaign
-		batch.Experiments = cfg.BatchSize
-		if remaining := cfg.MaxExperiments - res.Experiments; batch.Experiments > remaining {
-			batch.Experiments = remaining
-		}
-		// A distinct seed per batch keeps samples independent while
-		// staying reproducible.
-		batch.Seed = cfg.Campaign.Seed + uint64(res.Batches)*1_000_003
-		batch.warm = warm
-		batch.prune = prn
-		batch.det = det
+	var err error
+	for err == nil && !res.Converged && res.Experiments < cfg.MaxExperiments {
+		batch := cfg.Batch(res.Batches)
 		first := res.Experiments
-		batch.Resume = nil
 		for _, rec := range cfg.Campaign.Resume {
 			if rec.ID >= first && rec.ID < first+batch.Experiments {
-				batch.Resume = append(batch.Resume, shiftID(rec, -first))
+				batch.Resume = append(batch.Resume, ShiftID(rec, -first))
 			}
 		}
 		if on := cfg.Campaign.OnRecord; on != nil {
-			batch.OnRecord = func(rec Record) { on(shiftID(rec, first)) }
+			batch.OnRecord = func(rec Record) { on(ShiftID(rec, first)) }
 		}
 		if on := cfg.Campaign.OnResume; on != nil {
 			batch.OnResume = func(recs []Record) {
 				for i := range recs {
-					recs[i] = shiftID(recs[i], first)
+					recs[i] = ShiftID(recs[i], first)
 				}
 				on(recs)
 			}
 		}
 
-		out, err := RunContext(ctx, batch)
-		if out != nil {
-			for i := range out.Records {
-				out.Records[i] = shiftID(out.Records[i], first)
-			}
-			warm = out.Config.warm
-			prn = out.Config.prune
-			det = out.Config.det
-			res.Plan = out.Plan
-			if out.WarmStart != nil {
-				res.WarmStart = out.WarmStart
-			}
-			if out.Prune != nil {
-				if res.Prune == nil {
-					res.Prune = &PruneStats{}
-				}
-				res.Prune.Add(*out.Prune)
-			}
-			if out.Detect != nil {
-				if res.Detect == nil {
-					d := *out.Detect
-					d.CFEDetected, d.AutomatonDetected = 0, 0
-					res.Detect = &d
-				}
-				res.Detect.CFEDetected += out.Detect.CFEDetected
-				res.Detect.AutomatonDetected += out.Detect.AutomatonDetected
-			}
-			if out.Lockstep != nil {
-				if res.Lockstep == nil {
-					res.Lockstep = &LockstepStats{K: out.Lockstep.K}
-				}
-				res.Lockstep.Batches += out.Lockstep.Batches
-				res.Lockstep.Lanes += out.Lockstep.Lanes
-				res.Lockstep.Solo += out.Lockstep.Solo
-				res.Lockstep.K = out.Lockstep.K
-			}
-			res.Faults.Add(out.Faults)
-		}
-		if out != nil && len(out.Records) > 0 {
-			res.Records = append(res.Records, out.Records...)
-			res.Batches++
-			res.Experiments += len(out.Records)
-
-			counter.Merge(Analyze(out.Records).Total)
-			res.Estimate = metric(counter)
-			res.HalfWidth = res.Estimate.CI95()
-		}
-		if err != nil {
-			if ctx.Err() != nil {
-				return res, err
-			}
-			return nil, err
-		}
-		// A zero-count estimate has a degenerate normal CI; keep
-		// sampling until at least one observation or the budget ends.
-		if res.Estimate.Count > 0 && res.HalfWidth <= cfg.TargetHalfWidth {
-			res.Converged = true
+		var out *Result
+		if out, err = cfg.RunBatch(ctx, res.Batches, batch); out == nil {
 			break
 		}
+		res.Plan = out.Plan
+		if out.Prune != nil {
+			res.Prune = cmp.Or(res.Prune, &PruneStats{})
+			res.Prune.Add(*out.Prune)
+		}
+		if out.Detect != nil && res.Detect == nil {
+			d := *out.Detect
+			res.Detect = &d
+		}
+		if out.Lockstep != nil {
+			res.Lockstep = cmp.Or(res.Lockstep, &LockstepStats{})
+			res.Lockstep.Batches += out.Lockstep.Batches
+			res.Lockstep.Lanes += out.Lockstep.Lanes
+			res.Lockstep.Solo += out.Lockstep.Solo
+			res.Lockstep.K = out.Lockstep.K
+		}
+		res.Faults.Add(out.Faults)
+		if len(out.Records) == 0 {
+			continue
+		}
+		for i := range out.Records {
+			out.Records[i] = ShiftID(out.Records[i], first)
+		}
+		res.Records = append(res.Records, out.Records...)
+		res.Batches++
+		res.Experiments += len(out.Records)
+		counter.Merge(Analyze(out.Records).Total)
+		res.Estimate = metric(counter)
+		res.HalfWidth = res.Estimate.CI95()
+		// A zero-count estimate has a degenerate normal CI; keep
+		// sampling until at least one observation or the budget ends.
+		res.Converged = err == nil && res.Estimate.Count > 0 && res.HalfWidth <= cfg.TargetHalfWidth
 	}
-	return res, nil
+	if res.Detect != nil {
+		res.Detect.CFEDetected, res.Detect.AutomatonDetected = TallyDetect(res.Records)
+	}
+	if err != nil && ctx.Err() == nil {
+		return nil, err
+	}
+	return res, err
 }
 
-// shiftID moves a record by delta experiment IDs, together with the
-// representative ID a class member's provenance names.
-func shiftID(rec Record, delta int) Record {
+// ShiftID moves a record by delta experiment IDs, together with the
+// representative ID a class member's provenance names: batch b of a
+// sequential campaign shifts its batch-local records by b·BatchSize.
+func ShiftID(rec Record, delta int) Record {
 	rec.ID += delta
 	if rep, ok := strings.CutPrefix(rec.Provenance, provenanceMemberPrefix); ok {
 		if id, err := strconv.Atoi(rep); err == nil {

@@ -1,6 +1,8 @@
 package goofi
 
 import (
+	"context"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -168,5 +170,39 @@ func TestRunUntilPrecisionStableIDsResume(t *testing.T) {
 		if again.Records[i] != full.Records[i] {
 			t.Fatalf("record %d differs after resume: %+v vs %+v", i, again.Records[i], full.Records[i])
 		}
+	}
+}
+
+// TestRunUntilPrecisionBatchRunner: a custom batch runner sees each
+// batch as the fixed-count campaign Batch(b) describes and, returning
+// batch-local records, yields the default runner's campaign exactly.
+func TestRunUntilPrecisionBatchRunner(t *testing.T) {
+	cfg := PrecisionConfig{
+		Campaign:        Config{Variant: workload.AlgorithmI, Seed: 13},
+		TargetHalfWidth: 1e-9,
+		BatchSize:       40,
+		MaxExperiments:  100,
+	}
+	want, err := RunUntilPrecision(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sizes []int
+	cfg.RunBatch = func(ctx context.Context, b int, batch Config) (*Result, error) {
+		if ref := cfg.Batch(b); batch.Experiments != ref.Experiments || batch.Seed != ref.Seed {
+			t.Errorf("batch %d runs n=%d seed=%d, want n=%d seed=%d", b, batch.Experiments, batch.Seed, ref.Experiments, ref.Seed)
+		}
+		sizes = append(sizes, batch.Experiments)
+		return RunContext(ctx, batch)
+	}
+	got, err := RunUntilPrecision(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sizes, []int{40, 40, 20}) {
+		t.Errorf("batch sizes %v, want [40 40 20]", sizes)
+	}
+	if !reflect.DeepEqual(got.Records, want.Records) {
+		t.Fatal("records differ between the default and a custom batch runner")
 	}
 }

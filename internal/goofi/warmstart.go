@@ -16,8 +16,7 @@ import (
 const checkpointCap = 32
 
 // WarmStartStats summarises how much re-execution the campaign fast
-// path avoided. For sequential (precision-driven) campaigns the counts
-// are cumulative over all batches sharing the golden run.
+// path avoided in one fixed-count campaign.
 type WarmStartStats struct {
 	// Resumed counts experiments that started from a checkpoint
 	// instead of iteration 0; FullReplays counts the rest.

@@ -122,12 +122,6 @@ func TestWarmStartSequentialCampaignIdentical(t *testing.T) {
 	if !reflect.DeepEqual(res.Records, ref.Records) {
 		t.Fatal("sequential campaign records differ between warm start and full replay")
 	}
-	if res.WarmStart == nil {
-		t.Fatal("sequential warm-start campaign reported no stats")
-	}
-	if got := res.WarmStart.Resumed + res.WarmStart.FullReplays; got != res.Experiments {
-		t.Errorf("cumulative stats cover %d experiments, want %d", got, res.Experiments)
-	}
 }
 
 // TestWarmStateIterationZeroFallsBack covers the edge the cache must

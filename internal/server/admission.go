@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"time"
@@ -68,7 +69,7 @@ func (m *Manager) SubmitAs(ten tenant.Tenant, spec goofi.CampaignSpec) (*Campaig
 		doneCh:   make(chan struct{}),
 	}
 	if spec.Sequential() {
-		c.total = spec.MaxExperiments // upper bound; 0 = engine default
+		c.total = cmp.Or(spec.MaxExperiments, goofi.DefaultMaxExperiments) // upper bound
 	}
 	if hit, err := m.serveFromCache(ten, c); hit {
 		return c, err

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,30 +16,32 @@ import (
 	"ctrlguard/internal/tenant"
 )
 
-// Campaign memoization: a fixed-count campaign's records are a pure
-// function of (goofi.EngineVersion, canonical spec), so a completed
-// run's canonical JSONL can be filed in the content-addressed store
-// and replayed verbatim for any later submission of the same spec —
-// the duplicate costs a hash and a file copy instead of thousands of
-// simulated experiments.
+// Campaign memoization: a campaign's records are a pure function of
+// (goofi.EngineVersion, canonical spec), so a completed run's canonical
+// JSONL can be filed in the content-addressed store and replayed
+// verbatim for any later submission of the same spec — the duplicate
+// costs a hash and a file copy instead of thousands of simulated
+// experiments. That holds for precision-driven campaigns too: their
+// batches, and so their stopping point, are fixed by the spec.
 //
 // What is deliberately NOT part of the key: Workers, which the engine
 // guarantees leaves the record bytes unchanged. What is deliberately
-// NOT cached: precision-driven (sequential) campaigns, whose experiment
-// count is data-dependent and whose point is the fresh stopping
-// decision; runs under a test ConfigHook, which mutates the engine
+// NOT cached: runs under a test ConfigHook, which mutates the engine
 // config after spec resolution; and runs that abandoned experiments,
 // whose records are incomplete by definition.
 
 // memoSpec is the canonical, order-stable projection of a spec that
-// determines its record bytes.
+// determines its record bytes. The precision fields are omitted for
+// fixed-count specs, whose keys they leave unchanged.
 type memoSpec struct {
-	Variant     string `json:"variant"`
-	Experiments int    `json:"n"`
-	Seed        uint64 `json:"seed"`
-	Model       string `json:"model"`
-	BurstWidth  int    `json:"burstWidth"`
-	Detector    string `json:"detector"`
+	Variant        string  `json:"variant"`
+	Experiments    int     `json:"n"`
+	Seed           uint64  `json:"seed"`
+	Model          string  `json:"model"`
+	BurstWidth     int     `json:"burstWidth"`
+	Detector       string  `json:"detector"`
+	Precision      float64 `json:"precision,omitempty"`
+	MaxExperiments int     `json:"maxExperiments,omitempty"`
 }
 
 // memoKey derives the content address for a spec's results.
@@ -47,13 +50,19 @@ func memoKey(s goofi.CampaignSpec) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	n, budget := s.Experiments, 0
+	if s.Sequential() { // the budget, not n, bounds a precision-driven campaign
+		n, budget = 0, cmp.Or(s.MaxExperiments, goofi.DefaultMaxExperiments)
+	}
 	return castore.Key(goofi.EngineVersion, memoSpec{
-		Variant:     string(v),
-		Experiments: s.Experiments,
-		Seed:        s.Seed,
-		Model:       s.Model,
-		BurstWidth:  s.BurstWidth,
-		Detector:    s.Detector,
+		Variant:        string(v),
+		Experiments:    n,
+		Seed:           s.Seed,
+		Model:          s.Model,
+		BurstWidth:     s.BurstWidth,
+		Detector:       s.Detector,
+		Precision:      s.Precision,
+		MaxExperiments: budget,
 	})
 }
 
@@ -62,8 +71,7 @@ func memoKey(s goofi.CampaignSpec) (string, error) {
 // *served* from the cache (checked in serveFromCache) but not
 // contributing to it — a fresh run's bytes are correct for everyone.
 func (m *Manager) memoizable(c *Campaign) bool {
-	return m.cache != nil && c.Kind == KindCampaign && !c.Spec.Sequential() &&
-		m.hook == nil
+	return m.cache != nil && c.Kind == KindCampaign && m.hook == nil
 }
 
 // serveFromCache checks the content-addressed store for the spec's

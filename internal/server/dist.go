@@ -16,15 +16,17 @@ import (
 	"ctrlguard/internal/journal"
 )
 
-// Every fixed-count campaign runs through the shard coordinator,
-// dist.Run. Without executors the campaign is one shard on this
-// process's engine (dist.Engine). With executors configured — local
-// ctrlexec subprocesses and/or remote HTTP executors that registered
-// themselves — the plan is split into contiguous shards and leased
-// out, and the dist package's lease machinery recovers from any
-// executor death mid-shard. Either way every record streams into a
-// per-shard segment under <id>.shards/ (the resume source), and the
-// merged result is byte-identical to a plain goofi run, so progress,
+// Every campaign runs through the shard coordinator, dist.Run: a
+// fixed-count campaign as one run, a precision-driven one as a loop of
+// fixed-count batches that goofi.RunUntilPrecision drives. Without
+// executors a run is one shard on this process's engine (dist.Engine).
+// With executors configured — local ctrlexec subprocesses and/or
+// remote HTTP executors that registered themselves — the plan is split
+// into contiguous shards and leased out, and the dist package's lease
+// machinery recovers from any executor death mid-shard. Either way
+// every record streams into a per-shard segment under <id>.shards/
+// (<id>.shards/b<k>/ for batch k), the resume source, and the merged
+// result is byte-identical to a plain goofi run, so progress,
 // persistence, caching, stats and resume have one implementation.
 
 // execTTL is how long a remote executor registration stays live without
@@ -88,11 +90,11 @@ func (r *execRegistry) live() []execEntry {
 	return out
 }
 
-// executors picks where a campaign's shards run and how large they
-// are: the configured local ctrlexec slots plus every live remote
-// registration at lease time, or, with neither, this process's engine
-// running the whole plan as one shard.
-func (m *Manager) executors(c *Campaign) ([]dist.Executor, int) {
+// executors picks where a run of n experiments executes and how large
+// its shards are: the configured local ctrlexec slots plus every live
+// remote registration at lease time, or, with neither, this process's
+// engine running the whole plan as one shard.
+func (m *Manager) executors(n int) ([]dist.Executor, int) {
 	var out []dist.Executor
 	for i := 0; i < m.distWorkers; i++ {
 		out = append(out, &dist.Proc{
@@ -106,7 +108,7 @@ func (m *Manager) executors(c *Campaign) ([]dist.Executor, int) {
 		out = append(out, &dist.HTTP{URL: e.URL, Tag: e.Name})
 	}
 	if len(out) == 0 {
-		return []dist.Executor{dist.Engine{Configure: m.hook}}, c.Spec.Experiments
+		return []dist.Executor{dist.Engine{Configure: m.hook}}, n
 	}
 	return out, m.shardSize
 }
@@ -118,6 +120,29 @@ func (m *Manager) segmentDir(c *Campaign) string {
 		return ""
 	}
 	return filepath.Join(m.dataDir, c.ID+".shards")
+}
+
+// batchDir is where batch b of a precision-driven campaign keeps its
+// segments, with batch-local IDs, inside the campaign's segDir.
+func batchDir(segDir string, b int) string { return filepath.Join(segDir, fmt.Sprintf("b%d", b)) }
+
+// liveRecords reads the records in a campaign's segment directory in
+// experiment-ID order, a precision-driven campaign's batch by batch.
+func liveRecords(spec goofi.CampaignSpec, segDir string) []goofi.Record {
+	if !spec.Sequential() {
+		recs, _ := dist.LoadSegments(segDir)
+		return recs
+	}
+	var out []goofi.Record
+	for b := 0; ; b++ {
+		recs, _ := dist.LoadSegments(batchDir(segDir, b))
+		if len(recs) == 0 {
+			return out
+		}
+		for _, rec := range recs {
+			out = append(out, goofi.ShiftID(rec, b*goofi.DefaultBatchSize))
+		}
+	}
 }
 
 // startRun points a starting campaign at its segment directory. A
@@ -138,37 +163,36 @@ func (m *Manager) startRun(c *Campaign, resumed bool) string {
 	return dir
 }
 
-// runCampaign executes one fixed-count campaign through dist.Run. A
-// resumed campaign skips shards journaled complete and resumes the
-// rest from their salvaged segments.
-func (m *Manager) runCampaign(ctx context.Context, c *Campaign, resumed bool) {
-	segDir := m.startRun(c, resumed)
-	c.mu.Lock()
-	completed := c.shardsDone
-	c.mu.Unlock()
-	if !resumed {
-		completed = nil
-	}
-	executors, shardSize := m.executors(c)
-	progress := m.progressFunc(c)
+// distRun executes the fixed-count spec — campaign c, or its batch
+// whose experiment IDs start at first — through dist.Run with its
+// segments under segDir (kept until c concludes), reporting each record
+// to progress with its campaign-wide ID and count.
+func (m *Manager) distRun(ctx context.Context, c *Campaign, spec goofi.CampaignSpec, segDir string, first int, progress func(goofi.Record, int)) (*dist.Result, error) {
+	executors, shardSize := m.executors(spec.Experiments)
 	opts := dist.Options{
-		ShardSize:       shardSize,
-		LeaseTTL:        m.leaseTTL,
-		SegmentDir:      segDir,
-		Campaign:        c.ID,
-		CompletedShards: completed,
-		Logger:          m.logger,
-		TaskHook:        m.distTaskHook,
+		ShardSize:  shardSize,
+		LeaseTTL:   m.leaseTTL,
+		SegmentDir: segDir,
+		Campaign:   c.ID,
+		Logger:     m.logger,
+		TaskHook:   m.distTaskHook,
 		OnRecord: func(rec goofi.Record, done int) {
 			metrics.ExperimentsTotal.Add(1)
-			progress(rec, done)
+			progress(goofi.ShiftID(rec, first), first+done)
 		},
 	}
+	if !c.Spec.Sequential() {
+		// A resumed campaign skips the shards its journal replayed as
+		// complete; a precision batch resumes from its segments alone.
+		c.mu.Lock()
+		opts.CompletedShards = c.shardsDone
+		c.mu.Unlock()
+	}
 	// Leases to executors are journaled so a restarted coordinator skips
-	// finished shards. An in-process campaign's single shard finishes
-	// with the campaign, so journaling its lease would only add fsyncs;
-	// and its engine cannot die apart from this process, so an error it
-	// returns is the engine's own, deterministic, and not worth retrying.
+	// finished shards. An in-process run's single shard finishes with
+	// it, so journaling its lease would only add fsyncs; and its engine
+	// cannot die apart from this process, so an error it returns is the
+	// engine's own, deterministic, and not worth retrying.
 	if _, inproc := executors[0].(dist.Engine); inproc {
 		opts.MaxAttempts = 1
 	} else {
@@ -186,88 +210,72 @@ func (m *Manager) runCampaign(ctx context.Context, c *Campaign, resumed bool) {
 			m.appendJournal(e)
 		}
 	}
-	res, runErr := dist.Run(ctx, c.Spec, executors, opts)
-
-	var recs []goofi.Record
-	var faults goofi.FaultStats
-	if res != nil {
-		recs, faults = res.Records, res.Faults
-		metrics.ExperimentsResumed.Add(int64(faults.Resumed))
-		m.noteStats(c, res.Prune, res.Detect)
-		// Salvaged segments count towards progress as the coordinator
-		// opens them, but their outcomes arrive only with the result.
-		outcomes := make(map[string]int)
-		for _, rec := range recs {
-			outcomes[rec.Outcome]++
-		}
-		c.mu.Lock()
-		c.outcomes = outcomes
-		c.mu.Unlock()
-	}
-	m.conclude(c, recs, faults, runErr)
+	return dist.Run(ctx, spec, executors, opts)
 }
 
-// runSequential executes a precision-driven campaign on this process's
-// engine. Its experiment count is decided as it runs, so it cannot be
-// split into shards up front, but its records land in a segment under
-// <id>.shards/ like every campaign's, and because batch b owns the
-// stable experiment IDs [b·B, (b+1)·B) a resumed run reuses them.
-func (m *Manager) runSequential(ctx context.Context, c *Campaign, resumed bool) {
+// runCampaign executes one campaign: a fixed-count one as a single
+// distRun, a precision-driven one as a loop of fixed-count batches
+// (see runPrecision).
+func (m *Manager) runCampaign(ctx context.Context, c *Campaign, resumed bool) {
+	segDir := m.startRun(c, resumed)
+	progress := m.progressFunc(c)
+	var (
+		res *dist.Result
+		err error
+	)
+	if c.Spec.Sequential() {
+		res, err = m.runPrecision(ctx, c, segDir, progress)
+	} else {
+		res, err = m.distRun(ctx, c, c.Spec, segDir, 0, progress)
+	}
+	if res == nil {
+		res = &dist.Result{}
+	}
+	metrics.ExperimentsResumed.Add(int64(res.Faults.Resumed))
+	m.noteStats(c, res.Prune, res.Detect)
+	// Salvaged segments count towards progress as they are opened,
+	// but their outcomes arrive only with the result.
+	outcomes := make(map[string]int)
+	for _, rec := range res.Records {
+		outcomes[rec.Outcome]++
+	}
+	c.mu.Lock()
+	c.done, c.outcomes = len(res.Records), outcomes
+	c.mu.Unlock()
+	m.conclude(c, res.Records, res.Faults, err)
+}
+
+// runPrecision executes a precision-driven campaign: goofi's stopping
+// rule runs batch b as a plain fixed-count campaign through distRun,
+// with its segments under <segDir>/b<k>/ as its resume source.
+func (m *Manager) runPrecision(ctx context.Context, c *Campaign, segDir string, progress func(goofi.Record, int)) (*dist.Result, error) {
 	cfg, err := c.Spec.Resolve()
 	if err != nil { // validated at Submit; only a programming error lands here
-		m.finalize(c, nil, goofi.FaultStats{}, err, "")
-		return
+		return nil, err
 	}
-	if m.hook != nil {
-		m.hook(&cfg)
-	}
-	var seg *goofi.RecordAppender
-	if segDir := m.startRun(c, resumed); segDir != "" {
-		if err := os.MkdirAll(segDir, 0o755); err != nil {
-			m.logger.Printf("campaign %s: record segment unavailable: %v", c.ID, err)
-		} else if seg, cfg.Resume, err = goofi.OpenRecordAppender(dist.SegmentPath(segDir, 0)); err != nil {
-			m.logger.Printf("campaign %s: record segment unavailable: %v", c.ID, err)
-		}
-	}
-
-	progress := m.progressFunc(c)
-	done := 0
-	cfg.OnResume = func(recs []goofi.Record) {
-		metrics.ExperimentsResumed.Add(int64(len(recs)))
-		for _, rec := range recs {
-			done++
-			progress(rec, done)
-		}
-	}
-	cfg.OnRecord = func(rec goofi.Record) {
-		metrics.ExperimentsTotal.Add(1)
-		if seg != nil {
-			if err := seg.Append(rec); err != nil {
-				m.logger.Printf("campaign %s: record append failed: %v", c.ID, err)
-				seg.Close()
-				seg = nil
-			}
-		}
-		done++
-		progress(rec, done)
-	}
-	res, runErr := goofi.RunUntilPrecisionContext(ctx, goofi.PrecisionConfig{
+	res, err := goofi.RunUntilPrecisionContext(ctx, goofi.PrecisionConfig{
 		Campaign:        cfg,
 		TargetHalfWidth: c.Spec.Precision,
 		MaxExperiments:  c.Spec.MaxExperiments,
+		RunBatch: func(ctx context.Context, b int, batch goofi.Config) (*goofi.Result, error) {
+			spec := c.Spec
+			spec.Precision, spec.MaxExperiments = 0, 0
+			spec.Experiments, spec.Seed = batch.Experiments, batch.Seed
+			dir := segDir
+			if dir != "" {
+				dir = batchDir(segDir, b)
+			}
+			out, err := m.distRun(ctx, c, spec, dir, b*goofi.DefaultBatchSize, progress)
+			if out == nil {
+				return nil, err
+			}
+			return &goofi.Result{Records: out.Records, Faults: out.Faults, Prune: out.Prune, Detect: out.Detect}, err
+		},
 	})
-	if seg != nil {
-		if err := seg.Close(); err != nil {
-			m.logger.Printf("campaign %s: record segment close failed: %v", c.ID, err)
-		}
+	if res == nil {
+		return nil, err
 	}
-	var recs []goofi.Record
-	var faults goofi.FaultStats
-	if res != nil {
-		recs, faults = res.Records, res.Faults
-		m.noteStats(c, res.Prune, res.Detect)
-	}
-	m.conclude(c, recs, faults, runErr)
+	return &dist.Result{Records: res.Records, Faults: res.Faults, Prune: res.Prune, Detect: res.Detect}, err
 }
 
 // progressFunc returns the callback a running campaign reports each

@@ -68,6 +68,27 @@ func soloRecordFile(t *testing.T, spec goofi.CampaignSpec) []byte {
 	return buf.Bytes()
 }
 
+// soloPrecisionFile renders the record-file bytes an in-process
+// goofi.RunUntilPrecision run of a precision-driven spec produces.
+func soloPrecisionFile(t *testing.T, spec goofi.CampaignSpec) []byte {
+	t.Helper()
+	cfg, err := spec.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := goofi.RunUntilPrecision(goofi.PrecisionConfig{
+		Campaign: cfg, TargetHalfWidth: spec.Precision, MaxExperiments: spec.MaxExperiments,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := goofi.WriteRecords(&buf, res.Records); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func waitCampaignDone(t *testing.T, c *Campaign, timeout time.Duration) {
 	t.Helper()
 	select {
@@ -278,6 +299,113 @@ func TestDistCrashRestartResume(t *testing.T) {
 	}
 	if !bytes.Equal(onDisk, want) {
 		t.Fatal("record file differs from solo run after coordinator crash and resume")
+	}
+}
+
+// TestDistPrecisionCampaignMatchesInProcess: a precision-driven
+// campaign runs batch by batch through the coordinator, each batch
+// split into shards smaller than itself across two ctrlexec
+// subprocesses, and writes the record file the in-process run writes.
+func TestDistPrecisionCampaignMatchesInProcess(t *testing.T) {
+	spec := goofi.CampaignSpec{Variant: "alg1", Precision: 1e-6, MaxExperiments: 700, Seed: 61}
+	want := soloPrecisionFile(t, spec)
+	dataDir := t.TempDir()
+	_, ts := newTestServer(t, Config{
+		DataDir:   dataDir,
+		Executors: 2,
+		ExecBin:   ctrlexecBin(t),
+		ShardSize: 200,
+	})
+	v := submit(t, ts, `{"variant":"alg1","precision":0.000001,"maxExperiments":700,"seed":61}`)
+	waitForState(t, ts, v.ID, StateDone, 2*time.Minute)
+	var got View
+	getJSON(t, ts.URL+"/api/v1/campaigns/"+v.ID, &got)
+	if got.Done != 700 || got.Records != 700 {
+		t.Fatalf("done=%d records=%d, want 700/700", got.Done, got.Records)
+	}
+	onDisk, err := os.ReadFile(filepath.Join(dataDir, v.ID+".jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(onDisk, want) {
+		t.Fatalf("distributed precision record file differs from the in-process run (%d vs %d bytes)", len(onDisk), len(want))
+	}
+	if _, err := os.Stat(filepath.Join(dataDir, v.ID+".shards")); !os.IsNotExist(err) {
+		t.Fatalf("segment dir survived a successful campaign (err=%v)", err)
+	}
+	// Batch 0 splits into three shards, batch 1 (200 experiments) is one.
+	if mm := metricsMap(t, ts); mm["shards_completed"] < 4 {
+		t.Fatalf("shards_completed = %v, want >= 4", mm["shards_completed"])
+	}
+}
+
+// TestDistPrecisionCrashRestartResume: the coordinator crashes during
+// the second batch of a distributed precision-driven campaign, with
+// the first batch complete, one shard of the second complete and the
+// other wedged mid-shard. The restarted manager resumes every batch
+// from its segments and writes the in-process run's record file.
+func TestDistPrecisionCrashRestartResume(t *testing.T) {
+	spec := goofi.CampaignSpec{Variant: "alg1", Precision: 1e-6, MaxExperiments: 1000, Seed: 67}
+	want := soloPrecisionFile(t, spec)
+	dataDir := t.TempDir()
+	jnlPath := filepath.Join(t.TempDir(), "journal.wal")
+	opts := Options{
+		Workers:     1,
+		QueueDepth:  4,
+		DataDir:     dataDir,
+		JournalPath: jnlPath,
+		Logger:      quietLogger(),
+		Executors:   2,
+		ExecBin:     ctrlexecBin(t),
+		ShardSize:   250,
+	}
+	first := opts
+	first.LeaseTTL = time.Minute // the wedge must outlive phase one
+	first.DistTaskHook = func(task *dist.ShardTask) {
+		if task.Spec.Seed == spec.Seed+1_000_003 && task.Shard == 0 && task.Attempt == 0 {
+			task.ChaosHangAfter = 2 // batch 1, shard 0 stalls after 2 records
+		}
+	}
+	mgr1, err := NewManager(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1, err := mgr1.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const reached = goofi.DefaultBatchSize + 250 + 2
+	deadline := time.Now().Add(2 * time.Minute)
+	for c1.Snapshot().Done < reached {
+		if time.Now().After(deadline) {
+			t.Fatalf("campaign never reached %d records (at %d)", reached, c1.Snapshot().Done)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	mgr1.kill()
+
+	mgr2, err := NewManager(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr2.Close()
+	c2, err := mgr2.Get(c1.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := c2.Snapshot(); !v.Resumed || v.Total != 1000 {
+		t.Fatalf("restored campaign resumed=%v total=%d, want a resumed campaign of budget 1000", v.Resumed, v.Total)
+	}
+	waitCampaignDone(t, c2, 2*time.Minute)
+	if got := c2.Snapshot().Faults.Resumed; got < reached {
+		t.Errorf("resumed %d records, want at least the %d persisted before the crash", got, reached)
+	}
+	onDisk, err := os.ReadFile(filepath.Join(dataDir, c2.ID+".jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(onDisk, want) {
+		t.Fatal("precision record file differs from the in-process run after coordinator crash and resume")
 	}
 }
 

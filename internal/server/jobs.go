@@ -194,8 +194,7 @@ func (c *Campaign) Records() []goofi.Record {
 		case c.segDir != "":
 			// No canonical file yet (still running, or a crash before
 			// the final rewrite): the segments, read afresh each time.
-			recs, _ := dist.LoadSegments(c.segDir)
-			return recs
+			return liveRecords(c.Spec, c.segDir)
 		}
 	}
 	return append([]goofi.Record(nil), c.records...)
@@ -330,10 +329,10 @@ type Options struct {
 	// configs leave it nil.
 	ConfigHook func(*goofi.Config)
 
-	// Executors, when positive, shards fixed-count campaigns across
-	// this many local ctrlexec subprocesses (plus any registered remote
-	// executors) instead of running each as one in-process shard.
-	// Requires ExecBin.
+	// Executors, when positive, shards campaigns (a precision-driven
+	// one batch by batch) across this many local ctrlexec subprocesses
+	// (plus any registered remote executors) instead of running each as
+	// one in-process shard. Requires ExecBin.
 	Executors int
 	// ExecBin is the ctrlexec binary local executor slots spawn.
 	ExecBin string
@@ -772,12 +771,9 @@ func (m *Manager) execute(c *Campaign) {
 	defer metrics.BusyWorkers.Add(-1)
 	m.appendJournal(journal.Entry{Job: c.ID, Type: journal.EventStarted, State: string(StateRunning)})
 
-	switch {
-	case c.Kind == KindTune:
+	if c.Kind == KindTune {
 		m.runTune(ctx, c)
-	case c.Spec.Sequential():
-		m.runSequential(ctx, c, resumed)
-	default:
+	} else {
 		m.runCampaign(ctx, c, resumed)
 	}
 }

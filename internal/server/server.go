@@ -88,10 +88,10 @@ type Config struct {
 	// panics and hangs through it; leave nil in production.
 	ConfigHook func(*goofi.Config)
 
-	// Executors, when positive, shards fixed-count campaigns across
-	// this many local ctrlexec subprocesses (plus any remote executors
-	// that register themselves) instead of running each as one
-	// in-process shard. Requires ExecBin.
+	// Executors, when positive, shards campaigns (a precision-driven
+	// one batch by batch) across this many local ctrlexec subprocesses
+	// (plus any remote executors that register themselves) instead of
+	// running each as one in-process shard. Requires ExecBin.
 	Executors int
 
 	// ExecBin is the ctrlexec binary local executor slots spawn.

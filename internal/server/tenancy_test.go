@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"ctrlguard/internal/goofi"
 	"ctrlguard/internal/tenant"
 )
 
@@ -144,6 +145,25 @@ func TestTenantQuotaOutstandingExperiments(t *testing.T) {
 	// A job that still fits goes through.
 	if resp, body := postSpec(t, ts, "cap-key", `{"variant":"alg1","n":20,"seed":3}`); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("within-quota submit rejected: %d %s", resp.StatusCode, body)
+	}
+}
+
+// TestTenantQuotaPrecisionDefaultBudget: a precision-driven
+// submission is charged its experiment budget, the default one when
+// maxExperiments is unset, so a quota below that budget refuses it.
+func TestTenantQuotaPrecisionDefaultBudget(t *testing.T) {
+	_, ts := newTestServer(t, Config{
+		Workers: 1, QueueDepth: 8,
+		Tenants: []tenant.Tenant{
+			{Name: "capped", Key: "cap-key", MaxQueuedExperiments: goofi.DefaultMaxExperiments - 1},
+		},
+	})
+	resp, body := postSpec(t, ts, "cap-key", `{"variant":"alg1","precision":0.01,"seed":1}`)
+	if resp.StatusCode != http.StatusTooManyRequests || !strings.Contains(string(body), "quota") {
+		t.Fatalf("default-budget precision submit returned %d (%s), want 429 quota", resp.StatusCode, body)
+	}
+	if v := submitKey(t, ts, "cap-key", `{"variant":"alg1","precision":0.01,"maxExperiments":100,"seed":1}`); v.Total != 100 {
+		t.Fatalf("explicit-budget precision campaign total = %d, want 100", v.Total)
 	}
 }
 
@@ -314,6 +334,67 @@ func TestMemoizationServesDuplicates(t *testing.T) {
 	v3 := submit(t, ts, `{"variant":"alg1","n":120,"seed":43}`)
 	if v3.CacheHit {
 		t.Fatal("distinct spec wrongly served from cache")
+	}
+}
+
+// TestMemoizationPrecisionCampaign: a precision-driven campaign is
+// deterministic for its spec, so an identical resubmission is served
+// from the cache, byte-identical; another budget is another address.
+func TestMemoizationPrecisionCampaign(t *testing.T) {
+	dataDir := t.TempDir()
+	_, ts := newTestServer(t, Config{
+		Workers: 1, QueueDepth: 4,
+		DataDir: dataDir, CacheDir: t.TempDir(),
+	})
+	const spec = `{"variant":"alg1","precision":0.000001,"maxExperiments":600,"seed":42}`
+	v1 := submit(t, ts, spec)
+	waitForState(t, ts, v1.ID, StateDone, time.Minute)
+	want, err := os.ReadFile(filepath.Join(dataDir, v1.ID+".jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := submit(t, ts, spec)
+	if v2.State != StateDone || !v2.CacheHit {
+		t.Fatalf("duplicate precision spec not served from cache: state %s, cacheHit %v", v2.State, v2.CacheHit)
+	}
+	got, err := os.ReadFile(filepath.Join(dataDir, v2.ID+".jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("memoized precision record file differs from the original run (%d vs %d bytes)", len(got), len(want))
+	}
+	if v3 := submit(t, ts, `{"variant":"alg1","precision":0.000001,"maxExperiments":500,"seed":42}`); v3.CacheHit {
+		t.Fatal("precision spec with another budget wrongly served from cache")
+	}
+}
+
+// TestMemoizationKeysPinned pins the content addresses of fixed-count
+// specs, detector-armed included: the precision fields of the memo
+// projection must not re-key any existing cache entry.
+func TestMemoizationKeysPinned(t *testing.T) {
+	for _, tc := range []struct {
+		spec goofi.CampaignSpec
+		want string
+	}{
+		{goofi.CampaignSpec{Alg: 1, Experiments: 300, Seed: 2001},
+			"e4a65c0dfda70eab86530180e2846687e509497209ff02a4f79cec39e990b2b6"},
+		{goofi.CampaignSpec{Variant: "alg2", Experiments: 150, Seed: 9, Detector: "cfe+automaton"},
+			"f17e910683fc3dcc7e332e8d6474978b9bd35e40eed6f92bcc20beb61e8e6c71"},
+	} {
+		got, err := memoKey(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("memoKey(%+v) = %s, want %s", tc.spec, got, tc.want)
+		}
+	}
+	// A precision spec's key ignores n and resolves the default budget.
+	a, _ := memoKey(goofi.CampaignSpec{Alg: 1, Seed: 5, Precision: 0.01, Experiments: 77})
+	b, _ := memoKey(goofi.CampaignSpec{Alg: 1, Seed: 5, Precision: 0.01, MaxExperiments: goofi.DefaultMaxExperiments})
+	if a != b {
+		t.Errorf("precision keys differ by n or budget spelling: %s vs %s", a, b)
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 // handleTrace replays experiment {n} of a campaign in detail mode and
 // serves its propagation trace. The replay is derived from the
 // campaign spec's seed — no trace is stored ahead of time — so it
-// works for any experiment of any fixed-size campaign, at the cost of
-// two instrumented runs per request. ?format= selects the shape:
+// works for any experiment of any campaign, at the cost of two
+// instrumented runs per request. ?format= selects the shape:
 // json (default: record + trace + causal chain), bin (the compact
 // stream format), svg (the propagation timeline), or text (the chain).
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
@@ -23,13 +23,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	if c.Kind != KindCampaign {
 		s.writeError(w, http.StatusConflict, "campaign %s is not a fault-injection campaign", c.ID)
-		return
-	}
-	if c.Spec.Sequential() {
-		// Sequential campaigns re-seed per batch; their experiments
-		// are not addressable by a single (seed, index) pair.
-		s.writeError(w, http.StatusConflict,
-			"campaign %s is precision-driven; its experiments cannot be replayed by index", c.ID)
 		return
 	}
 	n, err := strconv.Atoi(r.PathValue("n"))
@@ -56,8 +49,21 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
+	if cfg.Detect.Enabled() {
+		s.writeError(w, http.StatusConflict,
+			"campaign %s arms detectors; the detail-mode replay cannot", c.ID)
+		return
+	}
+	local := n
+	if c.Spec.Sequential() {
+		// Experiment n of a precision-driven campaign is experiment
+		// n mod B of its batch n / B, a fixed-count campaign with the
+		// batch's own seed.
+		pc := goofi.PrecisionConfig{Campaign: cfg, MaxExperiments: c.Spec.MaxExperiments}
+		cfg, local = pc.Batch(n/goofi.DefaultBatchSize), n%goofi.DefaultBatchSize
+	}
 
-	tr, err := goofi.TraceExperiment(r.Context(), cfg, n)
+	tr, err := goofi.TraceExperiment(r.Context(), cfg, local)
 	if err != nil {
 		if r.Context().Err() != nil {
 			return // client went away mid-trace; nothing to answer
@@ -65,6 +71,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusInternalServerError, "trace: %v", err)
 		return
 	}
+	tr.Header.Experiment = n
 
 	format := r.URL.Query().Get("format")
 	switch format {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -101,17 +102,41 @@ func TestTraceLookupFailures(t *testing.T) {
 			t.Errorf("experiment %q: %d, want 404", n, code)
 		}
 	}
+
+	// The detail-mode replay cannot arm a detector campaign's monitors.
+	d := submit(t, ts, `{"alg": 1, "n": 3, "seed": 9, "detector": "cfe"}`)
+	waitForTerminal(t, ts, d.ID, 30*time.Second)
+	if code := getJSON(t, ts.URL+"/api/v1/campaigns/"+d.ID+"/experiments/0/trace", nil); code != http.StatusConflict {
+		t.Errorf("detector campaign trace: %d, want 409", code)
+	}
 }
 
-func TestTraceSequentialCampaignConflict(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
-	// A precision-driven campaign re-seeds per batch, so its
-	// experiments cannot be replayed by (seed, index); queued or not,
-	// the endpoint must refuse rather than serve a wrong replay.
-	v := submit(t, ts, `{"alg": 1, "seed": 3, "precision": 0.4, "maxExperiments": 100}`)
-	code := getJSON(t, ts.URL+"/api/v1/campaigns/"+v.ID+"/experiments/0/trace", nil)
-	if code != http.StatusConflict {
-		t.Errorf("sequential campaign trace: %d, want 409", code)
+// TestTracePrecisionCampaignLaterBatch: experiment n of a
+// precision-driven campaign replays as experiment n mod B of batch
+// n / B under that batch's seed, so a trace of an experiment past the
+// first batch injects the fault its record logged.
+func TestTracePrecisionCampaignLaterBatch(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, DataDir: t.TempDir()})
+	v := submit(t, ts, `{"alg": 1, "seed": 3, "precision": 0.000001, "maxExperiments": 600}`)
+	waitForState(t, ts, v.ID, StateDone, time.Minute)
+
+	const n = goofi.DefaultBatchSize + 23
+	var tr traceResponse
+	if code := getJSON(t, ts.URL+"/api/v1/campaigns/"+v.ID+"/experiments/"+strconv.Itoa(n)+"/trace", &tr); code != http.StatusOK {
+		t.Fatalf("trace returned %d", code)
+	}
+	rec, h := tr.Record, tr.Trace.Header
+	if rec.ID != n || h.Experiment != n {
+		t.Fatalf("record ID %d, trace experiment %d, want %d", rec.ID, h.Experiment, n)
+	}
+	if h.Seed != 3+1_000_003 {
+		t.Errorf("trace seed %d, want batch 1's seed %d", h.Seed, 3+1_000_003)
+	}
+	if h.Injection.Element != rec.Element || h.Injection.Bit != rec.Bit || h.Injection.At != rec.At {
+		t.Errorf("trace injects %v, record logged %s[%d]@%d", h.Injection, rec.Element, rec.Bit, rec.At)
+	}
+	if h.Outcome != rec.Outcome {
+		t.Errorf("trace outcome %q, record %q", h.Outcome, rec.Outcome)
 	}
 }
 

@@ -84,6 +84,8 @@ func Capture(ctx context.Context, variant workload.Variant, spec workload.RunSpe
 			Element: inj.Bit.Element,
 			Bit:     inj.Bit.Bit,
 			At:      inj.At,
+			Model:   string(inj.Model),
+			Width:   inj.Width,
 		},
 		InjectionIteration:  injIter,
 		Iterations:          spec.Iterations,

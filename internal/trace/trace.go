@@ -29,6 +29,11 @@ type Injection struct {
 	Element string `json:"element"`
 	Bit     uint   `json:"bit"`
 	At      uint64 `json:"at"`
+
+	// Model and Width name the fault model as goofi records do; both
+	// are empty/zero for the default single bit-flip.
+	Model string `json:"model,omitempty"`
+	Width int    `json:"width,omitempty"`
 }
 
 // String renders the fault site like cpu.StateBit does.
