@@ -10,7 +10,6 @@
 //	goofi -variant alg2-failstop    campaign on an ablation variant
 //	goofi -swifi -n 2000            pre-runtime SWIFI campaign
 //	goofi -analyze records.jsonl    analysis phase over logged records
-//	goofi -trace line0.data0:28:300 detail-mode propagation of one fault
 //	goofi -disasm                   disassemble the workload program
 //	goofi -model pc -n 2000         attack-style fault model (-list-models)
 //	goofi -detector cfe+automaton   arm in-loop detectors (-list-detectors)
@@ -27,10 +26,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 
-	"ctrlguard/internal/cpu"
 	"ctrlguard/internal/detect"
 	"ctrlguard/internal/goofi"
 	"ctrlguard/internal/inject"
@@ -49,7 +45,6 @@ func main() {
 		compare   = flag.Bool("compare", false, "run Algorithm I and II campaigns and print Table 4")
 		swifi     = flag.Bool("swifi", false, "run a pre-runtime SWIFI campaign instead of SCIFI")
 		analyze   = flag.String("analyze", "", "skip injection; analyse records from this JSONL file")
-		trace     = flag.String("trace", "", "detail mode: element:bit:iteration, e.g. line0.data0:28:300")
 		disasm    = flag.Bool("disasm", false, "print the workload's disassembly and exit")
 		mark      = flag.Bool("markdown", false, "with -compare: emit a markdown report instead of tables")
 		precision = flag.Float64("precision", 0, "run batches until the severe-rate 95% CI half-width is below this (e.g. 0.001)")
@@ -91,7 +86,7 @@ func main() {
 	if err == nil && spec.Sequential() {
 		err = runPrecision(ctx, cfg, *precision, *out)
 	} else if err == nil {
-		err = run(ctx, cfg, *n, *n2, *out, *compare, *swifi, *analyze, *trace, *disasm, *mark, *quiet)
+		err = run(ctx, cfg, *n, *n2, *out, *compare, *swifi, *analyze, *disasm, *mark, *quiet)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "goofi:", err)
@@ -100,7 +95,7 @@ func main() {
 }
 
 func run(ctx context.Context, base goofi.Config, n, n2 int, out string,
-	compare, swifi bool, analyze, trace string, disasm, markdown, quiet bool) error {
+	compare, swifi bool, analyze string, disasm, markdown, quiet bool) error {
 	v := base.Variant
 	switch {
 	case disasm:
@@ -108,8 +103,6 @@ func run(ctx context.Context, base goofi.Config, n, n2 int, out string,
 		return nil
 	case analyze != "":
 		return runAnalyze(analyze)
-	case trace != "":
-		return runTrace(v, trace)
 	case compare:
 		return runCompare(ctx, base, n, n2, markdown, quiet)
 	}
@@ -122,7 +115,7 @@ func run(ctx context.Context, base goofi.Config, n, n2 int, out string,
 		if base.Detect.Enabled() {
 			return fmt.Errorf("-detector does not apply to SWIFI campaigns (detectors monitor the runtime loop)")
 		}
-		res, err = goofi.RunSWIFI(base)
+		res, err = goofi.RunSWIFI(ctx, base)
 	} else {
 		res, err = campaign(ctx, base, v, n, base.Seed, quiet)
 	}
@@ -139,21 +132,18 @@ func run(ctx context.Context, base goofi.Config, n, n2 int, out string,
 		}
 		fmt.Printf("records written to %s (%d experiments)\n", out, len(res.Records))
 	}
+	tally, title := goofi.Analyze, fmt.Sprintf("Results for %s (cf. paper Table %s)", v, tableFor(v))
+	if swifi {
+		tally = goofi.AnalyzeSWIFI
+		title = fmt.Sprintf("Pre-runtime SWIFI results for %s (columns: code image / data image / total)", v)
+	}
+	a := tally(res.Records)
 	if interrupted {
 		if len(res.Records) == 0 {
 			return context.Canceled
 		}
-		a := goofi.Analyze(res.Records)
 		fmt.Println(a.RenderRegionTable(fmt.Sprintf("Partial results for %s (interrupted)", v)))
 		return nil
-	}
-	var a *goofi.Analysis
-	title := fmt.Sprintf("Results for %s (cf. paper Table %s)", v, tableFor(v))
-	if swifi {
-		a = goofi.AnalyzeSWIFI(res.Records)
-		title = fmt.Sprintf("Pre-runtime SWIFI results for %s (columns: code image / data image / total)", v)
-	} else {
-		a = goofi.Analyze(res.Records)
 	}
 	fmt.Println(a.RenderRegionTable(title))
 	fmt.Println(a.Summary())
@@ -209,46 +199,6 @@ func runAnalyze(path string) error {
 	q := goofi.NewQuery(recs)
 	fmt.Println(q.Severe().Report("severe value failures"))
 	fmt.Println(q.Detected("").Report("detected errors"))
-	return nil
-}
-
-// runTrace runs one detail-mode experiment (GOOFI's execution-trace
-// mode) and prints the propagation report.
-func runTrace(v workload.Variant, spec string) error {
-	parts := strings.Split(spec, ":")
-	if len(parts) != 3 {
-		return fmt.Errorf("bad -trace %q, want element:bit:iteration", spec)
-	}
-	bit, err := strconv.Atoi(parts[1])
-	if err != nil || bit < 0 {
-		return fmt.Errorf("bad bit %q", parts[1])
-	}
-	iter, err := strconv.Atoi(parts[2])
-	if err != nil || iter < 0 {
-		return fmt.Errorf("bad iteration %q", parts[2])
-	}
-
-	region := cpu.RegionCache
-	if !strings.HasPrefix(parts[0], "line") {
-		region = cpu.RegionRegisters
-	}
-	runSpec := workload.SpecFor(v)
-	golden := workload.Run(workload.Program(v), runSpec)
-	if golden.Detected() {
-		return fmt.Errorf("reference execution trapped: %v", golden.Trap)
-	}
-	if iter >= len(golden.IterationStarts) {
-		return fmt.Errorf("iteration %d beyond the run (%d)", iter, len(golden.IterationStarts))
-	}
-	inj := workload.Injection{
-		At:  golden.IterationStarts[iter] + 1,
-		Bit: cpu.StateBit{Region: region, Element: parts[0], Bit: uint(bit)},
-	}
-	p, err := goofi.TracePropagation(v, runSpec, inj)
-	if err != nil {
-		return err
-	}
-	fmt.Println(p)
 	return nil
 }
 

@@ -18,7 +18,6 @@ import (
 	"ctrlguard/internal/detect"
 	"ctrlguard/internal/inject"
 	"ctrlguard/internal/prune"
-	"ctrlguard/internal/trace"
 	"ctrlguard/internal/workload"
 )
 
@@ -54,12 +53,6 @@ type Config struct {
 	// record. Calls are serialised (never concurrent) but their order
 	// follows worker completion, not experiment ID.
 	OnRecord func(Record)
-
-	// Trace, if non-nil, re-runs selected experiments in detail mode
-	// after classification and hands their propagation traces to
-	// Trace.OnTrace. Opt-in: tracing is far slower than the campaign
-	// itself (see TraceConfig).
-	Trace *TraceConfig
 
 	// Resume holds records persisted by an earlier, interrupted run of
 	// the same campaign. Experiments whose deterministic injection
@@ -128,8 +121,7 @@ type Config struct {
 	// but is not emitted). Result.Records holds the shard's records in
 	// experiment-ID order, each byte-identical to the corresponding solo
 	// record — the invariant distributed campaigns rely on to merge
-	// shard segments into a solo-identical file. Incompatible with Trace
-	// (which must see the whole campaign).
+	// shard segments into a solo-identical file.
 	Shard *Shard
 
 	// lockstepK, if positive, overrides the derived lockstep batch
@@ -229,12 +221,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		if err := shard.validFor(cfg.Experiments); err != nil {
 			return nil, err
 		}
-		if cfg.Trace != nil {
-			return nil, fmt.Errorf("goofi: shard-scoped campaigns cannot trace (tracing needs the whole campaign)")
-		}
-	}
-	if cfg.Trace != nil && cfg.Detect.Enabled() {
-		return nil, fmt.Errorf("goofi: trace mode does not support detector campaigns (the detail-mode replay cannot arm monitors)")
 	}
 	inShard := func(i int) bool { return shard == nil || shard.Contains(i) }
 	shardTotal := cfg.Experiments
@@ -460,25 +446,12 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	// retried, deadline-bounded — and books its record.
 	runSolo := func(i int) {
 		rec, fs := runExperimentIsolated(prog, cfg, golden, warm, det, i, injections[i])
-		var tr *trace.Trace
-		if cfg.Trace != nil && cfg.Trace.OnTrace != nil && cfg.Trace.shouldTrace(rec) {
-			// Capture errors mean cancellation; the partial
-			// campaign result already reflects that.
-			if t, err := trace.Capture(ctx, cfg.Variant, cfg.Spec, injections[i], cfg.Classify); err == nil {
-				t.Header.Experiment = i
-				t.Header.Seed = cfg.Seed
-				tr = t
-			}
-		}
 		mu.Lock()
 		faults.Add(fs)
 		if lockstep != nil {
 			lockstep.Solo++
 		}
 		settle(i, rec)
-		if tr != nil {
-			cfg.Trace.OnTrace(records[i], tr)
-		}
 		mu.Unlock()
 	}
 

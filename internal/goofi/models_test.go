@@ -2,6 +2,7 @@ package goofi
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"os"
 	"strconv"
@@ -9,7 +10,6 @@ import (
 
 	"ctrlguard/internal/detect"
 	"ctrlguard/internal/inject"
-	"ctrlguard/internal/trace"
 	"ctrlguard/internal/workload"
 )
 
@@ -228,13 +228,13 @@ func TestDetectorCampaignDeterministic(t *testing.T) {
 // the runtime-only models instead of silently running default flips.
 func TestSWIFIRejectsRuntimeModels(t *testing.T) {
 	for _, m := range []inject.FaultModel{workload.ModelPC, workload.ModelTransient} {
-		_, err := RunSWIFI(Config{Variant: workload.AlgorithmI, Experiments: 10, Seed: 3,
+		_, err := RunSWIFI(context.Background(), Config{Variant: workload.AlgorithmI, Experiments: 10, Seed: 3,
 			Model: m})
 		if err == nil {
 			t.Errorf("SWIFI accepted runtime-only model %s", m)
 		}
 	}
-	if _, err := RunSWIFI(Config{Variant: workload.AlgorithmI, Experiments: 10, Seed: 3,
+	if _, err := RunSWIFI(context.Background(), Config{Variant: workload.AlgorithmI, Experiments: 10, Seed: 3,
 		Model: workload.ModelBurst, BurstWidth: 2}); err != nil {
 		t.Errorf("SWIFI rejected the burst model: %v", err)
 	}
@@ -244,47 +244,51 @@ func TestSWIFIRejectsRuntimeModels(t *testing.T) {
 // replay, which cannot arm monitors.
 func TestTraceRejectsDetectors(t *testing.T) {
 	cfg := Config{Variant: workload.AlgorithmI, Experiments: 5, Seed: 1,
-		Detect: detect.Spec{CFE: true},
-		Trace:  &TraceConfig{OnTrace: func(Record, *trace.Trace) {}},
-	}
-	if _, err := Run(cfg); err == nil {
-		t.Error("trace mode accepted armed detectors")
-	}
-	cfg.Trace = nil
+		Detect: detect.Spec{CFE: true}}
 	if _, err := TraceExperiment(nil, cfg, 0); err == nil {
 		t.Error("TraceExperiment replayed a detector campaign without its monitors")
 	}
 }
 
 // TestTraceExperimentMatchesModelRecords: replaying experiment n of a
-// campaign under any fault model injects the very fault its record
-// logged and reaches the same verdict.
+// campaign under any fault model, the default "" included, injects the
+// very fault its record logged, names that experiment and seed in the
+// header, and reaches the same verdict.
 func TestTraceExperimentMatchesModelRecords(t *testing.T) {
 	spec := workload.PaperRunSpec()
 	spec.Iterations = 80
-	for _, m := range append([]inject.FaultModel{workload.ModelBitFlip}, nonDefaultModels...) {
-		cfg := Config{Variant: workload.AlgorithmI, Experiments: 12, Seed: 23, Spec: spec, Model: m}
-		if m == workload.ModelBurst {
-			cfg.BurstWidth = 3
+	for _, m := range append([]inject.FaultModel{"", workload.ModelBitFlip}, nonDefaultModels...) {
+		name := string(m)
+		if m == "" {
+			name = "default"
 		}
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", m, err)
-		}
-		for _, n := range []int{0, 7, 11} {
-			tr, err := TraceExperiment(nil, cfg, n)
+		t.Run(name, func(t *testing.T) {
+			cfg := Config{Variant: workload.AlgorithmI, Experiments: 12, Seed: 23, Spec: spec, Model: m}
+			if m == workload.ModelBurst {
+				cfg.BurstWidth = 3
+			}
+			res, err := Run(cfg)
 			if err != nil {
-				t.Fatalf("%s experiment %d: %v", m, n, err)
+				t.Fatal(err)
 			}
-			rec, inj := res.Records[n], tr.Header.Injection
-			if inj.Element != rec.Element || inj.Bit != rec.Bit || inj.At != rec.At ||
-				inj.Model != rec.Model || inj.Width != rec.Width {
-				t.Errorf("%s experiment %d: trace injects %+v, record logged %s[%d]@%d model %q width %d",
-					m, n, inj, rec.Element, rec.Bit, rec.At, rec.Model, rec.Width)
+			for _, n := range []int{0, 7, 11} {
+				tr, err := TraceExperiment(nil, cfg, n)
+				if err != nil {
+					t.Fatalf("experiment %d: %v", n, err)
+				}
+				rec, h := res.Records[n], tr.Header
+				if h.Experiment != rec.ID || h.Seed != cfg.Seed {
+					t.Errorf("experiment %d: trace header identifies %d/seed %d", n, h.Experiment, h.Seed)
+				}
+				if inj := h.Injection; inj.Region != rec.Region || inj.Element != rec.Element ||
+					inj.Bit != rec.Bit || inj.At != rec.At || inj.Model != rec.Model || inj.Width != rec.Width {
+					t.Errorf("experiment %d: trace injects %+v, record logged %s/%s[%d]@%d model %q width %d",
+						n, inj, rec.Region, rec.Element, rec.Bit, rec.At, rec.Model, rec.Width)
+				}
+				if h.Outcome != rec.Outcome {
+					t.Errorf("experiment %d: trace outcome %q, record %q", n, h.Outcome, rec.Outcome)
+				}
 			}
-			if tr.Header.Outcome != rec.Outcome {
-				t.Errorf("%s experiment %d: trace outcome %q, record %q", m, n, tr.Header.Outcome, rec.Outcome)
-			}
-		}
+		})
 	}
 }

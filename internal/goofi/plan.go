@@ -83,8 +83,6 @@ func (p *ExecPlan) decline(ls Layer, why string) {
 //     injection and re-convergence is tested only at later iteration
 //     boundaries, so an equal state digest and output history imply an
 //     equal remainder whatever the model.
-//   - Trace mode simulates every selected experiment in detail, so it
-//     declines pruning and batching.
 //   - Chaos hooks and per-experiment deadlines build their fault
 //     isolation around solo runs, so they decline batching.
 //
@@ -102,9 +100,6 @@ func planFor(cfg Config) ExecPlan {
 	if !prune.SupportsModel(string(cfg.Model)) {
 		p.decline(LayerPrune,
 			fmt.Sprintf("fault model %q is not a permanent single bit-flip", cfg.Model))
-	}
-	if cfg.Trace != nil {
-		p.decline(LayerPrune|LayerLockstep, "trace mode simulates every selected experiment")
 	}
 	if cfg.Chaos != nil {
 		p.decline(LayerLockstep, "chaos hooks need solo-run fault isolation")

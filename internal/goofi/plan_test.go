@@ -17,7 +17,6 @@ const (
 	whyAblated  = "ablated by Config.Ablate"
 	whyObserver = "a detail-mode observer must see every instruction"
 	whyDetect   = "armed detectors must see every instruction"
-	whyTrace    = "trace mode simulates every selected experiment"
 	whyChaos    = "chaos hooks need solo-run fault isolation"
 	whyTimeout  = "per-experiment deadlines need solo-run fault isolation"
 )
@@ -34,7 +33,6 @@ var planModes = []struct {
 }{
 	{"default", func(*Config) {}},
 	{"observer", func(c *Config) { c.Spec.Observer = func(int, uint64, *cpu.CPU) {} }},
-	{"trace", func(c *Config) { c.Trace = &TraceConfig{} }},
 	{"chaos", func(c *Config) { c.Chaos = func(int, int) {} }},
 	{"timeout", func(c *Config) { c.ExperimentTimeout = time.Second }},
 	{"spec", func(c *Config) { c.Spec = workload.SpecFor(c.Variant) }},
@@ -76,11 +74,6 @@ func expectedPlan(mode string, m inject.FaultModel, armed bool) ExecPlan {
 			wantPlan(false, map[Layer]string{W: whyObserver, P: whyObserver, L: whyObserver}),
 			wantPlan(false, map[Layer]string{W: whyObserver, P: whyObserver, L: whyObserver}),
 			wantPlan(false, map[Layer]string{W: whyObserver, P: whyObserver, L: whyObserver}),
-		},
-		"trace": {
-			wantPlan(true, map[Layer]string{P: whyTrace, L: whyTrace}),
-			wantPlan(true, map[Layer]string{P: wm, L: whyTrace}),
-			wantPlan(false, map[Layer]string{W: whyDetect, P: whyDetect, L: whyDetect}),
 		},
 		"chaos": {
 			wantPlan(true, map[Layer]string{L: whyChaos}),

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"ctrlguard/internal/trace"
 	"ctrlguard/internal/workload"
 )
 
@@ -43,12 +42,6 @@ func TestShardValidation(t *testing.T) {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("shard %+v accepted, want error", s)
 		}
-	}
-	cfg := base
-	cfg.Shard = &Shard{Start: 0, End: 10}
-	cfg.Trace = &TraceConfig{OnTrace: func(Record, *trace.Trace) {}}
-	if _, err := Run(cfg); err == nil {
-		t.Error("shard with trace accepted, want error")
 	}
 }
 

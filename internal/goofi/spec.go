@@ -18,6 +18,18 @@ import (
 // addressable.
 const EngineVersion = "goofi/1"
 
+// Size bounds on a CampaignSpec. Specs arrive from untrusted front ends
+// and the engine allocates per experiment and per worker up front, so
+// Resolve rejects anything larger instead of letting an allocation
+// panic take the process down.
+const (
+	// ExperimentLimit bounds n and maxExperiments (about 100x the paper's
+	// largest campaign).
+	ExperimentLimit = 1_000_000
+	// WorkerLimit bounds workers.
+	WorkerLimit = 1024
+)
+
 // CampaignSpec is the external, serialisable description of a campaign,
 // shared by cmd/goofi's flag parsing and ctrlguardd's JSON API so both
 // front ends validate requests identically.
@@ -79,11 +91,14 @@ func (s CampaignSpec) Resolve() (Config, error) {
 	if !s.Sequential() && s.Experiments <= 0 {
 		return Config{}, fmt.Errorf("goofi: campaign needs a positive experiment count, got %d", s.Experiments)
 	}
-	if s.Workers < 0 {
-		return Config{}, fmt.Errorf("goofi: workers must be non-negative, got %d", s.Workers)
+	if s.Experiments > ExperimentLimit {
+		return Config{}, fmt.Errorf("goofi: experiment count must be at most %d, got %d", ExperimentLimit, s.Experiments)
 	}
-	if s.MaxExperiments < 0 {
-		return Config{}, fmt.Errorf("goofi: maxExperiments must be non-negative, got %d", s.MaxExperiments)
+	if s.Workers < 0 || s.Workers > WorkerLimit {
+		return Config{}, fmt.Errorf("goofi: workers must be in [0, %d], got %d", WorkerLimit, s.Workers)
+	}
+	if s.MaxExperiments < 0 || s.MaxExperiments > ExperimentLimit {
+		return Config{}, fmt.Errorf("goofi: maxExperiments must be in [0, %d], got %d", ExperimentLimit, s.MaxExperiments)
 	}
 	model, err := inject.ParseModel(s.Model)
 	if err != nil {

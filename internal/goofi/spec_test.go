@@ -1,7 +1,9 @@
 package goofi
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -53,6 +55,11 @@ func TestCampaignSpecResolveInvalid(t *testing.T) {
 		{"precision too large", CampaignSpec{Alg: 1, Precision: 1.5}, "precision"},
 		{"negative workers", CampaignSpec{Alg: 1, Experiments: 10, Workers: -1}, "workers"},
 		{"negative budget", CampaignSpec{Alg: 1, Precision: 0.01, MaxExperiments: -1}, "maxExperiments"},
+		{"experiments past limit", CampaignSpec{Alg: 1, Experiments: ExperimentLimit + 1}, "experiment count"},
+		{"experiments overflow", CampaignSpec{Alg: 1, Experiments: 1 << 62}, "experiment count"},
+		{"precision with oversized n", CampaignSpec{Alg: 1, Precision: 0.01, Experiments: 1 << 62}, "experiment count"},
+		{"budget past limit", CampaignSpec{Alg: 1, Precision: 0.01, MaxExperiments: ExperimentLimit + 1}, "maxExperiments"},
+		{"workers past limit", CampaignSpec{Alg: 1, Experiments: 10, Workers: WorkerLimit + 1}, "workers"},
 	}
 	for _, c := range cases {
 		if _, err := c.spec.Resolve(); err == nil || !strings.Contains(err.Error(), c.errPart) {
@@ -70,6 +77,16 @@ func TestCampaignSpecResolveValid(t *testing.T) {
 		t.Errorf("Resolve() = %+v", cfg)
 	}
 
+	// Each size bound is inclusive.
+	for _, spec := range []CampaignSpec{
+		{Alg: 1, Experiments: ExperimentLimit, Workers: WorkerLimit},
+		{Alg: 1, Precision: 0.01, MaxExperiments: ExperimentLimit},
+	} {
+		if _, err := spec.Resolve(); err != nil {
+			t.Errorf("spec at the size limits rejected: %+v: %v", spec, err)
+		}
+	}
+
 	// Precision-driven specs don't need an experiment count.
 	if _, err := (CampaignSpec{Variant: "alg1", Precision: 0.005}).Resolve(); err != nil {
 		t.Errorf("precision spec rejected: %v", err)
@@ -77,6 +94,41 @@ func TestCampaignSpecResolveValid(t *testing.T) {
 	if !(CampaignSpec{Precision: 0.005}).Sequential() {
 		t.Error("Sequential() = false for a precision spec")
 	}
+}
+
+// FuzzCampaignSpecResolve decodes arbitrary bytes the way ctrlguardd
+// decodes a submission and resolves them: Resolve must never panic, and
+// every spec it accepts must be within the size bounds.
+func FuzzCampaignSpecResolve(f *testing.F) {
+	for _, seed := range []string{
+		`{"variant":"alg1","n":300,"seed":2001,"workers":4}`,
+		`{"alg":2,"n":150,"seed":9,"detector":"cfe+automaton"}`,
+		`{"variant":"alg1","precision":0.001,"maxExperiments":1500,"seed":7}`,
+		`{"alg":1,"n":100,"model":"burst","burstWidth":3}`,
+		`{"n":4611686018427387904}`,
+		`{"n":10,"workers":-1}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var spec CampaignSpec
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&spec) != nil {
+			return
+		}
+		cfg, err := spec.Resolve()
+		if err != nil {
+			return
+		}
+		if spec.Experiments > ExperimentLimit || spec.MaxExperiments < 0 || spec.MaxExperiments > ExperimentLimit ||
+			spec.Workers < 0 || spec.Workers > WorkerLimit {
+			t.Fatalf("Resolve accepted an out-of-bounds spec %+v", spec)
+		}
+		if cfg.Experiments != spec.Experiments || cfg.Workers != spec.Workers {
+			t.Fatalf("Resolve(%+v) = %+v: sizes not carried over", spec, cfg)
+		}
+	})
 }
 
 // Cancelling mid-campaign must stop at an experiment boundary and hand

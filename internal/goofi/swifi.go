@@ -1,6 +1,7 @@
 package goofi
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -21,7 +22,14 @@ import (
 //
 // Records use Region "image-code" / "image-data" and Element "wordN";
 // At is always zero (the fault exists before the first instruction).
-func RunSWIFI(cfg Config) (*Result, error) {
+//
+// Cancelling ctx stops the campaign at the next experiment boundary, as
+// RunContext does: the result holds the completed records in ID order
+// and the error is ctx's. A nil ctx behaves like context.Background.
+func RunSWIFI(ctx context.Context, cfg Config) (*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	if cfg.Experiments <= 0 {
 		return nil, fmt.Errorf("goofi: campaign needs a positive experiment count, got %d", cfg.Experiments)
 	}
@@ -71,6 +79,7 @@ func RunSWIFI(cfg Config) (*Result, error) {
 	}
 
 	records := make([]Record, cfg.Experiments)
+	completed := make([]bool, cfg.Experiments)
 	var (
 		wg   sync.WaitGroup
 		mu   sync.Mutex
@@ -83,6 +92,7 @@ func RunSWIFI(cfg Config) (*Result, error) {
 			defer wg.Done()
 			for i := range next {
 				records[i] = runSWIFIExperiment(prog, cfg, golden, i, flips[i])
+				completed[i] = true
 				if cfg.Progress != nil {
 					mu.Lock()
 					done++
@@ -92,12 +102,26 @@ func RunSWIFI(cfg Config) (*Result, error) {
 			}
 		}()
 	}
-	for i := 0; i < cfg.Experiments; i++ {
-		next <- i
+feed:
+	for i := 0; i < cfg.Experiments && ctx.Err() == nil; i++ {
+		select {
+		case next <- i:
+		case <-ctx.Done():
+			break feed
+		}
 	}
 	close(next)
 	wg.Wait()
 
+	if err := ctx.Err(); err != nil {
+		kept := records[:0] // compacts in place: kept never overtakes i
+		for i, ok := range completed {
+			if ok {
+				kept = append(kept, records[i])
+			}
+		}
+		return &Result{Config: cfg, Golden: golden, Records: kept}, err
+	}
 	return &Result{Config: cfg, Golden: golden, Records: records}, nil
 }
 

@@ -1,6 +1,8 @@
 package goofi
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"ctrlguard/internal/workload"
@@ -10,7 +12,7 @@ func swifiPilot(t *testing.T) *Result {
 	t.Helper()
 	spec := workload.PaperRunSpec()
 	spec.Iterations = 120 // image faults show their nature quickly
-	res, err := RunSWIFI(Config{
+	res, err := RunSWIFI(context.Background(), Config{
 		Variant:     workload.AlgorithmI,
 		Experiments: 300,
 		Seed:        9,
@@ -23,8 +25,50 @@ func swifiPilot(t *testing.T) *Result {
 }
 
 func TestSWIFIRejectsZeroExperiments(t *testing.T) {
-	if _, err := RunSWIFI(Config{Variant: workload.AlgorithmI}); err == nil {
+	if _, err := RunSWIFI(context.Background(), Config{Variant: workload.AlgorithmI}); err == nil {
 		t.Error("expected error for zero experiments")
+	}
+}
+
+// TestSWIFICancel: cancelling stops a SWIFI campaign at an experiment
+// boundary with ctx's error and the completed records in ID order, the
+// way RunContext stops — before the first experiment when ctx is
+// already cancelled.
+func TestSWIFICancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := RunSWIFI(ctx, Config{Variant: workload.AlgorithmI, Experiments: 50, Seed: 9})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled: err = %v, want context.Canceled", err)
+	}
+	if res == nil || len(res.Records) != 0 {
+		t.Fatalf("pre-cancelled: expected an empty partial result, got %+v", res)
+	}
+
+	full := swifiPilot(t)
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	cfg := full.Config
+	cfg.Workers = 2
+	cfg.Progress = func(done, _ int) {
+		if done == 20 {
+			cancel()
+		}
+	}
+	res, err = RunSWIFI(ctx, cfg)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("mid-run: err = %v, want context.Canceled", err)
+	}
+	if len(res.Records) < 20 || len(res.Records) >= cfg.Experiments {
+		t.Fatalf("mid-run: %d partial records, want in [20, %d)", len(res.Records), cfg.Experiments)
+	}
+	for i, r := range res.Records {
+		if i > 0 && res.Records[i-1].ID >= r.ID {
+			t.Fatalf("partial records not ordered by ID: %d then %d", res.Records[i-1].ID, r.ID)
+		}
+		if r != full.Records[r.ID] {
+			t.Fatalf("partial record %d differs from the full campaign's", r.ID)
+		}
 	}
 }
 
@@ -57,7 +101,7 @@ func TestSWIFIDeterministic(t *testing.T) {
 	spec := workload.PaperRunSpec()
 	spec.Iterations = 30
 	run := func() []Record {
-		res, err := RunSWIFI(Config{
+		res, err := RunSWIFI(context.Background(), Config{
 			Variant: workload.AlgorithmI, Experiments: 40, Seed: 4, Spec: spec,
 		})
 		if err != nil {

@@ -5,13 +5,13 @@ import (
 	"context"
 	"testing"
 
+	"ctrlguard/internal/cpu"
 	"ctrlguard/internal/trace"
 	"ctrlguard/internal/workload"
 )
 
 // traceCampaignConfig is a deliberately small campaign for the tracing
-// tests; every experiment is selected so at least one trace arrives
-// regardless of the outcome mix.
+// tests.
 func traceCampaignConfig() Config {
 	spec := workload.PaperRunSpec()
 	spec.Iterations = 80
@@ -24,69 +24,33 @@ func traceCampaignConfig() Config {
 	}
 }
 
-func TestCampaignTraceMode(t *testing.T) {
+// TestTraceExperimentReplaysCampaign: replaying an experiment from
+// nothing but the campaign config and its index must reproduce, byte
+// for byte, a direct capture of the fault its campaign record logged.
+func TestTraceExperimentReplaysCampaign(t *testing.T) {
 	cfg := traceCampaignConfig()
-	traces := map[int]*trace.Trace{}
-	cfg.Trace = &TraceConfig{
-		Select: func(Record) bool { return true },
-		OnTrace: func(rec Record, tr *trace.Trace) {
-			traces[rec.ID] = tr
-		},
-	}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(traces) != cfg.Experiments {
-		t.Fatalf("traced %d experiments, want %d", len(traces), cfg.Experiments)
-	}
-	for _, rec := range res.Records {
-		tr := traces[rec.ID]
-		if tr == nil {
-			t.Fatalf("experiment %d has no trace", rec.ID)
-		}
-		h := tr.Header
-		if h.Experiment != rec.ID || h.Seed != cfg.Seed {
-			t.Errorf("experiment %d: trace header identifies %d/seed %d", rec.ID, h.Experiment, h.Seed)
-		}
-		// The trace must replay the very fault the record logged and
-		// reach the same classification.
-		if h.Injection.Element != rec.Element || h.Injection.Bit != rec.Bit || h.Injection.At != rec.At {
-			t.Errorf("experiment %d: trace injection %v, record %s/%s[%d]@%d",
-				rec.ID, h.Injection, rec.Region, rec.Element, rec.Bit, rec.At)
-		}
-		if h.Outcome != rec.Outcome {
-			t.Errorf("experiment %d: trace outcome %q, record %q", rec.ID, h.Outcome, rec.Outcome)
-		}
-	}
-}
-
-// TestTraceExperimentReplaysCampaign: replaying an experiment from
-// nothing but the campaign config and its index must reproduce the
-// in-campaign trace byte for byte.
-func TestTraceExperimentReplaysCampaign(t *testing.T) {
-	cfg := traceCampaignConfig()
-	var inCampaign *trace.Trace
 	const target = 3
-	cfg.Trace = &TraceConfig{
-		Select: func(rec Record) bool { return rec.ID == target },
-		OnTrace: func(rec Record, tr *trace.Trace) {
-			inCampaign = tr
-		},
+	rec := res.Records[target]
+	inj := workload.Injection{
+		At:  rec.At,
+		Bit: cpu.StateBit{Region: cpu.Region(rec.Region), Element: rec.Element, Bit: rec.Bit},
 	}
-	if _, err := Run(cfg); err != nil {
+	direct, err := trace.Capture(context.Background(), cfg.Variant, cfg.Spec, inj, cfg.Classify)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if inCampaign == nil {
-		t.Fatal("campaign produced no trace for the selected experiment")
-	}
+	direct.Header.Experiment, direct.Header.Seed = target, cfg.Seed
 
-	replayed, err := TraceExperiment(context.Background(), traceCampaignConfig(), target)
+	replayed, err := TraceExperiment(context.Background(), cfg, target)
 	if err != nil {
 		t.Fatalf("TraceExperiment: %v", err)
 	}
-	if !bytes.Equal(trace.Encode(inCampaign), trace.Encode(replayed)) {
-		t.Error("replayed trace differs from the in-campaign capture")
+	if !bytes.Equal(trace.Encode(direct), trace.Encode(replayed)) {
+		t.Error("replayed trace differs from a direct capture of the recorded fault")
 	}
 }
 
@@ -97,16 +61,5 @@ func TestTraceExperimentRejectsBadIndex(t *testing.T) {
 	}
 	if _, err := TraceExperiment(context.Background(), cfg, cfg.Experiments); err == nil {
 		t.Error("out-of-range index accepted")
-	}
-}
-
-func TestTraceConfigDefaultSelectsSevere(t *testing.T) {
-	tc := &TraceConfig{}
-	if !tc.shouldTrace(Record{Outcome: "uwr-permanent"}) ||
-		!tc.shouldTrace(Record{Outcome: "uwr-semi-permanent"}) {
-		t.Error("default selector skips severe failures")
-	}
-	if tc.shouldTrace(Record{Outcome: "overwritten"}) || tc.shouldTrace(Record{Outcome: "detected"}) {
-		t.Error("default selector traces benign outcomes")
 	}
 }

@@ -10,8 +10,10 @@ import (
 	"time"
 
 	"ctrlguard/internal/castore"
+	"ctrlguard/internal/detect"
 	"ctrlguard/internal/fsatomic"
 	"ctrlguard/internal/goofi"
+	"ctrlguard/internal/inject"
 	"ctrlguard/internal/journal"
 	"ctrlguard/internal/tenant"
 )
@@ -44,11 +46,30 @@ type memoSpec struct {
 	MaxExperiments int     `json:"maxExperiments,omitempty"`
 }
 
-// memoKey derives the content address for a spec's results.
+// memoKey derives the content address for a spec's results. Model and
+// detector are keyed in their parsed forms, so every spelling of one
+// campaign ("BitFlip", "bitflip" and ""; "cfe+automaton" and
+// "automaton+cfe") shares an entry. The defaults key as "", as they
+// always have.
 func memoKey(s goofi.CampaignSpec) (string, error) {
 	v, err := goofi.ResolveVariant(s.Alg, s.Variant)
 	if err != nil {
 		return "", err
+	}
+	model, err := inject.ParseModel(s.Model)
+	if err != nil {
+		return "", err
+	}
+	if model == inject.ModelBitFlip {
+		model = ""
+	}
+	det, err := detect.ParseSpec(s.Detector)
+	if err != nil {
+		return "", err
+	}
+	detector := ""
+	if det.Enabled() {
+		detector = det.String()
 	}
 	n, budget := s.Experiments, 0
 	if s.Sequential() { // the budget, not n, bounds a precision-driven campaign
@@ -58,9 +79,9 @@ func memoKey(s goofi.CampaignSpec) (string, error) {
 		Variant:        string(v),
 		Experiments:    n,
 		Seed:           s.Seed,
-		Model:          s.Model,
+		Model:          string(model),
 		BurstWidth:     s.BurstWidth,
-		Detector:       s.Detector,
+		Detector:       detector,
 		Precision:      s.Precision,
 		MaxExperiments: budget,
 	})

@@ -252,11 +252,27 @@ func TestDistCrashRestartResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait until shard 1 (30 records) is done and shard 0 has streamed
-	// its 2 pre-wedge records, then crash the coordinator.
+	// Wait until shard 1 (30 records) is done and journaled as completed
+	// (its records stream before the completion entry is appended) and
+	// shard 0 has streamed its 2 pre-wedge records, then crash the
+	// coordinator.
+	shard1Journaled := func() bool {
+		f, err := os.Open(jnlPath)
+		if err != nil {
+			return false
+		}
+		defer f.Close()
+		entries, _ := journal.ReadEntries(f) // a torn tail just means not yet
+		for _, e := range entries {
+			if e.Type == journal.EventShardCompleted && e.Shard != nil && *e.Shard == 1 {
+				return true
+			}
+		}
+		return false
+	}
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		if v := c1.Snapshot(); v.Done >= 32 {
+		if v := c1.Snapshot(); v.Done >= 32 && shard1Journaled() {
 			break
 		}
 		if time.Now().After(deadline) {

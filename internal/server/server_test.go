@@ -311,6 +311,9 @@ func TestSubmitValidation(t *testing.T) {
 		{"alg and variant", `{"alg":1,"variant":"alg2","n":10}`},
 		{"unknown field", `{"variant":"alg1","n":10,"bogusField":1}`},
 		{"not json", `variant=alg1`},
+		{"oversized campaign", `{"n":4611686018427387904}`},
+		{"oversized budget", `{"alg":1,"precision":0.01,"maxExperiments":4611686018427387904}`},
+		{"too many workers", `{"alg":1,"n":10,"workers":1025}`},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(ts.URL+"/api/v1/campaigns", "application/json", strings.NewReader(c.body))

@@ -390,6 +390,22 @@ func TestMemoizationKeysPinned(t *testing.T) {
 			t.Errorf("memoKey(%+v) = %s, want %s", tc.spec, got, tc.want)
 		}
 	}
+	// Every spelling of one model or detector selection shares a key.
+	for _, same := range [][]goofi.CampaignSpec{
+		{{Alg: 1, Experiments: 300, Seed: 2001}, {Alg: 1, Experiments: 300, Seed: 2001, Model: "bitflip"},
+			{Alg: 1, Experiments: 300, Seed: 2001, Model: " BitFlip"}},
+		{{Variant: "alg2", Experiments: 150, Seed: 9, Detector: "cfe+automaton"},
+			{Variant: "alg2", Experiments: 150, Seed: 9, Detector: "automaton+cfe"},
+			{Variant: "alg2", Experiments: 150, Seed: 9, Detector: "CFE + automaton"}},
+		{{Alg: 1, Experiments: 300, Seed: 2001}, {Alg: 1, Experiments: 300, Seed: 2001, Detector: "none"}},
+	} {
+		want, _ := memoKey(same[0])
+		for _, s := range same[1:] {
+			if got, err := memoKey(s); err != nil || got != want {
+				t.Errorf("memoKey(%+v) = %s, %v; want %s, the key of %+v", s, got, err, want, same[0])
+			}
+		}
+	}
 	// A precision spec's key ignores n and resolves the default budget.
 	a, _ := memoKey(goofi.CampaignSpec{Alg: 1, Seed: 5, Precision: 0.01, Experiments: 77})
 	b, _ := memoKey(goofi.CampaignSpec{Alg: 1, Seed: 5, Precision: 0.01, MaxExperiments: goofi.DefaultMaxExperiments})

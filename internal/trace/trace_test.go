@@ -124,6 +124,98 @@ func TestCaptureDeterministic(t *testing.T) {
 	}
 }
 
+// TestCaptureScenarios pins how detail mode reports the classic fates
+// of a fault: each row injects into Algorithm I during iteration 30 of
+// a shortened run and checks the trace's header and per-iteration
+// divergence columns.
+func TestCaptureScenarios(t *testing.T) {
+	short := workload.PaperRunSpec()
+	short.Iterations = 60
+	golden := workload.Run(workload.Program(workload.AlgorithmI), short)
+	if golden.Detected() {
+		t.Fatalf("golden run trapped: %v", golden.Trap)
+	}
+	at30 := golden.IterationStarts[30]
+	reg := func(elem string, bit uint) cpu.StateBit {
+		return cpu.StateBit{Region: cpu.RegionRegisters, Element: elem, Bit: bit}
+	}
+	cases := []struct {
+		name  string
+		spec  workload.RunSpec
+		inj   workload.Injection
+		check func(t *testing.T, tr *Trace)
+	}{
+		{"state flip reaches output", short, workload.Injection{At: at30 + 1,
+			Bit: cpu.StateBit{Region: cpu.RegionCache, Element: "line0.data0", Bit: 21}},
+			func(t *testing.T, tr *Trace) {
+				if tr.Header.InjectionIteration != 30 {
+					t.Errorf("injection iteration = %d, want 30", tr.Header.InjectionIteration)
+				}
+				reached, cacheDiv := false, uint32(0)
+				for _, it := range tr.Iterations {
+					reached = reached || it.Output != it.GoldenOutput
+					cacheDiv += it.CacheDivergent
+				}
+				if !reached {
+					t.Error("state corruption should reach the output")
+				}
+				if cacheDiv == 0 {
+					t.Error("cache state should diverge")
+				}
+			}},
+		// r8 holds Kp and then u during the compute phase; a flip landing
+		// in the idle phase hits a dead value that the next FMOVD rewrites.
+		{"dead register flip vanishes", short, workload.Injection{At: at30 + 10, Bit: reg("r8", 7)},
+			func(t *testing.T, tr *Trace) {
+				if tr.Header.TrapIteration >= 0 {
+					t.Skipf("flip detected by %s; pick of timing hit a live window", tr.Header.Mechanism)
+				}
+				if first := tr.Iterations[0]; first.K != 30 || first.RegDivergent == 0 {
+					t.Errorf("injection iteration %+v: register state should diverge at least briefly", first)
+				}
+				for _, it := range tr.Iterations[1:] {
+					if it.RegDivergent != 0 || it.CacheDivergent != 0 || it.Output != it.GoldenOutput {
+						t.Fatalf("iteration %d still diverges after the register was rewritten: %+v", it.K, it)
+					}
+				}
+			}},
+		{"pc flip detected", short, workload.Injection{At: at30 + 1, Bit: reg("pc", 14)},
+			func(t *testing.T, tr *Trace) {
+				if tr.Header.TrapIteration < 0 || tr.Header.Outcome != classify.Detected.String() {
+					t.Errorf("PC corruption not detected: %+v", tr.Header)
+				}
+			}},
+		// r14 is the stack pointer: never touched by the workload, so the
+		// flip persists to the end of the run without any effect.
+		{"r14 flip stays latent", short, workload.Injection{At: at30 + 1, Bit: reg("r14", 3)},
+			func(t *testing.T, tr *Trace) {
+				if tr.Header.Outcome != classify.Latent.String() {
+					t.Errorf("outcome = %q, want latent", tr.Header.Outcome)
+				}
+				if last := tr.Iterations[len(tr.Iterations)-1]; last.RegDivergent == 0 {
+					t.Errorf("latent divergence should persist to the end, last iteration %+v", last)
+				}
+			}},
+		// A zero RunSpec defaults to the variant's paper run.
+		{"zero spec defaults to the paper run", workload.RunSpec{}, workload.Injection{At: 50, Bit: reg("r14", 0)},
+			func(t *testing.T, tr *Trace) {
+				if want := workload.SpecFor(workload.AlgorithmI).Iterations; tr.Header.Iterations != want || len(tr.Iterations) == 0 {
+					t.Errorf("zero spec traced %d iterations (%d snapshots), want the %d-iteration paper run",
+						tr.Header.Iterations, len(tr.Iterations), want)
+				}
+			}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tr, err := Capture(context.Background(), workload.AlgorithmI, c.spec, c.inj, classify.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.check(t, tr)
+		})
+	}
+}
+
 func TestCaptureCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
