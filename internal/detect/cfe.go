@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"ctrlguard/internal/cpu"
@@ -18,8 +19,9 @@ type CFMonitor struct {
 	prev   int // code index of the previously fetched instruction, -1 at start
 	runSig uint32
 
-	// Entries counts basic-block entries, the unit of the overhead
-	// model (CFEOverhead).
+	// Entries counts the basic-block entries this monitor observed, the
+	// unit of the overhead model (CFEOverhead). It is not part of the
+	// monitor's state: a restored monitor counts from zero.
 	Entries uint64
 }
 
@@ -79,6 +81,20 @@ func (m *CFMonitor) OnInstr(_ int, _ uint64, vm *cpu.CPU) *cpu.TrapError {
 // purely per-instruction.
 func (m *CFMonitor) OnIteration(int, *cpu.CPU) *cpu.TrapError {
 	return nil
+}
+
+// MonitorState implements workload.StatefulMonitor: the previously
+// fetched code index and the running block signature.
+func (m *CFMonitor) MonitorState() (string, bool) {
+	b := binary.LittleEndian.AppendUint32(make([]byte, 0, 8), uint32(int32(m.prev)))
+	return string(binary.LittleEndian.AppendUint32(b, m.runSig)), true
+}
+
+// RestoreMonitorState implements workload.StatefulMonitor.
+func (m *CFMonitor) RestoreMonitorState(s string) {
+	b := []byte(s)
+	m.prev = int(int32(binary.LittleEndian.Uint32(b)))
+	m.runSig = binary.LittleEndian.Uint32(b[4:])
 }
 
 func (m *CFMonitor) enter(vm *cpu.CPU, idx int) {

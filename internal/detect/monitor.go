@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"encoding/binary"
 	"math"
 
 	"ctrlguard/internal/cpu"
@@ -25,14 +26,14 @@ func StateAddrs(prog *cpu.Program) []uint32 {
 	return addrs
 }
 
-// peekVector reads the state doubles at addrs without perturbing the
-// machine.
-func peekVector(vm *cpu.CPU, addrs []uint32) []float64 {
-	v := make([]float64, len(addrs))
-	for i, a := range addrs {
-		v[i] = math.Float64frombits(vm.PeekDoubleBits(a))
+// peekVector reads the state doubles at addrs into dst without
+// perturbing the machine, growing dst as needed.
+func peekVector(dst []float64, vm *cpu.CPU, addrs []uint32) []float64 {
+	dst = dst[:0]
+	for _, a := range addrs {
+		dst = append(dst, math.Float64frombits(vm.PeekDoubleBits(a)))
 	}
-	return v
+	return dst
 }
 
 // Collector is a passive workload.Monitor that gathers the golden
@@ -55,7 +56,7 @@ func (c *Collector) OnInstr(int, uint64, *cpu.CPU) *cpu.TrapError {
 
 // OnIteration implements workload.Monitor.
 func (c *Collector) OnIteration(_ int, vm *cpu.CPU) *cpu.TrapError {
-	c.Series = append(c.Series, peekVector(vm, c.addrs))
+	c.Series = append(c.Series, peekVector(nil, vm, c.addrs))
 	return nil
 }
 
@@ -67,6 +68,7 @@ func (c *Collector) OnIteration(_ int, vm *cpu.CPU) *cpu.TrapError {
 type AutomatonMonitor struct {
 	addrs   []uint32
 	checker *Checker
+	vec     []float64 // peek buffer; Checker.Check copies what it keeps
 }
 
 // NewAutomatonMonitor creates a monitor evaluating a over the
@@ -85,16 +87,48 @@ func (m *AutomatonMonitor) OnIteration(_ int, vm *cpu.CPU) *cpu.TrapError {
 	if len(m.addrs) == 0 {
 		return nil
 	}
-	if info := m.checker.Check(peekVector(vm, m.addrs)); info != "" {
+	m.vec = peekVector(m.vec, vm, m.addrs)
+	if info := m.checker.Check(m.vec); info != "" {
 		return &cpu.TrapError{Mech: cpu.MechAutomaton, PC: vm.PC, Info: info}
 	}
 	return nil
+}
+
+// MonitorState implements workload.StatefulMonitor: whether the
+// checker is seeded, then the bits of its previous accepted vector.
+func (m *AutomatonMonitor) MonitorState() (string, bool) {
+	c := m.checker
+	b := make([]byte, 1, 1+8*len(c.prev))
+	if c.seeded {
+		b[0] = 1
+	}
+	for _, v := range c.prev {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return string(b), true
+}
+
+// RestoreMonitorState implements workload.StatefulMonitor.
+func (m *AutomatonMonitor) RestoreMonitorState(s string) {
+	c := m.checker
+	c.seeded = s[0] == 1
+	c.prev = c.prev[:0]
+	for s = s[1:]; len(s) >= 8; s = s[8:] {
+		c.prev = append(c.prev, math.Float64frombits(binary.LittleEndian.Uint64([]byte(s[:8]))))
+	}
 }
 
 // Stack combines monitors: the first non-nil trap wins, in order.
 type Stack []interface {
 	OnInstr(iteration int, instr uint64, vm *cpu.CPU) *cpu.TrapError
 	OnIteration(iteration int, vm *cpu.CPU) *cpu.TrapError
+}
+
+// stateful is workload.StatefulMonitor's state half, which CFMonitor,
+// AutomatonMonitor and Stack implement.
+type stateful interface {
+	MonitorState() (string, bool)
+	RestoreMonitorState(string)
 }
 
 // OnInstr implements workload.Monitor.
@@ -115,4 +149,33 @@ func (s Stack) OnIteration(iteration int, vm *cpu.CPU) *cpu.TrapError {
 		}
 	}
 	return nil
+}
+
+// MonitorState implements workload.StatefulMonitor: each member's
+// state in order, behind its two-byte length. It reports false when a
+// member cannot report its state (a Collector).
+func (s Stack) MonitorState() (string, bool) {
+	var b []byte
+	for _, m := range s {
+		sm, ok := m.(stateful)
+		if !ok {
+			return "", false
+		}
+		st, ok := sm.MonitorState()
+		if !ok || len(st) > math.MaxUint16 {
+			return "", false
+		}
+		b = binary.LittleEndian.AppendUint16(b, uint16(len(st)))
+		b = append(b, st...)
+	}
+	return string(b), true
+}
+
+// RestoreMonitorState implements workload.StatefulMonitor.
+func (s Stack) RestoreMonitorState(st string) {
+	for _, m := range s {
+		n := int(binary.LittleEndian.Uint16([]byte(st[:2])))
+		m.(stateful).RestoreMonitorState(st[2 : 2+n])
+		st = st[2+n:]
+	}
 }

@@ -17,7 +17,6 @@ import (
 	"ctrlguard/internal/cpu"
 	"ctrlguard/internal/detect"
 	"ctrlguard/internal/inject"
-	"ctrlguard/internal/prune"
 	"ctrlguard/internal/workload"
 )
 
@@ -108,8 +107,10 @@ type Config struct {
 
 	// Detect arms in-loop detectors (signature monitoring and/or a
 	// behavior-derived automaton mined from this campaign's golden run)
-	// on every experiment. Armed campaigns decline every fast path (see
-	// planFor).
+	// on every experiment. Armed campaigns keep the warm start, whose
+	// checkpoints and golden splice carry the monitors' state, and take
+	// their monitored golden set-up from the memo; they decline pruning
+	// and lockstep (see planFor).
 	Detect detect.Spec
 
 	// Shard, if non-nil, restricts the campaign to the contiguous
@@ -238,39 +239,34 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 
 	// The warm start records state digests during the golden run and the
 	// pruner piggybacks a def-use observer on it to build its event
-	// index. The annotated golden run of a variant's default spec is the
-	// same for every campaign, so the plan takes it from the
-	// process-wide memo, with the prune index only when the plan prunes;
-	// warm-start counters and the dead verdict stay per campaign. An
-	// armed campaign (which declines every fast path) takes its
-	// monitored golden run.
+	// index; armed detectors run it under their monitors, mine the
+	// automaton from it and repeat it under the experiments' monitor
+	// stack for the warm start's reference. The set-up of a variant's
+	// default spec is the same for every campaign, so the plan takes it
+	// from the process-wide memo, keyed by the armed detectors and with
+	// the prune index only when the plan prunes; warm-start counters, the
+	// dead verdict and detector verdict counts stay per campaign.
 	var (
-		golden *workload.Outcome
-		ix     *prune.Index
-		det    *detectState
-		err    error
+		su  setup
+		err error
 	)
-	switch {
-	case cfg.Detect.Enabled():
-		if det, err = newDetectState(prog, cfg); det != nil {
-			golden = det.golden
-		}
-	case xp.memo:
-		golden, ix, err = prepFor(cfg.Variant, prog, xp.Prune)
-	default:
-		golden, ix, err = runGolden(prog, cfg.Spec, xp.WarmStart, xp.Prune)
+	if xp.memo {
+		su, err = prepFor(cfg.Variant, prog, xp.Prune, cfg.Detect)
+	} else {
+		su, err = newSetup(prog, cfg.Spec, xp.WarmStart, xp.Prune, cfg.Detect)
 	}
 	if err != nil {
 		return nil, err
 	}
+	golden, det := su.golden, su.det
 	var warm *warmState
 	if xp.WarmStart {
-		warm = newWarmState(prog, cfg.Spec, golden, checkpointCap)
+		warm = newWarmState(prog, cfg.Spec, golden, det, checkpointCap)
 	}
 	var prn *pruneState
 	switch {
-	case xp.Prune && ix != nil:
-		prn = newPruneState(ix, golden, cfg.Classify)
+	case xp.Prune && su.idx != nil:
+		prn = newPruneState(su.idx, golden, cfg.Classify)
 	case xp.Prune:
 		xp.decline(LayerPrune, "the golden-run capture built no def-use index")
 	}

@@ -13,7 +13,10 @@ import (
 // (signature monitoring enforcing, the automaton family collecting the
 // state series it then mines), and arms a fresh monitor stack on every
 // experiment. Detector verdicts arrive as cpu.TrapError with the
-// detect mechanisms and classify as detections like any EDM trap.
+// detect mechanisms and classify as detections like any EDM trap. Both
+// monitor families are workload.StatefulMonitors, so armed campaigns
+// keep the warm start: checkpoints freeze the monitor stack's state
+// and the golden splice requires it to match.
 
 // DetectStats reports a campaign's detector configuration and results.
 type DetectStats struct {
@@ -46,7 +49,8 @@ type DetectStats struct {
 
 // detectState is the shared, immutable-after-setup detector state of
 // one campaign: built once from the golden run, reused by every
-// experiment.
+// experiment and, for a variant's default spec, by every campaign of
+// the process that arms the same detectors (prepFor).
 type detectState struct {
 	spec      detect.Spec
 	graph     *detect.BlockGraph
@@ -60,22 +64,29 @@ type detectState struct {
 // the armed detectors: a signature-monitor trap on the fault-free
 // reference means the block graph disagrees with the real control flow
 // — a bug, not a detection — and fails the campaign loudly.
-func newDetectState(prog *cpu.Program, cfg Config) (*detectState, error) {
-	d := &detectState{spec: cfg.Detect}
+//
+// With hashes set, the golden run is then repeated under the
+// experiments' own monitor stack with state digests recorded: that
+// outcome, whose monitor state at every iteration boundary is the one
+// an experiment re-converging there must hold, is the warm start's
+// reference. It is the same fault-free execution, so it also serves
+// classification.
+func newDetectState(prog *cpu.Program, spec workload.RunSpec, ds detect.Spec, hashes bool) (*detectState, error) {
+	d := &detectState{spec: ds}
 	var stack detect.Stack
 	var cf *detect.CFMonitor
 	var coll *detect.Collector
-	if cfg.Detect.CFE {
+	if ds.CFE {
 		d.graph = detect.NewBlockGraph(prog)
 		cf = detect.NewCFMonitor(d.graph)
 		stack = append(stack, cf)
 	}
-	if cfg.Detect.Automaton {
+	if ds.Automaton {
 		coll = detect.NewCollector(prog)
 		stack = append(stack, coll)
 	}
 
-	goldenSpec := cfg.Spec
+	goldenSpec := spec
 	goldenSpec.Monitor = stack
 	golden := workload.Run(prog, goldenSpec)
 	if golden.Detected() {
@@ -83,7 +94,7 @@ func newDetectState(prog *cpu.Program, cfg Config) (*detectState, error) {
 	}
 	d.golden = golden
 
-	d.stats = DetectStats{CFE: cfg.Detect.CFE, Automaton: cfg.Detect.Automaton}
+	d.stats = DetectStats{CFE: ds.CFE, Automaton: ds.Automaton}
 	if cf != nil {
 		d.stats.BlockEntries = cf.Entries
 		d.stats.Overhead += detect.CFEOverhead(cf.Entries, golden.Instructions)
@@ -94,6 +105,17 @@ func newDetectState(prog *cpu.Program, cfg Config) (*detectState, error) {
 		d.stats.FalsePositives = d.automaton.Violations(coll.Series)
 		d.stats.Overhead += detect.AutomatonOverhead(
 			len(d.automaton.Elems), len(coll.Series), golden.Instructions)
+	}
+
+	if hashes {
+		goldenSpec.Monitor = d.newMonitor(prog)
+		goldenSpec.RecordStateHashes = true
+		// An automaton that rejects its own golden run (FalsePositives
+		// > 0) leaves the warm start without a reference; experiments
+		// then replay in full.
+		if ref := workload.Run(prog, goldenSpec); !ref.Detected() {
+			d.golden = ref
+		}
 	}
 	return d, nil
 }

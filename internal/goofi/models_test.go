@@ -71,13 +71,19 @@ func TestDefaultModelRecordsUnstamped(t *testing.T) {
 // lockstep-ablated run's checkpoint resumes are the two warm-start
 // paths, each splicing the golden remainder on re-convergence. This is
 // the cross-validation property the distributed coordinator and the
-// resume machinery rest on for the extended fault models.
-func modelIdentityCheck(t *testing.T, rng *rand.Rand, v workload.Variant, m inject.FaultModel, n int, seed uint64) {
+// resume machinery rest on for the extended fault models. With
+// detectors armed (which decline lockstep) the solo run resumes from
+// checkpoints carrying the monitors' state, and the plain simulation
+// runs every experiment under fresh monitors from iteration 0.
+func modelIdentityCheck(t *testing.T, rng *rand.Rand, v workload.Variant, m inject.FaultModel, d detect.Spec, n int, seed uint64) {
 	t.Helper()
-	base := Config{Variant: v, Experiments: n, Seed: seed, Model: m}
+	base := Config{Variant: v, Experiments: n, Seed: seed, Model: m, Detect: d}
 	solo, err := Run(base)
 	if err != nil {
-		t.Fatalf("%s/%s solo: %v", v, m, err)
+		t.Fatalf("%s/%s/%s solo: %v", v, m, d, err)
+	}
+	if d.Enabled() && (solo.WarmStart == nil || solo.WarmStart.Resumed == 0) {
+		t.Errorf("%s/%s/%s: detector campaign resumed no experiment: %+v", v, m, d, solo.WarmStart)
 	}
 	var want bytes.Buffer
 	if err := WriteRecords(&want, solo.Records); err != nil {
@@ -96,14 +102,14 @@ func modelIdentityCheck(t *testing.T, rng *rand.Rand, v workload.Variant, m inje
 		cfg.Ablate = arm.ablate
 		res, err := Run(cfg)
 		if err != nil {
-			t.Fatalf("%s/%s %s: %v", v, m, arm.name, err)
+			t.Fatalf("%s/%s/%s %s: %v", v, m, d, arm.name, err)
 		}
 		got.Reset()
 		if err := WriteRecords(&got, res.Records); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Errorf("%s/%s: %s run differs from the solo run", v, m, arm.name)
+			t.Errorf("%s/%s/%s: %s run differs from the solo run", v, m, d, arm.name)
 		}
 	}
 
@@ -115,7 +121,7 @@ func modelIdentityCheck(t *testing.T, rng *rand.Rand, v workload.Variant, m inje
 		cfg.Shard = &Shard{Start: sh.Start, End: sh.End}
 		res, err := Run(cfg)
 		if err != nil {
-			t.Fatalf("%s/%s shard %+v: %v", v, m, sh, err)
+			t.Fatalf("%s/%s/%s shard %+v: %v", v, m, d, sh, err)
 		}
 		merged = append(merged, res.Records...)
 	}
@@ -123,23 +129,31 @@ func modelIdentityCheck(t *testing.T, rng *rand.Rand, v workload.Variant, m inje
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Errorf("%s/%s: sharded merge differs from solo run", v, m)
+		t.Errorf("%s/%s/%s: sharded merge differs from solo run", v, m, d)
 	}
 }
 
+// detectorSpecs are the detector selections, unarmed included.
+var detectorSpecs = []detect.Spec{{}, {CFE: true}, {Automaton: true}, {CFE: true, Automaton: true}}
+
 // TestModelShardMergeByteIdentical is the fixed-seed smoke version of
-// the cross-validation property, always on.
+// the cross-validation property, always on: every extended model, and
+// every detector family, each under its own model.
 func TestModelShardMergeByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(8822))
 	for _, m := range nonDefaultModels {
-		modelIdentityCheck(t, rng, workload.AlgorithmI, m, 48, 321)
+		modelIdentityCheck(t, rng, workload.AlgorithmI, m, detect.Spec{}, 48, 321)
+	}
+	for i, d := range detectorSpecs[1:] {
+		m := []inject.FaultModel{workload.ModelPC, workload.ModelBitFlip, workload.ModelTransient}[i]
+		modelIdentityCheck(t, rng, workload.AlgorithmII, m, d, 48, 654)
 	}
 }
 
 // TestModelCrossVal is the randomized cross-validation job: CI sets
 // MODEL_CROSSVAL_TRIALS (and optionally MODEL_CROSSVAL_SEED) to sweep
-// random (variant, model, n, seed) points; locally it defaults to a
-// handful of trials.
+// random (variant, model, detectors, n, seed) points; locally it
+// defaults to a handful of trials.
 func TestModelCrossVal(t *testing.T) {
 	trials := 3
 	if s := os.Getenv("MODEL_CROSSVAL_TRIALS"); s != "" {
@@ -162,10 +176,11 @@ func TestModelCrossVal(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		v := variants[rng.Intn(len(variants))]
 		m := nonDefaultModels[rng.Intn(len(nonDefaultModels))]
+		d := detectorSpecs[rng.Intn(len(detectorSpecs))]
 		n := 20 + rng.Intn(40)
 		campaignSeed := rng.Uint64()
-		t.Logf("trial %d: %s/%s n=%d seed=%d", i, v, m, n, campaignSeed)
-		modelIdentityCheck(t, rng, v, m, n, campaignSeed)
+		t.Logf("trial %d: %s/%s/%s n=%d seed=%d", i, v, m, d, n, campaignSeed)
+		modelIdentityCheck(t, rng, v, m, d, n, campaignSeed)
 	}
 }
 
@@ -194,8 +209,11 @@ func TestDetectorCampaign(t *testing.T) {
 		t.Errorf("TallyDetect (%d, %d) disagrees with stats (%d, %d)",
 			cfe, auto, d.CFEDetected, d.AutomatonDetected)
 	}
-	if res.Prune != nil || res.WarmStart != nil {
-		t.Error("fast paths ran with detectors armed")
+	if res.Prune != nil {
+		t.Error("pruning ran with detectors armed")
+	}
+	if res.WarmStart == nil || res.WarmStart.Resumed == 0 {
+		t.Errorf("detector campaign resumed no experiment: %+v", res.WarmStart)
 	}
 }
 

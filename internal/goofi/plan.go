@@ -71,9 +71,17 @@ func (p *ExecPlan) decline(ls Layer, why string) {
 // planFor decides which fast paths a campaign runs. It is pure, and it
 // is the only code that reads the campaign's fast-path inputs:
 //
-//   - Detail-mode observers and armed detectors must see every
-//     instruction of every run, which checkpoints, golden splices, dead
-//     faults and shared lockstep prefixes all skip.
+//   - Detail-mode observers must see every instruction of every run,
+//     which checkpoints, golden splices, dead faults and shared lockstep
+//     prefixes all skip.
+//   - Armed detectors keep the warm start. Their monitors are
+//     workload.StatefulMonitors: a checkpoint freezes the monitor
+//     stack's state with the machine's, and the golden splice also
+//     requires equal monitor state. Equal machine, output history and
+//     monitor state imply the golden remainder, which trapped nothing.
+//     Detectors decline pruning, because the automaton's state peeks
+//     are not def-use events, and lockstep, whose lanes do not fork
+//     monitor state.
 //   - The pruner's def-use reasoning is proven only for permanent
 //     single bit-flips (prune.SupportsModel); other models simulate every
 //     experiment rather than risk silent misclassification. The warm
@@ -95,7 +103,8 @@ func planFor(cfg Config) ExecPlan {
 		p.decline(allLayers, "a detail-mode observer must see every instruction")
 	}
 	if cfg.Detect.Enabled() {
-		p.decline(allLayers, "armed detectors must see every instruction")
+		p.decline(LayerPrune, "monitor peeks are not def-use events, see ROADMAP item 4 Phase B")
+		p.decline(LayerLockstep, "lockstep lanes do not fork monitor state")
 	}
 	if !prune.SupportsModel(string(cfg.Model)) {
 		p.decline(LayerPrune,

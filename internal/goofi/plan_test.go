@@ -16,7 +16,8 @@ import (
 const (
 	whyAblated  = "ablated by Config.Ablate"
 	whyObserver = "a detail-mode observer must see every instruction"
-	whyDetect   = "armed detectors must see every instruction"
+	whyDetPrune = "monitor peeks are not def-use events, see ROADMAP item 4 Phase B"
+	whyDetLock  = "lockstep lanes do not fork monitor state"
 	whyChaos    = "chaos hooks need solo-run fault isolation"
 	whyTimeout  = "per-experiment deadlines need solo-run fault isolation"
 )
@@ -60,15 +61,18 @@ func wantPlan(memo bool, declined map[Layer]string) ExecPlan {
 // expectedPlan is the plan table: for each mode, the expected plan of a
 // bit-flip campaign, of a campaign under a non-default fault model m
 // (which declines only the pruner, so it keeps the warm start and the
-// golden memo), and of a detector campaign (any model).
+// golden memo), and of a detector campaign (any model), which keeps the
+// warm start and the memo but declines pruning and lockstep with its
+// own reasons, unless an observer declined every layer first.
 func expectedPlan(mode string, m inject.FaultModel, armed bool) ExecPlan {
 	W, P, L := LayerWarmStart, LayerPrune, LayerLockstep
 	wm := whyModel(m)
+	det := map[Layer]string{P: whyDetPrune, L: whyDetLock}
 	table := map[string][3]ExecPlan{
 		"default": {
 			wantPlan(true, nil),
 			wantPlan(true, map[Layer]string{P: wm}),
-			wantPlan(false, map[Layer]string{W: whyDetect, P: whyDetect, L: whyDetect}),
+			wantPlan(true, det),
 		},
 		"observer": {
 			wantPlan(false, map[Layer]string{W: whyObserver, P: whyObserver, L: whyObserver}),
@@ -78,32 +82,32 @@ func expectedPlan(mode string, m inject.FaultModel, armed bool) ExecPlan {
 		"chaos": {
 			wantPlan(true, map[Layer]string{L: whyChaos}),
 			wantPlan(true, map[Layer]string{P: wm, L: whyChaos}),
-			wantPlan(false, map[Layer]string{W: whyDetect, P: whyDetect, L: whyDetect}),
+			wantPlan(true, det),
 		},
 		"timeout": {
 			wantPlan(true, map[Layer]string{L: whyTimeout}),
 			wantPlan(true, map[Layer]string{P: wm, L: whyTimeout}),
-			wantPlan(false, map[Layer]string{W: whyDetect, P: whyDetect, L: whyDetect}),
+			wantPlan(true, det),
 		},
 		"spec": {
 			wantPlan(false, nil),
 			wantPlan(false, map[Layer]string{P: wm}),
-			wantPlan(false, map[Layer]string{W: whyDetect, P: whyDetect, L: whyDetect}),
+			wantPlan(false, det),
 		},
 		"ablate-warm-start": {
 			wantPlan(true, map[Layer]string{W: whyAblated}),
 			wantPlan(false, map[Layer]string{W: whyAblated, P: wm}),
-			wantPlan(false, map[Layer]string{W: whyAblated, P: whyDetect, L: whyDetect}),
+			wantPlan(false, map[Layer]string{W: whyAblated, P: whyDetPrune, L: whyDetLock}),
 		},
 		"ablate-prune": {
 			wantPlan(true, map[Layer]string{P: whyAblated}),
 			wantPlan(true, map[Layer]string{P: whyAblated}),
-			wantPlan(false, map[Layer]string{W: whyDetect, P: whyAblated, L: whyDetect}),
+			wantPlan(true, map[Layer]string{P: whyAblated, L: whyDetLock}),
 		},
 		"ablate-lockstep": {
 			wantPlan(true, map[Layer]string{L: whyAblated}),
 			wantPlan(true, map[Layer]string{P: wm, L: whyAblated}),
-			wantPlan(false, map[Layer]string{W: whyDetect, P: whyDetect, L: whyAblated}),
+			wantPlan(true, map[Layer]string{P: whyDetPrune, L: whyAblated}),
 		},
 	}
 	switch {
@@ -154,7 +158,9 @@ func TestPlanStatsNilExactlyWhenDeclined(t *testing.T) {
 		"transient": {Model: workload.ModelTransient},
 		"chaos":     {Chaos: func(int, int) {}},
 		"detector":  {Detect: detect.Spec{CFE: true}},
-		"ablated":   {Ablate: LayerWarmStart | LayerLockstep},
+		"observer+detector": {Detect: detect.Spec{CFE: true, Automaton: true},
+			Spec: withObserver(workload.SpecFor(workload.AlgorithmI))},
+		"ablated": {Ablate: LayerWarmStart | LayerLockstep},
 	}
 	for name, cfg := range cases {
 		cfg.Variant, cfg.Experiments, cfg.Seed, cfg.Workers = workload.AlgorithmI, 20, 3, 2
@@ -175,4 +181,9 @@ func TestPlanStatsNilExactlyWhenDeclined(t *testing.T) {
 			t.Errorf("%s: plan lockstep %v, stats %+v", name, res.Plan.Lockstep, res.Lockstep)
 		}
 	}
+}
+
+func withObserver(spec workload.RunSpec) workload.RunSpec {
+	spec.Observer = func(int, uint64, *cpu.CPU) {}
+	return spec
 }

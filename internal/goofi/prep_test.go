@@ -98,21 +98,25 @@ func TestGoldenMemoComputedOnce(t *testing.T) {
 }
 
 // TestGoldenMemoDeclines: campaigns that run no annotated golden run
-// (detectors, both fast paths off) must not fill the memo, and
-// campaigns that warm-start without pruning (the non-default fault
-// models) must fill only the hashed-golden entry: a transient-only or
-// burst-only process never runs the pruner's capture nor keeps an
-// index.
+// (both fast paths off, a detector campaign without the warm start)
+// must not fill the memo; campaigns that warm-start without pruning
+// (the non-default fault models) must fill only the hashed-golden
+// entry, so a transient-only or burst-only process never runs the
+// pruner's capture nor keeps an index; and a detector campaign fills
+// only its detector selection's monitored entry.
 func TestGoldenMemoDeclines(t *testing.T) {
-	base := Config{Variant: workload.AlgorithmI, Experiments: 10, Seed: 5, Workers: 1}
+	v := workload.AlgorithmI
+	base := Config{Variant: v, Experiments: 10, Seed: 5, Workers: 1}
+	cfe := detect.Spec{CFE: true}
 	cases := map[string]struct {
-		mod      func(*Config)
-		warmOnly bool // one entry, without the prune index
+		mod  func(*Config)
+		want []prepKey
 	}{
-		"transient":     {func(c *Config) { c.Model = inject.ModelTransient }, true},
-		"burst":         {func(c *Config) { c.Model = inject.ModelBurst }, true},
-		"detector":      {func(c *Config) { c.Detect = detect.Spec{CFE: true} }, false},
-		"no-fast-paths": {func(c *Config) { c.Ablate = LayerWarmStart | LayerPrune }, false},
+		"transient":        {func(c *Config) { c.Model = inject.ModelTransient }, []prepKey{{variant: v}}},
+		"burst":            {func(c *Config) { c.Model = inject.ModelBurst }, []prepKey{{variant: v}}},
+		"detector":         {func(c *Config) { c.Detect = cfe }, []prepKey{{variant: v, detect: cfe}}},
+		"detector-no-warm": {func(c *Config) { c.Detect, c.Ablate = cfe, LayerWarmStart }, nil},
+		"no-fast-paths":    {func(c *Config) { c.Ablate = LayerWarmStart | LayerPrune }, nil},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -122,25 +126,54 @@ func TestGoldenMemoDeclines(t *testing.T) {
 			if _, err := Run(cfg); err != nil {
 				t.Fatal(err)
 			}
-			if !tc.warmOnly {
-				if n := prepCount(); n != 0 {
-					t.Fatalf("memo holds %d entries", n)
-				}
-				return
+			if n := prepCount(); n != len(tc.want) {
+				t.Fatalf("memo holds %d entries, want %d", n, len(tc.want))
 			}
-			preps.Range(func(k, e any) bool {
-				if key := k.(prepKey); key.capture {
-					t.Errorf("memo holds a prune-capture entry for %s", key.variant)
+			for _, key := range tc.want {
+				e, ok := preps.Load(key)
+				if !ok {
+					t.Fatalf("memo lacks entry %+v", key)
 				}
-				if e.(*goldenPrep).idx != nil {
+				p := e.(*goldenPrep)
+				if p.idx != nil {
 					t.Error("memo holds a prune index")
 				}
-				return true
-			})
-			if n := prepCount(); n != 1 {
-				t.Fatalf("memo holds %d entries, want the hashed golden run only", n)
+				if (p.det != nil) != key.detect.Enabled() {
+					t.Errorf("entry %+v: detector state %v", key, p.det != nil)
+				}
 			}
 		})
+	}
+}
+
+// TestDetectorMemoMatchesCampaignLocal: the memoised monitored golden
+// set-up reports the same detector statistics and writes the same
+// records as one each campaign computes itself (an explicit spec
+// bypasses the memo).
+func TestDetectorMemoMatchesCampaignLocal(t *testing.T) {
+	v := workload.AlgorithmII
+	for _, ds := range []detect.Spec{{CFE: true}, {Automaton: true}, {CFE: true, Automaton: true}} {
+		clearPreps()
+		cfg := Config{Variant: v, Experiments: 40, Seed: 77, Workers: 2, Detect: ds, Model: workload.ModelPC}
+		explicit := cfg
+		explicit.Spec = workload.SpecFor(v)
+		memo, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		local, err := Run(explicit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !memo.Plan.memo || local.Plan.memo {
+			t.Fatalf("%s: memo bits %v/%v", ds, memo.Plan.memo, local.Plan.memo)
+		}
+		if *memo.Detect != *local.Detect {
+			t.Errorf("%s: memoised stats %+v, campaign-local %+v", ds, *memo.Detect, *local.Detect)
+		}
+		if !bytes.Equal(recordBytes(t, memo.Records), recordBytes(t, local.Records)) {
+			t.Errorf("%s: memoised set-up changed the records", ds)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -248,4 +249,37 @@ func TestRecordScannerMidStreamCorruption(t *testing.T) {
 	if err == nil || errors.As(err, &trunc) {
 		t.Fatalf("mid-stream corruption gave %v, want a hard error", err)
 	}
+}
+
+// FuzzReadRecords feeds arbitrary bytes to the record reader, the trust
+// boundary every persisted or uploaded campaign file crosses: it must
+// never panic, and every record it accepts, intact or before a torn
+// final line, must round-trip through WriteRecords unchanged.
+func FuzzReadRecords(f *testing.F) {
+	var valid bytes.Buffer
+	if err := WriteRecords(&valid, sampleRecords()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	f.Add(valid.Bytes()[:valid.Len()-20])                                                // torn tail
+	f.Add(append([]byte(`{"id":0,"variant":`+"\n"), valid.Bytes()...))                   // malformed line
+	f.Add([]byte(`{"id":3,"model":"burst","width":2,"provenance":"class-member-of:1"}`)) // no newline
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, err := ReadRecords(bytes.NewReader(data))
+		var trunc *TruncatedError
+		if err != nil && !errors.As(err, &trunc) {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteRecords(&buf, recs); err != nil {
+			t.Fatalf("WriteRecords of accepted records: %v", err)
+		}
+		again, err := ReadRecords(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("re-reading written records: %v", err)
+		}
+		if !reflect.DeepEqual(again, recs) {
+			t.Fatalf("round trip changed the records:\n got %+v\nwant %+v", again, recs)
+		}
+	})
 }

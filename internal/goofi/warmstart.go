@@ -61,11 +61,14 @@ func (e *ckptEntry) done() bool {
 
 // warmState is the per-golden-run fast-path state shared by a
 // campaign's worker pool: the hash-annotated golden outcome and the
-// LRU-bounded checkpoint cache. It is safe for concurrent use.
+// LRU-bounded checkpoint cache. Checkpoints of an armed campaign are
+// captured under a fresh monitor stack, so they carry its state. It is
+// safe for concurrent use.
 type warmState struct {
 	prog   *cpu.Program
 	spec   workload.RunSpec
 	golden *workload.Outcome
+	det    *detectState // nil without detectors
 
 	mu      sync.Mutex
 	clock   uint64
@@ -81,11 +84,12 @@ type warmState struct {
 	skipped     atomic.Uint64
 }
 
-func newWarmState(prog *cpu.Program, spec workload.RunSpec, golden *workload.Outcome, cap int) *warmState {
+func newWarmState(prog *cpu.Program, spec workload.RunSpec, golden *workload.Outcome, det *detectState, cap int) *warmState {
 	return &warmState{
 		prog:    prog,
 		spec:    spec,
 		golden:  golden,
+		det:     det,
 		cap:     cap,
 		entries: make(map[int]*ckptEntry),
 	}
@@ -139,6 +143,9 @@ func (w *warmState) get(k int) *workload.Checkpoint {
 
 	spec := w.spec
 	spec.From = from
+	if w.det != nil {
+		spec.Monitor = w.det.newMonitor(w.prog)
+	}
 	// Capture failures (an environment that cannot be cloned) leave
 	// e.ck nil: every experiment at this iteration falls back to full
 	// replay, preserving correctness.

@@ -136,7 +136,7 @@ func TestWarmStateIterationZeroFallsBack(t *testing.T) {
 	goldenSpec.RecordStateHashes = true
 	golden := workload.Run(prog, goldenSpec)
 
-	w := newWarmState(prog, spec, golden, checkpointCap)
+	w := newWarmState(prog, spec, golden, nil, checkpointCap)
 	if ck := w.checkpointFor(0); ck != nil {
 		t.Error("instruction 0 yielded a checkpoint")
 	}
@@ -163,7 +163,7 @@ func TestCheckpointCacheConcurrent(t *testing.T) {
 	goldenSpec.RecordStateHashes = true
 	golden := workload.Run(prog, goldenSpec)
 
-	w := newWarmState(prog, spec, golden, 4)
+	w := newWarmState(prog, spec, golden, nil, 4)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

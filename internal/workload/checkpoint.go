@@ -8,7 +8,8 @@ import (
 
 // Checkpoint is a frozen harness run at a control-iteration boundary:
 // the complete machine state (cpu.Snapshot), the environment simulator,
-// the I/O window's output latches and the outcome accumulated so far.
+// the I/O window's output latches, the outcome accumulated so far and,
+// when captured under a StatefulMonitor, that monitor's state.
 // A checkpoint is immutable once captured — resuming deep-copies every
 // part — so one checkpoint can seed many concurrent runs, which is how
 // the campaign engine amortises the pre-injection prefix across all
@@ -22,6 +23,8 @@ type Checkpoint struct {
 	outLo     []uint32
 	outputs   [][]float64 // per-port outputs of iterations [0, iteration)
 	starts    []uint64    // iteration start instruction counts
+	monitor   string      // the capturing monitor's state, when monitored
+	monitored bool
 }
 
 // CloneableEnv is implemented by environment simulators that can be
@@ -53,9 +56,11 @@ func (c *Checkpoint) Instructions() uint64 {
 // iteration k (iterations [0, k) execute) and returns the frozen state.
 // spec.From may name an earlier checkpoint to capture incrementally
 // from. It fails when k is not reachable (non-positive, beyond the run
-// length, a trap fires first) or when the environment does not support
-// cloning. spec.Injection is ignored: checkpoints are always taken on
-// the fault-free path.
+// length, a trap fires first), when the environment does not support
+// cloning, or when spec.Monitor cannot report its state. A monitored
+// capture freezes the monitor's state too, and only such a checkpoint
+// can seed monitored runs. spec.Injection is ignored: checkpoints are
+// always taken on the fault-free path.
 func CaptureCheckpoint(prog *cpu.Program, spec RunSpec, k int) (*Checkpoint, error) {
 	spec.Injection = nil
 	spec.Golden = nil
@@ -71,6 +76,9 @@ func capture(prog *cpu.Program, spec RunSpec, k int) (*Checkpoint, error) {
 	}
 	if k >= spec.Iterations {
 		return nil, fmt.Errorf("checkpoint at iteration %d: run has only %d iterations", k, spec.Iterations)
+	}
+	if spec.Monitor != nil && statefulMonitor(spec.Monitor) == nil {
+		return nil, fmt.Errorf("checkpoint at iteration %d: the monitor cannot report its state", k)
 	}
 	spec.Observer = nil
 	spec.RecordStateHashes = false

@@ -41,11 +41,47 @@ type Injection struct {
 // OnIteration after each control iteration's outputs are delivered. A
 // non-nil trap terminates the run exactly like a CPU EDM firing —
 // detectors report through the same trap plumbing the campaigns
-// already classify. Monitors disable the From/Golden fast paths, which
-// must not skip instructions a detector needs to see.
+// already classify. A monitor keeps the From/Golden fast paths only
+// when it is a StatefulMonitor; any other disables them, since they
+// skip instructions the detector would need to see.
 type Monitor interface {
 	OnInstr(iteration int, instr uint64, vm *cpu.CPU) *cpu.TrapError
 	OnIteration(iteration int, vm *cpu.CPU) *cpu.TrapError
+}
+
+// StatefulMonitor is the optional Monitor capability behind the fast
+// paths of monitored runs. A checkpoint captured under it freezes its
+// state next to the machine's, and a resumed run restores that state
+// into its own fresh monitor; a golden run recorded under it keeps its
+// state at every iteration boundary, so re-convergence can require the
+// monitor to match too.
+type StatefulMonitor interface {
+	Monitor
+
+	// MonitorState encodes the monitor's state at an iteration
+	// boundary: two monitors of one configuration in equal states trap
+	// identically on identical futures. ok is false when the monitor
+	// cannot report its state (a stack with a member lacking the
+	// capability); runs under it then take no fast path.
+	MonitorState() (s string, ok bool)
+
+	// RestoreMonitorState puts a fresh monitor into state s, reported
+	// by a monitor of the same configuration (the same detectors over
+	// the same program). The harness cannot check that precondition.
+	RestoreMonitorState(s string)
+}
+
+// statefulMonitor returns m's StatefulMonitor capability, or nil when m
+// is nil, lacks it, or cannot report its state.
+func statefulMonitor(m Monitor) StatefulMonitor {
+	sm, ok := m.(StatefulMonitor)
+	if !ok {
+		return nil
+	}
+	if _, ok := sm.MonitorState(); !ok {
+		return nil
+	}
+	return sm
 }
 
 // RunSpec configures one execution of a workload program against its
@@ -78,9 +114,10 @@ type RunSpec struct {
 	// analysis. It slows the run down considerably.
 	Observer func(iteration int, instr uint64, vm *cpu.CPU)
 
-	// Monitor, if non-nil, is the in-loop detector for this run. Like
-	// Observer it sees every instruction, so it disables the From and
-	// Golden fast paths.
+	// Monitor, if non-nil, is the in-loop detector for this run. It
+	// sees every instruction the run executes; a StatefulMonitor keeps
+	// the From and Golden fast paths (see those fields), any other
+	// monitor disables them.
 	Monitor Monitor
 
 	// Abort, if non-nil, is polled at every iteration boundary; when it
@@ -103,7 +140,10 @@ type RunSpec struct {
 	// and the checkpoint is silently ignored whenever it cannot
 	// guarantee that (injection before the checkpoint, an Observer
 	// that must see every instruction, RecordStateHashes, a mismatched
-	// port layout).
+	// port layout, a Monitor when the checkpoint froze no monitor state
+	// or the monitor is not a StatefulMonitor). A monitored run restores
+	// the checkpoint's monitor state into its own fresh Monitor, which
+	// must be configured like the one the checkpoint was captured under.
 	From *Checkpoint
 
 	// Golden, if non-nil, is the fault-free outcome of the same spec,
@@ -111,13 +151,18 @@ type RunSpec struct {
 	// then watches for re-convergence: once the machine state digest
 	// matches the golden run at an iteration boundary and every output
 	// so far is bit-identical, the remainder must equal the golden
-	// remainder and is spliced in instead of re-executed. Like From,
-	// this never changes the outcome — only how much of it is
-	// recomputed.
+	// remainder and is spliced in instead of re-executed. A monitored
+	// run also needs its StatefulMonitor in the golden run's monitor
+	// state at that boundary, so Golden must then be recorded under a
+	// monitor of the same configuration (Outcome.MonitorStates); the
+	// golden run trapped nothing, so the spliced remainder is clean.
+	// Like From, this never changes the outcome — only how much of it
+	// is recomputed.
 	Golden *Outcome
 
 	// RecordStateHashes captures the 128-bit machine-state digest at
-	// every iteration boundary into Outcome.StateHashes, making the
+	// every iteration boundary into Outcome.StateHashes, and a
+	// StatefulMonitor's state into Outcome.MonitorStates, making the
 	// outcome usable as a Golden reference. It costs one digest of the
 	// full state per iteration.
 	RecordStateHashes bool
@@ -181,6 +226,11 @@ type Outcome struct {
 	// StateHashes holds the machine-state digest at the start of each
 	// iteration; populated only when RunSpec.RecordStateHashes is set.
 	StateHashes []cpu.Digest
+
+	// MonitorStates holds the run's monitor state at the start of each
+	// iteration; populated only when RunSpec.RecordStateHashes is set
+	// and the Monitor is a StatefulMonitor.
+	MonitorStates []string
 
 	// ReconvergedAt is the iteration at which the run was found
 	// bit-identical to RunSpec.Golden and its remainder spliced in, or
@@ -297,7 +347,8 @@ func goldenUsable(golden *Outcome, spec RunSpec, ports PortLayout) bool {
 	}
 	if len(golden.StateHashes) != spec.Iterations ||
 		len(golden.IterationStarts) != spec.Iterations ||
-		len(golden.MultiOutputs) != ports.Outputs {
+		len(golden.MultiOutputs) != ports.Outputs ||
+		spec.Monitor != nil && len(golden.MonitorStates) != spec.Iterations {
 		return false
 	}
 	for _, trace := range golden.MultiOutputs {
@@ -324,6 +375,9 @@ type runner struct {
 	env    Environment
 	out    *Outcome
 	golden *Outcome
+	// mon is spec.Monitor when it is a StatefulMonitor that reports its
+	// state, nil otherwise.
+	mon StatefulMonitor
 
 	// diverged latches once any output differs from the golden trace:
 	// the environment has then left the golden trajectory and splicing
@@ -336,8 +390,8 @@ type runner struct {
 	gap       int
 
 	injected bool
-	k        int // current control iteration
-	cycles   int // instructions into the current iteration
+	k        int  // current control iteration
+	cycles   int  // instructions into the current iteration
 	mid      bool // resume inside iteration k (lane fork) — skip boundary work once
 
 	// fork, when non-nil, runs before every instruction (where a solo
@@ -363,6 +417,11 @@ func newRunner(prog *cpu.Program, spec RunSpec) *runner {
 		ports = sisoPorts
 	}
 
+	// A monitor keeps the fast paths only when its state can be frozen
+	// and compared.
+	mon := statefulMonitor(spec.Monitor)
+	unmonitorable := spec.Monitor != nil && mon == nil
+
 	// The checkpoint is only a shortcut when it provably cannot change
 	// the outcome; otherwise fall back to full replay.
 	from := spec.From
@@ -371,7 +430,7 @@ func newRunner(prog *cpu.Program, spec RunSpec) *runner {
 			from.iteration < spec.Iterations &&
 			len(from.outHi) == ports.Outputs &&
 			spec.Observer == nil &&
-			spec.Monitor == nil &&
+			!unmonitorable && (mon == nil || from.monitored) &&
 			!spec.RecordStateHashes &&
 			(spec.Injection == nil || spec.Injection.At >= from.vm.InstrCount)
 		if !usable {
@@ -394,6 +453,9 @@ func newRunner(prog *cpu.Program, spec RunSpec) *runner {
 			out.MultiOutputs[j] = append(make([]float64, 0, spec.Iterations), from.outputs[j]...)
 		}
 		out.IterationStarts = append(make([]uint64, 0, spec.Iterations), from.starts...)
+		if mon != nil {
+			mon.RestoreMonitorState(from.monitor)
+		}
 	} else {
 		if spec.NewEnv != nil {
 			env = spec.NewEnv(spec)
@@ -413,13 +475,13 @@ func newRunner(prog *cpu.Program, spec RunSpec) *runner {
 	}
 
 	golden := spec.Golden
-	if spec.Injection == nil || spec.Observer != nil || spec.Monitor != nil ||
+	if spec.Injection == nil || spec.Observer != nil || unmonitorable ||
 		!goldenUsable(golden, spec, ports) {
 		golden = nil
 	}
 	return &runner{
 		prog: prog, spec: spec, budget: budget, ports: ports,
-		port: port, vm: vm, env: env, out: out, golden: golden,
+		port: port, vm: vm, env: env, out: out, golden: golden, mon: mon,
 		gap: 1, k: startK,
 	}
 }
@@ -453,6 +515,10 @@ func (r *runner) run(captureAt int) (*Outcome, *Checkpoint) {
 			}
 			if spec.RecordStateHashes {
 				out.StateHashes = append(out.StateHashes, vm.StateDigest())
+				if r.mon != nil {
+					s, _ := r.mon.MonitorState()
+					out.MonitorStates = append(out.MonitorStates, s)
+				}
 			}
 			if k == captureAt {
 				ce, ok := env.(CloneableEnv)
@@ -475,15 +541,20 @@ func (r *runner) run(captureAt int) (*Outcome, *Checkpoint) {
 				for j := range ck.outputs {
 					ck.outputs[j] = append([]float64(nil), out.MultiOutputs[j]...)
 				}
+				if r.mon != nil {
+					ck.monitor, ck.monitored = r.mon.MonitorState()
+				}
 				return out, ck
 			}
 			if r.golden != nil && r.injected && !r.diverged && k >= r.nextCheck {
 				golden := r.golden
 				if vm.InstrCount() == golden.IterationStarts[k] &&
-					vm.StateDigest() == golden.StateHashes[k] {
-					// The machine state and the whole output history match
-					// the fault-free run, so the remainder is bit-identical
-					// to it: splice it in instead of re-executing.
+					vm.StateDigest() == golden.StateHashes[k] &&
+					r.monitorAt(golden, k) {
+					// The machine state, the monitor state and the whole
+					// output history match the fault-free run, so the
+					// remainder is bit-identical to it: splice it in
+					// instead of re-executing.
 					for j := range out.MultiOutputs {
 						out.MultiOutputs[j] = append(out.MultiOutputs[j], golden.MultiOutputs[j][k:]...)
 					}
@@ -579,6 +650,16 @@ func (r *runner) run(captureAt int) (*Outcome, *Checkpoint) {
 	out.Instructions = vm.InstrCount()
 	out.finish(env)
 	return out, nil
+}
+
+// monitorAt reports whether the run's monitor, if any, is in golden's
+// monitor state at iteration boundary k.
+func (r *runner) monitorAt(golden *Outcome, k int) bool {
+	if r.mon == nil {
+		return true
+	}
+	s, _ := r.mon.MonitorState()
+	return s == golden.MonitorStates[k]
 }
 
 // finish wires the convenience views of the outcome.

@@ -18,7 +18,8 @@ import (
 // (including the Golden re-convergence splice).
 //
 // The second result is false when the spec cannot be batched (an
-// Observer or Monitor that must see every instruction, abort/deadline
+// Observer that must see every instruction, a Monitor, whose state
+// lanes do not fork, abort/deadline
 // hooks, state-hash recording, a non-cloneable environment); callers
 // must then fall back to solo runs. Outcomes may individually be nil
 // when the leader never reached an injection's instruction count (the
