@@ -502,9 +502,9 @@ func BenchmarkTraceEncode(b *testing.B) {
 }
 
 // BenchmarkTraceReplay measures a full traced replay of one campaign
-// experiment — the unit of work behind goofi's Config.Trace mode and
-// the server's trace endpoint (a golden pass plus an instrumented
-// faulty pass per op).
+// experiment — the unit of work behind goofi.TraceExperiment, the
+// server's trace endpoint and faulttrace capture (a golden pass plus an
+// instrumented faulty pass per op).
 func BenchmarkTraceReplay(b *testing.B) {
 	cfg := goofi.Config{Variant: workload.AlgorithmI, Experiments: 8, Seed: 2001}
 	var iters int

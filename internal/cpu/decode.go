@@ -23,6 +23,7 @@ type dop struct {
 	imm      uint16
 	simm     uint32 // sign-extended immediate
 	jumpOK   bool   // static branch/jump/call target is a legal code address
+	pollHead bool   // heads a poll loop FastForward can run (see markPollHeads)
 	err      error  // non-nil: executing this word raises INSTRUCTION ERROR
 }
 
@@ -41,18 +42,15 @@ func compile(in Instr) dop {
 // aligned code address. It is immutable after Predecode and safe to
 // share across any number of CPUs and goroutines.
 type Decoded struct {
-	code []uint32 // the program's code words, for attach validation
-	ops  []dop    // one slot per aligned code-segment address
+	code []uint32          // the program's code words, for attach validation
+	ops  [CodeSize / 4]dop // one slot per aligned code-segment address
 }
 
 // Predecode compiles prog's code segment into a decoded stream. Words
 // beyond the program (the zero-filled remainder of the segment) decode
 // to the same illegal-opcode slots executing them would produce.
 func Predecode(prog *Program) *Decoded {
-	d := &Decoded{
-		code: append([]uint32(nil), prog.Code...),
-		ops:  make([]dop, CodeSize/4),
-	}
+	d := &Decoded{code: append([]uint32(nil), prog.Code...)}
 	for i := range d.ops {
 		var w uint32
 		if i < len(d.code) {
@@ -65,6 +63,7 @@ func Predecode(prog *Program) *Decoded {
 		}
 		d.ops[i] = compile(in)
 	}
+	markPollHeads(&d.ops)
 	return d
 }
 

@@ -5,9 +5,10 @@ import "testing"
 // FuzzPredecodeEquivalence fuzzes the core predecode soundness claim
 // over single instruction words: executing any word — decodable or not
 // — through the interpreted and the predecoded paths must be
-// indistinguishable, trap text included. The checked-in corpus under
-// testdata/fuzz seeds one word per opcode plus illegal encodings; CI
-// runs a short -fuzz smoke on top.
+// indistinguishable, trap text included, and neither may write the
+// memory StateDigest leaves out (see unwritableWords). The checked-in
+// corpus under testdata/fuzz seeds one word per opcode plus illegal
+// encodings; CI runs a short -fuzz smoke on top.
 func FuzzPredecodeEquivalence(f *testing.F) {
 	for op := OpNop; op < opMax; op++ {
 		f.Add(Instr{Op: op, Rd: 4, Rs1: 1, Rs2: 2, Imm: 0x1008}.Encode(), uint32(0x1008), uint32(0x3FF0))
@@ -27,11 +28,17 @@ func FuzzPredecodeEquivalence(f *testing.F) {
 			c.Regs[4] = a ^ b
 			c.Regs[15] = a % (CodeSize * 2)
 		}
+		fixed := unwritableWords(interp)
 		for i := 0; i < 4; i++ {
 			errI := interp.Step()
 			errD := dec.Step()
 			if (errI == nil) != (errD == nil) {
 				t.Fatalf("step %d: interpreted err=%v, predecoded err=%v", i, errI, errD)
+			}
+			for _, c := range []*CPU{interp, dec} {
+				if !StatesEqual(unwritableWords(c), fixed) {
+					t.Fatalf("step %d: %#x wrote memory outside the data and stack segments", i, word)
+				}
 			}
 			if errI != nil {
 				if errI.Error() != errD.Error() {

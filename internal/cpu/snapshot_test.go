@@ -142,6 +142,19 @@ func TestStateDigestSensitivity(t *testing.T) {
 		{"last jump", func(m *CPU) { m.lastJump = !m.lastJump }},
 		{"halted", func(m *CPU) { m.halted = !m.halted }},
 		{"memory", func(m *CPU) { m.Mem.WriteWord(StackBase, m.Mem.ReadWord(StackBase)^1) }},
+		{"data segment first word", func(m *CPU) { m.Mem.WriteWord(DataBase, m.Mem.ReadWord(DataBase)^1<<31) }},
+		{"data segment last word", func(m *CPU) {
+			a := DataBase + DataSize - 4
+			m.Mem.WriteWord(a, m.Mem.ReadWord(a)^1)
+		}},
+		{"stack top word", func(m *CPU) {
+			a := StackBase + StackSize - 4
+			m.Mem.WriteWord(a, m.Mem.ReadWord(a)^1<<16)
+		}},
+		{"two data words", func(m *CPU) {
+			m.Mem.WriteWord(DataBase+8, m.Mem.ReadWord(DataBase+8)^1)
+			m.Mem.WriteWord(DataBase+12, m.Mem.ReadWord(DataBase+12)^1)
+		}},
 		{"cache tag", func(m *CPU) { m.Cache.lines[0].tag ^= 1 }},
 		{"cache data", func(m *CPU) { m.Cache.lines[0].data[1] ^= 1 }},
 		{"cache dirty", func(m *CPU) { m.Cache.lines[0].dirty = !m.Cache.lines[0].dirty }},
@@ -160,4 +173,31 @@ func TestStateDigestSensitivity(t *testing.T) {
 	if m.StateDigest() != base {
 		t.Error("hit counter changed the behavioural digest")
 	}
+
+	// Memory a run cannot write is left out (see
+	// TestPropertyDigestExcludedMemoryImmutable for why that is sound).
+	for _, a := range []uint32{CodeBase + 8, IOBase, StackBase - 4} {
+		m := NewFromSnapshot(c.Snapshot(), newStubIO())
+		m.Mem.WriteWord(a, m.Mem.ReadWord(a)^1)
+		if m.StateDigest() != base {
+			t.Errorf("word %#x outside the writable segments changed the digest", a)
+		}
+	}
 }
+
+// BenchmarkStateDigest times one digest of a machine mid-run: the
+// per-boundary cost of recording and checking golden re-convergence.
+func BenchmarkStateDigest(b *testing.B) {
+	c := New(MustAssemble(snapSrc), newStubIO())
+	for i := 0; i < 120; i++ {
+		if err := c.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		digestSink = c.StateDigest()
+	}
+}
+
+var digestSink Digest

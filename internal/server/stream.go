@@ -62,6 +62,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return true
 	}
 
+	// Write the snapshot Subscribe queued before anything else: once the
+	// campaign is done, the loop below could otherwise take the Done
+	// case first and drain the snapshot away.
+	if !write(<-events) {
+		return
+	}
 	var lastProgress time.Time
 	for {
 		select {

@@ -21,7 +21,9 @@ const DefaultCycleBudget = 20000
 // how exposed the registers are: faults hitting registers while the CPU
 // idles are overwritten by the reloads at the top of the next
 // iteration, whereas the cached state variable stays live throughout —
-// the effect behind the paper's cache-dominated value failures.
+// the effect behind the paper's cache-dominated value failures. Polls
+// are injection-time samples like any other instruction, but the
+// predecoded engine executes runs of them in O(1) (cpu.CPU.FastForward).
 const DefaultIdleSpins = 100
 
 // Injection describes one SCIFI-style fault: perturb Bit just before
@@ -163,14 +165,17 @@ type RunSpec struct {
 	// RecordStateHashes captures the 128-bit machine-state digest at
 	// every iteration boundary into Outcome.StateHashes, and a
 	// StatefulMonitor's state into Outcome.MonitorStates, making the
-	// outcome usable as a Golden reference. It costs one digest of the
-	// full state per iteration.
+	// outcome usable as a Golden reference. It costs one digest
+	// (cpu.CPU.StateDigest) per iteration.
 	RecordStateHashes bool
 
 	// Interpret forces the classic fetch/decode interpreter instead of
-	// the predecoded instruction stream. Behaviour is identical either
-	// way (pinned by tests and the lockstep-crossval CI job); the knob
-	// exists for cross-validation and benchmarking the decode overhead.
+	// the predecoded instruction stream, and so also turns off the idle
+	// fast-forward (cpu.CPU.FastForward), which needs the stream: the
+	// interpreter steps every poll of the ready flag. Behaviour is
+	// identical either way (pinned by tests and the lockstep-crossval CI
+	// job); the knob is the reference both fast paths are checked
+	// against, and benchmarks the decode overhead.
 	Interpret bool
 }
 
@@ -258,7 +263,7 @@ type ioPort struct {
 	idleSpins  int
 }
 
-var _ cpu.IOBus = (*ioPort)(nil)
+var _ cpu.PollBus = (*ioPort)(nil)
 
 func newIOPort(ports PortLayout, idleSpins int) *ioPort {
 	return &ioPort{
@@ -299,6 +304,24 @@ func (p *ioPort) ReadIO(off uint32) uint32 {
 	default:
 		return 0
 	}
+}
+
+// ReadZeros implements cpu.PollBus. The ready flag has zeros left until
+// its poll count reaches idleSpins; every other word reads back without
+// side effects, so while it holds 0 any number of reads return 0.
+func (p *ioPort) ReadZeros(off uint32, limit uint64) uint64 {
+	if off == p.ports.ReadyOffset() {
+		if p.readyPolls >= p.idleSpins {
+			return 0
+		}
+		n := min(uint64(p.idleSpins-p.readyPolls), limit)
+		p.readyPolls += int(n)
+		return n
+	}
+	if p.ReadIO(off) != 0 {
+		return 0
+	}
+	return limit
 }
 
 func (p *ioPort) WriteIO(off uint32, v uint32) {
@@ -394,10 +417,12 @@ type runner struct {
 	cycles   int  // instructions into the current iteration
 	mid      bool // resume inside iteration k (lane fork) — skip boundary work once
 
-	// fork, when non-nil, runs before every instruction (where a solo
-	// run checks its injection point); returning true stops the run —
-	// the lockstep leader exits once its last lane has forked.
-	fork func(*runner) bool
+	// fork, when non-nil, runs before the instruction numbered forkAt
+	// (where a solo run checks its injection point) and must advance
+	// forkAt past the current count; returning true stops the run — the
+	// lockstep leader exits once its last lane has forked.
+	fork   func(*runner) bool
+	forkAt uint64
 }
 
 // newRunner normalises the spec and builds the initial machine state,
@@ -497,6 +522,9 @@ func run(prog *cpu.Program, spec RunSpec, captureAt int) (*Outcome, *Checkpoint)
 
 func (r *runner) run(captureAt int) (*Outcome, *Checkpoint) {
 	spec, out, vm, port, env := r.spec, r.out, r.vm, r.port, r.env
+	// Observers and monitors must see every instruction, so only runs
+	// without them fast-forward through the idle poll loop.
+	skipIdle := spec.Observer == nil && spec.Monitor == nil
 	for ; r.k < spec.Iterations; r.k++ {
 		k := r.k
 		if !r.mid {
@@ -581,7 +609,7 @@ func (r *runner) run(captureAt int) (*Outcome, *Checkpoint) {
 
 		var restore func()
 		for !port.syncSeen {
-			if r.fork != nil && r.fork(r) {
+			if r.fork != nil && vm.InstrCount() >= r.forkAt && r.fork(r) {
 				out.Aborted = true
 				out.Instructions = vm.InstrCount()
 				out.finish(env)
@@ -604,6 +632,9 @@ func (r *runner) run(captureAt int) (*Outcome, *Checkpoint) {
 					out.finish(env)
 					return out, nil
 				}
+			}
+			if skipIdle && restore == nil && vm.JumpedToPollHead() && r.fastForward() {
+				continue
 			}
 			if err := vm.Step(); err != nil {
 				out.Trap = asTrap(err)
@@ -650,6 +681,24 @@ func (r *runner) run(captureAt int) (*Outcome, *Checkpoint) {
 	out.Instructions = vm.InstrCount()
 	out.finish(env)
 	return out, nil
+}
+
+// fastForward runs whole trips of the poll loop at the machine's PC,
+// stopping short of every point the step loop must see: the injection,
+// the next lane fork and the watchdog's budget. It reports whether it
+// executed anything.
+func (r *runner) fastForward() bool {
+	now := r.vm.InstrCount()
+	limit := uint64(r.budget - r.cycles)
+	if inj := r.spec.Injection; inj != nil && !r.injected && inj.At >= now {
+		limit = min(limit, inj.At-now)
+	}
+	if r.fork != nil {
+		limit = min(limit, r.forkAt-now)
+	}
+	n := r.vm.FastForward(limit)
+	r.cycles += int(n)
+	return n > 0
 }
 
 // monitorAt reports whether the run's monitor, if any, is in golden's

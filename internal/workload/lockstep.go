@@ -60,6 +60,7 @@ func RunBatch(prog *cpu.Program, spec RunSpec, injs []*Injection) ([]*Outcome, b
 
 	lanes := make([]*runner, len(injs))
 	pending := order
+	leader.forkAt = injs[pending[0]].At
 	leader.fork = func(r *runner) bool {
 		count := r.vm.InstrCount()
 		for len(pending) > 0 && injs[pending[0]].At <= count {
@@ -71,7 +72,11 @@ func RunBatch(prog *cpu.Program, spec RunSpec, injs []*Injection) ([]*Outcome, b
 		}
 		// Once the last lane has forked the leader's remaining tail is
 		// dead work; stop it here.
-		return len(pending) == 0
+		if len(pending) == 0 {
+			return true
+		}
+		r.forkAt = injs[pending[0]].At
+		return false
 	}
 	leader.run(-1)
 
