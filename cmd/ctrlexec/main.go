@@ -3,26 +3,29 @@
 // deliberately dumb: it holds no queue and no durable state. The
 // coordinator owns the plan, the leases, and every streamed record;
 // ctrlexec just runs the deterministic engine over one contiguous
-// experiment-ID range at a time and streams the results back.
+// experiment-ID range at a time and streams the results back. Either
+// way it serves POST /api/v1/shards/run: a shard task in, the shard's
+// NDJSON event stream out in the response body.
 //
 // Two modes:
 //
-// One-shot (default): a shard task arrives as JSON on stdin, events
-// leave as NDJSON on stdout, and the process exits. This is how the
-// coordinator runs local executors — one process per lease, so a
-// crashed or killed shard can never poison the next one:
+// Supervised child (default): how ctrlguardd -executors runs its local
+// executors. ctrlexec listens on a free loopback port, writes its
+// host:port as the only line on stdout, and serves until its stdin
+// reaches EOF — so a daemon that dies, however it dies, leaves no
+// orphans. The daemon keeps the process for as many shards as finish
+// cleanly, so the golden set-up is built once per process and variant;
+// a crashed, wedged or failed shard gets its process SIGKILLed:
 //
-//	ctrlexec -timeout 10m -mem 512 < task.json
+//	ctrlexec -timeout 10m -mem 512
 //
-// Serve (-serve): a long-lived HTTP executor for remote machines. The
-// coordinator POSTs tasks to /api/v1/shards/run and reads the same
-// NDJSON event stream from the response body. With -register the
-// executor announces itself to a coordinator and re-announces
-// periodically as a liveness heartbeat:
+// Serve (-serve): a long-lived HTTP executor for remote machines. With
+// -register the executor announces itself to a coordinator and
+// re-announces periodically as a liveness heartbeat:
 //
 //	ctrlexec -serve :9077 -register http://coordinator:8077 -advertise http://worker1:9077
 //
-// Self-limits: -timeout bounds one shard's wall clock and -mem caps
+// Self-limits: -timeout bounds each shard's wall clock and -mem caps
 // the Go heap (debug.SetMemoryLimit), so a pathological shard dies on
 // the worker without waiting for the coordinator's lease to expire.
 package main
@@ -33,8 +36,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -49,7 +54,7 @@ import (
 
 func main() {
 	var (
-		serve     = flag.String("serve", "", "serve shards over HTTP on this address instead of one-shot stdin mode")
+		serve     = flag.String("serve", "", "serve shards over HTTP on this address instead of as a supervised local child")
 		register  = flag.String("register", "", "coordinator base URL to register with (serve mode)")
 		advertise = flag.String("advertise", "", "URL the coordinator should reach this executor at (default http://localhost<serve-addr>)")
 		name      = flag.String("name", "", "executor name for registration (default host-pid)")
@@ -70,41 +75,62 @@ func main() {
 	if *serve != "" {
 		err = serveMode(ctx, logger, *serve, *register, *advertise, *name, *timeout)
 	} else {
-		err = oneShot(ctx, logger, *timeout)
+		err = childMode(ctx, logger, *timeout)
 	}
 	if err != nil {
 		logger.Fatal(err)
 	}
 }
 
-// oneShot runs a single shard task from stdin, streaming events to
-// stdout. Stdout carries nothing but the NDJSON event stream; all
-// logging goes to stderr.
-func oneShot(ctx context.Context, logger *log.Logger, timeout time.Duration) error {
-	var task dist.ShardTask
-	if err := json.NewDecoder(os.Stdin).Decode(&task); err != nil {
-		return fmt.Errorf("read shard task from stdin: %w", err)
-	}
+// shardMux is the handler both modes serve: the shard endpoint, each
+// request bounded by timeout when it is positive, and a health probe.
+func shardMux(logger *log.Logger, timeout time.Duration) http.Handler {
+	handler := dist.ShardHandler(logger, true)
 	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
+		inner := handler
+		handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			tctx, cancel := context.WithTimeout(r.Context(), timeout)
+			defer cancel()
+			inner.ServeHTTP(w, r.WithContext(tctx))
+		})
 	}
+	mux := http.NewServeMux()
+	mux.Handle("POST /api/v1/shards/run", handler)
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintln(w, "ok")
+	})
+	return mux
+}
 
-	var mu sync.Mutex
-	enc := json.NewEncoder(os.Stdout)
-	emit := func(ev dist.Event) {
-		mu.Lock()
-		defer mu.Unlock()
-		enc.Encode(&ev)
+// childMode serves shards on a free loopback port, announced as the
+// only line on stdout, until stdin reaches EOF or ctx ends. Stdout
+// carries nothing else; all logging goes to stderr.
+func childMode(ctx context.Context, logger *log.Logger, timeout time.Duration) error {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return err
 	}
+	if _, err := fmt.Println(ln.Addr()); err != nil {
+		return fmt.Errorf("announce address: %w", err)
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	go func() {
+		io.Copy(io.Discard, os.Stdin)
+		cancel()
+	}()
 
-	logger.Printf("shard %d [%d,%d) of %s (attempt %d, %d resume records)",
-		task.Shard, task.Start, task.End, task.Campaign, task.Attempt, len(task.Resume))
-	if err := dist.ServeShard(ctx, task, true, emit); err != nil {
-		return fmt.Errorf("shard %d: %w", task.Shard, err)
+	srv := &http.Server{Handler: shardMux(logger, timeout)}
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
 	}
-	return nil
+	// The supervisor is gone or stopping: a shard still running has
+	// nobody to stream to.
+	return srv.Close()
 }
 
 // serveMode runs the HTTP executor, optionally registering with (and
@@ -126,22 +152,7 @@ func serveMode(ctx context.Context, logger *log.Logger, addr, register, advertis
 		}
 	}
 
-	handler := dist.ShardHandler(logger, true)
-	if timeout > 0 {
-		inner := handler
-		handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			tctx, cancel := context.WithTimeout(r.Context(), timeout)
-			defer cancel()
-			inner.ServeHTTP(w, r.WithContext(tctx))
-		})
-	}
-	mux := http.NewServeMux()
-	mux.Handle("POST /api/v1/shards/run", handler)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-
-	srv := &http.Server{Addr: addr, Handler: mux}
+	srv := &http.Server{Addr: addr, Handler: shardMux(logger, timeout)}
 	errc := make(chan error, 1)
 	go func() {
 		logger.Printf("serving shards on %s (advertising %s)", addr, advertise)

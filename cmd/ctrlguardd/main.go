@@ -29,9 +29,10 @@
 // Every campaign runs through the same shard coordinator. By default
 // it is one shard on the daemon's own engine; with -executors N,
 // campaigns are split into shards and leased to N local ctrlexec
-// subprocesses (plus any remote ctrlexec -serve instances that
-// register themselves), with dead or wedged executors detected by
-// lease expiry and their shards re-leased. The merged result is
+// processes the daemon starts with it and reuses shard after shard
+// (plus any remote ctrlexec -serve instances that register
+// themselves), with dead or wedged executors detected by lease expiry,
+// killed, and their shards re-leased. The merged result is
 // byte-identical to an in-process run.
 //
 // With -tenants pointing at a JSON tenant file, submissions

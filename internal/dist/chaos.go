@@ -14,10 +14,10 @@ import (
 // (cmd/ctrlexec), never by the in-process Engine, and only on the
 // shard's first lease so the re-leased attempt completes.
 
-// chaosExitCode is the one-shot executor's self-kill exit status,
+// chaosExitCode is a ctrlexec process's self-kill exit status,
 // 128+SIGKILL by convention — from the coordinator's side the process
 // death is indistinguishable from an external kill -9, which the chaos
-// suite also delivers for real through Proc.OnSpawn.
+// suite also delivers for real through Pool.OnLease.
 const chaosExitCode = 137
 
 // withChaos wraps emit with the task's chaos knobs. With no knobs set,
@@ -52,11 +52,10 @@ func withChaos(task ShardTask, allow bool, emit func(Event)) func(Event) {
 	}
 }
 
-// ServeShard is the executor-side main loop shared by every transport
-// host (ctrlexec's stdin mode and the HTTP ShardHandler): keep-alive
-// beats while the engine works, the shard run itself, and a terminal
-// error event when it fails. Calls to emit are serialised by the
-// transports' encoders; chaos knobs apply only when allowChaos is set.
+// ServeShard is the executor-side main loop behind ShardHandler:
+// keep-alive beats while the engine works, the shard run itself, and a
+// terminal error event when it fails. Calls to emit are serialised by
+// the handler's encoder; chaos knobs apply only when allowChaos is set.
 func ServeShard(ctx context.Context, task ShardTask, allowChaos bool, emit func(Event)) error {
 	emit = withChaos(task, allowChaos, emit)
 	stop := keepAlive(ctx, task.Shard, emit)

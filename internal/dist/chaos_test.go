@@ -16,8 +16,8 @@ import (
 	"ctrlguard/internal/goofi"
 )
 
-// The chaos suite runs shards on real ctrlexec subprocesses and kills
-// them in every way the coordinator claims to survive: a SIGKILL
+// The chaos suite runs shards on real pooled ctrlexec processes and
+// kills them in every way the coordinator claims to survive: a SIGKILL
 // mid-stream, a self-exit mid-shard, and a silent wedge that only the
 // lease watchdog can detect. Each case must still end with a record
 // file byte-identical to a single-process run — the acceptance bar for
@@ -42,10 +42,18 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-func procExecutors(n int, onSpawn func(ShardTask, int)) []Executor {
+// procExecutors returns n local executor slots over a fresh pool that
+// the test closes when it ends.
+func procExecutors(t *testing.T, n int, onLease func(ShardTask, int)) []Executor {
+	pool := &Pool{Bin: ctrlexecBin, OnLease: onLease}
+	t.Cleanup(pool.Close)
+	return poolSlots(pool, n)
+}
+
+func poolSlots(pool *Pool, n int) []Executor {
 	out := make([]Executor, n)
 	for i := range out {
-		out[i] = &Proc{Bin: ctrlexecBin, Tag: fmt.Sprintf("local-%d", i+1), OnSpawn: onSpawn}
+		out[i] = &Proc{Pool: pool, Tag: fmt.Sprintf("local-%d", i+1)}
 	}
 	return out
 }
@@ -54,7 +62,7 @@ func TestProcExecutorsByteIdentical(t *testing.T) {
 	spec := goofi.CampaignSpec{Variant: "alg1", Experiments: 60, Seed: 21}
 	want := soloBytes(t, spec)
 
-	res, err := Run(context.Background(), spec, procExecutors(2, nil), Options{
+	res, err := Run(context.Background(), spec, procExecutors(t, 2, nil), Options{
 		ShardSize:  20,
 		SegmentDir: t.TempDir(),
 		Campaign:   "c-proc",
@@ -79,7 +87,7 @@ func TestProcChaosSelfKillReLease(t *testing.T) {
 	spec := goofi.CampaignSpec{Variant: "alg1", Experiments: 60, Seed: 23}
 	want := soloBytes(t, spec)
 
-	res, err := Run(context.Background(), spec, procExecutors(2, nil), Options{
+	res, err := Run(context.Background(), spec, procExecutors(t, 2, nil), Options{
 		ShardSize:  30,
 		SegmentDir: t.TempDir(),
 		Campaign:   "c-kill",
@@ -113,7 +121,7 @@ func TestProcExternalSIGKILLReLease(t *testing.T) {
 	killed := false
 	shard0Records := 0
 
-	res, err := Run(context.Background(), spec, procExecutors(2, func(task ShardTask, pid int) {
+	res, err := Run(context.Background(), spec, procExecutors(t, 2, func(task ShardTask, pid int) {
 		mu.Lock()
 		if task.Attempt == 0 {
 			pids[task.Shard] = pid
@@ -164,7 +172,7 @@ func TestProcChaosWedgeLeaseExpiry(t *testing.T) {
 
 	start := time.Now()
 	const ttl = 1500 * time.Millisecond
-	res, err := Run(context.Background(), spec, procExecutors(2, nil), Options{
+	res, err := Run(context.Background(), spec, procExecutors(t, 2, nil), Options{
 		ShardSize:  20,
 		LeaseTTL:   ttl,
 		SegmentDir: t.TempDir(),

@@ -18,8 +18,8 @@ import (
 
 // Default knobs for Options. Shard size trades scheduling granularity
 // (small shards spread load and bound re-run cost after a kill) against
-// per-shard overhead (each lease replays the golden run and redraws the
-// plan). The lease TTL must comfortably exceed the executors' beat
+// per-shard overhead (each lease redraws the plan, and a lease on a
+// fresh executor process also replays the golden run). The lease TTL must comfortably exceed the executors' beat
 // interval (500ms) plus one long experiment.
 const (
 	DefaultShardSize   = 500

@@ -2,8 +2,8 @@
 // executor processes. It is the scale-out layer over the existing
 // crash-safe goofi engine: a coordinator splits the campaign's plan
 // into contiguous experiment-ID shards, leases each shard to an
-// executor (a local ctrlexec subprocess or a remote HTTP executor
-// behind the same interface), streams every completed record back into
+// executor (a pooled local ctrlexec process or a remote HTTP executor,
+// both reached over the same HTTP transport), streams every completed record back into
 // a per-shard JSONL segment, and finally merges the segments into the
 // canonical experiment-ordered record file — byte-identical to a solo
 // run's, which the goofi shard tests pin.
@@ -83,7 +83,7 @@ type ShardResult struct {
 }
 
 // Event is one line of the executor→coordinator stream (JSON lines
-// over a subprocess pipe or an HTTP response body). Every event renews
+// over an HTTP response body). Every event renews
 // the shard's lease.
 type Event struct {
 	// Type is "beat" (keep-alive while no record is ready, e.g. during
@@ -107,12 +107,13 @@ const (
 	EventError  = "error"
 )
 
-// Executor runs shard tasks somewhere: in-process (Engine), in a local
-// subprocess (Proc), or on a remote host (HTTP). Run streams events to
-// sink — records double as lease heartbeats — and returns when the
-// shard completes or fails. Implementations must honor ctx promptly:
-// the coordinator cancels the context of a run whose lease expires,
-// and a Proc executor answers that by SIGKILLing its subprocess.
+// Executor runs shard tasks somewhere: in-process (Engine), in a
+// pooled local ctrlexec process (Proc), or on a remote host (HTTP). Run
+// streams events to sink — records double as lease heartbeats — and
+// returns when the shard completes or fails. Implementations must
+// honor ctx promptly: the coordinator cancels the context of a run
+// whose lease expires, and a Proc executor answers that by SIGKILLing
+// its process.
 type Executor interface {
 	// Name identifies the executor in journal entries and logs.
 	Name() string

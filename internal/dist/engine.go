@@ -10,7 +10,7 @@ import (
 
 // RunShard executes one shard task in-process through the goofi engine
 // and streams its events to emit. It is the single execution path every
-// transport shares: cmd/ctrlexec calls it behind stdin/stdout and HTTP,
+// transport shares: cmd/ctrlexec calls it behind HTTP (ShardHandler),
 // and Engine calls it directly for executor-less (in-process) runs and
 // tests. Calls to emit are serialised.
 //

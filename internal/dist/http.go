@@ -13,13 +13,12 @@ import (
 	"time"
 )
 
-// HTTP is the remote Executor transport: the task is POSTed to a
-// ctrlexec process serving ShardHandler on another machine, and the
-// response body streams the same NDJSON events the subprocess
-// transport reads from a pipe. Record events double as heartbeats here
-// too; cancelling ctx (lease expiry) aborts the request, which closes
-// the connection and lets the remote executor's own context kill the
-// shard run.
+// HTTP is the Executor transport to a ctrlexec process serving
+// ShardHandler — a remote one on another machine, or a Pool's local
+// child on loopback: the task is POSTed, and the response body streams
+// the shard's NDJSON events. Record events double as heartbeats;
+// cancelling ctx (lease expiry) aborts the request, which closes the
+// connection and lets the executor's own context kill the shard run.
 type HTTP struct {
 	// URL is the executor's base URL (e.g. http://host:9077); the task
 	// is POSTed to URL + "/api/v1/shards/run".
@@ -70,20 +69,37 @@ func (h *HTTP) Run(ctx context.Context, task ShardTask, sink func(Event)) error 
 		return fmt.Errorf("dist: executor %s: %s: %s", h.Name(), resp.Status, bytes.TrimSpace(msg))
 	}
 
-	var (
-		sawDone bool
-		evErr   string
-	)
-	sc := bufio.NewScanner(resp.Body)
+	sawDone, evErr, err := readEvents(resp.Body, sink)
+	switch {
+	case ctx.Err() != nil:
+		return ctx.Err()
+	case evErr != "":
+		return fmt.Errorf("dist: executor %s failed: %s", h.Name(), evErr)
+	case err != nil:
+		return fmt.Errorf("dist: executor %s stream: %w", h.Name(), err)
+	case !sawDone:
+		return fmt.Errorf("dist: executor %s stream ended without a done event", h.Name())
+	}
+	return nil
+}
+
+// readEvents decodes an NDJSON event stream, passing each well-formed
+// event to sink in order. Only newline-terminated lines count: the
+// torn tail of a dying executor's stream is dropped, and so are lines
+// that do not parse, while everything streamed before them is kept.
+// sawDone reports a done event, evErr the last error event's message.
+func readEvents(r io.Reader, sink func(Event)) (sawDone bool, evErr string, err error) {
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
+	sc.Split(scanTerminatedLines)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
 		var ev Event
-		if err := json.Unmarshal(line, &ev); err != nil {
-			continue // torn tail of a dying remote: keep what arrived
+		if json.Unmarshal(line, &ev) != nil {
+			continue
 		}
 		switch ev.Type {
 		case EventDone:
@@ -93,17 +109,16 @@ func (h *HTTP) Run(ctx context.Context, task ShardTask, sink func(Event)) error 
 		}
 		sink(ev)
 	}
-	switch {
-	case ctx.Err() != nil:
-		return ctx.Err()
-	case evErr != "":
-		return fmt.Errorf("dist: executor %s failed: %s", h.Name(), evErr)
-	case sc.Err() != nil:
-		return fmt.Errorf("dist: executor %s stream: %w", h.Name(), sc.Err())
-	case !sawDone:
-		return fmt.Errorf("dist: executor %s stream ended without a done event", h.Name())
+	return sawDone, evErr, sc.Err()
+}
+
+// scanTerminatedLines is bufio.ScanLines without the final line when
+// it lacks its newline.
+func scanTerminatedLines(data []byte, _ bool) (advance int, token []byte, err error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i], nil
 	}
-	return nil
+	return 0, nil, nil
 }
 
 // ShardHandler serves shard tasks over HTTP — the remote side of the

@@ -9,8 +9,8 @@ import (
 // testIO is a no-op I/O bus for manually driven programs.
 type testIO struct{}
 
-func (testIO) ReadIO(off uint32) uint32  { return 0 }
-func (testIO) WriteIO(off, v uint32)     {}
+func (testIO) ReadIO(off uint32) uint32 { return 0 }
+func (testIO) WriteIO(off, v uint32)    {}
 
 // captureRun executes the program to HALT under the capture's observer
 // and returns the sealed index.

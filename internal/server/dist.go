@@ -20,14 +20,15 @@ import (
 // fixed-count campaign as one run, a precision-driven one as a loop of
 // fixed-count batches that goofi.RunUntilPrecision drives. Without
 // executors a run is one shard on this process's engine (dist.Engine).
-// With executors configured — local ctrlexec subprocesses and/or
-// remote HTTP executors that registered themselves — the plan is split
-// into contiguous shards and leased out, and the dist package's lease
-// machinery recovers from any executor death mid-shard. Either way
-// every record streams into a per-shard segment under <id>.shards/
-// (<id>.shards/b<k>/ for batch k), the resume source, and the merged
-// result is byte-identical to a plain goofi run, so progress,
-// persistence, caching, stats and resume have one implementation.
+// With executors configured — slots over a pool of long-lived local
+// ctrlexec processes and/or remote HTTP executors that registered
+// themselves — the plan is split into contiguous shards and leased
+// out, and the dist package's lease machinery recovers from any
+// executor death mid-shard. Either way every record streams into a
+// per-shard segment under <id>.shards/ (<id>.shards/b<k>/ for batch
+// k), the resume source, and the merged result is byte-identical to a
+// plain goofi run, so progress, persistence, caching, stats and resume
+// have one implementation.
 
 // execTTL is how long a remote executor registration stays live without
 // a heartbeat re-POST (ctrlexec beats every 5s).
@@ -91,18 +92,14 @@ func (r *execRegistry) live() []execEntry {
 }
 
 // executors picks where a run of n experiments executes and how large
-// its shards are: the configured local ctrlexec slots plus every live
-// remote registration at lease time, or, with neither, this process's
-// engine running the whole plan as one shard.
+// its shards are: the configured local slots over the manager's pool
+// of ctrlexec processes plus every live remote registration at lease
+// time, or, with neither, this process's engine running the whole plan
+// as one shard.
 func (m *Manager) executors(n int) ([]dist.Executor, int) {
 	var out []dist.Executor
 	for i := 0; i < m.distWorkers; i++ {
-		out = append(out, &dist.Proc{
-			Bin:     m.execBin,
-			Args:    m.execArgs,
-			Tag:     fmt.Sprintf("local-%d", i+1),
-			OnSpawn: m.spawnHook,
-		})
+		out = append(out, &dist.Proc{Pool: m.pool, Tag: fmt.Sprintf("local-%d", i+1)})
 	}
 	for _, e := range m.registry.live() {
 		out = append(out, &dist.HTTP{URL: e.URL, Tag: e.Name})

@@ -102,6 +102,31 @@ func waitCampaignDone(t *testing.T, c *Campaign, timeout time.Duration) {
 	}
 }
 
+// TestNewRejectsShardSizeOutOfRange: a shard size is 0 (the default)
+// or a positive experiment count no larger than a campaign may be.
+func TestNewRejectsShardSizeOutOfRange(t *testing.T) {
+	for _, tc := range []struct {
+		size int
+		ok   bool
+	}{
+		{-1, false},
+		{0, true},
+		{1, true},
+		{goofi.ExperimentLimit, true},
+		{goofi.ExperimentLimit + 1, false},
+	} {
+		s, err := New(Config{ShardSize: tc.size, Logger: quietLogger()})
+		if err == nil {
+			s.Close()
+		}
+		if ok := err == nil; ok != tc.ok {
+			t.Errorf("New(ShardSize: %d): err = %v, want accepted=%v", tc.size, err, tc.ok)
+		} else if !ok && !strings.Contains(err.Error(), "shard size") {
+			t.Errorf("New(ShardSize: %d): err = %v, want it to name the shard size", tc.size, err)
+		}
+	}
+}
+
 // TestDistCampaignEndToEnd: a campaign sharded across two local
 // ctrlexec subprocesses through the full server (HTTP submit, worker
 // pool, coordinator, record persistence) must write the byte-identical

@@ -330,17 +330,19 @@ type Options struct {
 	ConfigHook func(*goofi.Config)
 
 	// Executors, when positive, shards campaigns (a precision-driven
-	// one batch by batch) across this many local ctrlexec subprocesses
-	// (plus any registered remote executors) instead of running each as
-	// one in-process shard. Requires ExecBin.
+	// one batch by batch) across this many local executor slots (plus
+	// any registered remote executors) instead of running each as one
+	// in-process shard. The slots share a pool of long-lived ctrlexec
+	// processes that NewManager starts and Close stops. Requires
+	// ExecBin.
 	Executors int
-	// ExecBin is the ctrlexec binary local executor slots spawn.
+	// ExecBin is the ctrlexec binary the local executor pool spawns.
 	ExecBin string
 	// ExecArgs are extra arguments for spawned executors (resource
 	// limits like -timeout and -mem).
 	ExecArgs []string
 	// ShardSize is the experiments-per-shard for distributed campaigns
-	// (default dist.DefaultShardSize).
+	// (0 = dist.DefaultShardSize; at most goofi.ExperimentLimit).
 	ShardSize int
 	// LeaseTTL overrides the shard lease TTL (default
 	// dist.DefaultLeaseTTL). Tests shrink it to exercise expiry fast.
@@ -349,9 +351,10 @@ type Options struct {
 	// task before it is leased. TEST-ONLY: the chaos suite plants
 	// executor kill/hang knobs through it.
 	DistTaskHook func(*dist.ShardTask)
-	// ExecSpawnHook, if non-nil, observes every spawned local executor
-	// process. TEST-ONLY: the chaos suite SIGKILLs executors through it.
-	ExecSpawnHook func(task dist.ShardTask, pid int)
+	// ExecLeaseHook, if non-nil, observes every lease to a local
+	// executor with the pid of the process running it. TEST-ONLY: the
+	// chaos suite SIGKILLs executors through it.
+	ExecLeaseHook func(task dist.ShardTask, pid int)
 
 	// Tenants is the multi-tenant admission configuration. Empty runs
 	// the server open: every request is the default tenant, unlimited.
@@ -404,13 +407,11 @@ type Manager struct {
 
 	// Distributed-coordinator state (see dist.go).
 	distWorkers  int
-	execBin      string
-	execArgs     []string
+	pool         *dist.Pool // nil without local executors
 	shardSize    int
 	leaseTTL     time.Duration
 	registry     *execRegistry
 	distTaskHook func(*dist.ShardTask)
-	spawnHook    func(task dist.ShardTask, pid int)
 
 	mu     sync.Mutex
 	jobs   map[string]*Campaign
@@ -436,6 +437,10 @@ func NewManager(opts Options) (*Manager, error) {
 	if opts.Executors > 0 && opts.ExecBin == "" {
 		return nil, errors.New("server: Executors > 0 requires ExecBin (the ctrlexec binary to spawn)")
 	}
+	if opts.ShardSize < 0 || opts.ShardSize > goofi.ExperimentLimit {
+		return nil, fmt.Errorf("server: shard size must be in [0, %d] (0 = default %d), got %d",
+			goofi.ExperimentLimit, dist.DefaultShardSize, opts.ShardSize)
+	}
 	registry, err := tenant.NewRegistry(opts.Tenants)
 	if err != nil {
 		return nil, err
@@ -456,13 +461,10 @@ func NewManager(opts Options) (*Manager, error) {
 		usage:        make(map[string]*tenant.Usage),
 		jobs:         make(map[string]*Campaign),
 		distWorkers:  opts.Executors,
-		execBin:      opts.ExecBin,
-		execArgs:     opts.ExecArgs,
 		shardSize:    opts.ShardSize,
 		leaseTTL:     opts.LeaseTTL,
 		registry:     newExecRegistry(opts.ExecTTL),
 		distTaskHook: opts.DistTaskHook,
-		spawnHook:    opts.ExecSpawnHook,
 	}
 	if opts.CacheDir != "" {
 		cache, err := castore.Open(opts.CacheDir, opts.CacheMaxBytes)
@@ -482,6 +484,13 @@ func NewManager(opts Options) (*Manager, error) {
 		}
 		m.jnl = jnl
 		pending = m.restoreJobs(entries, !opts.NoResume)
+	}
+	if opts.Executors > 0 {
+		// Start every local executor now, concurrently and in the
+		// background, so the first leases find them up instead of
+		// paying for their start-up.
+		m.pool = &dist.Pool{Bin: opts.ExecBin, Args: opts.ExecArgs, OnLease: opts.ExecLeaseHook}
+		m.pool.Prestart(opts.Executors)
 	}
 	metricsInit(opts.Workers)
 	for _, c := range pending {
@@ -638,19 +647,29 @@ func (m *Manager) Close() {
 		m.finalize(c, nil, goofi.FaultStats{}, context.Canceled, c.Snapshot().RecordsPath)
 	}
 	m.wg.Wait()
+	m.closeExecutors()
 	if m.jnl != nil {
 		m.jnl.Close()
 	}
 }
 
+// closeExecutors kills and reaps the local executor pool's processes.
+func (m *Manager) closeExecutors() {
+	if m.pool != nil {
+		m.pool.Close()
+	}
+}
+
 // kill is the chaos harness's SIGKILL: stop the runners dead without
 // journaling terminal states or rewriting record files, exactly as if
-// the process had vanished. Test-only.
+// the process had vanished — its executors, whose stdin then reaches
+// EOF, included. Test-only.
 func (m *Manager) kill() {
 	m.killed.Store(true)
 	m.stop()
 	m.queue.Close()
 	m.wg.Wait()
+	m.closeExecutors()
 	if m.jnl != nil {
 		m.jnl.Close()
 	}

@@ -89,16 +89,18 @@ type Config struct {
 	ConfigHook func(*goofi.Config)
 
 	// Executors, when positive, shards campaigns (a precision-driven
-	// one batch by batch) across this many local ctrlexec subprocesses
+	// one batch by batch) across this many local ctrlexec processes
 	// (plus any remote executors that register themselves) instead of
-	// running each as one in-process shard. Requires ExecBin.
+	// running each as one in-process shard. New starts the processes
+	// and Close stops them. Requires ExecBin.
 	Executors int
 
-	// ExecBin is the ctrlexec binary local executor slots spawn.
+	// ExecBin is the ctrlexec binary the local executors run.
 	ExecBin string
 
 	// ShardSize is the experiments-per-shard for distributed campaigns
-	// (default dist.DefaultShardSize).
+	// (0 = dist.DefaultShardSize; New rejects a negative value or one
+	// past goofi.ExperimentLimit).
 	ShardSize int
 
 	// LeaseTTL overrides the shard lease TTL for distributed campaigns

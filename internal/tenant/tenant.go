@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 )
@@ -127,12 +128,23 @@ func NewRegistry(tenants []Tenant) (*Registry, error) {
 	return r, nil
 }
 
+// fileLimit bounds the size of a tenant configuration file.
+const fileLimit = 1 << 20
+
 // LoadFile reads a JSON tenant configuration: an array of Tenant
-// objects.
+// objects, in a file of at most fileLimit bytes (1 MiB).
 func LoadFile(path string) ([]Tenant, error) {
-	b, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("tenant: read config %s: %w", path, err)
+	}
+	defer f.Close()
+	b, err := io.ReadAll(io.LimitReader(f, fileLimit+1))
+	if err != nil {
+		return nil, fmt.Errorf("tenant: read config %s: %w", path, err)
+	}
+	if len(b) > fileLimit {
+		return nil, fmt.Errorf("tenant: config %s exceeds %d bytes", path, fileLimit)
 	}
 	var tenants []Tenant
 	if err := json.Unmarshal(b, &tenants); err != nil {

@@ -1,10 +1,12 @@
 package tenant
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -20,10 +22,10 @@ func TestRegistryResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	for header, want := range map[string]string{
-		"ka":        "acme",
-		"Bearer ka": "acme",
+		"ka":          "acme",
+		"Bearer ka":   "acme",
 		" Bearer ku ": "umbrella",
-		"":          "guest",
+		"":            "guest",
 	} {
 		got, err := reg.Resolve(header)
 		if err != nil {
@@ -88,6 +90,40 @@ func TestLoadFile(t *testing.T) {
 	os.WriteFile(path, []byte(`[{"name":"a"},{"name":"b"}]`), 0o644)
 	if _, err := LoadFile(path); err == nil {
 		t.Error("invalid config (two anonymous tenants) loaded")
+	}
+}
+
+// TestLoadFileSizeBound: a config of up to fileLimit bytes loads, one
+// byte more is refused with a clean error before it is parsed.
+func TestLoadFileSizeBound(t *testing.T) {
+	valid := `[{"name":"acme","key":"ka"}]`
+	for _, tc := range []struct {
+		name    string
+		size    int
+		wantErr string
+	}{
+		{"small", len(valid), ""},
+		{"at limit", fileLimit, ""},
+		{"one past limit", fileLimit + 1, "exceeds"},
+		{"far past limit", 4 * fileLimit, "exceeds"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Pad the valid config with trailing whitespace to the size.
+			b := append([]byte(valid), bytes.Repeat([]byte(" "), tc.size-len(valid))...)
+			path := filepath.Join(t.TempDir(), "tenants.json")
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, err := LoadFile(path)
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Fatalf("LoadFile(%d bytes): %v", tc.size, err)
+			case tc.wantErr == "" && (len(got) != 1 || got[0].Name != "acme"):
+				t.Fatalf("LoadFile(%d bytes) = %+v", tc.size, got)
+			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+				t.Fatalf("LoadFile(%d bytes): err = %v, want %q", tc.size, err, tc.wantErr)
+			}
+		})
 	}
 }
 

@@ -224,4 +224,4 @@ func TestLockstepDeclines(t *testing.T) {
 type nopMonitor struct{}
 
 func (nopMonitor) OnInstr(int, uint64, *cpu.CPU) *cpu.TrapError { return nil }
-func (nopMonitor) OnIteration(int, *cpu.CPU) *cpu.TrapError    { return nil }
+func (nopMonitor) OnIteration(int, *cpu.CPU) *cpu.TrapError     { return nil }
