@@ -19,6 +19,7 @@ import (
 	"ctrlguard/internal/control"
 	"ctrlguard/internal/core"
 	"ctrlguard/internal/cpu"
+	"ctrlguard/internal/detect"
 	"ctrlguard/internal/fphys"
 	"ctrlguard/internal/goofi"
 	"ctrlguard/internal/inject"
@@ -266,6 +267,33 @@ func BenchmarkCampaignPruned(b *testing.B) {
 // whole fast-path stack against the naive campaign.
 func BenchmarkCampaignLockstep(b *testing.B) {
 	benchWholeCampaign(b, 0)
+}
+
+// BenchmarkCampaignDetector is the production default with both
+// detector families armed, the shape of ctrlbench's fault-models
+// detector campaigns: Algorithm II, 60 experiments. Armed campaigns
+// decline pruning and lockstep, so this measures the monitored warm
+// start and the monitored idle fast-forward.
+func BenchmarkCampaignDetector(b *testing.B) {
+	const n = 60
+	var res *goofi.Result
+	for i := 0; i < b.N; i++ {
+		var err error
+		res, err = goofi.Run(goofi.Config{
+			Variant:     workload.AlgorithmII,
+			Experiments: n,
+			Seed:        2001,
+			Detect:      detect.Spec{CFE: true, Automaton: true},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds(), "experiments/s")
+	if ws := res.WarmStart; ws != nil {
+		b.ReportMetric(float64(ws.Resumed), "resumed")
+		b.ReportMetric(float64(ws.EarlyExits), "early_exits")
+	}
 }
 
 // --- Tables 2, 3, 4: the fault-injection campaigns ---

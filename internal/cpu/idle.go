@@ -26,15 +26,15 @@ type PollBus interface {
 	ReadZeros(off uint32, limit uint64) uint64
 }
 
-// pollTrip is the number of instructions in one trip of a poll loop.
-const pollTrip = 4
+// PollTrip is the number of instructions in one trip of a poll loop.
+const PollTrip = 4
 
 // markPollHeads flags every slot that heads a poll loop: the slots from
 // it on are exactly SIG; LD rd, imm(rb); CMP rd, r0; BEQ <the SIG>, with
 // rd neither r0 (the compare would ignore the load) nor rb (the load
 // would move its own address).
 func markPollHeads(ops *[CodeSize / 4]dop) {
-	for i := 0; i+pollTrip <= len(ops); i++ {
+	for i := 0; i+PollTrip <= len(ops); i++ {
 		sig, ld, cmp, beq := &ops[i], &ops[i+1], &ops[i+2], &ops[i+3]
 		ops[i].pollHead = sig.err == nil && sig.op == OpSig &&
 			ld.err == nil && ld.op == OpLd && ld.rd != 0 && ld.rd != ld.rs1 &&
@@ -56,7 +56,7 @@ func (c *CPU) JumpedToPollHead() bool {
 
 // FastForward runs whole trips of the poll loop headed at PC while the
 // polled word reads 0, at most limit instructions in all, and returns
-// how many instructions it executed: a multiple of 4, 0 when it
+// how many instructions it executed: a multiple of PollTrip, 0 when it
 // declines. The machine is left exactly as stepping those instructions
 // one at a time would leave it (I/O is uncached, so the cache is
 // untouched), and the bus as that many reads of the polled word would.
@@ -83,16 +83,16 @@ func (c *CPU) FastForward(limit uint64) uint64 {
 	if !ok {
 		return 0
 	}
-	trips := bus.ReadZeros(addr-IOBase, limit/pollTrip)
+	trips := bus.ReadZeros(addr-IOBase, limit/PollTrip)
 	if trips == 0 {
 		return 0
 	}
 	// The net effect of a trip that loads 0: the compare sets Z and
 	// clears LT, and the taken BEQ lands back on the SIG.
-	c.instrCount += pollTrip * trips
+	c.instrCount += PollTrip * trips
 	c.setReg(ld.rd, 0)
 	c.FlagZ = true
 	c.FlagLT = false
 	c.lastJump = true
-	return pollTrip * trips
+	return PollTrip * trips
 }

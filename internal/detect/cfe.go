@@ -83,6 +83,33 @@ func (m *CFMonitor) OnIteration(int, *cpu.CPU) *cpu.TrapError {
 	return nil
 }
 
+// CanSkipPoll implements workload.IdleMonitor. It accepts only when the
+// monitor has just followed the back edge of the one-block poll loop
+// headed at pc: the previous instruction is the loop's BEQ, the block
+// is exactly the loop's four instructions, its self-edge is legal and
+// the running signature is the block's. Code is immutable, so every
+// further trip enters the block once, matches its signature and
+// leaves this state as it found it.
+func (m *CFMonitor) CanSkipPoll(pc uint32) bool {
+	if pc%4 != 0 || cpu.SegmentOf(pc) != cpu.SegCode {
+		return false
+	}
+	// prev only ever holds an index OnInstr checked, so idx is one too.
+	idx := int((pc - cpu.CodeBase) / 4)
+	if m.prev != idx+cpu.PollTrip-1 {
+		return false
+	}
+	b := m.g.blockOf[idx]
+	return m.g.blocks[b] == Block{Start: idx, End: idx + cpu.PollTrip} &&
+		m.g.isEdge(b, b) && m.runSig == m.g.sig[b]
+}
+
+// SkipPoll implements workload.IdleMonitor: each trip is one block
+// entry.
+func (m *CFMonitor) SkipPoll(trips uint64) {
+	m.Entries += trips
+}
+
 // MonitorState implements workload.StatefulMonitor: the previously
 // fetched code index and the running block signature.
 func (m *CFMonitor) MonitorState() (string, bool) {

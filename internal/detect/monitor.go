@@ -60,6 +60,13 @@ func (c *Collector) OnIteration(_ int, vm *cpu.CPU) *cpu.TrapError {
 	return nil
 }
 
+// CanSkipPoll implements workload.IdleMonitor: a collector ignores
+// instructions.
+func (c *Collector) CanSkipPoll(uint32) bool { return true }
+
+// SkipPoll implements workload.IdleMonitor.
+func (c *Collector) SkipPoll(uint64) {}
+
 // AutomatonMonitor evaluates a mined automaton in-loop: at every
 // iteration boundary it reads the state doubles and validates the
 // vector against the automaton; a violation traps with
@@ -93,6 +100,13 @@ func (m *AutomatonMonitor) OnIteration(_ int, vm *cpu.CPU) *cpu.TrapError {
 	}
 	return nil
 }
+
+// CanSkipPoll implements workload.IdleMonitor: the automaton checks
+// only iteration boundaries.
+func (m *AutomatonMonitor) CanSkipPoll(uint32) bool { return true }
+
+// SkipPoll implements workload.IdleMonitor.
+func (m *AutomatonMonitor) SkipPoll(uint64) {}
 
 // MonitorState implements workload.StatefulMonitor: whether the
 // checker is seeded, then the bits of its previous accepted vector.
@@ -149,6 +163,32 @@ func (s Stack) OnIteration(iteration int, vm *cpu.CPU) *cpu.TrapError {
 		}
 	}
 	return nil
+}
+
+// idler is workload.IdleMonitor's own half, which every monitor of
+// this package implements.
+type idler interface {
+	CanSkipPoll(pc uint32) bool
+	SkipPoll(trips uint64)
+}
+
+// CanSkipPoll implements workload.IdleMonitor: every member must have
+// the capability and accept.
+func (s Stack) CanSkipPoll(pc uint32) bool {
+	for _, m := range s {
+		im, ok := m.(idler)
+		if !ok || !im.CanSkipPoll(pc) {
+			return false
+		}
+	}
+	return true
+}
+
+// SkipPoll implements workload.IdleMonitor.
+func (s Stack) SkipPoll(trips uint64) {
+	for _, m := range s {
+		m.(idler).SkipPoll(trips)
+	}
 }
 
 // MonitorState implements workload.StatefulMonitor: each member's

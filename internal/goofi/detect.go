@@ -16,7 +16,9 @@ import (
 // detect mechanisms and classify as detections like any EDM trap. Both
 // monitor families are workload.StatefulMonitors, so armed campaigns
 // keep the warm start: checkpoints freeze the monitor stack's state
-// and the golden splice requires it to match.
+// and the golden splice requires it to match. They are
+// workload.IdleMonitors too, so armed runs keep the idle fast-forward,
+// the monitors accounting for the poll-loop trips it skips.
 
 // DetectStats reports a campaign's detector configuration and results.
 type DetectStats struct {

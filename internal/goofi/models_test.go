@@ -3,6 +3,7 @@ package goofi
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"math/rand"
 	"os"
 	"strconv"
@@ -74,7 +75,12 @@ func TestDefaultModelRecordsUnstamped(t *testing.T) {
 // resume machinery rest on for the extended fault models. With
 // detectors armed (which decline lockstep) the solo run resumes from
 // checkpoints carrying the monitors' state, and the plain simulation
-// runs every experiment under fresh monitors from iteration 0.
+// runs every experiment under fresh monitors from iteration 0. Armed
+// campaigns also run a fifth way, on the classic interpreter with the
+// warm start ablated: the predecoded arms all fast-forward the idle
+// poll loop under the monitors alike, and only the interpreter steps
+// every trip. The whole-campaign arms must report the solo run's
+// detector stats too.
 func modelIdentityCheck(t *testing.T, rng *rand.Rand, v workload.Variant, m inject.FaultModel, d detect.Spec, n int, seed uint64) {
 	t.Helper()
 	base := Config{Variant: v, Experiments: n, Seed: seed, Model: m, Detect: d}
@@ -90,16 +96,30 @@ func modelIdentityCheck(t *testing.T, rng *rand.Rand, v workload.Variant, m inje
 		t.Fatal(err)
 	}
 
+	wantDetect, err := json.Marshal(solo.Detect)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	var got bytes.Buffer
 	for _, arm := range []struct {
-		name   string
-		ablate Layer
+		name      string
+		ablate    Layer
+		interpret bool
 	}{
-		{"warm-start/prune-ablated", LayerWarmStart | LayerPrune},
-		{"lockstep-ablated", LayerLockstep},
+		{"warm-start/prune-ablated", LayerWarmStart | LayerPrune, false},
+		{"lockstep-ablated", LayerLockstep, false},
+		{"interpreted", LayerWarmStart | LayerLockstep, true},
 	} {
+		if arm.interpret && !d.Enabled() {
+			continue
+		}
 		cfg := base
 		cfg.Ablate = arm.ablate
+		if arm.interpret {
+			cfg.Spec = workload.SpecFor(v)
+			cfg.Spec.Interpret = true
+		}
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%s/%s/%s %s: %v", v, m, d, arm.name, err)
@@ -110,6 +130,10 @@ func modelIdentityCheck(t *testing.T, rng *rand.Rand, v workload.Variant, m inje
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Errorf("%s/%s/%s: %s run differs from the solo run", v, m, d, arm.name)
+		}
+		if gotDetect, err := json.Marshal(res.Detect); err != nil || !bytes.Equal(gotDetect, wantDetect) {
+			t.Errorf("%s/%s/%s: %s run reports detector stats %s, solo run %s (%v)",
+				v, m, d, arm.name, gotDetect, wantDetect, err)
 		}
 	}
 

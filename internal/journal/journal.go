@@ -8,7 +8,8 @@
 // The format is JSON lines, one Entry per line. Like the campaign
 // record store, the reader is truncation-tolerant: a final line cut
 // short by a crash mid-append is dropped (and the file repaired by
-// truncating the torn tail on Open), while a malformed line in the
+// truncating the torn tail on Open; a final line missing its newline
+// is torn even when it parses), while a malformed line in the
 // middle of the stream — corruption, not truncation — is a hard error.
 package journal
 
@@ -182,12 +183,16 @@ func Open(path string) (*Journal, []Entry, error) {
 }
 
 // scan reads entries from f and returns them together with the byte
-// offset just past the last fully-parseable line.
+// offset just past the last fully-parseable line. Append acknowledges
+// an entry only once its newline is durable, so an unterminated final
+// line is torn even when it parses: it is dropped, and the offset
+// stops before it.
 func scan(f *os.File) ([]Entry, int64, error) {
 	b, err := io.ReadAll(f)
 	if err != nil {
 		return nil, 0, fmt.Errorf("journal: read: %w", err)
 	}
+	b = b[:bytes.LastIndexByte(b, '\n')+1]
 	entries, err := ReadEntries(bytes.NewReader(b))
 	if err != nil {
 		var trunc *TruncatedError

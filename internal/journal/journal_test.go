@@ -110,6 +110,97 @@ func TestTornTailRepaired(t *testing.T) {
 	}
 }
 
+// TestTornBeforeNewlineRepaired is the crash that loses only the final
+// newline: the last line still parses, but it was never acknowledged.
+// Open must drop it, or the next append glues onto it and the journal
+// after that no longer opens.
+func TestTornBeforeNewlineRepaired(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.wal")
+	j, _ := openT(t, path)
+	for _, ev := range []EventType{EventSubmitted, EventStarted, EventProgress} {
+		if err := j.Append(Entry{Job: "c1", Type: ev}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()-1); err != nil {
+		t.Fatal(err)
+	}
+
+	j2, entries := openT(t, path)
+	if len(entries) != 2 {
+		t.Fatalf("replayed %d entries with the last newline torn, want 2", len(entries))
+	}
+	for _, ev := range []EventType{EventProgress, EventTerminal} {
+		if err := j2.Append(Entry{Job: "c1", Type: ev}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j2.Close()
+	_, again := openT(t, path)
+	if len(again) != 4 {
+		t.Fatalf("replayed %d entries after repair and two appends, want 4", len(again))
+	}
+	for i, e := range again {
+		if e.Seq != int64(i+1) {
+			t.Errorf("entry %d seq = %d, want %d", i, e.Seq, i+1)
+		}
+	}
+	if again[3].Type != EventTerminal {
+		t.Errorf("last entry = %+v", again[3])
+	}
+}
+
+// FuzzJournalOpen: for any file contents, Open either fails, or it
+// accepts an append after which the journal reopens to exactly the
+// entries it replayed plus the new one.
+func FuzzJournalOpen(f *testing.F) {
+	f.Add([]byte(""))
+	f.Add([]byte(`{"seq":1,"job":"c1","ev":"submitted"}` + "\n" + `{"seq":2,"job":"c1","ev":"started"}` + "\n"))
+	f.Add([]byte(`{"seq":1,"job":"c1","ev":"submitted"}` + "\n" + `{"seq":2,"job":"c1","ev":"started"}`))
+	f.Add([]byte(`{"seq":1,"job":"c1","ev":"submitted"}` + "\n" + `{"seq":2,"job":`))
+	f.Add([]byte("\n \r\nnull\n{}\nGARBAGE\n"))
+	f.Add([]byte(`{"seq":9223372036854775807,"t":"2026-01-02T03:04:05+07:00","spec":{ "a" : 1 }}` + "\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "journal.wal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, replayed, err := Open(path)
+		if err != nil {
+			return
+		}
+		e := Entry{Job: "fuzz", Type: EventTerminal, Time: time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)}
+		for _, r := range replayed {
+			e.Seq = max(e.Seq, r.Seq)
+		}
+		e.Seq++
+		err = j.Append(e)
+		if cerr := j.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatalf("append after a clean open: %v", err)
+		}
+		j2, got, err := Open(path)
+		if err != nil {
+			t.Fatalf("reopen after an acknowledged append: %v", err)
+		}
+		j2.Close()
+		want, err := json.Marshal(append(replayed, e))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, err := json.Marshal(got); err != nil || string(g) != string(want) {
+			t.Fatalf("reopened to %s, want %s (%v)", g, want, err)
+		}
+	})
+}
+
 // A malformed line followed by more entries is corruption, not a torn
 // tail, and must fail loudly rather than silently dropping history.
 func TestMidStreamCorruptionFails(t *testing.T) {

@@ -39,12 +39,13 @@ type Injection struct {
 }
 
 // Monitor is an in-loop error detector: OnInstr runs before every
-// instruction (after any injection for that cycle is applied) and
-// OnIteration after each control iteration's outputs are delivered. A
-// non-nil trap terminates the run exactly like a CPU EDM firing —
-// detectors report through the same trap plumbing the campaigns
-// already classify. A monitor keeps the From/Golden fast paths only
-// when it is a StatefulMonitor; any other disables them, since they
+// instruction the run steps (after any injection for that cycle is
+// applied) and OnIteration after each control iteration's outputs are
+// delivered. A non-nil trap terminates the run exactly like a CPU EDM
+// firing — detectors report through the same trap plumbing the
+// campaigns already classify. A monitor keeps the From/Golden fast
+// paths only when it is a StatefulMonitor, and the idle fast-forward
+// only when it is an IdleMonitor; any other disables them, since they
 // skip instructions the detector would need to see.
 type Monitor interface {
 	OnInstr(iteration int, instr uint64, vm *cpu.CPU) *cpu.TrapError
@@ -71,6 +72,24 @@ type StatefulMonitor interface {
 	// by a monitor of the same configuration (the same detectors over
 	// the same program). The harness cannot check that precondition.
 	RestoreMonitorState(s string)
+}
+
+// IdleMonitor is the optional Monitor capability behind the idle
+// fast-forward (cpu.CPU.FastForward) of monitored runs. At the head of
+// a poll loop reached by a taken jump the harness asks CanSkipPoll
+// before OnInstr; when it accepts and the machine runs whole trips of
+// the loop at once, SkipPoll stands in for their OnInstr calls.
+type IdleMonitor interface {
+	Monitor
+
+	// CanSkipPoll reports whether every further trip of the poll loop
+	// headed at pc would pass OnInstr without a trap and leave the
+	// monitor as SkipPoll does.
+	CanSkipPoll(pc uint32) bool
+
+	// SkipPoll accounts for trips whole trips of the loop executed
+	// without OnInstr calls, after CanSkipPoll accepted.
+	SkipPoll(trips uint64)
 }
 
 // statefulMonitor returns m's StatefulMonitor capability, or nil when m
@@ -117,9 +136,10 @@ type RunSpec struct {
 	Observer func(iteration int, instr uint64, vm *cpu.CPU)
 
 	// Monitor, if non-nil, is the in-loop detector for this run. It
-	// sees every instruction the run executes; a StatefulMonitor keeps
-	// the From and Golden fast paths (see those fields), any other
-	// monitor disables them.
+	// sees every instruction the run steps. A StatefulMonitor keeps the
+	// From and Golden fast paths (see those fields), and an IdleMonitor
+	// the idle fast-forward, where it accounts for the poll-loop trips
+	// the machine runs at once; any other monitor disables them.
 	Monitor Monitor
 
 	// Abort, if non-nil, is polled at every iteration boundary; when it
@@ -522,9 +542,11 @@ func run(prog *cpu.Program, spec RunSpec, captureAt int) (*Outcome, *Checkpoint)
 
 func (r *runner) run(captureAt int) (*Outcome, *Checkpoint) {
 	spec, out, vm, port, env := r.spec, r.out, r.vm, r.port, r.env
-	// Observers and monitors must see every instruction, so only runs
-	// without them fast-forward through the idle poll loop.
-	skipIdle := spec.Observer == nil && spec.Monitor == nil
+	// Observers must see every instruction, and monitors every one they
+	// cannot account for, so only runs without an observer, under no
+	// monitor or an IdleMonitor, fast-forward through the idle poll loop.
+	idle, _ := spec.Monitor.(IdleMonitor)
+	skipIdle := spec.Observer == nil && (spec.Monitor == nil || idle != nil)
 	for ; r.k < spec.Iterations; r.k++ {
 		k := r.k
 		if !r.mid {
@@ -624,6 +646,15 @@ func (r *runner) run(captureAt int) (*Outcome, *Checkpoint) {
 			if spec.Observer != nil {
 				spec.Observer(k, vm.InstrCount(), vm)
 			}
+			if skipIdle && restore == nil && vm.JumpedToPollHead() &&
+				(idle == nil || idle.CanSkipPoll(vm.PC)) {
+				if n := r.fastForward(); n > 0 {
+					if idle != nil {
+						idle.SkipPoll(n / cpu.PollTrip)
+					}
+					continue
+				}
+			}
 			if spec.Monitor != nil {
 				if t := spec.Monitor.OnInstr(k, vm.InstrCount(), vm); t != nil {
 					out.Trap = t
@@ -632,9 +663,6 @@ func (r *runner) run(captureAt int) (*Outcome, *Checkpoint) {
 					out.finish(env)
 					return out, nil
 				}
-			}
-			if skipIdle && restore == nil && vm.JumpedToPollHead() && r.fastForward() {
-				continue
 			}
 			if err := vm.Step(); err != nil {
 				out.Trap = asTrap(err)
@@ -685,9 +713,9 @@ func (r *runner) run(captureAt int) (*Outcome, *Checkpoint) {
 
 // fastForward runs whole trips of the poll loop at the machine's PC,
 // stopping short of every point the step loop must see: the injection,
-// the next lane fork and the watchdog's budget. It reports whether it
-// executed anything.
-func (r *runner) fastForward() bool {
+// the next lane fork and the watchdog's budget. It returns how many
+// instructions it executed, a whole number of trips.
+func (r *runner) fastForward() uint64 {
 	now := r.vm.InstrCount()
 	limit := uint64(r.budget - r.cycles)
 	if inj := r.spec.Injection; inj != nil && !r.injected && inj.At >= now {
@@ -698,7 +726,7 @@ func (r *runner) fastForward() bool {
 	}
 	n := r.vm.FastForward(limit)
 	r.cycles += int(n)
-	return n > 0
+	return n
 }
 
 // monitorAt reports whether the run's monitor, if any, is in golden's

@@ -76,6 +76,9 @@ func idleSlots(t *testing.T, prog *cpu.Program, spec RunSpec, k, trip int) []uin
 	return slots
 }
 
+// IdleSlots lets the external test package place faults in the loop.
+var IdleSlots = idleSlots
+
 func regBit(elem string, bit uint) cpu.StateBit {
 	return cpu.StateBit{Region: cpu.RegionRegisters, Element: elem, Bit: bit}
 }
