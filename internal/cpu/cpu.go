@@ -20,7 +20,7 @@ type IOBus interface {
 	WriteIO(off uint32, v uint32)
 }
 
-// ErrHalted is returned by Step after the CPU executed HALT.
+// ErrHalted is returned by Step and Run after the CPU executed HALT.
 var ErrHalted = errors.New("cpu: halted")
 
 // SPReg is the register conventionally holding the stack pointer; data
@@ -42,6 +42,7 @@ type CPU struct {
 	instrCount uint64
 	lastJump   bool // previous instruction transferred control
 	halted     bool
+	ioStore    bool // an instruction stored to the I/O window since Run began
 
 	// dec, when non-nil, is the predecoded instruction stream Step
 	// dispatches from instead of decoding the fetched word — see
@@ -99,7 +100,39 @@ func (c *CPU) setReg(i int, v uint32) {
 // Step executes one instruction. It returns nil on success, ErrHalted
 // when the CPU has halted, or a *TrapError when an error-detection
 // mechanism fires. After a trap the CPU must not be stepped again.
+// Step is the entry point of runs whose caller must see every
+// instruction (observers, monitors, the transient fault window); Run
+// executes straight-line stretches through the same step.
 func (c *CPU) Step() error {
+	return c.step()
+}
+
+// Run executes up to limit instructions, exactly as that many Step
+// calls would, and reports how many completed. It returns early, with
+// a nil error, right after an instruction that stored to the I/O
+// window (the host may have to answer it), after HALT, and after a
+// taken jump onto a poll-loop head (see JumpedToPollHead), so the
+// caller can fast-forward the idle loop. A trap or ErrHalted ends it
+// too: the error is what the failing Step would have returned, and the
+// count excludes that instruction.
+func (c *CPU) Run(limit uint64) (uint64, error) {
+	c.ioStore = false
+	for n := uint64(0); n < limit; {
+		if err := c.step(); err != nil {
+			return n, err
+		}
+		n++
+		if c.ioStore || c.halted || c.JumpedToPollHead() {
+			return n, nil
+		}
+	}
+	return limit, nil
+}
+
+// step fetches and executes one instruction: the one body behind Step
+// and Run, with the interpreted and the predecoded front ends feeding
+// the same back half.
+func (c *CPU) step() error {
 	if c.halted {
 		return ErrHalted
 	}
@@ -109,29 +142,25 @@ func (c *CPU) Step() error {
 	if c.PC%4 != 0 || SegmentOf(c.PC) != SegCode {
 		return &TrapError{Mech: MechJumpError, PC: c.PC, Info: "instruction fetch outside code segment"}
 	}
+	var in *dop
 	if d := c.dec; d != nil {
 		// Predecoded dispatch: the code segment is immutable after
 		// load (verified by AttachDecoded), so the slot at PC is
 		// exactly what fetching and decoding the word would yield —
 		// including the INSTRUCTION ERROR for undecodable words.
-		s := &d.ops[(c.PC-CodeBase)>>2]
-		if s.err != nil {
-			return &TrapError{Mech: MechInstrError, PC: c.PC, Info: s.err.Error()}
+		in = &d.ops[(c.PC-CodeBase)>>2]
+		if in.err != nil {
+			return &TrapError{Mech: MechInstrError, PC: c.PC, Info: in.err.Error()}
 		}
-		return c.exec(s)
+	} else {
+		ins, err := Decode(c.Mem.ReadWord(c.PC))
+		if err != nil {
+			return &TrapError{Mech: MechInstrError, PC: c.PC, Info: err.Error()}
+		}
+		slot := compile(ins)
+		in = &slot
 	}
-	word := c.Mem.ReadWord(c.PC)
-	in, err := Decode(word)
-	if err != nil {
-		return &TrapError{Mech: MechInstrError, PC: c.PC, Info: err.Error()}
-	}
-	s := compile(in)
-	return c.exec(&s)
-}
 
-// exec executes one predecoded slot: the shared back half of Step
-// behind both the interpreted and the predecoded front ends.
-func (c *CPU) exec(in *dop) error {
 	// Control-flow checking: every control transfer must land on a
 	// SIG landing pad.
 	if c.lastJump && in.op != OpSig {
@@ -334,6 +363,7 @@ func (c *CPU) store(addr uint32, v uint32) *TrapError {
 	switch SegmentOf(addr) {
 	case SegIO:
 		c.IO.WriteIO(addr-IOBase, v)
+		c.ioStore = true
 		return nil
 	case SegStack:
 		c.Mem.WriteWord(addr, v)

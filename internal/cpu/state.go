@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -63,127 +64,153 @@ func StateBits() []StateBit {
 	return bits
 }
 
+// ElemKind names which part of the machine a state element is.
+type ElemKind uint8
+
+// State element kinds.
+const (
+	ElemReg    ElemKind = iota // "rN", N in 1..15
+	ElemPC                     // "pc"
+	ElemFlagZ                  // "flagZ"
+	ElemFlagLT                 // "flagLT"
+	ElemTag                    // "lineL.tag"
+	ElemValid                  // "lineL.valid"
+	ElemDirty                  // "lineL.dirty"
+	ElemData                   // "lineL.dataW"
+)
+
+// Elem is a parsed state element name.
+type Elem struct {
+	Kind ElemKind
+	N    int // register number (ElemReg) or cache line (the cache kinds)
+	Word int // data word within the line (ElemData)
+}
+
+// ParseElement parses the name of a state element of region, in the
+// exact form StateBits spells it: no signs, leading zeros or trailing
+// characters, and every index in range.
+func ParseElement(region Region, name string) (Elem, error) {
+	switch region {
+	case RegionRegisters:
+		switch name {
+		case "pc":
+			return Elem{Kind: ElemPC}, nil
+		case "flagZ":
+			return Elem{Kind: ElemFlagZ}, nil
+		case "flagLT":
+			return Elem{Kind: ElemFlagLT}, nil
+		}
+		if r, ok := elemIndex(name, "r", 16); ok && r > 0 {
+			return Elem{Kind: ElemReg, N: r}, nil
+		}
+		return Elem{}, fmt.Errorf("cpu: bad register element %q", name)
+	case RegionCache:
+		line, field, _ := strings.Cut(name, ".")
+		if l, ok := elemIndex(line, "line", CacheLines); ok {
+			switch field {
+			case "tag":
+				return Elem{Kind: ElemTag, N: l}, nil
+			case "valid":
+				return Elem{Kind: ElemValid, N: l}, nil
+			case "dirty":
+				return Elem{Kind: ElemDirty, N: l}, nil
+			}
+			if w, ok := elemIndex(field, "data", cacheWords); ok {
+				return Elem{Kind: ElemData, N: l, Word: w}, nil
+			}
+		}
+		return Elem{}, fmt.Errorf("cpu: bad cache element %q", name)
+	default:
+		return Elem{}, fmt.Errorf("cpu: unknown region %q", region)
+	}
+}
+
+// elemIndex parses s as prefix followed by a canonical decimal below n.
+func elemIndex(s, prefix string, n int) (int, bool) {
+	digits, ok := strings.CutPrefix(s, prefix)
+	if !ok || digits == "" || digits[0] < '0' || digits[0] > '9' ||
+		len(digits) > 1 && digits[0] == '0' {
+		return 0, false
+	}
+	v, err := strconv.Atoi(digits)
+	return v, err == nil && v < n
+}
+
 // FlipBit inverts the given state bit, the single-bit-flip fault model
 // of the paper (SCIFI: read the scan chain, invert the bit, write it
 // back).
 func (c *CPU) FlipBit(sb StateBit) error {
-	switch sb.Region {
-	case RegionRegisters:
-		return c.flipRegisterBit(sb)
-	case RegionCache:
-		return c.flipCacheBit(sb)
-	default:
-		return fmt.Errorf("cpu: unknown region %q", sb.Region)
+	e, err := ParseElement(sb.Region, sb.Element)
+	if err != nil {
+		return err
 	}
-}
-
-func (c *CPU) flipRegisterBit(sb StateBit) error {
-	switch sb.Element {
-	case "pc":
+	switch e.Kind {
+	case ElemReg:
+		c.Regs[e.N] ^= 1 << sb.Bit
+	case ElemPC:
 		c.PC ^= 1 << sb.Bit
-		return nil
-	case "flagZ":
+	case ElemFlagZ:
 		c.FlagZ = !c.FlagZ
-		return nil
-	case "flagLT":
+	case ElemFlagLT:
 		c.FlagLT = !c.FlagLT
-		return nil
-	}
-	var r int
-	if _, err := fmt.Sscanf(sb.Element, "r%d", &r); err != nil || r < 1 || r > 15 {
-		return fmt.Errorf("cpu: bad register element %q", sb.Element)
-	}
-	c.Regs[r] ^= 1 << sb.Bit
-	return nil
-}
-
-func (c *CPU) flipCacheBit(sb StateBit) error {
-	var l int
-	var field string
-	if _, err := fmt.Sscanf(sb.Element, "line%d.%s", &l, &field); err != nil || l < 0 || l >= CacheLines {
-		return fmt.Errorf("cpu: bad cache element %q", sb.Element)
-	}
-	line := &c.Cache.lines[l]
-	switch {
-	case field == "tag":
-		line.tag ^= 1 << sb.Bit
-	case field == "valid":
-		line.valid = !line.valid
-	case field == "dirty":
-		line.dirty = !line.dirty
-	default:
-		var w int
-		if _, err := fmt.Sscanf(field, "data%d", &w); err != nil || w < 0 || w >= cacheWords {
-			return fmt.Errorf("cpu: bad cache element %q", sb.Element)
-		}
-		line.data[w] ^= 1 << sb.Bit
+	case ElemTag:
+		c.Cache.lines[e.N].tag ^= 1 << sb.Bit
+	case ElemValid:
+		c.Cache.lines[e.N].valid = !c.Cache.lines[e.N].valid
+	case ElemDirty:
+		c.Cache.lines[e.N].dirty = !c.Cache.lines[e.N].dirty
+	case ElemData:
+		c.Cache.lines[e.N].data[e.Word] ^= 1 << sb.Bit
 	}
 	return nil
 }
 
 // StateBitWidth returns the number of bits the element holding sb can
 // store: 1 for the flags and the cache line valid/dirty bits, the tag
-// width for cache tags, and the 32-bit word width otherwise. Burst
+// width for cache tags, and the 32-bit word width otherwise (malformed
+// names included, which FlipBit rejects). Burst
 // faults wrap within this width, so a burst never spills into a
 // neighbouring element.
 func StateBitWidth(sb StateBit) uint {
-	switch sb.Element {
-	case "flagZ", "flagLT":
+	e, err := ParseElement(sb.Region, sb.Element)
+	if err != nil {
+		return 32
+	}
+	switch e.Kind {
+	case ElemFlagZ, ElemFlagLT, ElemValid, ElemDirty:
 		return 1
+	case ElemTag:
+		return tagBits
+	default:
+		return 32
 	}
-	if sb.Region == RegionCache {
-		if strings.HasSuffix(sb.Element, ".tag") {
-			return tagBits
-		}
-		if strings.HasSuffix(sb.Element, ".valid") || strings.HasSuffix(sb.Element, ".dirty") {
-			return 1
-		}
-	}
-	return 32
 }
 
 // StateBitValue reads the current value of one state bit without
 // perturbing the machine, for the transient fault model's
 // flip-then-restore bookkeeping.
 func (c *CPU) StateBitValue(sb StateBit) (bool, error) {
-	switch sb.Region {
-	case RegionRegisters:
-		switch sb.Element {
-		case "pc":
-			return c.PC&(1<<sb.Bit) != 0, nil
-		case "flagZ":
-			return c.FlagZ, nil
-		case "flagLT":
-			return c.FlagLT, nil
-		}
-		var r int
-		if _, err := fmt.Sscanf(sb.Element, "r%d", &r); err != nil || r < 1 || r > 15 {
-			return false, fmt.Errorf("cpu: bad register element %q", sb.Element)
-		}
-		return c.Regs[r]&(1<<sb.Bit) != 0, nil
-	case RegionCache:
-		var l int
-		var field string
-		if _, err := fmt.Sscanf(sb.Element, "line%d.%s", &l, &field); err != nil || l < 0 || l >= CacheLines {
-			return false, fmt.Errorf("cpu: bad cache element %q", sb.Element)
-		}
-		line := &c.Cache.lines[l]
-		switch {
-		case field == "tag":
-			return line.tag&(1<<sb.Bit) != 0, nil
-		case field == "valid":
-			return line.valid, nil
-		case field == "dirty":
-			return line.dirty, nil
-		default:
-			var w int
-			if _, err := fmt.Sscanf(field, "data%d", &w); err != nil || w < 0 || w >= cacheWords {
-				return false, fmt.Errorf("cpu: bad cache element %q", sb.Element)
-			}
-			return line.data[w]&(1<<sb.Bit) != 0, nil
-		}
-	default:
-		return false, fmt.Errorf("cpu: unknown region %q", sb.Region)
+	e, err := ParseElement(sb.Region, sb.Element)
+	if err != nil {
+		return false, err
+	}
+	switch e.Kind {
+	case ElemReg:
+		return c.Regs[e.N]&(1<<sb.Bit) != 0, nil
+	case ElemPC:
+		return c.PC&(1<<sb.Bit) != 0, nil
+	case ElemFlagZ:
+		return c.FlagZ, nil
+	case ElemFlagLT:
+		return c.FlagLT, nil
+	case ElemTag:
+		return c.Cache.lines[e.N].tag&(1<<sb.Bit) != 0, nil
+	case ElemValid:
+		return c.Cache.lines[e.N].valid, nil
+	case ElemDirty:
+		return c.Cache.lines[e.N].dirty, nil
+	default: // ElemData
+		return c.Cache.lines[e.N].data[e.Word]&(1<<sb.Bit) != 0, nil
 	}
 }
 

@@ -61,8 +61,9 @@ func Mechanisms() []Mechanism {
 	}
 }
 
-// TrapError is returned by CPU.Step when an error-detection mechanism
-// fires. Execution cannot continue after a trap.
+// TrapError is returned by CPU.Step and CPU.Run when an
+// error-detection mechanism fires. Execution cannot continue after a
+// trap.
 type TrapError struct {
 	Mech Mechanism
 	PC   uint32

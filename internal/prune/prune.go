@@ -52,7 +52,6 @@
 package prune
 
 import (
-	"fmt"
 	"sort"
 
 	"ctrlguard/internal/cpu"
@@ -95,43 +94,29 @@ func memLoc(addr uint32) (uint32, bool) {
 
 // locOf maps an injectable state bit onto its location index.
 func locOf(b cpu.StateBit) (uint32, bool) {
-	switch b.Region {
-	case cpu.RegionRegisters:
-		switch b.Element {
-		case "pc":
-			return locPC, true
-		case "flagZ":
-			return locFlagZ, true
-		case "flagLT":
-			return locFlagLT, true
-		}
-		var r int
-		if _, err := fmt.Sscanf(b.Element, "r%d", &r); err != nil || r < 1 || r > 15 {
-			return 0, false
-		}
-		return locReg(r), true
-	case cpu.RegionCache:
-		var l int
-		var field string
-		if _, err := fmt.Sscanf(b.Element, "line%d.%s", &l, &field); err != nil || l < 0 || l >= cpu.CacheLines {
-			return 0, false
-		}
-		base := uint32(locCacheBase + l*locPerLine)
-		switch field {
-		case "tag":
-			return base, true
-		case "valid":
-			return base + 1, true
-		case "dirty":
-			return base + 2, true
-		}
-		var w int
-		if _, err := fmt.Sscanf(field, "data%d", &w); err != nil || w < 0 || w >= cpu.CacheWordsPerLine {
-			return 0, false
-		}
-		return base + 3 + uint32(w), true
+	e, err := cpu.ParseElement(b.Region, b.Element)
+	if err != nil {
+		return 0, false
 	}
-	return 0, false
+	line := uint32(locCacheBase + e.N*locPerLine)
+	switch e.Kind {
+	case cpu.ElemReg:
+		return locReg(e.N), true
+	case cpu.ElemPC:
+		return locPC, true
+	case cpu.ElemFlagZ:
+		return locFlagZ, true
+	case cpu.ElemFlagLT:
+		return locFlagLT, true
+	case cpu.ElemTag:
+		return line, true
+	case cpu.ElemValid:
+		return line + 1, true
+	case cpu.ElemDirty:
+		return line + 2, true
+	default: // cpu.ElemData
+		return line + 3 + uint32(e.Word), true
+	}
 }
 
 // Event kinds, in intra-instruction execution order semantics: the

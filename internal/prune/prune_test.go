@@ -314,3 +314,32 @@ func TestFinishRejectsBadCaptures(t *testing.T) {
 		t.Error("Finish accepted an out-of-order capture")
 	}
 }
+
+// TestLocOfCoversStateBits requires locOf to give every injectable
+// element its own location below the memory words, and to refuse the
+// names cpu.ParseElement rejects.
+func TestLocOfCoversStateBits(t *testing.T) {
+	owner := make(map[uint32]string)
+	for _, sb := range cpu.StateBits() {
+		loc, ok := locOf(sb)
+		if !ok || loc >= locMemBase {
+			t.Fatalf("locOf(%s) = %d, %v", sb, loc, ok)
+		}
+		if prev, dup := owner[loc]; dup && prev != sb.Element {
+			t.Fatalf("%s and %s share location %d", prev, sb.Element, loc)
+		}
+		owner[loc] = sb.Element
+	}
+	if len(owner) != locMemBase {
+		t.Fatalf("StateBits cover %d locations, want %d", len(owner), locMemBase)
+	}
+	for _, name := range []string{"r0", "r16", "r5x", "line99.tag", "line0.data9"} {
+		region := cpu.RegionRegisters
+		if name[0] == 'l' {
+			region = cpu.RegionCache
+		}
+		if loc, ok := locOf(cpu.StateBit{Region: region, Element: name}); ok {
+			t.Errorf("locOf accepted %s/%s as location %d", region, name, loc)
+		}
+	}
+}

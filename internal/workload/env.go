@@ -7,10 +7,12 @@ import "ctrlguard/internal/plant"
 // harness writes the environment's input values to the I/O window,
 // runs the target until it delivers its outputs, and feeds them back.
 type Environment interface {
-	// Inputs returns the values of the input ports for iteration k.
-	Inputs(k int) []float64
+	// Inputs writes the values of the input ports for iteration k into
+	// in, which holds one element per input port.
+	Inputs(k int, in []float64)
 
-	// Deliver consumes the outputs of iteration k.
+	// Deliver consumes the outputs of iteration k. The harness reuses
+	// u for the next iteration, so it must not be retained.
 	Deliver(k int, u []float64)
 }
 
@@ -55,15 +57,16 @@ var _ Environment = (*engineEnv)(nil)
 func newEngineEnv(spec RunSpec) *engineEnv {
 	eng := plant.NewEngine(spec.EngineCfg)
 	return &engineEnv{
-		eng: eng,
-		ref: spec.Reference,
-		t:   spec.EngineCfg.T,
-		y:   eng.Speed(),
+		eng:    eng,
+		ref:    spec.Reference,
+		t:      spec.EngineCfg.T,
+		y:      eng.Speed(),
+		speeds: make([]float64, 0, spec.Iterations),
 	}
 }
 
-func (e *engineEnv) Inputs(k int) []float64 {
-	return []float64{e.ref(float64(k) * e.t), e.y}
+func (e *engineEnv) Inputs(k int, in []float64) {
+	in[0], in[1] = e.ref(float64(k)*e.t), e.y
 }
 
 func (e *engineEnv) Deliver(_ int, u []float64) {
@@ -76,7 +79,7 @@ func (e *engineEnv) Deliver(_ int, u []float64) {
 func (e *engineEnv) CloneEnv() Environment {
 	cp := *e
 	cp.eng = e.eng.Clone()
-	cp.speeds = append([]float64(nil), e.speeds...)
+	cp.speeds = append(make([]float64, 0, cap(e.speeds)), e.speeds...)
 	return &cp
 }
 
@@ -99,9 +102,9 @@ func newTwoShaftEnv(RunSpec) *twoShaftEnv {
 	return &twoShaftEnv{shafts: p, ref1: ref1, ref2: ref2, t: cfg.T, n1: n1, n2: n2}
 }
 
-func (e *twoShaftEnv) Inputs(k int) []float64 {
+func (e *twoShaftEnv) Inputs(k int, in []float64) {
 	t := float64(k) * e.t
-	return []float64{e.ref1(t), e.ref2(t), e.n1, e.n2}
+	in[0], in[1], in[2], in[3] = e.ref1(t), e.ref2(t), e.n1, e.n2
 }
 
 func (e *twoShaftEnv) Deliver(_ int, u []float64) {

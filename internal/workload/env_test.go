@@ -67,12 +67,13 @@ func TestIOPortIgnoresStrayWrites(t *testing.T) {
 func TestEngineEnvFeedsLoop(t *testing.T) {
 	spec := PaperRunSpec()
 	env := newEngineEnv(spec)
-	in := env.Inputs(0)
+	in := make([]float64, 2)
+	env.Inputs(0, in)
 	if in[0] != 2000 || math.Abs(in[1]-2000) > 1 {
 		t.Errorf("initial inputs = %v", in)
 	}
 	env.Deliver(0, []float64{70})
-	in = env.Inputs(1)
+	env.Inputs(1, in)
 	if in[1] <= 2000 {
 		t.Errorf("full throttle did not raise speed: %v", in[1])
 	}
@@ -83,20 +84,20 @@ func TestEngineEnvFeedsLoop(t *testing.T) {
 
 func TestTwoShaftEnvFeedsLoop(t *testing.T) {
 	env := newTwoShaftEnv(RunSpec{})
-	in := env.Inputs(0)
-	if len(in) != 4 {
-		t.Fatalf("inputs = %v", in)
-	}
+	in := make([]float64, 4)
+	env.Inputs(0, in)
 	if in[0] != 300 || in[1] != 200 {
 		t.Errorf("references = %v, %v", in[0], in[1])
 	}
 	env.Deliver(0, []float64{100, 40})
-	in2 := env.Inputs(1)
+	in2 := make([]float64, 4)
+	env.Inputs(1, in2)
 	if in2[2] <= in[2] || in2[3] <= in[3] {
 		t.Error("max actuators did not raise shaft speeds")
 	}
 	// After the step time the references rise.
-	inLate := env.Inputs(400)
+	inLate := make([]float64, 4)
+	env.Inputs(400, inLate)
 	if inLate[0] != 400 || inLate[1] != 250 {
 		t.Errorf("post-step references = %v, %v", inLate[0], inLate[1])
 	}

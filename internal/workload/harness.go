@@ -132,11 +132,17 @@ type RunSpec struct {
 	// Observer, if non-nil, is invoked before every instruction with
 	// the current iteration, the global instruction index and the
 	// machine — GOOFI's detail mode, used for error-propagation
-	// analysis. It slows the run down considerably.
+	// analysis. It slows the run down considerably: the run then steps
+	// one instruction at a time (cpu.CPU.Step), whereas a run with
+	// neither an Observer nor a Monitor executes the straight-line
+	// stretches between the events it must see (an I/O store, a
+	// poll-loop head, the injection, a lane fork, the watchdog's
+	// budget) in one cpu.CPU.Run call each.
 	Observer func(iteration int, instr uint64, vm *cpu.CPU)
 
 	// Monitor, if non-nil, is the in-loop detector for this run. It
-	// sees every instruction the run steps. A StatefulMonitor keeps the
+	// sees every instruction the run steps, and the run steps every
+	// instruction it does not fast-forward. A StatefulMonitor keeps the
 	// From and Golden fast paths (see those fields), and an IdleMonitor
 	// the idle fast-forward, where it accounts for the poll-loop trips
 	// the machine runs at once; any other monitor disables them.
@@ -192,7 +198,7 @@ type RunSpec struct {
 	// Interpret forces the classic fetch/decode interpreter instead of
 	// the predecoded instruction stream, and so also turns off the idle
 	// fast-forward (cpu.CPU.FastForward), which needs the stream: the
-	// interpreter steps every poll of the ready flag. Behaviour is
+	// interpreter executes every poll of the ready flag. Behaviour is
 	// identical either way (pinned by tests and the lockstep-crossval CI
 	// job); the knob is the reference both fast paths are checked
 	// against, and benchmarks the decode overhead.
@@ -278,6 +284,7 @@ type ioPort struct {
 	in         []float64
 	outHi      []uint32
 	outLo      []uint32
+	out        []float64 // outputs' buffer, reused every iteration
 	syncSeen   bool
 	readyPolls int
 	idleSpins  int
@@ -291,6 +298,7 @@ func newIOPort(ports PortLayout, idleSpins int) *ioPort {
 		in:        make([]float64, ports.Inputs),
 		outHi:     make([]uint32, ports.Outputs),
 		outLo:     make([]uint32, ports.Outputs),
+		out:       make([]float64, ports.Outputs),
 		idleSpins: idleSpins,
 	}
 }
@@ -362,13 +370,13 @@ func (p *ioPort) WriteIO(off uint32, v uint32) {
 }
 
 // outputs returns the delivered output values; valid once the sync
-// store has been observed.
+// store has been observed, and until the next call, which reuses the
+// slice.
 func (p *ioPort) outputs() []float64 {
-	out := make([]float64, p.ports.Outputs)
-	for j := range out {
-		out[j] = math.Float64frombits(uint64(p.outHi[j])<<32 | uint64(p.outLo[j]))
+	for j := range p.out {
+		p.out[j] = math.Float64frombits(uint64(p.outHi[j])<<32 | uint64(p.outLo[j]))
 	}
-	return out
+	return p.out
 }
 
 // Run executes prog against its environment for spec.Iterations control
@@ -547,6 +555,10 @@ func (r *runner) run(captureAt int) (*Outcome, *Checkpoint) {
 	// monitor or an IdleMonitor, fast-forward through the idle poll loop.
 	idle, _ := spec.Monitor.(IdleMonitor)
 	skipIdle := spec.Observer == nil && (spec.Monitor == nil || idle != nil)
+	// Runs nobody watches per instruction execute straight-line
+	// stretches in one cpu.CPU.Run call, stopping at every event the
+	// loop below must see; observed and monitored runs step.
+	unwatched := spec.Observer == nil && spec.Monitor == nil
 	for ; r.k < spec.Iterations; r.k++ {
 		k := r.k
 		if !r.mid {
@@ -622,7 +634,7 @@ func (r *runner) run(captureAt int) (*Outcome, *Checkpoint) {
 				r.nextCheck = k + r.gap
 			}
 			out.IterationStarts = append(out.IterationStarts, vm.InstrCount())
-			copy(port.in, env.Inputs(k))
+			env.Inputs(k, port.in)
 			port.syncSeen = false
 			port.readyPolls = 0
 			r.cycles = 0
@@ -646,36 +658,42 @@ func (r *runner) run(captureAt int) (*Outcome, *Checkpoint) {
 			if spec.Observer != nil {
 				spec.Observer(k, vm.InstrCount(), vm)
 			}
+			var n uint64
 			if skipIdle && restore == nil && vm.JumpedToPollHead() &&
 				(idle == nil || idle.CanSkipPoll(vm.PC)) {
-				if n := r.fastForward(); n > 0 {
-					if idle != nil {
-						idle.SkipPoll(n / cpu.PollTrip)
-					}
-					continue
+				if n = vm.FastForward(r.untilEvent()); n > 0 && idle != nil {
+					idle.SkipPoll(n / cpu.PollTrip)
 				}
 			}
-			if spec.Monitor != nil {
-				if t := spec.Monitor.OnInstr(k, vm.InstrCount(), vm); t != nil {
-					out.Trap = t
+			if n == 0 {
+				if spec.Monitor != nil {
+					if t := spec.Monitor.OnInstr(k, vm.InstrCount(), vm); t != nil {
+						out.Trap = t
+						out.TrapIteration = k
+						out.Instructions = vm.InstrCount()
+						out.finish(env)
+						return out, nil
+					}
+				}
+				var err error
+				if unwatched && restore == nil {
+					n, err = vm.Run(r.untilEvent())
+				} else {
+					n, err = 1, vm.Step()
+				}
+				if err != nil {
+					out.Trap = asTrap(err)
 					out.TrapIteration = k
 					out.Instructions = vm.InstrCount()
 					out.finish(env)
 					return out, nil
 				}
+				if restore != nil {
+					restore()
+					restore = nil
+				}
 			}
-			if err := vm.Step(); err != nil {
-				out.Trap = asTrap(err)
-				out.TrapIteration = k
-				out.Instructions = vm.InstrCount()
-				out.finish(env)
-				return out, nil
-			}
-			if restore != nil {
-				restore()
-				restore = nil
-			}
-			r.cycles++
+			r.cycles += int(n)
 			if r.cycles > r.budget {
 				out.Trap = &cpu.TrapError{Mech: cpu.MechWatchdog,
 					Info: "iteration exceeded its cycle budget"}
@@ -711,22 +729,20 @@ func (r *runner) run(captureAt int) (*Outcome, *Checkpoint) {
 	return out, nil
 }
 
-// fastForward runs whole trips of the poll loop at the machine's PC,
-// stopping short of every point the step loop must see: the injection,
-// the next lane fork and the watchdog's budget. It returns how many
-// instructions it executed, a whole number of trips.
-func (r *runner) fastForward() uint64 {
+// untilEvent returns how many instructions the machine may run before
+// the step loop must look at it again: up to the injection, the next
+// lane fork, or the instruction that overruns the watchdog's budget,
+// whichever comes first. It is at least 1 at the top of the step loop.
+func (r *runner) untilEvent() uint64 {
 	now := r.vm.InstrCount()
-	limit := uint64(r.budget - r.cycles)
+	limit := uint64(r.budget + 1 - r.cycles)
 	if inj := r.spec.Injection; inj != nil && !r.injected && inj.At >= now {
 		limit = min(limit, inj.At-now)
 	}
 	if r.fork != nil {
 		limit = min(limit, r.forkAt-now)
 	}
-	n := r.vm.FastForward(limit)
-	r.cycles += int(n)
-	return n
+	return limit
 }
 
 // monitorAt reports whether the run's monitor, if any, is in golden's
@@ -749,9 +765,9 @@ func (o *Outcome) finish(env Environment) {
 	}
 }
 
-// asTrap converts the error from CPU.Step into a *TrapError; ErrHalted
-// cannot occur for the looping workloads but is mapped to a constraint
-// trap defensively rather than dropped.
+// asTrap converts the error from CPU.Step or CPU.Run into a
+// *TrapError; ErrHalted cannot occur for the looping workloads but is
+// mapped to a constraint trap defensively rather than dropped.
 func asTrap(err error) *cpu.TrapError {
 	if t, ok := err.(*cpu.TrapError); ok {
 		return t

@@ -101,15 +101,12 @@ func forkLane(r *runner, inj *Injection) *runner {
 	spec.Injection = inj
 	spec.From = nil
 
-	port := &ioPort{
-		ports:      r.port.ports,
-		in:         append([]float64(nil), r.port.in...),
-		outHi:      append([]uint32(nil), r.port.outHi...),
-		outLo:      append([]uint32(nil), r.port.outLo...),
-		syncSeen:   r.port.syncSeen,
-		readyPolls: r.port.readyPolls,
-		idleSpins:  r.port.idleSpins,
-	}
+	port := newIOPort(r.port.ports, r.port.idleSpins)
+	copy(port.in, r.port.in)
+	copy(port.outHi, r.port.outHi)
+	copy(port.outLo, r.port.outLo)
+	port.syncSeen = r.port.syncSeen
+	port.readyPolls = r.port.readyPolls
 	out := &Outcome{
 		MultiOutputs:    make([][]float64, len(r.out.MultiOutputs)),
 		IterationStarts: append(make([]uint64, 0, spec.Iterations), r.out.IterationStarts...),
