@@ -25,7 +25,6 @@ import (
 	"ctrlguard/internal/inject"
 	"ctrlguard/internal/plant"
 	"ctrlguard/internal/sim"
-	"ctrlguard/internal/trace"
 	"ctrlguard/internal/tune"
 	"ctrlguard/internal/workload"
 )
@@ -487,52 +486,10 @@ func BenchmarkTuneEvaluate(b *testing.B) {
 
 // --- Fault forensics: the tracing subsystem ---
 
-// traceFixture captures the Figure 7 severe failure once; the encode
-// benchmark then measures the stream codec alone.
-var (
-	traceOnce sync.Once
-	traceFig7 *trace.Trace
-)
-
-func traceFixture(b *testing.B) *trace.Trace {
-	b.Helper()
-	traceOnce.Do(func() {
-		golden := goldenFor(b, workload.AlgorithmI)
-		tr, err := trace.Capture(context.Background(), workload.AlgorithmI,
-			workload.PaperRunSpec(), workload.Injection{
-				At:  golden.IterationStarts[300] + 1,
-				Bit: cpu.StateBit{Region: cpu.RegionCache, Element: "line0.data0", Bit: 28},
-			}, classify.DefaultConfig())
-		if err != nil {
-			b.Fatalf("trace capture: %v", err)
-		}
-		traceFig7 = tr
-	})
-	return traceFig7
-}
-
-// BenchmarkTraceEncode measures the varint-delta stream codec on a
-// real 350-iteration severe-failure trace, round-tripped so encode and
-// decode regressions both show up.
-func BenchmarkTraceEncode(b *testing.B) {
-	tr := traceFixture(b)
-	data := trace.Encode(tr)
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		data = trace.Encode(tr)
-		if _, err := trace.Decode(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(len(data))/float64(len(tr.Iterations)), "bytes_per_iteration")
-}
-
 // BenchmarkTraceReplay measures a full traced replay of one campaign
 // experiment — the unit of work behind goofi.TraceExperiment, the
-// server's trace endpoint and faulttrace capture (a golden pass plus an
-// instrumented faulty pass per op).
+// server's trace endpoint and every faulttrace subcommand (a golden pass
+// plus an instrumented faulty pass per op).
 func BenchmarkTraceReplay(b *testing.B) {
 	cfg := goofi.Config{Variant: workload.AlgorithmI, Experiments: 8, Seed: 2001}
 	var iters int

@@ -1,32 +1,29 @@
-// Command faulttrace is the fault-forensics front end: it captures
-// per-experiment propagation traces, inspects and diffs them, and
-// renders propagation timelines.
+// Command faulttrace is the fault-forensics front end: it replays one
+// fault-injection experiment in detail mode and prints, diffs or
+// renders its propagation trace. A trace is a pure function of
+// (variant, fault), so it is never saved: every subcommand names the
+// fault and replays it.
 //
 // Usage:
 //
-//	faulttrace capture -variant alg1 -fault line0.data0:28:300 -o f7.trace
-//	    capture the trace of one explicitly specified fault
+//	faulttrace show -variant alg1 -fault line0.data0:28:300
+//	    replay one explicitly specified fault and print the trace's
+//	    header, causal chain, and event iterations
 //
-//	faulttrace capture -variant alg1 -seed 2001 -exp 17 -n 9290 -o e17.trace
-//	    replay experiment 17 of the campaign (variant, seed, n) and
-//	    capture its trace — deterministic, byte for byte
-//
-//	faulttrace show f7.trace
-//	    print a trace's header, causal chain, and event iterations
+//	faulttrace show -variant alg1 -seed 2001 -exp 17 -n 9290
+//	    replay experiment 17 of the campaign (variant, seed, n) —
+//	    deterministic, bit for bit — and print its trace
 //
 //	faulttrace show -defuse -variant alg1
 //	    print the workload's disassembly annotated with each
 //	    instruction's def/use sets (the fault-space pruner's tables)
 //
 //	faulttrace diff -fault line0.data0:28:300 -a alg1 -b alg2
-//	    capture the same fault under two variants and compare their
+//	    replay the same fault under two variants and compare their
 //	    causal chains (the paper's Algorithm I vs II argument)
 //
-//	faulttrace diff a.trace b.trace
-//	    compare two previously captured traces
-//
-//	faulttrace svg f7.trace -o f7.svg
-//	    render a trace's propagation timeline as SVG
+//	faulttrace svg -variant alg1 -fault line0.data0:28:300 -o f7.svg
+//	    render the propagation timeline as SVG (-exp/-seed/-n work too)
 package main
 
 import (
@@ -55,14 +52,12 @@ func main() {
 	}
 	var err error
 	switch os.Args[1] {
-	case "capture":
-		err = runCapture(ctx, os.Args[2:])
 	case "show":
-		err = runShow(os.Args[2:])
+		err = runShow(ctx, os.Args[2:])
 	case "diff":
 		err = runDiff(ctx, os.Args[2:])
 	case "svg":
-		err = runSVG(os.Args[2:])
+		err = runSVG(ctx, os.Args[2:])
 	case "-h", "--help", "help":
 		usage()
 	default:
@@ -77,131 +72,118 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  faulttrace capture -variant V (-fault element:bit:iteration | -exp N -seed S -n COUNT) [-o FILE]
-  faulttrace show FILE
+  faulttrace show [-variant V] (-fault element:bit:iteration | -exp N [-seed S] [-n COUNT])
   faulttrace show -defuse [-variant V]
-  faulttrace diff (-fault element:bit:iteration [-a V1] [-b V2] | FILE1 FILE2)
-  faulttrace svg FILE [-o FILE]`)
+  faulttrace diff -fault element:bit:iteration [-a V1] [-b V2]
+  faulttrace svg [-variant V] (-fault element:bit:iteration | -exp N [-seed S] [-n COUNT]) [-o FILE]`)
 }
 
-// parseFault parses the element:bit:iteration shorthand shared with
-// the goofi CLI (e.g. line0.data0:28:300) and resolves it against the
-// variant's reference run.
-func parseFault(v workload.Variant, spec string) (workload.Injection, error) {
+// experiment names the experiment a subcommand replays: an explicit
+// fault, or experiment exp of the campaign (variant, seed, n).
+type experiment struct {
+	variant, fault string
+	exp            int
+	seed           uint64
+	n              int
+}
+
+// experimentFlags registers the flags that name an experiment on fs.
+func experimentFlags(fs *flag.FlagSet) *experiment {
+	e := &experiment{}
+	fs.StringVar(&e.variant, "variant", "", "workload variant (default alg1)")
+	fs.StringVar(&e.fault, "fault", "", "explicit fault: element:bit:iteration")
+	fs.IntVar(&e.exp, "exp", -1, "campaign experiment index to replay")
+	fs.Uint64Var(&e.seed, "seed", 2001, "campaign seed (with -exp)")
+	fs.IntVar(&e.n, "n", 0, "campaign experiment count (with -exp; 0 = unbounded)")
+	return e
+}
+
+// replay re-runs the named experiment in detail mode.
+func (e *experiment) replay(ctx context.Context) (*trace.Trace, error) {
+	v, err := goofi.ResolveVariant(0, e.variant)
+	if err != nil {
+		return nil, err
+	}
+	if e.fault != "" {
+		return captureFault(ctx, v, e.fault)
+	}
+	if e.exp < 0 {
+		return nil, fmt.Errorf("need -fault or -exp")
+	}
+	return goofi.TraceExperiment(ctx, goofi.Config{
+		Variant: v, Experiments: e.n, Seed: e.seed,
+	}, e.exp)
+}
+
+// parseArgs parses a subcommand's flags. Positional arguments are
+// refused: traces are replayed, never read from files.
+func parseArgs(fs *flag.FlagSet, args []string) error {
+	fs.Parse(args)
+	if fs.NArg() > 0 {
+		return fmt.Errorf("%s: unexpected argument %q (name the fault with -fault or -exp)", fs.Name(), fs.Arg(0))
+	}
+	return nil
+}
+
+// captureFault parses the element:bit:iteration shorthand (e.g.
+// line0.data0:28:300), resolves it against the variant's reference
+// run, and captures its trace.
+func captureFault(ctx context.Context, v workload.Variant, spec string) (*trace.Trace, error) {
 	parts := strings.Split(spec, ":")
 	if len(parts) != 3 {
-		return workload.Injection{}, fmt.Errorf("bad fault %q, want element:bit:iteration", spec)
+		return nil, fmt.Errorf("bad fault %q, want element:bit:iteration", spec)
 	}
 	bit, err := strconv.Atoi(parts[1])
 	if err != nil || bit < 0 {
-		return workload.Injection{}, fmt.Errorf("bad bit %q", parts[1])
+		return nil, fmt.Errorf("bad bit %q", parts[1])
 	}
 	iter, err := strconv.Atoi(parts[2])
 	if err != nil || iter < 0 {
-		return workload.Injection{}, fmt.Errorf("bad iteration %q", parts[2])
+		return nil, fmt.Errorf("bad iteration %q", parts[2])
 	}
 	region := cpu.RegionCache
 	if !strings.HasPrefix(parts[0], "line") {
 		region = cpu.RegionRegisters
 	}
+	sb := cpu.StateBit{Region: region, Element: parts[0], Bit: uint(bit)}
+	if _, err := cpu.ParseElement(region, sb.Element); err != nil {
+		return nil, err
+	}
+	if w := cpu.StateBitWidth(sb); sb.Bit >= w {
+		return nil, fmt.Errorf("bad bit %d: %s holds %d bits", bit, sb.Element, w)
+	}
 	golden := workload.Run(workload.Program(v), workload.SpecFor(v))
 	if golden.Detected() {
-		return workload.Injection{}, fmt.Errorf("reference execution trapped: %v", golden.Trap)
+		return nil, fmt.Errorf("reference execution trapped: %v", golden.Trap)
 	}
 	if iter >= len(golden.IterationStarts) {
-		return workload.Injection{}, fmt.Errorf("iteration %d beyond the run (%d)", iter, len(golden.IterationStarts))
+		return nil, fmt.Errorf("iteration %d beyond the run (%d)", iter, len(golden.IterationStarts))
 	}
-	return workload.Injection{
+	inj := workload.Injection{
 		// +1 skips the landing pad so the flip lands inside the
 		// iteration's first instructions, before the state is loaded.
 		At:  golden.IterationStarts[iter] + 1,
-		Bit: cpu.StateBit{Region: region, Element: parts[0], Bit: uint(bit)},
-	}, nil
+		Bit: sb,
+	}
+	return trace.Capture(ctx, v, workload.SpecFor(v), inj, classify.Config{})
 }
 
-// captureOne captures a trace either for an explicit fault or by
-// replaying a campaign experiment.
-func captureOne(ctx context.Context, v workload.Variant, fault string, exp int, seed uint64, n int) (*trace.Trace, error) {
-	if fault != "" {
-		inj, err := parseFault(v, fault)
-		if err != nil {
-			return nil, err
-		}
-		return trace.Capture(ctx, v, workload.SpecFor(v), inj, classify.Config{})
-	}
-	if exp < 0 {
-		return nil, fmt.Errorf("need -fault or -exp")
-	}
-	return goofi.TraceExperiment(ctx, goofi.Config{
-		Variant: v, Experiments: n, Seed: seed,
-	}, exp)
-}
-
-func resolveVariant(alg int, name string) (workload.Variant, error) {
-	return goofi.ResolveVariant(alg, name)
-}
-
-func runCapture(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("capture", flag.ExitOnError)
-	variant := fs.String("variant", "", "workload variant (default alg1)")
-	fault := fs.String("fault", "", "explicit fault: element:bit:iteration")
-	exp := fs.Int("exp", -1, "campaign experiment index to replay")
-	seed := fs.Uint64("seed", 2001, "campaign seed (with -exp)")
-	n := fs.Int("n", 0, "campaign experiment count (with -exp; 0 = unbounded)")
-	out := fs.String("o", "", "write the encoded trace to this file (default stdout summary only)")
-	fs.Parse(args)
-
-	v, err := resolveVariant(0, *variant)
-	if err != nil {
-		return err
-	}
-	tr, err := captureOne(ctx, v, *fault, *exp, *seed, *n)
-	if err != nil {
-		return err
-	}
-	if *out != "" {
-		if err := os.WriteFile(*out, trace.Encode(tr), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d iterations)\n", *out, len(tr.Iterations))
-	}
-	printTrace(tr)
-	return nil
-}
-
-func loadTrace(path string) (*trace.Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	tr, err := trace.Read(f)
-	if tr != nil && err != nil {
-		// A truncated trace is still evidence; show what survived.
-		fmt.Fprintf(os.Stderr, "faulttrace: warning: %v\n", err)
-		return tr, nil
-	}
-	return tr, err
-}
-
-func runShow(args []string) error {
+func runShow(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("show", flag.ExitOnError)
+	e := experimentFlags(fs)
 	defuse := fs.Bool("defuse", false, "print the workload's disassembly annotated with per-instruction def/use sets (the pruner's static tables) instead of a trace")
-	variant := fs.String("variant", "", "workload variant (with -defuse; default alg1)")
-	fs.Parse(args)
-
+	if err := parseArgs(fs, args); err != nil {
+		return err
+	}
 	if *defuse {
-		v, err := resolveVariant(0, *variant)
+		v, err := goofi.ResolveVariant(0, e.variant)
 		if err != nil {
 			return err
 		}
 		fmt.Print(workload.Program(v).DisassembleDefUse())
 		return nil
 	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("show needs exactly one trace file")
-	}
-	tr, err := loadTrace(fs.Arg(0))
+	tr, err := e.replay(ctx)
 	if err != nil {
 		return err
 	}
@@ -273,60 +255,40 @@ func eventNames(e uint8) string {
 
 func runDiff(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("diff", flag.ExitOnError)
-	fault := fs.String("fault", "", "fault to capture under both variants: element:bit:iteration")
-	va := fs.String("a", "alg1", "first variant (with -fault)")
-	vb := fs.String("b", "alg2", "second variant (with -fault)")
-	fs.Parse(args)
-
-	var ta, tb *trace.Trace
-	var labelA, labelB string
-	switch {
-	case *fault != "":
-		a, err := resolveVariant(0, *va)
-		if err != nil {
-			return err
-		}
-		b, err := resolveVariant(0, *vb)
-		if err != nil {
-			return err
-		}
-		if ta, err = captureOne(ctx, a, *fault, -1, 0, 0); err != nil {
-			return err
-		}
-		if tb, err = captureOne(ctx, b, *fault, -1, 0, 0); err != nil {
-			return err
-		}
-		labelA, labelB = string(a), string(b)
-	case fs.NArg() == 2:
-		var err error
-		if ta, err = loadTrace(fs.Arg(0)); err != nil {
-			return err
-		}
-		if tb, err = loadTrace(fs.Arg(1)); err != nil {
-			return err
-		}
-		labelA, labelB = fs.Arg(0), fs.Arg(1)
-	default:
-		return fmt.Errorf("diff needs -fault or two trace files")
+	fault := fs.String("fault", "", "fault to replay under both variants: element:bit:iteration")
+	va := fs.String("a", "alg1", "first variant")
+	vb := fs.String("b", "alg2", "second variant")
+	if err := parseArgs(fs, args); err != nil {
+		return err
 	}
-
-	fmt.Print(trace.Diff(labelA, trace.Analyze(ta, 0), labelB, trace.Analyze(tb, 0)))
+	if *fault == "" {
+		return fmt.Errorf("diff needs -fault")
+	}
+	var labels [2]string
+	var chains [2]*trace.Chain
+	for i, name := range []string{*va, *vb} {
+		v, err := goofi.ResolveVariant(0, name)
+		if err != nil {
+			return err
+		}
+		tr, err := captureFault(ctx, v, *fault)
+		if err != nil {
+			return err
+		}
+		labels[i], chains[i] = string(v), trace.Analyze(tr, 0)
+	}
+	fmt.Print(trace.Diff(labels[0], chains[0], labels[1], chains[1]))
 	return nil
 }
 
-func runSVG(args []string) error {
+func runSVG(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("svg", flag.ExitOnError)
+	e := experimentFlags(fs)
 	out := fs.String("o", "", "output file (default stdout)")
-	fs.Parse(args)
-	if fs.NArg() == 0 {
-		return fmt.Errorf("svg needs a trace file")
+	if err := parseArgs(fs, args); err != nil {
+		return err
 	}
-	file := fs.Arg(0)
-	if fs.NArg() > 1 {
-		// Allow "svg FILE -o OUT": pick up flags after the file too.
-		fs.Parse(fs.Args()[1:])
-	}
-	tr, err := loadTrace(file)
+	tr, err := e.replay(ctx)
 	if err != nil {
 		return err
 	}

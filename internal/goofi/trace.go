@@ -27,6 +27,11 @@ func TraceExperiment(ctx context.Context, cfg Config, n int) (*trace.Trace, erro
 	if cfg.Experiments > 0 && n >= cfg.Experiments {
 		return nil, fmt.Errorf("goofi: experiment %d out of range (campaign has %d)", n, cfg.Experiments)
 	}
+	if n >= ExperimentLimit {
+		// Reaching experiment n draws n+1 samples; an unbounded
+		// campaign must not turn a huge index into an endless loop.
+		return nil, fmt.Errorf("goofi: experiment %d out of range (limit %d)", n, ExperimentLimit)
+	}
 	if cfg.Detect.Enabled() {
 		return nil, fmt.Errorf("goofi: trace mode does not support detector campaigns (the detail-mode replay cannot arm monitors)")
 	}

@@ -1,7 +1,6 @@
 package goofi
 
 import (
-	"bytes"
 	"context"
 	"testing"
 
@@ -49,7 +48,7 @@ func TestTraceExperimentReplaysCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatalf("TraceExperiment: %v", err)
 	}
-	if !bytes.Equal(trace.Encode(direct), trace.Encode(replayed)) {
+	if !trace.Equal(direct, replayed) {
 		t.Error("replayed trace differs from a direct capture of the recorded fault")
 	}
 }
@@ -61,5 +60,11 @@ func TestTraceExperimentRejectsBadIndex(t *testing.T) {
 	}
 	if _, err := TraceExperiment(context.Background(), cfg, cfg.Experiments); err == nil {
 		t.Error("out-of-range index accepted")
+	}
+	// An unbounded campaign (n = 0) still caps the index: the replay
+	// draws n+1 samples to reach experiment n.
+	cfg.Experiments = 0
+	if _, err := TraceExperiment(context.Background(), cfg, ExperimentLimit); err == nil {
+		t.Error("index at the experiment limit accepted")
 	}
 }

@@ -1,7 +1,6 @@
 package goofi
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -79,9 +78,8 @@ func TestWarmStartRecordsByteIdentical(t *testing.T) {
 
 // TestWarmStartTraceByteIdentical pins the other half of the contract:
 // detail-mode traces re-derived from a warm-started campaign's
-// configuration encode byte-for-byte like those from a full-replay
-// campaign (traces always replay in full; warm start must not leak
-// into them).
+// configuration match bit for bit those from a full-replay campaign
+// (traces always replay in full; warm start must not leak into them).
 func TestWarmStartTraceByteIdentical(t *testing.T) {
 	warm := warmTestConfig(workload.AlgorithmII)
 	cold := warmTestConfig(workload.AlgorithmII)
@@ -95,8 +93,8 @@ func TestWarmStartTraceByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("experiment %d (cold config): %v", n, err)
 		}
-		if !bytes.Equal(trace.Encode(a), trace.Encode(b)) {
-			t.Errorf("experiment %d: trace bytes differ between warm and cold configs", n)
+		if !trace.Equal(a, b) {
+			t.Errorf("experiment %d: traces differ between warm and cold configs", n)
 		}
 	}
 }

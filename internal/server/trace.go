@@ -14,8 +14,8 @@ import (
 // campaign spec's seed — no trace is stored ahead of time — so it
 // works for any experiment of any campaign, at the cost of two
 // instrumented runs per request. ?format= selects the shape:
-// json (default: record + trace + causal chain), bin (the compact
-// stream format), svg (the propagation timeline), or text (the chain).
+// json (default: record + trace + causal chain), svg (the propagation
+// timeline), or text (the chain).
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	c := s.campaign(w, r)
 	if c == nil {
@@ -81,9 +81,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			"trace":  tr,
 			"chain":  trace.Analyze(tr, 0),
 		})
-	case "bin":
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(trace.Encode(tr))
 	case "svg":
 		w.Header().Set("Content-Type", "image/svg+xml")
 		io.WriteString(w, trace.TimelineSVG(tr, nil))

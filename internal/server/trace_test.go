@@ -46,22 +46,27 @@ func TestTraceEndpoint(t *testing.T) {
 		t.Errorf("chain does not start at the injection: %+v", tr.Chain.Links)
 	}
 
-	// The binary format must decode to the same experiment.
+	// The served trace is the replay of the campaign's experiment 2.
+	cfg, err := goofi.CampaignSpec{Alg: 1, Experiments: 4, Seed: 2001}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := goofi.TraceExperiment(context.Background(), cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !trace.Equal(want, &tr.Trace) {
+		t.Error("served trace differs from goofi.TraceExperiment of the same experiment")
+	}
+
+	// JSON is the one trace wire format: bin is unknown.
 	resp, err := http.Get(base + "?format=bin")
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
-		t.Errorf("bin Content-Type = %q", ct)
-	}
-	decoded, err := trace.Decode(raw)
-	if err != nil {
-		t.Fatalf("decode served trace: %v", err)
-	}
-	if decoded.Header != h {
-		t.Errorf("binary trace header differs from JSON: %+v vs %+v", decoded.Header, h)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("format=bin returned %d, want 400", resp.StatusCode)
 	}
 
 	resp, err = http.Get(base + "?format=svg")

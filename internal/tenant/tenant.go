@@ -120,6 +120,11 @@ func NewRegistry(tenants []Tenant) (*Registry, error) {
 			r.anon = &anon
 			continue
 		}
+		if apiKey(t.Key) != t.Key {
+			// Resolve strips surrounding space and a "Bearer " prefix,
+			// so no request could ever present this key.
+			return nil, fmt.Errorf("tenant: %s has an unusable API key (surrounding space or a \"Bearer \" prefix)", t.Name)
+		}
 		if _, dup := r.byKey[t.Key]; dup {
 			return nil, fmt.Errorf("tenant: duplicate API key (tenant %s)", t.Name)
 		}
@@ -171,10 +176,7 @@ func (r *Registry) Resolve(authorization string) (Tenant, error) {
 	if r.Open() {
 		return Default(), nil
 	}
-	key := strings.TrimSpace(authorization)
-	if rest, ok := strings.CutPrefix(key, "Bearer "); ok {
-		key = strings.TrimSpace(rest)
-	}
+	key := apiKey(authorization)
 	if key == "" {
 		if r.anon != nil {
 			return *r.anon, nil
@@ -186,6 +188,16 @@ func (r *Registry) Resolve(authorization string) (Tenant, error) {
 		return Tenant{}, ErrUnauthorized
 	}
 	return t, nil
+}
+
+// apiKey extracts the key from an Authorization header value ("<key>"
+// or "Bearer <key>", surrounding whitespace ignored).
+func apiKey(authorization string) string {
+	key := strings.TrimSpace(authorization)
+	if rest, ok := strings.CutPrefix(key, "Bearer "); ok {
+		key = strings.TrimSpace(rest)
+	}
+	return key
 }
 
 // Lookup finds a tenant by name — the journal-restore path, where only

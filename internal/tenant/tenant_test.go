@@ -57,11 +57,13 @@ func TestRegistryOpenModeAndValidation(t *testing.T) {
 	}
 
 	for name, bad := range map[string][]Tenant{
-		"dup name":  {{Name: "a", Key: "1"}, {Name: "a", Key: "2"}},
-		"dup key":   {{Name: "a", Key: "1"}, {Name: "b", Key: "1"}},
-		"two anon":  {{Name: "a"}, {Name: "b"}},
-		"no name":   {{Key: "1"}},
-		"neg limit": {{Name: "a", Key: "1", MaxQueuedJobs: -1}},
+		"dup name":   {{Name: "a", Key: "1"}, {Name: "a", Key: "2"}},
+		"dup key":    {{Name: "a", Key: "1"}, {Name: "b", Key: "1"}},
+		"two anon":   {{Name: "a"}, {Name: "b"}},
+		"no name":    {{Key: "1"}},
+		"neg limit":  {{Name: "a", Key: "1", MaxQueuedJobs: -1}},
+		"padded key": {{Name: "a", Key: " 1"}},
+		"bearer key": {{Name: "a", Key: "Bearer 1"}},
 	} {
 		if _, err := NewRegistry(bad); err == nil {
 			t.Errorf("%s: validation passed", name)
@@ -91,6 +93,42 @@ func TestLoadFile(t *testing.T) {
 	if _, err := LoadFile(path); err == nil {
 		t.Error("invalid config (two anonymous tenants) loaded")
 	}
+}
+
+// FuzzLoadFile: no tenant file makes LoadFile panic, and a file it
+// accepts builds a registry that resolves every configured key, raw or
+// as a bearer token, back to its own tenant.
+func FuzzLoadFile(f *testing.F) {
+	f.Add([]byte(`[{"name":"acme","key":"ka","weight":3,"ratePerSec":10,"maxQueuedJobs":5}]`))
+	f.Add([]byte(`[{"name":"a"},{"name":"b"}]`))
+	f.Add([]byte(`[{"name":"acme","key":"ka"}]`))
+	f.Add([]byte(`[{"name":"acme","key":"ka"},{"name":"guest","burst":2,"noCache":true}]`))
+	f.Add([]byte(`[{"name":"acme","key":" ka"}]`))
+	f.Add([]byte(`null`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "tenants.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		tenants, err := LoadFile(path)
+		if err != nil {
+			return
+		}
+		reg, err := NewRegistry(tenants)
+		if err != nil {
+			t.Fatalf("LoadFile accepted a set NewRegistry rejects: %v", err)
+		}
+		for _, ten := range tenants {
+			if ten.Key == "" {
+				continue
+			}
+			for _, header := range []string{ten.Key, "Bearer " + ten.Key} {
+				if got, err := reg.Resolve(header); err != nil || got != ten {
+					t.Fatalf("Resolve(%q) = %+v, %v; want tenant %+v", header, got, err, ten)
+				}
+			}
+		}
+	})
 }
 
 // TestLoadFileSizeBound: a config of up to fileLimit bytes loads, one

@@ -10,8 +10,10 @@
 // executable assertion fired and recovered. A propagation analyzer
 // reduces the raw trace to a causal chain (fault site → first
 // architectural deviation → state corruption → output deviation →
-// recovery/detection/end), and a compact varint-delta stream format
-// persists traces append-only and truncation-tolerantly.
+// recovery/detection/end).
+//
+// A trace is a pure function of (variant, fault): it is replayed on
+// demand and never stored. JSON (json.go) is its one wire format.
 package trace
 
 import (
@@ -19,11 +21,8 @@ import (
 	"math"
 )
 
-// FormatVersion identifies the binary stream layout written by Encode.
-const FormatVersion = 1
-
-// Injection names the injected fault in serialisable form (the trace
-// file must be self-contained; workload/cpu types stay internal).
+// Injection names the injected fault in serialisable form (a served
+// trace must be self-contained; workload/cpu types stay internal).
 type Injection struct {
 	Region  string `json:"region"`
 	Element string `json:"element"`
@@ -177,3 +176,25 @@ func (t *Trace) Find(k int) *Iteration {
 	}
 	return nil
 }
+
+// Equal reports whether a and b are the same trace: equal headers and
+// iterations whose floats match bit for bit, so a NaN equals only a NaN
+// with the same payload. It is the replay-determinism check.
+func Equal(a, b *Trace) bool {
+	if a.Header != b.Header || len(a.Iterations) != len(b.Iterations) {
+		return false
+	}
+	for i, x := range a.Iterations {
+		y := b.Iterations[i]
+		if x.K != y.K || x.RegsTouched != y.RegsTouched || x.CacheTouched != y.CacheTouched ||
+			x.RegDivergent != y.RegDivergent || x.CacheDivergent != y.CacheDivergent ||
+			x.Events != y.Events ||
+			!sameBits(x.X, y.X) || !sameBits(x.XGolden, y.XGolden) || !sameBits(x.Backup, y.Backup) ||
+			!sameBits(x.Output, y.Output) || !sameBits(x.GoldenOutput, y.GoldenOutput) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -108,7 +107,7 @@ func TestSevereFaultAlg1VsAlg2(t *testing.T) {
 }
 
 // TestCaptureDeterministic is the replay guarantee: capturing the same
-// fault twice yields byte-identical encoded traces.
+// fault twice yields bit-identical traces.
 func TestCaptureDeterministic(t *testing.T) {
 	inj := fig7Injection(t, workload.AlgorithmII)
 	a, err := Capture(context.Background(), workload.AlgorithmII, workload.PaperRunSpec(), inj, classify.Config{})
@@ -119,8 +118,8 @@ func TestCaptureDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(Encode(a), Encode(b)) {
-		t.Error("two captures of the same fault encode differently")
+	if !Equal(a, b) {
+		t.Error("two captures of the same fault differ")
 	}
 }
 
@@ -254,68 +253,56 @@ func sampleTrace() *Trace {
 	}
 }
 
-func TestEncodeRoundTrip(t *testing.T) {
+// TestTraceJSONRoundTrip: JSON, the one wire format, carries a trace
+// bit for bit, non-finite state included.
+func TestTraceJSONRoundTrip(t *testing.T) {
 	want := sampleTrace()
-	got, err := Read(bytes.NewReader(Encode(want)))
+	want.Iterations = append(want.Iterations, Iteration{K: 303, X: math.Inf(1), XGolden: 10.8,
+		Backup: math.NaN(), Output: math.Inf(-1), GoldenOutput: 1.28, Events: EventOutputAssertFailed})
+	data, err := json.Marshal(want)
 	if err != nil {
-		t.Fatalf("Read: %v", err)
+		t.Fatalf("Marshal: %v", err)
 	}
-	if got.Header != want.Header {
-		t.Errorf("header round-trip mismatch:\n got %+v\nwant %+v", got.Header, want.Header)
+	var got Trace
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatalf("Unmarshal: %v", err)
 	}
-	if len(got.Iterations) != len(want.Iterations) {
-		t.Fatalf("iterations = %d, want %d", len(got.Iterations), len(want.Iterations))
-	}
-	for i := range want.Iterations {
-		if got.Iterations[i] != want.Iterations[i] {
-			t.Errorf("iteration %d mismatch:\n got %+v\nwant %+v", i, got.Iterations[i], want.Iterations[i])
-		}
+	if !Equal(want, &got) {
+		t.Errorf("JSON round trip changed the trace:\n got %+v\nwant %+v", got, *want)
 	}
 }
 
-// TestDecodeTruncated cuts an encoded trace at every possible byte
-// boundary: no prefix may panic, and any cut after the header must
-// return the complete frames before the cut with a *TruncatedError.
-func TestDecodeTruncated(t *testing.T) {
-	full := Encode(sampleTrace())
-	whole, err := Decode(full)
-	if err != nil {
-		t.Fatalf("Decode(full): %v", err)
+// TestEqual: Equal is bitwise on floats — a NaN matches only the same
+// NaN payload — and sees a change in any header or iteration field.
+func TestEqual(t *testing.T) {
+	withX := func(x float64) *Trace {
+		tr := sampleTrace()
+		tr.Iterations[1].X = x
+		return tr
 	}
-	for i := 0; i < len(full); i++ {
-		tr, err := Decode(full[:i])
-		if err != nil {
-			var te *TruncatedError
-			if !errors.As(err, &te) {
-				continue // pre-header cuts (magic/version) are plain errors
-			}
-		} else if len(tr.Iterations) == len(whole.Iterations) {
-			// A cut landing exactly on a frame boundary is a valid
-			// shorter stream — but never a longer one.
-			t.Fatalf("Decode(%d of %d bytes) returned the full trace", i, len(full))
-		}
-		if tr == nil {
-			continue // header itself was cut
-		}
-		if len(tr.Iterations) > len(whole.Iterations) {
-			t.Fatalf("cut at %d: %d frames, more than the full %d", i, len(tr.Iterations), len(whole.Iterations))
-		}
-		for j := range tr.Iterations {
-			if tr.Iterations[j] != whole.Iterations[j] {
-				t.Fatalf("cut at %d: frame %d differs from the full decode", i, j)
-			}
-		}
+	nan := func(payload uint64) float64 { return math.Float64frombits(0x7ff8000000000000 | payload) }
+	if !Equal(withX(nan(1)), withX(nan(1))) {
+		t.Error("a trace differs from its copy")
 	}
-}
-
-func TestDecodeRejectsForeignData(t *testing.T) {
-	if _, err := Decode([]byte("{\"not\":\"a trace\"}")); err == nil {
-		t.Error("Decode accepted JSON junk")
+	if Equal(withX(nan(1)), withX(nan(2))) {
+		t.Error("NaN payloads 1 and 2 compare equal")
 	}
-	bad := Encode(sampleTrace())
-	bad[4] = 99
-	if _, err := Decode(bad); err == nil {
-		t.Error("Decode accepted an unknown format version")
+	if Equal(withX(0), withX(math.Copysign(0, -1))) {
+		t.Error("+0 and -0 compare equal")
+	}
+	for name, mutate := range map[string]func(*Trace){
+		"header":     func(tr *Trace) { tr.Header.Outcome = "detected" },
+		"length":     func(tr *Trace) { tr.Iterations = tr.Iterations[:2] },
+		"k":          func(tr *Trace) { tr.Iterations[2].K++ },
+		"golden":     func(tr *Trace) { tr.Iterations[2].GoldenOutput = -tr.Iterations[2].GoldenOutput },
+		"divergence": func(tr *Trace) { tr.Iterations[2].CacheDivergent++ },
+		"events":     func(tr *Trace) { tr.Iterations[2].Events |= EventTrapped },
+	} {
+		tr := sampleTrace()
+		mutate(tr)
+		if Equal(sampleTrace(), tr) {
+			t.Errorf("%s change not seen", name)
+		}
 	}
 }
 
