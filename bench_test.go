@@ -24,6 +24,7 @@ import (
 	"ctrlguard/internal/goofi"
 	"ctrlguard/internal/inject"
 	"ctrlguard/internal/plant"
+	"ctrlguard/internal/prune"
 	"ctrlguard/internal/sim"
 	"ctrlguard/internal/tune"
 	"ctrlguard/internal/workload"
@@ -565,6 +566,42 @@ func benchVMRun(b *testing.B, interpret bool) {
 
 func BenchmarkVMRunDecoded(b *testing.B)     { benchVMRun(b, false) }
 func BenchmarkVMRunInterpreted(b *testing.B) { benchVMRun(b, true) }
+
+// benchCapture times a pruning campaign's cold golden set-up for Alg I
+// and Alg II: the state-hashed golden run with a fresh def/use capture
+// attached by attach, and the sealed prune index.
+func benchCapture(b *testing.B, attach func(*workload.RunSpec, *prune.Capture)) {
+	for _, v := range []workload.Variant{workload.AlgorithmI, workload.AlgorithmII} {
+		b.Run(string(v), func(b *testing.B) {
+			prog := workload.Program(v)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				spec := workload.SpecFor(v)
+				spec.RecordStateHashes = true
+				c := prune.NewCapture()
+				attach(&spec, c)
+				out := workload.Run(prog, spec)
+				if out.Detected() || c.Finish(out.Instructions) == nil {
+					b.Fatal("golden capture failed")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkGoldenCapture attaches the capture as the golden run's
+// monitor, as the campaign engine does, so the run fast-forwards the
+// idle poll loop.
+func BenchmarkGoldenCapture(b *testing.B) {
+	benchCapture(b, func(spec *workload.RunSpec, c *prune.Capture) { spec.Monitor = c })
+}
+
+// BenchmarkSteppingCapture attaches the capture through Observer(),
+// which steps every instruction: the reference BenchmarkGoldenCapture
+// is measured against.
+func BenchmarkSteppingCapture(b *testing.B) {
+	benchCapture(b, func(spec *workload.RunSpec, c *prune.Capture) { spec.Observer = c.Observer() })
+}
 
 func BenchmarkBitFlip64(b *testing.B) {
 	v := 7.0

@@ -82,8 +82,14 @@ func runGolden(prog *cpu.Program, spec workload.RunSpec, hashes, capture bool) (
 	spec.RecordStateHashes = hashes
 	var c *prune.Capture
 	if capture {
+		// As the run's monitor the capture keeps the idle fast-forward;
+		// a caller's own monitor leaves it the stepping observer.
 		c = prune.NewCapture()
-		spec.Observer = c.Observer()
+		if spec.Monitor == nil {
+			spec.Monitor = c
+		} else {
+			spec.Observer = c.Observer()
+		}
 	}
 	golden := workload.Run(prog, spec)
 	if golden.Detected() {

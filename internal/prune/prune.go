@@ -49,9 +49,17 @@
 //     end unread are still "used" by the final state comparison —
 //     except cache data words whose line is not written back, which
 //     are invisible and therefore dead.
+//
+// The capture must account for every instruction of the golden run.
+// Attached through Observer() it sees each one. Attached as the run's
+// Monitor it is a workload.IdleMonitor that never traps, so the run
+// keeps the idle fast-forward: the trips of the ready-flag poll loop
+// the machine runs at once are stored as periods, one per location the
+// loop touches, whose events Index.Fate resolves arithmetically.
 package prune
 
 import (
+	"math/bits"
 	"sort"
 
 	"ctrlguard/internal/cpu"
@@ -146,17 +154,56 @@ func (e event) kind() uint32 { return uint32(e) & 3 }
 // write-backs are rare next to plain defs and uses.
 type wbKey struct{ loc, idx uint32 }
 
+// pattern is one location's events over a trip of a poll loop: bit o
+// of use (def) marks a use (def) by the trip's instruction at offset o.
+type pattern struct{ use, def uint8 }
+
+// period is a run of poll-loop trips the capture did not step, stored
+// once per location the loop touches: trip j covers the instructions
+// from start+j*cpu.PollTrip on. Only registers and flags take periods,
+// since a poll loop's one memory access reads the uncached I/O window.
+type period struct {
+	start, trips uint32
+	pattern
+}
+
+// end returns the instruction index just past the period.
+func (p period) end() uint64 { return uint64(p.start) + uint64(p.trips)*cpu.PollTrip }
+
+// next returns the period's first event at or after instruction at.
+func (p period) next(at uint64) (event, bool) {
+	rel := uint64(0)
+	if at > uint64(p.start) {
+		rel = at - uint64(p.start)
+	}
+	for trip, off := rel/cpu.PollTrip, rel%cpu.PollTrip; trip < uint64(p.trips); trip, off = trip+1, 0 {
+		for ; off < cpu.PollTrip; off++ {
+			idx := uint32(uint64(p.start) + trip*cpu.PollTrip + off)
+			switch {
+			case p.use>>off&1 != 0:
+				return packEvent(idx, evUse), true
+			case p.def>>off&1 != 0:
+				return packEvent(idx, evDef), true
+			}
+		}
+	}
+	return 0, false
+}
+
 // Capture observes a golden run and builds the per-location event
-// index. Attach Observer() to the golden RunSpec, then call Finish.
-// The observer is read-only (it never perturbs the machine) and must
-// see every instruction of exactly one fault-free run.
+// index. Attach it to the golden RunSpec as its Monitor, or attach
+// Observer() instead, then call Finish. Either way it is read-only (it
+// never perturbs the machine) and must account for every instruction
+// of exactly one fault-free run.
 type Capture struct {
 	bad       bool
 	vm        *cpu.CPU
 	count     uint64
 	events    [numLocs][]event
+	periods   [locCacheBase][]period
 	wb        map[wbKey]uint32
-	lastTouch [numLocs]uint32 // idx+1 of the last event, for intra-instruction dedup
+	lastTouch [numLocs]uint32       // idx+1 of the last event, for intra-instruction dedup
+	trip      [locCacheBase]pattern // the poll loop CanSkipPoll last accepted
 }
 
 // NewCapture returns an empty capture.
@@ -164,9 +211,97 @@ func NewCapture() *Capture {
 	return &Capture{}
 }
 
-// Observer returns the workload.RunSpec observer that records events.
+// Observer returns a workload.RunSpec observer that records events. It
+// must see every instruction, so the run steps the poll loop too; a
+// capture attached as the run's Monitor skips the loop, stores its trips
+// as periods and gives every injection the same fate.
 func (c *Capture) Observer() func(iteration int, instr uint64, vm *cpu.CPU) {
 	return c.observe
+}
+
+// OnInstr implements workload.Monitor: it records the instruction's
+// events and never traps.
+func (c *Capture) OnInstr(iteration int, instr uint64, vm *cpu.CPU) *cpu.TrapError {
+	c.observe(iteration, instr, vm)
+	return nil
+}
+
+// OnIteration implements workload.Monitor.
+func (c *Capture) OnIteration(int, *cpu.CPU) *cpu.TrapError {
+	return nil
+}
+
+// CanSkipPoll implements workload.IdleMonitor. It accepts while the
+// capture is healthy and the loop headed at pc touches only registers
+// and flags, and it records the loop's per-trip def/use pattern for
+// SkipPoll, built from each instruction's DefUse row the way observe
+// would emit it. The machine is at the loop head, so the load's base
+// register holds the value the load itself reads: nothing before the
+// load in the loop writes a register.
+func (c *Capture) CanSkipPoll(pc uint32) bool {
+	c.trip = [locCacheBase]pattern{}
+	if c.bad || c.vm == nil {
+		return false
+	}
+	for off := uint32(0); off < cpu.PollTrip; off++ {
+		in, err := cpu.Decode(c.vm.Mem.ReadWord(pc + off*4))
+		if err != nil {
+			return false
+		}
+		du := in.DefUse()
+		if du.Mem != cpu.MemNone &&
+			cpu.SegmentOf(regVal(c.vm, in.Rs1)+uint32(int32(int16(in.Imm)))) != cpu.SegIO {
+			return false
+		}
+		c.tripEvents(du.UseRegs, du.UseFlags, off, evUse)
+		c.tripEvents(du.DefRegs, du.DefFlags, off, evDef)
+	}
+	return true
+}
+
+// tripEvents adds the register and flag events of the loop's
+// instruction at offset off to the trip pattern.
+func (c *Capture) tripEvents(regs uint16, flags uint8, off, kind uint32) {
+	for m := regs; m != 0; m &= m - 1 {
+		c.tripEvent(locReg(bits.TrailingZeros16(m)), off, kind)
+	}
+	if flags&cpu.FlagMaskZ != 0 {
+		c.tripEvent(locFlagZ, off, kind)
+	}
+	if flags&cpu.FlagMaskLT != 0 {
+		c.tripEvent(locFlagLT, off, kind)
+	}
+}
+
+// tripEvent adds one event to the trip pattern; like add, the first
+// event a location receives within an instruction wins.
+func (c *Capture) tripEvent(loc, off, kind uint32) {
+	t := &c.trip[loc]
+	if (t.use|t.def)>>off&1 != 0 {
+		return
+	}
+	if kind == evUse {
+		t.use |= 1 << off
+	} else {
+		t.def |= 1 << off
+	}
+}
+
+// SkipPoll implements workload.IdleMonitor: the trips start at the
+// instruction the capture expects next and follow the pattern
+// CanSkipPoll recorded, so each touched location takes one period.
+func (c *Capture) SkipPoll(trips uint64) {
+	end := c.count + trips*cpu.PollTrip
+	if c.bad || end >= maxInstr {
+		c.bad = true
+		return
+	}
+	for loc, t := range c.trip {
+		if t != (pattern{}) {
+			c.periods[loc] = append(c.periods[loc], period{uint32(c.count), uint32(trips), t})
+		}
+	}
+	c.count = end
 }
 
 func (c *Capture) add(loc uint32, idx uint32, kind uint32, aux uint32) {
@@ -218,17 +353,7 @@ func (c *Capture) observe(_ int, instr uint64, vm *cpu.CPU) {
 	du := in.DefUse()
 
 	// 1. Operand reads.
-	for r := 1; r < 16; r++ {
-		if du.UseRegs&(1<<r) != 0 {
-			c.add(locReg(r), idx, evUse, 0)
-		}
-	}
-	if du.UseFlags&cpu.FlagMaskZ != 0 {
-		c.add(locFlagZ, idx, evUse, 0)
-	}
-	if du.UseFlags&cpu.FlagMaskLT != 0 {
-		c.add(locFlagLT, idx, evUse, 0)
-	}
+	c.regEvents(du.UseRegs, du.UseFlags, idx, evUse)
 
 	// 2. The data-memory access, if any.
 	if du.Mem != cpu.MemNone {
@@ -251,16 +376,20 @@ func (c *Capture) observe(_ int, instr uint64, vm *cpu.CPU) {
 	}
 
 	// 3. Result writes.
-	for r := 1; r < 16; r++ {
-		if du.DefRegs&(1<<r) != 0 {
-			c.add(locReg(r), idx, evDef, 0)
-		}
+	c.regEvents(du.DefRegs, du.DefFlags, idx, evDef)
+}
+
+// regEvents records one event of the given kind for each register in
+// regs, in ascending order, and then for each flag in flags.
+func (c *Capture) regEvents(regs uint16, flags uint8, idx, kind uint32) {
+	for m := regs; m != 0; m &= m - 1 {
+		c.add(locReg(bits.TrailingZeros16(m)), idx, kind, 0)
 	}
-	if du.DefFlags&cpu.FlagMaskZ != 0 {
-		c.add(locFlagZ, idx, evDef, 0)
+	if flags&cpu.FlagMaskZ != 0 {
+		c.add(locFlagZ, idx, kind, 0)
 	}
-	if du.DefFlags&cpu.FlagMaskLT != 0 {
-		c.add(locFlagLT, idx, evDef, 0)
+	if flags&cpu.FlagMaskLT != 0 {
+		c.add(locFlagLT, idx, kind, 0)
 	}
 }
 
@@ -335,6 +464,7 @@ func (c *Capture) cacheEvents(vm *cpu.CPU, addr uint32, isStore bool, idx uint32
 // queries. It is immutable and safe for concurrent use.
 type Index struct {
 	events    [numLocs][]event
+	periods   [locCacheBase][]period
 	wb        map[wbKey]uint32
 	total     uint64
 	lineValid [cpu.CacheLines]bool
@@ -356,7 +486,7 @@ func (c *Capture) Finish(total uint64) *Index {
 		n += len(evs)
 	}
 	backing := make([]event, 0, n)
-	ix := &Index{wb: c.wb, total: total}
+	ix := &Index{periods: c.periods, wb: c.wb, total: total}
 	for l, evs := range c.events {
 		start := len(backing)
 		backing = append(backing, evs...)
@@ -407,13 +537,12 @@ func (ix *Index) Fate(bit cpu.StateBit, at uint64) (Fate, bool) {
 		// always first used by the faulted instruction itself.
 		return Fate{Key: Key{Loc: loc, Bit: bit.Bit, At: at}}, true
 	}
-	evs := ix.events[loc]
-	i := sort.Search(len(evs), func(j int) bool { return uint64(evs[j].idx()) >= at })
 	for {
-		if i >= len(evs) {
+		e, ok := ix.next(loc, at)
+		if !ok {
 			return ix.endFate(loc, bit.Bit), true
 		}
-		switch e := evs[i]; e.kind() {
+		switch e.kind() {
 		case evDef:
 			return Fate{Dead: true}, true
 		case evUse:
@@ -427,12 +556,32 @@ func (ix *Index) Fate(bit cpu.StateBit, at uint64) (Fate, bool) {
 			if !ok {
 				return Fate{}, false
 			}
-			after := uint64(e.idx())
 			loc = ml
-			evs = ix.events[loc]
-			i = sort.Search(len(evs), func(j int) bool { return uint64(evs[j].idx()) > after })
+			at = uint64(e.idx()) + 1
 		}
 	}
+}
+
+// next returns loc's first event at or after instruction at, from its
+// event list or from inside one of its periods. A period never overlaps
+// a listed event of its location, so every period that starts before
+// the next listed event lies wholly before it.
+func (ix *Index) next(loc uint32, at uint64) (event, bool) {
+	evs := ix.events[loc]
+	i := sort.Search(len(evs), func(j int) bool { return uint64(evs[j].idx()) >= at })
+	if loc < locCacheBase {
+		ps := ix.periods[loc]
+		p := sort.Search(len(ps), func(j int) bool { return ps[j].end() > at })
+		for ; p < len(ps) && (i == len(evs) || ps[p].start < evs[i].idx()); p++ {
+			if e, ok := ps[p].next(at); ok {
+				return e, true
+			}
+		}
+	}
+	if i == len(evs) {
+		return 0, false
+	}
+	return evs[i], true
 }
 
 // endFate resolves a fault that survives to the end of the run without

@@ -46,7 +46,9 @@ type Injection struct {
 // campaigns already classify. A monitor keeps the From/Golden fast
 // paths only when it is a StatefulMonitor, and the idle fast-forward
 // only when it is an IdleMonitor; any other disables them, since they
-// skip instructions the detector would need to see.
+// skip instructions the detector would need to see. A monitor that
+// never traps is a valid passive recorder: the pruner's def-use capture
+// records a golden run this way, as an IdleMonitor.
 type Monitor interface {
 	OnInstr(iteration int, instr uint64, vm *cpu.CPU) *cpu.TrapError
 	OnIteration(iteration int, vm *cpu.CPU) *cpu.TrapError
