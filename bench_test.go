@@ -296,6 +296,23 @@ func BenchmarkCampaignDetector(b *testing.B) {
 	}
 }
 
+// BenchmarkCampaignSWIFI is a pre-runtime SWIFI campaign: Algorithm I,
+// 300 image faults. Every fast path declines image faults, so this
+// measures the campaign loop's solo runs and the per-experiment cost of
+// a flipped image (a patched predecoded stream for code words).
+func BenchmarkCampaignSWIFI(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := goofi.RunSWIFI(context.Background(), goofi.Config{
+			Variant:     workload.AlgorithmI,
+			Experiments: fastPathExperiments,
+			Seed:        2001,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(fastPathExperiments*b.N)/b.Elapsed().Seconds(), "experiments/s")
+}
+
 // --- Tables 2, 3, 4: the fault-injection campaigns ---
 
 // skipHeavyCampaigns keeps the CI bench job (-short -benchtime=1x)

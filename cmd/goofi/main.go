@@ -26,6 +26,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"strings"
 
 	"ctrlguard/internal/detect"
 	"ctrlguard/internal/goofi"
@@ -83,13 +84,19 @@ func main() {
 	defer stop()
 
 	cfg, err := spec.Resolve()
-	if err == nil && spec.Sequential() {
+	switch {
+	case err != nil:
+	case *swifi && (spec.Sequential() || *compare):
+		// Both would otherwise run SCIFI campaigns.
+		err = errors.New("-swifi runs a fixed-count campaign of one variant; it does not combine with -precision or -compare")
+	case spec.Sequential():
 		err = runPrecision(ctx, cfg, *precision, *out)
-	} else if err == nil {
+	default:
 		err = run(ctx, cfg, *n, *n2, *out, *compare, *swifi, *analyze, *disasm, *mark, *quiet)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "goofi:", err)
+		// Library errors already carry the prefix; print it once.
+		fmt.Fprintln(os.Stderr, "goofi:", strings.TrimPrefix(err.Error(), "goofi: "))
 		os.Exit(1)
 	}
 }
@@ -112,9 +119,6 @@ func run(ctx context.Context, base goofi.Config, n, n2 int, out string,
 		err error
 	)
 	if swifi {
-		if base.Detect.Enabled() {
-			return fmt.Errorf("-detector does not apply to SWIFI campaigns (detectors monitor the runtime loop)")
-		}
 		res, err = goofi.RunSWIFI(ctx, base)
 	} else {
 		res, err = campaign(ctx, base, v, n, base.Seed, quiet)

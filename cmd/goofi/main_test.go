@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -55,5 +58,44 @@ func TestPrintStatsDeclinedWarmStart(t *testing.T) {
 	}
 	if strings.Contains(out, "resumed") {
 		t.Errorf("declined warm start printed counters:\n%s", out)
+	}
+}
+
+// TestMain runs the command itself when GOOFI_RUN_MAIN is set, so tests
+// can drive the real flag handling in a child process.
+func TestMain(m *testing.M) {
+	if os.Getenv("GOOFI_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestSWIFIRejectsSCIFIOnlyFlags: -swifi with -precision, -compare or
+// -detector fails instead of silently running something else, writes
+// no records, and prints its error with one "goofi:" prefix.
+func TestSWIFIRejectsSCIFIOnlyFlags(t *testing.T) {
+	for _, extra := range [][]string{
+		{"-precision", "0.05"},
+		{"-compare"},
+		{"-detector", "cfe"},
+	} {
+		out := filepath.Join(t.TempDir(), "r.jsonl")
+		args := append([]string{"-swifi", "-n", "20", "-q", "-out", out}, extra...)
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "GOOFI_RUN_MAIN=1")
+		stderr, err := cmd.CombinedOutput()
+		if err == nil {
+			t.Errorf("goofi %s succeeded", strings.Join(args, " "))
+		}
+		if !strings.Contains(string(stderr), "goofi:") {
+			t.Errorf("goofi %s: no error message in %q", strings.Join(args, " "), stderr)
+		}
+		if strings.Contains(string(stderr), "goofi: goofi:") {
+			t.Errorf("goofi %s: doubled prefix in %q", strings.Join(args, " "), stderr)
+		}
+		if _, err := os.Stat(out); err == nil {
+			t.Errorf("goofi %s wrote records", strings.Join(args, " "))
+		}
 	}
 }

@@ -5,16 +5,21 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Program is an assembled program image: code and the initial data
 // segment, plus the symbol tables for diagnostics and for locating
-// variables in experiments.
+// variables in experiments. A Program carries its predecode memo, so
+// share it by pointer and never copy it by value.
 type Program struct {
 	Code       []uint32
 	Data       []uint32
 	CodeLabels map[string]uint32 // label -> absolute code address
 	DataLabels map[string]uint32 // label -> absolute data address
+
+	decOnce sync.Once
+	dec     *Decoded // PredecodeCached's memo
 }
 
 // DataAddr returns the absolute address of a data label.

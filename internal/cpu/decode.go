@@ -1,7 +1,5 @@
 package cpu
 
-import "sync"
-
 // Predecoded instruction streams. The code segment is execute-only and
 // immutable after load — data stores into SegCode trap ADDRESS ERROR
 // and cache write-backs outside SegData trap too — so every word of a
@@ -56,59 +54,41 @@ func Predecode(prog *Program) *Decoded {
 		if i < len(d.code) {
 			w = d.code[i]
 		}
-		in, err := Decode(w)
-		if err != nil {
-			d.ops[i].err = err
-			continue
-		}
-		d.ops[i] = compile(in)
+		d.ops[i] = decodeSlot(w)
 	}
 	markPollHeads(&d.ops)
 	return d
 }
 
-// decodedCache memoises Predecode per program identity. Workload
-// programs are assembled once per variant and shared, so campaigns hit
-// the same entry no matter how many runs they make. The cache is
-// LRU-bounded: SWIFI campaigns churn through one mutated program per
-// experiment, and an unbounded identity-keyed cache would retain every
-// one of them.
-const decodedCacheCap = 32
-
-var (
-	decodedMu    sync.Mutex
-	decodedCache = make(map[*Program]*decodedEntry, decodedCacheCap)
-	decodedClock uint64
-)
-
-type decodedEntry struct {
-	d    *Decoded
-	used uint64
+// decodeSlot compiles one code word, or records why it does not decode.
+func decodeSlot(w uint32) dop {
+	in, err := Decode(w)
+	if err != nil {
+		return dop{err: err}
+	}
+	return compile(in)
 }
 
-// PredecodeCached returns the (process-wide, shared) decoded stream for
-// prog, predecoding on first use.
+// patch returns a copy of d with code word i replaced by w: the stream
+// Predecode builds for the patched image. A SWIFI code-image flip
+// (CPU.flipWord) is the one write to a loaded code segment.
+func (d *Decoded) patch(i int, w uint32) *Decoded {
+	p := &Decoded{code: append([]uint32(nil), d.code...), ops: d.ops}
+	for len(p.code) <= i {
+		p.code = append(p.code, 0)
+	}
+	p.code[i] = w
+	p.ops[i] = decodeSlot(w)
+	markPollHeads(&p.ops)
+	return p
+}
+
+// PredecodeCached returns prog's decoded stream, predecoding it on
+// first use. The stream hangs off prog, so it is built once per program
+// however many runs share it, and freed with the program.
 func PredecodeCached(prog *Program) *Decoded {
-	decodedMu.Lock()
-	defer decodedMu.Unlock()
-	decodedClock++
-	if e, ok := decodedCache[prog]; ok {
-		e.used = decodedClock
-		return e.d
-	}
-	if len(decodedCache) >= decodedCacheCap {
-		var victim *Program
-		oldest := decodedClock
-		for p, e := range decodedCache {
-			if e.used <= oldest {
-				oldest, victim = e.used, p
-			}
-		}
-		delete(decodedCache, victim)
-	}
-	d := Predecode(prog)
-	decodedCache[prog] = &decodedEntry{d: d, used: decodedClock}
-	return d
+	prog.decOnce.Do(func() { prog.dec = Predecode(prog) })
+	return prog.dec
 }
 
 // Instr returns the decoded instruction at code index idx (the word at

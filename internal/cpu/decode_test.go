@@ -3,7 +3,9 @@ package cpu
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // twinMachines builds an interpreted and a predecoded CPU over the same
@@ -234,4 +236,32 @@ func TestDecodeCallsCounts(t *testing.T) {
 	if DecodeCalls() != before+1 {
 		t.Fatalf("DecodeCalls delta = %d, want 1", DecodeCalls()-before)
 	}
+}
+
+// TestPredecodeCachedPerProgram: a program's stream is built once and
+// returned for every later call, and it does not outlive the program.
+func TestPredecodeCachedPerProgram(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	a, b := randProgram(rng, 64), randProgram(rng, 64)
+	if PredecodeCached(a) != PredecodeCached(a) {
+		t.Error("PredecodeCached rebuilt the stream of the same program")
+	}
+	if PredecodeCached(a) == PredecodeCached(b) {
+		t.Error("two programs share one stream")
+	}
+
+	freed := make(chan struct{})
+	func() {
+		prog := randProgram(rng, 64)
+		runtime.SetFinalizer(PredecodeCached(prog), func(*Decoded) { close(freed) })
+	}()
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the stream of an unreachable program was retained")
 }

@@ -8,13 +8,19 @@ import (
 
 // Region partitions the injectable state elements the way the paper's
 // Table 2 does: faults into the data cache versus faults into all other
-// parts of the CPU ("Registers").
+// parts of the CPU ("Registers"). The two image regions are the loaded
+// program image, the target of pre-runtime SWIFI (§3.3.1): flipping one
+// of their words before instruction 0 is loading a mutated image, as
+// the cache is empty and the registers are reset then. StateBits leaves
+// them out, so only the SWIFI sampler draws them.
 type Region string
 
 // Injection regions.
 const (
 	RegionCache     Region = "cache"
 	RegionRegisters Region = "registers"
+	RegionImageCode Region = "image-code"
+	RegionImageData Region = "image-data"
 )
 
 // StateBit identifies one injectable bit of CPU state.
@@ -77,12 +83,13 @@ const (
 	ElemValid                  // "lineL.valid"
 	ElemDirty                  // "lineL.dirty"
 	ElemData                   // "lineL.dataW"
+	ElemWord                   // "wordN" of an image region
 )
 
 // Elem is a parsed state element name.
 type Elem struct {
 	Kind ElemKind
-	N    int // register number (ElemReg) or cache line (the cache kinds)
+	N    int // register number (ElemReg), cache line (the cache kinds) or memory word index (ElemWord)
 	Word int // data word within the line (ElemData)
 }
 
@@ -120,6 +127,16 @@ func ParseElement(region Region, name string) (Elem, error) {
 			}
 		}
 		return Elem{}, fmt.Errorf("cpu: bad cache element %q", name)
+	case RegionImageCode:
+		if w, ok := elemIndex(name, "word", int(CodeSize/4)); ok {
+			return Elem{Kind: ElemWord, N: int(CodeBase/4) + w}, nil
+		}
+		return Elem{}, fmt.Errorf("cpu: bad code image element %q", name)
+	case RegionImageData:
+		if w, ok := elemIndex(name, "word", int(DataSize/4)); ok {
+			return Elem{Kind: ElemWord, N: int(DataBase/4) + w}, nil
+		}
+		return Elem{}, fmt.Errorf("cpu: bad data image element %q", name)
 	default:
 		return Elem{}, fmt.Errorf("cpu: unknown region %q", region)
 	}
@@ -161,8 +178,33 @@ func (c *CPU) FlipBit(sb StateBit) error {
 		c.Cache.lines[e.N].dirty = !c.Cache.lines[e.N].dirty
 	case ElemData:
 		c.Cache.lines[e.N].data[e.Word] ^= 1 << sb.Bit
+	case ElemWord:
+		c.flipWord(e.N, 1<<sb.Bit)
 	}
 	return nil
+}
+
+// flipWord inverts mask in memory word i. A code word is executed
+// through the attached predecoded stream, so the machine moves to a
+// copy with that slot recompiled (AttachDecoded's invariant keeps
+// holding); the shared stream is never written.
+func (c *CPU) flipWord(i int, mask uint32) {
+	c.Mem.words[i] ^= mask
+	if c.dec != nil && i < int(CodeSize/4) {
+		c.dec = c.dec.patch(i, c.Mem.words[i])
+	}
+}
+
+// BurstMask returns the mask of width adjacent bits of a 32-bit word
+// starting at bit and wrapping past bit 31; width is clamped to
+// [1, 32].
+func BurstMask(bit uint, width int) uint32 {
+	width = max(1, min(width, 32))
+	var m uint32
+	for i := 0; i < width; i++ {
+		m |= 1 << ((bit + uint(i)) % 32)
+	}
+	return m
 }
 
 // StateBitWidth returns the number of bits the element holding sb can
@@ -209,6 +251,8 @@ func (c *CPU) StateBitValue(sb StateBit) (bool, error) {
 		return c.Cache.lines[e.N].valid, nil
 	case ElemDirty:
 		return c.Cache.lines[e.N].dirty, nil
+	case ElemWord:
+		return c.Mem.words[e.N]&(1<<sb.Bit) != 0, nil
 	default: // ElemData
 		return c.Cache.lines[e.N].data[e.Word]&(1<<sb.Bit) != 0, nil
 	}
@@ -220,6 +264,10 @@ func (c *CPU) StateBitValue(sb StateBit) (bool, error) {
 func (c *CPU) FlipBurst(sb StateBit, width int) error {
 	if width <= 1 {
 		return c.FlipBit(sb)
+	}
+	if e, err := ParseElement(sb.Region, sb.Element); err == nil && e.Kind == ElemWord {
+		c.flipWord(e.N, BurstMask(sb.Bit, width)) // one patch of the stream
+		return nil
 	}
 	w := StateBitWidth(sb)
 	if uint(width) > w {

@@ -73,7 +73,10 @@ func TestParseElementRejectsMalformed(t *testing.T) {
 			"line3", "line3.", "line3.tag.x", "line3.tagx", "line0.data9", "line0.data4",
 			"line0.data", "line0.data02", "line0.data+1", "line0.datax", "r5", "pc",
 		},
-		"memory": {"r5", "line0.tag"},
+		// Image words are bounded by their segment, not the program.
+		RegionImageCode: {"", "word", "word-1", "word01", "word1024", "word+3", "r5", "line0.tag"},
+		RegionImageData: {"", "word", "word-1", "word1024", "word 1", "pc"},
+		"memory":        {"r5", "line0.tag"},
 	}
 	c := New(&Program{}, nil)
 	for region, names := range bad {
@@ -89,5 +92,36 @@ func TestParseElementRejectsMalformed(t *testing.T) {
 				t.Errorf("StateBitValue(%s) accepted a malformed element", sb)
 			}
 		}
+	}
+}
+
+// TestStateBitsExcludeImage: the SCIFI location space is CPU state
+// only, so adding the image regions moved no sampler draw.
+func TestStateBitsExcludeImage(t *testing.T) {
+	for _, b := range StateBits() {
+		if b.Region != RegionRegisters && b.Region != RegionCache {
+			t.Fatalf("StateBits lists %s", b)
+		}
+	}
+}
+
+// TestImageBurstWrapsAtBit31: an image burst inverts adjacent bits of
+// one word, wrapping past bit 31 rather than spilling into the next.
+func TestImageBurstWrapsAtBit31(t *testing.T) {
+	c := New(&Program{Code: []uint32{0, 0}}, nil)
+	if err := c.FlipBurst(StateBit{RegionImageCode, "word0", 31}, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.Mem.ReadWord(CodeBase), uint32(1<<31|1); got != want {
+		t.Errorf("burst word = %#x, want %#x", got, want)
+	}
+	if got := c.Mem.ReadWord(CodeBase + 4); got != 0 {
+		t.Errorf("burst spilled into the next word: %#x", got)
+	}
+	if got, want := BurstMask(5, 1), uint32(1<<5); got != want {
+		t.Errorf("single-bit BurstMask = %#x, want %#x", got, want)
+	}
+	if got, want := BurstMask(0, 64), uint32(0xFFFFFFFF); got != want {
+		t.Errorf("over-wide BurstMask = %#x, want %#x", got, want)
 	}
 }

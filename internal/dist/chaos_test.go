@@ -111,10 +111,17 @@ func TestProcChaosSelfKillReLease(t *testing.T) {
 
 // TestProcExternalSIGKILLReLease delivers a real kill -9 to the
 // executor process running shard 0 once it has streamed a few records
-// — the genuine article, not a simulated exit.
+// — the genuine article, not a simulated exit. The executor holds
+// still after its third record, so the kill always lands mid-shard: an
+// executor left running could finish and flush all 30 records before
+// the coordinator has read the third, and then nothing is re-leased.
+// The lease TTL is far longer than the run, so the re-lease can only
+// come from the kill, not from the watchdog expiring the held lease.
 func TestProcExternalSIGKILLReLease(t *testing.T) {
 	spec := goofi.CampaignSpec{Variant: "alg2", Experiments: 60, Seed: 29}
 	want := soloBytes(t, spec)
+	const ttl = time.Minute
+	start := time.Now()
 
 	var mu sync.Mutex
 	pids := map[int]int{} // shard -> pid of its attempt-0 executor
@@ -129,9 +136,15 @@ func TestProcExternalSIGKILLReLease(t *testing.T) {
 		mu.Unlock()
 	}), Options{
 		ShardSize:  30,
+		LeaseTTL:   ttl,
 		SegmentDir: t.TempDir(),
 		Campaign:   "c-sigkill",
 		Logger:     quietLogger(),
+		TaskHook: func(task *ShardTask) {
+			if task.Shard == 0 && task.Attempt == 0 {
+				task.ChaosHangAfter = 3
+			}
+		},
 		OnRecord: func(rec goofi.Record, _ int) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -157,6 +170,9 @@ func TestProcExternalSIGKILLReLease(t *testing.T) {
 	}
 	if res.Releases < 1 {
 		t.Fatalf("Releases = %d, want >= 1 after SIGKILL", res.Releases)
+	}
+	if elapsed := time.Since(start); elapsed >= ttl {
+		t.Fatalf("finished in %v — the %v lease may have expired rather than the kill re-leasing it", elapsed, ttl)
 	}
 	if got := distBytes(t, res); !bytes.Equal(got, want) {
 		t.Fatal("record file differs from solo run after SIGKILL'd executor was re-leased")

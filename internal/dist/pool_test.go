@@ -102,6 +102,11 @@ func TestPoolFreshProcessAfterFailure(t *testing.T) {
 		ttl      time.Duration
 		taskHook func(*ShardTask)
 		// killOnRecord SIGKILLs the leased process on its first record.
+		// The case holds the process still after that record, so the
+		// kill lands mid-shard: a process left running could finish
+		// shard 0 first, and the kill would then hit shard 1. Its lease
+		// TTL is far longer than the run, and the run must end before
+		// it, so the re-lease comes from the kill, not the watchdog.
 		killOnRecord bool
 	}
 	firstLease := func(task *ShardTask) bool { return task.Shard == 0 && task.Attempt == 0 }
@@ -111,7 +116,11 @@ func TestPoolFreshProcessAfterFailure(t *testing.T) {
 				task.ChaosKillAfter = 2
 			}
 		}},
-		{name: "external SIGKILL", killOnRecord: true},
+		{name: "external SIGKILL", ttl: time.Minute, killOnRecord: true, taskHook: func(task *ShardTask) {
+			if firstLease(task) {
+				task.ChaosHangAfter = 1
+			}
+		}},
 		{name: "wedge", ttl: time.Second, taskHook: func(task *ShardTask) {
 			if firstLease(task) {
 				task.ChaosHangAfter = 2
@@ -133,6 +142,7 @@ func TestPoolFreshProcessAfterFailure(t *testing.T) {
 				killed bool
 			)
 			var out bytes.Buffer // written by the coordinator's logger, read after Run
+			start := time.Now()
 			res, err := Run(context.Background(), spec, procExecutors(t, 1, seen.observe), Options{
 				ShardSize:  20,
 				LeaseTTL:   tc.ttl,
@@ -152,6 +162,9 @@ func TestPoolFreshProcessAfterFailure(t *testing.T) {
 			})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if elapsed := time.Since(start); tc.killOnRecord && elapsed >= tc.ttl {
+				t.Fatalf("finished in %v — the %v lease may have expired rather than the kill re-leasing it", elapsed, tc.ttl)
 			}
 			if res.Releases != 1 {
 				t.Fatalf("Releases = %d, want 1", res.Releases)

@@ -128,6 +128,10 @@ type Config struct {
 	// lockstepK, if positive, overrides the derived lockstep batch
 	// size (see lockstepBatchK).
 	lockstepK int
+
+	// image, set only by RunSWIFI, draws the faults from the program
+	// image (inject.ImageSampler) instead of the CPU state.
+	image bool
 }
 
 // Record is the logged result of a single fault-injection experiment —
@@ -273,7 +277,12 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 
 	// Set-up phase: pre-draw every experiment's fault so the campaign
 	// is deterministic regardless of worker scheduling.
-	sampler, err := inject.NewModelSampler(cfg.Seed, golden.Instructions, cfg.Model, cfg.BurstWidth)
+	var sampler interface{ Next() workload.Injection }
+	if cfg.image {
+		sampler, err = inject.NewImageSampler(cfg.Seed, prog, cfg.Model, cfg.BurstWidth)
+	} else {
+		sampler, err = inject.NewModelSampler(cfg.Seed, golden.Instructions, cfg.Model, cfg.BurstWidth)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -88,13 +88,21 @@ func runBatchLockstep(prog *cpu.Program, cfg Config, warm *warmState, ids []int,
 
 // buildRecord classifies one experiment outcome against the golden run
 // into its campaign record. Shared by the solo and lockstep paths so a
-// lane's record is constructed exactly like a solo run's.
+// lane's record is constructed exactly like a solo run's. An image
+// fault's final state is compared past the injected word, which
+// necessarily still differs (statesEqualIgnoringImage).
 func buildRecord(cfg Config, golden *workload.Outcome, id int, inj workload.Injection, out *workload.Outcome) Record {
 	if out.Detected() {
 		return verdictRecord(cfg, id, inj, classify.DetectedVerdict(string(out.Trap.Mech)), ProvenanceSimulated)
 	}
-	stateDiffers := !cpu.StatesEqual(golden.FinalState, out.FinalState)
-	v := classify.RunMulti(golden.MultiOutputs, out.MultiOutputs, stateDiffers, cfg.Classify)
+	var same bool
+	switch inj.Bit.Region {
+	case cpu.RegionImageCode, cpu.RegionImageData:
+		same = statesEqualIgnoringImage(golden.FinalState, out.FinalState, cpu.BurstMask(inj.Bit.Bit, inj.Width))
+	default:
+		same = cpu.StatesEqual(golden.FinalState, out.FinalState)
+	}
+	v := classify.RunMulti(golden.MultiOutputs, out.MultiOutputs, !same, cfg.Classify)
 	return verdictRecord(cfg, id, inj, v, ProvenanceSimulated)
 }
 

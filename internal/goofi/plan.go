@@ -71,6 +71,9 @@ func (p *ExecPlan) decline(ls Layer, why string) {
 // planFor decides which fast paths a campaign runs. It is pure, and it
 // is the only code that reads the campaign's fast-path inputs:
 //
+//   - SWIFI image faults decline every layer: they precede instruction
+//     0, so no checkpoint or shared prefix comes before them, and a code
+//     flip sits outside the state digest and the def-use index.
 //   - Detail-mode observers must see every instruction of every run,
 //     which checkpoints, golden splices, dead faults and shared lockstep
 //     prefixes all skip.
@@ -98,6 +101,9 @@ func (p *ExecPlan) decline(ls Layer, why string) {
 // zero Spec is what lets the golden set-up come from the memo.
 func planFor(cfg Config) ExecPlan {
 	p := ExecPlan{WarmStart: true, Prune: true, Lockstep: true}
+	if cfg.image {
+		p.decline(allLayers, "image faults precede instruction 0, and a code flip sits outside the state digest and the def-use index")
+	}
 	p.decline(cfg.Ablate, "ablated by Config.Ablate")
 	if cfg.Spec.Observer != nil {
 		p.decline(allLayers, "a detail-mode observer must see every instruction")

@@ -3,179 +3,43 @@ package goofi
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"strconv"
-	"sync"
 
 	"ctrlguard/internal/classify"
-	"ctrlguard/internal/cpu"
-	"ctrlguard/internal/inject"
 	"ctrlguard/internal/stats"
-	"ctrlguard/internal/workload"
 )
 
 // RunSWIFI executes a pre-runtime SWIFI campaign: each experiment runs
-// the workload from a program image with one bit inverted (§3.3.1 of
-// the paper — GOOFI's second injection technique). Unlike the transient
-// SCIFI faults, an image fault is permanent for the whole run, so the
-// outcome distribution skews towards detections and gross failures.
+// the workload from a program image with one bit (or, under the burst
+// model, a few adjacent bits) inverted (§3.3.1 of the paper — GOOFI's
+// second injection technique). Unlike the transient SCIFI faults, an
+// image fault is permanent for the whole run, so the outcome
+// distribution skews towards detections and gross failures.
 //
-// Records use Region "image-code" / "image-data" and Element "wordN";
-// At is always zero (the fault exists before the first instruction).
-//
-// Cancelling ctx stops the campaign at the next experiment boundary, as
-// RunContext does: the result holds the completed records in ID order
-// and the error is ctx's. A nil ctx behaves like context.Background.
+// An image fault is an ordinary injection at instruction 0 on region
+// "image-code" or "image-data", element "wordN", so the campaign runs
+// through RunContext's loop, with its cancellation, resume, OnRecord
+// and fault isolation. Only the bit-flip and burst models apply, and
+// detectors, which monitor the runtime loop, are refused.
 func RunSWIFI(ctx context.Context, cfg Config) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	if cfg.Detect.Enabled() {
+		return nil, fmt.Errorf("goofi: detectors do not apply to SWIFI campaigns (they monitor the runtime loop)")
 	}
-	if cfg.Experiments <= 0 {
-		return nil, fmt.Errorf("goofi: campaign needs a positive experiment count, got %d", cfg.Experiments)
-	}
-	if cfg.Spec.Iterations == 0 {
-		cfg.Spec = workload.PaperRunSpec()
-	}
-	if cfg.Classify == (classify.Config{}) {
-		cfg.Classify = classify.DefaultConfig()
-	}
-	prog := workload.Program(cfg.Variant)
-
-	// SWIFI mutates the stored image before the run, so only the
-	// permanent models apply: single bit-flips and bursts. The runtime
-	// models (pc, transient) decline explicitly.
-	model := workload.FaultModel(cfg.Model).Canonical()
-	switch model {
-	case workload.ModelBitFlip, workload.ModelBurst:
-	default:
-		return nil, fmt.Errorf("goofi: SWIFI supports the %q and %q fault models, not %q (runtime-only)",
-			workload.ModelBitFlip, workload.ModelBurst, model)
-	}
-
-	golden := workload.Run(prog, cfg.Spec)
-	if golden.Detected() {
-		return nil, fmt.Errorf("goofi: reference execution trapped: %v", golden.Trap)
-	}
-
-	sampler := inject.NewImageSampler(cfg.Seed, prog)
-	if model == workload.ModelBurst {
-		w := cfg.BurstWidth
-		if w <= 0 {
-			w = workload.DefaultBurstWidth
-		}
-		sampler.SetBurstWidth(w)
-	}
-	flips := make([]inject.ImageFlip, cfg.Experiments)
-	for i := range flips {
-		flips[i] = sampler.Next()
-	}
-
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > cfg.Experiments {
-		workers = cfg.Experiments
-	}
-
-	records := make([]Record, cfg.Experiments)
-	completed := make([]bool, cfg.Experiments)
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		done int
-	)
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				records[i] = runSWIFIExperiment(prog, cfg, golden, i, flips[i])
-				completed[i] = true
-				if cfg.Progress != nil {
-					mu.Lock()
-					done++
-					cfg.Progress(done, cfg.Experiments)
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-feed:
-	for i := 0; i < cfg.Experiments && ctx.Err() == nil; i++ {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
-
-	if err := ctx.Err(); err != nil {
-		kept := records[:0] // compacts in place: kept never overtakes i
-		for i, ok := range completed {
-			if ok {
-				kept = append(kept, records[i])
-			}
-		}
-		return &Result{Config: cfg, Golden: golden, Records: kept}, err
-	}
-	return &Result{Config: cfg, Golden: golden, Records: records}, nil
-}
-
-func runSWIFIExperiment(prog *cpu.Program, cfg Config, golden *workload.Outcome, id int, flip inject.ImageFlip) Record {
-	rec := Record{
-		ID:         id,
-		Variant:    string(cfg.Variant),
-		Region:     "image-" + flip.Target.String(),
-		Element:    "word" + strconv.Itoa(flip.Word),
-		Bit:        flip.Bit,
-		Provenance: ProvenanceSimulated,
-	}
-	if flip.Width > 1 {
-		rec.Model = string(workload.ModelBurst)
-		rec.Width = flip.Width
-	}
-	mutated, err := flip.Apply(prog)
-	if err != nil {
-		// Cannot happen for sampler-produced flips; record it as a
-		// detected configuration error rather than dropping data.
-		rec.Outcome = classify.Detected.String()
-		rec.Mechanism = "CAMPAIGN ERROR"
-		return rec
-	}
-	out := workload.Run(mutated, cfg.Spec)
-
-	var verdict classify.Verdict
-	if out.Detected() {
-		verdict = classify.DetectedVerdict(string(out.Trap.Mech))
-	} else {
-		stateDiffers := !statesEqualIgnoringImage(golden, out, flip)
-		verdict = classify.Run(golden.Outputs, out.Outputs, stateDiffers, cfg.Classify)
-	}
-	rec.Outcome = verdict.Outcome.String()
-	rec.Mechanism = verdict.Mechanism
-	rec.FirstDev = verdict.FirstDeviation
-	rec.StrongIts = verdict.StrongIterations
-	rec.MaxDev = verdict.MaxDeviation
-	return rec
+	cfg.image = true
+	return RunContext(ctx, cfg)
 }
 
 // statesEqualIgnoringImage compares final states; the injected image
-// bit itself necessarily differs, so a single-word difference at the
-// injected location does not count as divergence (the fault would
+// word necessarily differs, so a single-word difference by exactly the
+// injected mask does not count as divergence (the fault would
 // otherwise always be classified latent even when nothing consumed it).
-func statesEqualIgnoringImage(golden, faulty *workload.Outcome, flip inject.ImageFlip) bool {
-	a, b := golden.FinalState, faulty.FinalState
+func statesEqualIgnoringImage(a, b []uint32, mask uint32) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	diffs := 0
 	for i := range a {
 		if a[i] != b[i] {
-			if a[i]^b[i] != flip.Mask() {
+			if a[i]^b[i] != mask {
 				return false
 			}
 			diffs++

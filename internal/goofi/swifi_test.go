@@ -1,10 +1,15 @@
 package goofi
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
+	"ctrlguard/internal/detect"
 	"ctrlguard/internal/workload"
 )
 
@@ -150,5 +155,102 @@ func TestSWIFIAnalysisRenders(t *testing.T) {
 	}
 	if a.Summary() == "" {
 		t.Fatal("empty summary")
+	}
+}
+
+// TestSWIFIRecordDigests pins SWIFI record files byte for byte: the
+// SHA-256 of the record file of Algorithm I and II campaigns, bit-flip
+// and burst, 300 image faults, two seeds. The digests were recorded
+// when SWIFI still ran its own engine over a mutated program copy per
+// experiment, so they prove the unified campaign loop reproduces it.
+func TestSWIFIRecordDigests(t *testing.T) {
+	want := map[string]string{
+		"alg1/bitflip/2001": "4d48169c5cfc4e9aad96a4f1dc18896892263daa972a5f91c11401255a658e24",
+		"alg1/bitflip/13":   "8e65f5eed4b31ee90dab9e7d87c2ba4dc60dea895bb6445cc5ac4490f22e3cb1",
+		"alg1/burst/2001":   "4c6f5aea4c3c81a3e4295eb411d96905380a9c8608d40eb461da1bcd8469d226",
+		"alg1/burst/13":     "251bf22b25ad350e8fcc7be982d1269c4b5a55fbb5900e2a1d11f190aedfa6c0",
+		"alg2/bitflip/2001": "77684da5c7b338c809b5b91f5ea046492bb3187e65b4a1949ac4f87632fd1610",
+		"alg2/bitflip/13":   "85385f6c19e45ec62301b14475dd3334c3fc8d436a6c0f043787bb26cd6d2ac7",
+		"alg2/burst/2001":   "33c9e8b6c1a707f02cd7ddfa8b41e3f080a2abc3dd2f1b9e32498be4e97a6b11",
+		"alg2/burst/13":     "31a5308f50f621d9a3ac29346604f70c96b60cda967a67d1dfa56ff8600e51bc",
+	}
+	for _, v := range []workload.Variant{workload.AlgorithmI, workload.AlgorithmII} {
+		for _, m := range []workload.FaultModel{workload.ModelBitFlip, workload.ModelBurst} {
+			for _, seed := range []uint64{2001, 13} {
+				res, err := RunSWIFI(context.Background(), Config{
+					Variant: v, Experiments: 300, Seed: seed, Model: m, Workers: 2,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if err := WriteRecords(&buf, res.Records); err != nil {
+					t.Fatal(err)
+				}
+				key := fmt.Sprintf("%s/%s/%d", v, m, seed)
+				got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))
+				if got != want[key] {
+					t.Errorf("%s: record file SHA-256 %s, want %s", key, got, want[key])
+				}
+			}
+		}
+	}
+}
+
+// TestSWIFIMIMO: SWIFI campaigns run the variant's own spec, so the
+// two-loop workloads' golden runs complete (under the SISO spec they
+// trapped the watchdog) and their faults land in both image regions.
+func TestSWIFIMIMO(t *testing.T) {
+	for _, v := range []workload.Variant{workload.MIMOAlgorithmI, workload.MIMOAlgorithmII} {
+		res, err := RunSWIFI(context.Background(), Config{Variant: v, Experiments: 200, Seed: 2001})
+		if err != nil {
+			t.Fatalf("%s: %v", v, err)
+		}
+		regions := map[string]int{}
+		for _, r := range res.Records {
+			regions[r.Region]++
+		}
+		if len(res.Records) != 200 || regions["image-code"] == 0 || regions["image-data"] == 0 ||
+			regions["image-code"]+regions["image-data"] != 200 {
+			t.Errorf("%s: %d records over regions %v, want 200 over image-code and image-data", v, len(res.Records), regions)
+		}
+	}
+}
+
+// TestSWIFIRunsTheCampaignLoop: a SWIFI campaign is RunContext's loop
+// with every fast path declined for one reason; it hands each record to
+// OnRecord, resumes from persisted records to the same result, and
+// refuses detectors, which would monitor the runtime loop.
+func TestSWIFIRunsTheCampaignLoop(t *testing.T) {
+	const whyImage = "image faults precede instruction 0, and a code flip sits outside the state digest and the def-use index"
+	cfg := Config{Variant: workload.AlgorithmII, Experiments: 60, Seed: 5, Workers: 2}
+	seen := 0
+	cfg.OnRecord = func(Record) { seen++ }
+	full, err := RunSWIFI(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := wantPlan(false, map[Layer]string{LayerWarmStart: whyImage, LayerPrune: whyImage, LayerLockstep: whyImage}); !reflect.DeepEqual(full.Plan, want) {
+		t.Errorf("plan = %+v, want %+v", full.Plan, want)
+	}
+	if seen != cfg.Experiments {
+		t.Errorf("OnRecord saw %d records, want %d", seen, cfg.Experiments)
+	}
+
+	cfg.OnRecord = nil
+	cfg.Resume = full.Records[:25]
+	resumed, err := RunSWIFI(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Faults.Resumed != 25 || !reflect.DeepEqual(resumed.Records, full.Records) {
+		t.Errorf("resumed campaign reused %d records and differs: %v", resumed.Faults.Resumed,
+			!reflect.DeepEqual(resumed.Records, full.Records))
+	}
+
+	cfg.Resume = nil
+	cfg.Detect = detect.Spec{CFE: true}
+	if _, err := RunSWIFI(context.Background(), cfg); err == nil {
+		t.Error("RunSWIFI armed detectors on image faults")
 	}
 }

@@ -96,21 +96,6 @@ func TestBurstClampsToElementWidth(t *testing.T) {
 	}
 }
 
-// TestImageFlipMaskWraps pins the SWIFI burst mask at the word
-// boundary.
-func TestImageFlipMaskWraps(t *testing.T) {
-	f := ImageFlip{Target: ImageCode, Word: 0, Bit: 31, Width: 2}
-	if got, want := f.Mask(), uint32(1<<31|1); got != want {
-		t.Errorf("Mask() = %#x, want %#x", got, want)
-	}
-	if got, want := (ImageFlip{Bit: 5}).Mask(), uint32(1<<5); got != want {
-		t.Errorf("single-bit Mask() = %#x, want %#x", got, want)
-	}
-	if got, want := (ImageFlip{Bit: 0, Width: 64}).Mask(), uint32(0xFFFFFFFF); got != want {
-		t.Errorf("over-wide Mask() = %#x, want %#x", got, want)
-	}
-}
-
 // TestDuplicateInjectionsDeterministic pins that a plan containing the
 // same (element, bit, time) tuple twice yields identical runs for each
 // occurrence — the property the campaign engine's equivalence-class

@@ -2,98 +2,20 @@ package inject
 
 import (
 	"fmt"
+	"strconv"
 
 	"ctrlguard/internal/cpu"
 	"ctrlguard/internal/stats"
+	"ctrlguard/internal/workload"
 )
 
 // Pre-runtime Software-Implemented Fault Injection (SWIFI), the second
 // injection technique GOOFI supports (§3.3.1 of the paper): the fault
 // is inserted into the program image before the run starts, modelling a
 // corrupted instruction or initialised variable in memory, rather than
-// a transient bit-flip during execution.
-
-// ImageTarget selects which part of the program image a SWIFI fault
-// mutates.
-type ImageTarget int
-
-// Image targets.
-const (
-	ImageCode ImageTarget = iota + 1
-	ImageData
-)
-
-// String returns the target's label.
-func (t ImageTarget) String() string {
-	switch t {
-	case ImageCode:
-		return "code"
-	case ImageData:
-		return "data"
-	default:
-		return "unknown"
-	}
-}
-
-// ImageFlip is one pre-runtime fault: invert a bit of one word of the
-// program image. Width > 1 is the burst model — Width adjacent bits of
-// the word are inverted, wrapping within the 32-bit word.
-type ImageFlip struct {
-	Target ImageTarget
-	Word   int // word index within the target section
-	Bit    uint
-	Width  int // burst span; <= 1 means a single bit
-}
-
-// String renders the flip for logging.
-func (f ImageFlip) String() string {
-	if f.Width > 1 {
-		return fmt.Sprintf("%s[%d] bits %d+%d", f.Target, f.Word, f.Bit, f.Width)
-	}
-	return fmt.Sprintf("%s[%d] bit %d", f.Target, f.Word, f.Bit)
-}
-
-// Mask returns the XOR mask for the flip's bit or burst.
-func (f ImageFlip) Mask() uint32 {
-	w := f.Width
-	if w < 1 {
-		w = 1
-	}
-	if w > 32 {
-		w = 32
-	}
-	var m uint32
-	for i := 0; i < w; i++ {
-		m |= 1 << ((f.Bit + uint(i)) % 32)
-	}
-	return m
-}
-
-// Apply returns a copy of prog with the fault inserted. The original is
-// not modified. It returns an error for out-of-range words.
-func (f ImageFlip) Apply(prog *cpu.Program) (*cpu.Program, error) {
-	mutated := &cpu.Program{
-		Code:       append([]uint32(nil), prog.Code...),
-		Data:       append([]uint32(nil), prog.Data...),
-		CodeLabels: prog.CodeLabels,
-		DataLabels: prog.DataLabels,
-	}
-	switch f.Target {
-	case ImageCode:
-		if f.Word < 0 || f.Word >= len(mutated.Code) {
-			return nil, fmt.Errorf("inject: code word %d out of range", f.Word)
-		}
-		mutated.Code[f.Word] ^= f.Mask()
-	case ImageData:
-		if f.Word < 0 || f.Word >= len(mutated.Data) {
-			return nil, fmt.Errorf("inject: data word %d out of range", f.Word)
-		}
-		mutated.Data[f.Word] ^= f.Mask()
-	default:
-		return nil, fmt.Errorf("inject: unknown image target %d", f.Target)
-	}
-	return mutated, nil
-}
+// a transient bit-flip during execution. An image fault is an ordinary
+// injection at instruction 0 on an image region (cpu.RegionImageCode,
+// cpu.RegionImageData).
 
 // ImageSampler draws SWIFI faults uniformly over every bit of the
 // program image (code and initialised data together).
@@ -101,33 +23,46 @@ type ImageSampler struct {
 	rng       *stats.RNG
 	codeWords int
 	dataWords int
-	width     int // burst span stamped on drawn flips (0 = single bit)
+	width     int // burst span stamped on drawn injections (<= 1: single bit)
 }
 
-// SetBurstWidth makes subsequent draws burst flips of the given width.
-// The draw sequence is unchanged — only the stamped Width differs — so
-// burst SWIFI campaigns hit the same (word, bit) sites as single-bit
-// ones for the same seed.
-func (s *ImageSampler) SetBurstWidth(width int) {
-	s.width = width
-}
-
-// NewImageSampler creates a sampler for the given program.
-func NewImageSampler(seed uint64, prog *cpu.Program) *ImageSampler {
-	return &ImageSampler{
+// NewImageSampler creates a sampler over prog's image for the given
+// fault model. A stored image admits only the permanent models: single
+// bit-flips and bursts of width bits (0 = DefaultBurstWidth). The burst
+// width changes only what is stamped on the draws, so burst campaigns
+// hit the same (word, bit) sites as single-bit ones for the same seed.
+func NewImageSampler(seed uint64, prog *cpu.Program, model FaultModel, width int) (*ImageSampler, error) {
+	s := &ImageSampler{
 		rng:       stats.NewRNG(seed),
 		codeWords: len(prog.Code),
 		dataWords: len(prog.Data),
 	}
+	switch model = model.Canonical(); model {
+	case ModelBitFlip:
+	case ModelBurst:
+		s.width = width
+		if width <= 0 {
+			s.width = DefaultBurstWidth
+		}
+	default:
+		return nil, fmt.Errorf("inject: SWIFI supports the %q and %q fault models, not %q (runtime-only)",
+			ModelBitFlip, ModelBurst, model)
+	}
+	return s, nil
 }
 
-// Next draws one image flip.
-func (s *ImageSampler) Next() ImageFlip {
-	total := s.codeWords + s.dataWords
-	w := s.rng.Intn(total)
-	bit := uint(s.rng.Intn(32))
-	if w < s.codeWords {
-		return ImageFlip{Target: ImageCode, Word: w, Bit: bit, Width: s.width}
+// Next draws one image fault. Model and Width are stamped only for a
+// burst wider than one bit, so a width-1 burst campaign records exactly
+// what a bit-flip campaign does.
+func (s *ImageSampler) Next() workload.Injection {
+	w := s.rng.Intn(s.codeWords + s.dataWords)
+	inj := workload.Injection{Bit: cpu.StateBit{Region: cpu.RegionImageCode, Bit: uint(s.rng.Intn(32))}}
+	if w >= s.codeWords {
+		inj.Bit.Region, w = cpu.RegionImageData, w-s.codeWords
 	}
-	return ImageFlip{Target: ImageData, Word: w - s.codeWords, Bit: bit, Width: s.width}
+	inj.Bit.Element = "word" + strconv.Itoa(w)
+	if s.width > 1 {
+		inj.Model, inj.Width = workload.ModelBurst, s.width
+	}
+	return inj
 }

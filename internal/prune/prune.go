@@ -122,6 +122,8 @@ func locOf(b cpu.StateBit) (uint32, bool) {
 		return line + 1, true
 	case cpu.ElemDirty:
 		return line + 2, true
+	case cpu.ElemWord: // the program image is outside the def-use index
+		return 0, false
 	default: // cpu.ElemData
 		return line + 3 + uint32(e.Word), true
 	}

@@ -109,10 +109,10 @@ func Program(v Variant) *cpu.Program {
 	return p.(*cpu.Program)
 }
 
-// programs memoises assembly per variant. The sources are fixed, every
-// consumer treats the returned program as immutable (SWIFI copies
-// before mutating), and sharing one identity per variant is what keeps
-// the predecoded-stream cache effective across campaigns.
+// programs memoises assembly per variant. The sources are fixed and no
+// consumer mutates the returned program (SWIFI flips the loaded
+// machine's image, not the Program), and sharing one identity per
+// variant keeps PredecodeCached's per-Program stream built once.
 var programs sync.Map // Variant -> *cpu.Program
 
 var sources = map[Variant]string{
