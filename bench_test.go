@@ -200,16 +200,15 @@ func BenchmarkFig10AssertionMiss(b *testing.B) {
 	figScenario(b, workload.AlgorithmII, 390, 20, classify.SemiPermanent)
 }
 
-// --- Campaign fast path: checkpointed warm start vs full replay ---
+// --- Campaign fast path: golden-cursor warm start vs full replay ---
 
-// The warm/full pair measures the same campaign with the checkpoint
-// fast path on and off; their ratio is the speedup the CI bench gate
-// asserts on (cmd/benchgate -speedup). Both ablate the fault-space
-// pruner and the lockstep batcher (goofi.Config.Ablate) so the pair
-// keeps measuring checkpointing alone; the pruned benchmark layers the pruner back on
-// top of the warm start, and the lockstep benchmark measures the
-// composed production engine. One op = one whole campaign, so run
-// these with -benchtime=1x.
+// The warm/full pair measures the same campaign with the prefix engine
+// (experiments forked off each worker's golden cursor) on and off;
+// their ratio is the speedup the CI bench gate asserts on
+// (cmd/benchgate -speedup). Both ablate the fault-space pruner
+// (goofi.Config.Ablate) so the pair keeps measuring the warm start
+// alone; the pruned benchmark is the production default, the pruner on
+// top of the warm start. One op = one whole campaign.
 const fastPathExperiments = 300
 
 func benchWholeCampaign(b *testing.B, ablate goofi.Layer) {
@@ -230,7 +229,7 @@ func benchWholeCampaign(b *testing.B, ablate goofi.Layer) {
 	if ws := res.WarmStart; ws != nil {
 		b.ReportMetric(float64(ws.Resumed), "resumed")
 		b.ReportMetric(float64(ws.EarlyExits), "early_exits")
-		b.ReportMetric(float64(ws.Checkpoints), "checkpoints")
+		b.ReportMetric(float64(ws.Checkpoints), "cursors")
 	}
 	if p := res.Prune; p != nil {
 		b.ReportMetric(float64(p.Simulated), "simulated")
@@ -238,42 +237,31 @@ func benchWholeCampaign(b *testing.B, ablate goofi.Layer) {
 		b.ReportMetric(float64(p.Collapsed), "collapsed")
 		b.ReportMetric(float64(p.Classes), "classes")
 	}
-	if l := res.Lockstep; l != nil {
-		b.ReportMetric(float64(l.Lanes), "lanes")
-		b.ReportMetric(float64(l.Batches), "batches")
-		b.ReportMetric(float64(l.Solo), "solo")
-	}
 }
 
 func BenchmarkCampaignWarmStart(b *testing.B) {
-	benchWholeCampaign(b, goofi.LayerPrune|goofi.LayerLockstep)
+	benchWholeCampaign(b, goofi.LayerPrune)
 }
 
 func BenchmarkCampaignFullReplay(b *testing.B) {
-	benchWholeCampaign(b, goofi.LayerWarmStart|goofi.LayerPrune|goofi.LayerLockstep)
+	benchWholeCampaign(b, goofi.LayerWarmStart|goofi.LayerPrune)
 }
 
-// BenchmarkCampaignPruned layers fault-space pruning on top of the
-// warm start. The CI gate asserts its speedup over
-// BenchmarkCampaignWarmStart — the pruner's contribution on top of the
-// checkpoint fast path.
-func BenchmarkCampaignPruned(b *testing.B) {
-	benchWholeCampaign(b, goofi.LayerLockstep)
-}
-
-// BenchmarkCampaignLockstep is the production default: warm start,
-// pruning, and lockstep batching over the predecoded engine. The CI
-// gate asserts its speedup over BenchmarkCampaignFullReplay — the
+// BenchmarkCampaignPruned is the production default: fault-space
+// pruning on top of the warm start over the predecoded engine. The CI
+// gate asserts its speedup over BenchmarkCampaignWarmStart — the
+// pruner's contribution — and over BenchmarkCampaignFullReplay — the
 // whole fast-path stack against the naive campaign.
-func BenchmarkCampaignLockstep(b *testing.B) {
+func BenchmarkCampaignPruned(b *testing.B) {
 	benchWholeCampaign(b, 0)
 }
 
 // BenchmarkCampaignDetector is the production default with both
 // detector families armed, the shape of ctrlbench's fault-models
 // detector campaigns: Algorithm II, 60 experiments. Armed campaigns
-// decline pruning and lockstep, so this measures the monitored warm
-// start and the monitored idle fast-forward.
+// decline pruning, so this measures the monitored warm start (cursors
+// and lanes under the monitor stacks) and the monitored idle
+// fast-forward.
 func BenchmarkCampaignDetector(b *testing.B) {
 	const n = 60
 	var res *goofi.Result

@@ -179,7 +179,7 @@ func runPrecision(ctx context.Context, cfg goofi.Config, target float64, out str
 		}
 	}
 	fmt.Printf("experiments: %d in %d batches (converged: %v)\n", res.Experiments, res.Batches, res.Converged)
-	printStats(os.Stdout, "", res.Plan, nil, res.Prune, res.Lockstep, res.Detect)
+	printStats(os.Stdout, "", res.Plan, nil, res.Prune, res.Detect)
 	fmt.Printf("severe rate: %s (half-width %.4f%%)\n", res.Estimate, res.HalfWidth*100)
 	a := goofi.Analyze(res.Records)
 	fmt.Println(a.Summary())
@@ -246,7 +246,7 @@ func campaign(ctx context.Context, base goofi.Config, v workload.Variant, n int,
 	}
 	res, err := goofi.RunContext(ctx, cfg)
 	if res != nil && !quiet {
-		printStats(os.Stderr, string(v)+": ", res.Plan, res.WarmStart, res.Prune, res.Lockstep, res.Detect)
+		printStats(os.Stderr, string(v)+": ", res.Plan, res.WarmStart, res.Prune, res.Detect)
 	}
 	return res, err
 }
@@ -255,23 +255,19 @@ func campaign(ctx context.Context, base goofi.Config, v workload.Variant, n int,
 // detectors, each line starting with prefix: the layer's counters when
 // it ran and was given them (precision campaigns carry no warm-start
 // counters), the planner's reason when it declined.
-func printStats(w io.Writer, prefix string, plan goofi.ExecPlan, ws *goofi.WarmStartStats, p *goofi.PruneStats, l *goofi.LockstepStats, d *goofi.DetectStats) {
-	for _, layer := range []goofi.Layer{goofi.LayerWarmStart, goofi.LayerPrune, goofi.LayerLockstep} {
+func printStats(w io.Writer, prefix string, plan goofi.ExecPlan, ws *goofi.WarmStartStats, p *goofi.PruneStats, d *goofi.DetectStats) {
+	for _, layer := range []goofi.Layer{goofi.LayerWarmStart, goofi.LayerPrune} {
 		if why, ok := plan.Declined[layer.String()]; ok {
 			fmt.Fprintf(w, "%s%s: declined (%s)\n", prefix, layer, why)
 		}
 	}
 	if ws != nil {
-		fmt.Fprintf(w, "%swarm-start: %d resumed, %d full replays, %d early exits, %d checkpoints\n",
+		fmt.Fprintf(w, "%swarm-start: %d forked, %d full replays, %d early exits, %d cursors\n",
 			prefix, ws.Resumed, ws.FullReplays, ws.EarlyExits, ws.Checkpoints)
 	}
 	if p != nil {
 		fmt.Fprintf(w, "%spruning: %d planned, %d simulated, %d pruned dead, %d collapsed into %d classes\n",
 			prefix, p.Planned, p.Simulated, p.PrunedDead, p.Collapsed, p.Classes)
-	}
-	if l != nil {
-		fmt.Fprintf(w, "%slockstep: %d lanes in %d batches (K=%d), %d solo runs\n",
-			prefix, l.Lanes, l.Batches, l.K, l.Solo)
 	}
 	if d != nil {
 		fmt.Fprintf(w, "%sdetectors (%s): %d caught by signature monitor, %d by automaton, %d golden false positives, %.1f%% modeled overhead\n",

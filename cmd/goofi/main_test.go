@@ -22,7 +22,7 @@ func statsOutput(t *testing.T, cfg goofi.Config) string {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	printStats(&buf, "alg2: ", res.Plan, res.WarmStart, res.Prune, res.Lockstep, res.Detect)
+	printStats(&buf, "alg2: ", res.Plan, res.WarmStart, res.Prune, res.Detect)
 	return buf.String()
 }
 
@@ -31,21 +31,20 @@ func statsOutput(t *testing.T, cfg goofi.Config) string {
 // and the detector line, every line behind the prefix.
 func TestPrintStatsDetectorCampaign(t *testing.T) {
 	out := statsOutput(t, goofi.Config{Model: workload.ModelPC, Detect: detect.Spec{CFE: true, Automaton: true}})
-	warm := regexp.MustCompile(`(?m)^alg2: warm-start: (\d+) resumed, \d+ full replays, \d+ early exits, \d+ checkpoints$`)
+	warm := regexp.MustCompile(`(?m)^alg2: warm-start: (\d+) forked, \d+ full replays, \d+ early exits, \d+ cursors$`)
 	if m := warm.FindStringSubmatch(out); m == nil || m[1] == "0" {
-		t.Errorf("no warm-start line with resumed experiments in:\n%s", out)
+		t.Errorf("no warm-start line with forked experiments in:\n%s", out)
 	}
 	for _, want := range []string{
 		"alg2: prune: declined (monitor peeks are not def-use events",
-		"alg2: lockstep: declined (lockstep lanes do not fork monitor state)",
 		"alg2: detectors (cfe+automaton): ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}
 	}
-	if strings.Contains(out, "warm-start: declined") {
-		t.Errorf("detector campaign declined the warm start:\n%s", out)
+	if strings.Contains(out, "warm-start: declined") || strings.Contains(out, "lockstep") {
+		t.Errorf("detector campaign declined the warm start or printed a lockstep line:\n%s", out)
 	}
 }
 
@@ -56,7 +55,7 @@ func TestPrintStatsDeclinedWarmStart(t *testing.T) {
 	if !strings.Contains(out, "alg2: warm-start: declined (ablated by Config.Ablate)\n") {
 		t.Errorf("missing the warm-start decline in:\n%s", out)
 	}
-	if strings.Contains(out, "resumed") {
+	if strings.Contains(out, "forked") {
 		t.Errorf("declined warm start printed counters:\n%s", out)
 	}
 }

@@ -164,7 +164,7 @@ func (c *CPU) CurrentInstr() (Instr, error) {
 // Clone returns an independent copy of the machine bound to io,
 // carrying the attached decoded stream (the copy runs the same
 // program). It is Snapshot + NewFromSnapshot without the intermediate
-// allocation — the lockstep engine forks a lane per injection this way.
+// allocation — a workload.Cursor forks a lane per injection this way.
 func (c *CPU) Clone(io IOBus) *CPU {
 	cp := &CPU{
 		Regs:       c.Regs,

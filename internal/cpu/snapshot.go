@@ -8,10 +8,9 @@ import "math/bits"
 // the complete data cache (tags, status bits, data, hit/miss counters)
 // and the memory backing store. Restoring a snapshot and stepping is
 // byte-for-byte indistinguishable from having executed the original
-// prefix, which is what lets the campaign engine resume fault-injection
-// experiments from a cached pre-injection checkpoint instead of
-// replaying the golden prefix (FERRARI-style pre-injection
-// snapshotting).
+// prefix (FERRARI-style pre-injection snapshotting). The campaign engine
+// forks its experiments with CPU.Clone instead, which copies the same
+// state without the intermediate Snapshot.
 
 // LineSnapshot is the saved state of one cache line.
 type LineSnapshot struct {

@@ -75,7 +75,9 @@ type Config struct {
 
 	// ExperimentTimeout is the per-attempt wall-clock deadline (0 =
 	// none). A hung experiment is abandoned at the deadline instead of
-	// wedging its worker.
+	// wedging its worker. The deadline bounds the experiment's own run,
+	// forked off the worker's cursor or not; the fault-free cursor
+	// itself has none.
 	ExperimentTimeout time.Duration
 
 	// RetryBackoff is the sleep before the first retry, doubled per
@@ -85,7 +87,9 @@ type Config struct {
 	// Chaos, if non-nil, is invoked at the start of every experiment
 	// attempt. TEST-ONLY: the chaos harness uses it to crash (panic) or
 	// hang (sleep) workers mid-campaign and prove fault isolation;
-	// production configs leave it nil.
+	// production configs leave it nil. The hook runs before the attempt
+	// touches the worker's cursor, so a crash or hang leaves the cursor
+	// where it was and the retry forks off it again.
 	Chaos func(id, attempt int)
 
 	// Ablate switches fast-path layers off. TEST-AND-BENCH-ONLY: every
@@ -97,8 +101,8 @@ type Config struct {
 
 	// Model selects the fault model for every injection (the zero
 	// value is the paper's permanent single bit-flip). Non-default
-	// models decline the prune fast path but keep the warm start and
-	// lockstep (see planFor).
+	// models decline the prune fast path but keep the warm start (see
+	// planFor).
 	Model inject.FaultModel
 
 	// BurstWidth is the adjacent-bit span for Model "burst"
@@ -107,10 +111,11 @@ type Config struct {
 
 	// Detect arms in-loop detectors (signature monitoring and/or a
 	// behavior-derived automaton mined from this campaign's golden run)
-	// on every experiment. Armed campaigns keep the warm start, whose
-	// checkpoints and golden splice carry the monitors' state, and take
-	// their monitored golden set-up from the memo; they decline pruning
-	// and lockstep (see planFor).
+	// on every experiment. Armed campaigns keep the warm start: each
+	// worker's cursor runs under its own monitor stack, every lane
+	// forked off it inherits that stack's state, and the golden splice
+	// requires it to match. They take their monitored golden set-up
+	// from the memo and decline pruning (see planFor).
 	Detect detect.Spec
 
 	// Shard, if non-nil, restricts the campaign to the contiguous
@@ -124,10 +129,6 @@ type Config struct {
 	// record — the invariant distributed campaigns rely on to merge
 	// shard segments into a solo-identical file.
 	Shard *Shard
-
-	// lockstepK, if positive, overrides the derived lockstep batch
-	// size (see lockstepBatchK).
-	lockstepK int
 
 	// image, set only by RunSWIFI, draws the faults from the program
 	// image (inject.ImageSampler) instead of the CPU state.
@@ -180,16 +181,18 @@ type Result struct {
 	// reason for every declined layer.
 	Plan ExecPlan
 
-	// WarmStart reports the checkpoint fast path's work avoidance;
-	// nil exactly when Plan declined the layer.
+	// WarmStart reports the prefix engine's work avoidance; nil
+	// exactly when Plan declined the layer.
 	WarmStart *WarmStartStats
 
 	// Prune reports the fault-space pruner's work avoidance; nil
 	// exactly when Plan declined the layer.
 	Prune *PruneStats
 
-	// Lockstep reports the batching engine's work sharing; nil exactly
-	// when Plan declined the layer.
+	// Lockstep is always nil: the lockstep batching engine it reported
+	// on was retired, and lanes now fork off each worker's golden
+	// cursor (WarmStart). The field stays because the benchmark module
+	// (bench/layers.go) still reads it.
 	Lockstep *LockstepStats
 
 	// Detect reports the armed detectors' configuration, verdict counts
@@ -201,6 +204,14 @@ type Result struct {
 	// records reused from a resumed run. All zero for a healthy,
 	// fresh campaign.
 	Faults FaultStats
+}
+
+// LockstepStats is the type of the always-nil Result.Lockstep, kept
+// for the benchmark module that still reads it.
+type LockstepStats struct {
+	Batches int `json:"batches"`
+	Lanes   int `json:"lanes"`
+	Solo    int `json:"solo"`
 }
 
 // Run executes a campaign: golden run, then Experiments independent
@@ -265,7 +276,10 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	golden, det := su.golden, su.det
 	var warm *warmState
 	if xp.WarmStart {
-		warm = newWarmState(prog, cfg.Spec, golden, det, checkpointCap)
+		var werr error
+		if warm, werr = newWarmState(prog, cfg.Spec, golden, det); werr != nil {
+			xp.decline(LayerWarmStart, werr.Error())
+		}
 	}
 	var prn *pruneState
 	switch {
@@ -305,15 +319,14 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return ProvenanceSimulated
 	}
 
-	// Feed experiments in injection order so the checkpoint capture
-	// cursor walks forward monotonically and lockstep batches group
-	// At-adjacent experiments over one shared replay. Records still
-	// land at their experiment ID, so results are unaffected.
+	// Feed experiments in injection order so every worker's golden
+	// cursor only walks forward. Records still land at their experiment
+	// ID, so results are unaffected.
 	order := make([]int, cfg.Experiments)
 	for i := range order {
 		order[i] = i
 	}
-	if xp.WarmStart || xp.Lockstep {
+	if warm != nil {
 		sort.SliceStable(order, func(a, b int) bool {
 			return injections[order[a]].At < injections[order[b]].At
 		})
@@ -430,82 +443,31 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	}
 
-	var lockstep *LockstepStats
-	if xp.Lockstep {
-		// Size batches from the experiments this call will dispatch:
-		// pruning and resume typically leave a small fraction of the
-		// plan to simulate.
-		sim := 0
-		for i := range injections {
-			if completed[i] || !inShard(i) {
-				continue
-			}
-			if plan == nil || plan.decision[i] == pdSimulate || plan.decision[i] == pdRep {
-				sim++
-			}
-		}
-		lockstep = &LockstepStats{K: lockstepBatchK(cfg, workers, sim)}
-	}
-
-	// runSolo executes one experiment the classic way — isolated,
-	// retried, deadline-bounded — and books its record.
-	runSolo := func(i int) {
-		rec, fs := runExperimentIsolated(prog, cfg, golden, warm, det, i, injections[i])
+	// runOne executes experiment i under fault isolation and books its
+	// record. cur is the calling worker's cursor slot, nil for a run
+	// from instruction 0.
+	runOne := func(cur **workload.Cursor, i int) {
+		rec, fs := runExperimentIsolated(prog, cfg, golden, warm, det, cur, i, injections[i])
 		mu.Lock()
 		faults.Add(fs)
-		if lockstep != nil {
-			lockstep.Solo++
-		}
 		settle(i, rec)
 		mu.Unlock()
 	}
 
-	next := make(chan []int)
+	next := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for batch := range next {
-				if ctx.Err() != nil {
-					continue // drain without running
-				}
-				if lockstep != nil && len(batch) > 1 {
-					if outs := runBatchLockstep(prog, cfg, warm, batch, injections); outs != nil {
-						mu.Lock()
-						lockstep.Batches++
-						mu.Unlock()
-						for j, i := range batch {
-							if outs[j] == nil {
-								// The fault-free run ends before this
-								// injection point; only the solo engine
-								// defines that outcome.
-								runSolo(i)
-								continue
-							}
-							rec := buildRecord(cfg, golden, i, injections[i], outs[j])
-							mu.Lock()
-							lockstep.Lanes++
-							settle(i, rec)
-							mu.Unlock()
-						}
-						continue
-					}
-				}
-				for _, i := range batch {
-					if ctx.Err() != nil {
-						break
-					}
-					runSolo(i)
+			var cur *workload.Cursor // this worker's golden cursor
+			for i := range next {
+				if ctx.Err() == nil { // else drain without running
+					runOne(&cur, i)
 				}
 			}
 		}()
 	}
 
-	batchCap := 1
-	if lockstep != nil {
-		batchCap = lockstep.K
-	}
-	pending := make([]int, 0, batchCap)
 feed:
 	for _, i := range order {
 		// Members and dead faults never dispatch (members land with
@@ -539,21 +501,10 @@ feed:
 		if completed[i] {
 			continue // reused from a resumed run
 		}
-		pending = append(pending, i)
-		if len(pending) < batchCap {
-			continue
-		}
 		select {
-		case next <- pending:
-			pending = make([]int, 0, batchCap)
+		case next <- i:
 		case <-ctx.Done():
 			break feed
-		}
-	}
-	if len(pending) > 0 && ctx.Err() == nil {
-		select {
-		case next <- pending:
-		case <-ctx.Done():
 		}
 	}
 	close(next)
@@ -561,7 +512,8 @@ feed:
 
 	// An abandoned representative (wall-clock deadline — the one
 	// nondeterministic outcome) cannot vouch for its class: fall back to
-	// simulating the members it was standing for.
+	// simulating the members it was standing for, from instruction 0
+	// (they may inject behind every cursor).
 	if plan != nil && ctx.Err() == nil {
 		for rep, members := range plan.members {
 			if !completed[rep] || records[rep].Outcome != OutcomeAbandoned {
@@ -569,7 +521,7 @@ feed:
 			}
 			for _, m := range members {
 				if !completed[m] && inShard(m) && ctx.Err() == nil {
-					runSolo(m)
+					runOne(nil, m)
 				}
 			}
 		}
@@ -579,7 +531,7 @@ feed:
 	if shard != nil {
 		lo, hi = shard.Start, shard.End
 	}
-	res := &Result{Config: cfg, Plan: xp, Golden: golden, Records: records, Faults: faults, Lockstep: lockstep}
+	res := &Result{Config: cfg, Plan: xp, Golden: golden, Records: records, Faults: faults}
 	if warm != nil {
 		res.WarmStart = warm.stats()
 	}
@@ -606,26 +558,67 @@ feed:
 	return res, nil
 }
 
-// runExperiment performs one fault injection and classifies it. A
-// non-zero deadline bounds the run's wall-clock time; an expired run
-// returns errExperimentDeadline instead of a (meaningless) record.
-func runExperiment(prog *cpu.Program, cfg Config, golden *workload.Outcome, warm *warmState, det *detectState, id int, inj workload.Injection, deadline time.Time) (Record, error) {
+// runExperiment performs one fault injection and classifies it: forked
+// off the worker's cursor slot cur when the warm start runs, from
+// instruction 0 otherwise. A non-zero deadline bounds the run's
+// wall-clock time; an expired run returns errExperimentDeadline instead
+// of a (meaningless) record.
+func runExperiment(prog *cpu.Program, cfg Config, golden *workload.Outcome, warm *warmState, det *detectState, cur **workload.Cursor, id int, inj workload.Injection, deadline time.Time) (Record, error) {
 	spec := cfg.Spec
 	spec.Injection = &inj
 	spec.Deadline = deadline
 	if det != nil {
 		spec.Monitor = det.newMonitor(prog) // a fresh monitor stack per run
 	}
+	var out *workload.Outcome
 	if warm != nil {
-		spec.Golden = warm.golden
-		spec.From = warm.checkpointFor(inj.At)
+		out = warm.run(cur, spec)
+	} else {
+		out = workload.Run(prog, spec)
 	}
-	out := workload.Run(prog, spec)
 	if out.Aborted {
 		return Record{}, errExperimentDeadline
 	}
-	if warm != nil {
-		warm.noteRun(spec.From, out)
-	}
 	return buildRecord(cfg, golden, id, inj, out), nil
+}
+
+// buildRecord classifies one experiment outcome against the golden run
+// into its campaign record. An image fault's final state is compared
+// past the injected word, which necessarily still differs
+// (statesEqualIgnoringImage).
+func buildRecord(cfg Config, golden *workload.Outcome, id int, inj workload.Injection, out *workload.Outcome) Record {
+	if out.Detected() {
+		return verdictRecord(cfg, id, inj, classify.DetectedVerdict(string(out.Trap.Mech)), ProvenanceSimulated)
+	}
+	var same bool
+	switch inj.Bit.Region {
+	case cpu.RegionImageCode, cpu.RegionImageData:
+		same = statesEqualIgnoringImage(golden.FinalState, out.FinalState, cpu.BurstMask(inj.Bit.Bit, inj.Width))
+	default:
+		same = cpu.StatesEqual(golden.FinalState, out.FinalState)
+	}
+	v := classify.RunMulti(golden.MultiOutputs, out.MultiOutputs, !same, cfg.Classify)
+	return verdictRecord(cfg, id, inj, v, ProvenanceSimulated)
+}
+
+// verdictRecord is experiment id's record: the fields its injection
+// fixes plus verdict v. Simulated, pruned-dead and abandoned records
+// are all built here, so they share one shape.
+func verdictRecord(cfg Config, id int, inj workload.Injection, v classify.Verdict, provenance string) Record {
+	return Record{
+		ID:         id,
+		Variant:    string(cfg.Variant),
+		Region:     string(inj.Bit.Region),
+		Element:    inj.Bit.Element,
+		Bit:        inj.Bit.Bit,
+		At:         inj.At,
+		Outcome:    v.Outcome.String(),
+		Mechanism:  v.Mechanism,
+		FirstDev:   v.FirstDeviation,
+		StrongIts:  v.StrongIterations,
+		MaxDev:     v.MaxDeviation,
+		Model:      string(inj.Model),
+		Width:      inj.Width,
+		Provenance: provenance,
+	}
 }

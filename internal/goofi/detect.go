@@ -15,8 +15,9 @@ import (
 // experiment. Detector verdicts arrive as cpu.TrapError with the
 // detect mechanisms and classify as detections like any EDM trap. Both
 // monitor families are workload.StatefulMonitors, so armed campaigns
-// keep the warm start: checkpoints freeze the monitor stack's state
-// and the golden splice requires it to match. They are
+// keep the warm start: a lane forked off a worker's golden cursor
+// inherits the cursor's monitor state, and the golden splice requires
+// it to match. They are
 // workload.IdleMonitors too, so armed runs keep the idle fast-forward,
 // the monitors accounting for the poll-loop trips it skips.
 

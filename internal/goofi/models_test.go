@@ -65,22 +65,20 @@ func TestDefaultModelRecordsUnstamped(t *testing.T) {
 }
 
 // modelIdentityCheck runs one campaign four ways — solo; with the warm
-// start and pruning ablated, i.e. plain simulation; with lockstep
-// ablated, so the warm start resumes solo runs from checkpoints; and as
-// a random shard partition merged in order — and requires
-// byte-identical record files. The solo run's lockstep lanes and the
-// lockstep-ablated run's checkpoint resumes are the two warm-start
-// paths, each splicing the golden remainder on re-convergence. This is
-// the cross-validation property the distributed coordinator and the
-// resume machinery rest on for the extended fault models. With
-// detectors armed (which decline lockstep) the solo run resumes from
-// checkpoints carrying the monitors' state, and the plain simulation
-// runs every experiment under fresh monitors from iteration 0. Armed
-// campaigns also run a fifth way, on the classic interpreter with the
-// warm start ablated: the predecoded arms all fast-forward the idle
-// poll loop under the monitors alike, and only the interpreter steps
-// every trip. The whole-campaign arms must report the solo run's
-// detector stats too.
+// start and pruning ablated, i.e. plain simulation; on one worker, so a
+// single golden cursor forks every experiment; and as a random shard
+// partition merged in order — and requires byte-identical record files.
+// The warm-start runs fork their experiments off each worker's golden
+// cursor and splice the golden remainder on re-convergence. This is the
+// cross-validation property the distributed coordinator and the resume
+// machinery rest on for the extended fault models. With detectors armed
+// every cursor runs under its own monitor stack and hands its state to
+// the lanes, and the plain simulation runs every experiment under fresh
+// monitors from instruction 0. Armed campaigns also run a fifth way, on
+// the classic interpreter with the warm start ablated: the predecoded
+// arms all fast-forward the idle poll loop under the monitors alike, and
+// only the interpreter steps every trip. The whole-campaign arms must
+// report the solo run's detector stats too.
 func modelIdentityCheck(t *testing.T, rng *rand.Rand, v workload.Variant, m inject.FaultModel, d detect.Spec, n int, seed uint64) {
 	t.Helper()
 	base := Config{Variant: v, Experiments: n, Seed: seed, Model: m, Detect: d}
@@ -89,7 +87,7 @@ func modelIdentityCheck(t *testing.T, rng *rand.Rand, v workload.Variant, m inje
 		t.Fatalf("%s/%s/%s solo: %v", v, m, d, err)
 	}
 	if d.Enabled() && (solo.WarmStart == nil || solo.WarmStart.Resumed == 0) {
-		t.Errorf("%s/%s/%s: detector campaign resumed no experiment: %+v", v, m, d, solo.WarmStart)
+		t.Errorf("%s/%s/%s: detector campaign forked no experiment: %+v", v, m, d, solo.WarmStart)
 	}
 	var want bytes.Buffer
 	if err := WriteRecords(&want, solo.Records); err != nil {
@@ -105,17 +103,19 @@ func modelIdentityCheck(t *testing.T, rng *rand.Rand, v workload.Variant, m inje
 	for _, arm := range []struct {
 		name      string
 		ablate    Layer
+		workers   int
 		interpret bool
 	}{
-		{"warm-start/prune-ablated", LayerWarmStart | LayerPrune, false},
-		{"lockstep-ablated", LayerLockstep, false},
-		{"interpreted", LayerWarmStart | LayerLockstep, true},
+		{"warm-start/prune-ablated", LayerWarmStart | LayerPrune, 0, false},
+		{"one-worker", 0, 1, false},
+		{"interpreted", LayerWarmStart, 0, true},
 	} {
 		if arm.interpret && !d.Enabled() {
 			continue
 		}
 		cfg := base
 		cfg.Ablate = arm.ablate
+		cfg.Workers = arm.workers
 		if arm.interpret {
 			cfg.Spec = workload.SpecFor(v)
 			cfg.Spec.Interpret = true

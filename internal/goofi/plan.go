@@ -12,23 +12,22 @@ import (
 type Layer uint8
 
 const (
-	// LayerWarmStart resumes experiments from golden-prefix checkpoints
-	// and splices the golden remainder once a run re-converges.
+	// LayerWarmStart is the prefix engine: each worker forks its
+	// experiments off its own golden cursor at the injection
+	// instruction, and a run that re-converges splices the golden
+	// remainder.
 	LayerWarmStart Layer = 1 << iota
 	// LayerPrune synthesizes records for provably dead faults and
 	// collapses first-use equivalence classes onto one representative.
 	LayerPrune
-	// LayerLockstep batches experiments over one shared golden-prefix
-	// replay.
-	LayerLockstep
 
-	allLayers = LayerWarmStart | LayerPrune | LayerLockstep
+	allLayers = LayerWarmStart | LayerPrune
 )
 
-var layerNames = [...]string{"warm-start", "prune", "lockstep"}
+var layerNames = [...]string{"warm-start", "prune"}
 
-// String names a single layer ("warm-start", "prune", "lockstep"), the
-// keys of ExecPlan.Declined.
+// String names a single layer ("warm-start", "prune"), the keys of
+// ExecPlan.Declined.
 func (l Layer) String() string {
 	for i, name := range layerNames {
 		if l == 1<<i {
@@ -41,7 +40,7 @@ func (l Layer) String() string {
 // ExecPlan is a campaign's fast-path decision: which layers run, and
 // for each layer that does not, why.
 type ExecPlan struct {
-	WarmStart, Prune, Lockstep bool
+	WarmStart, Prune bool
 
 	// Declined maps each declined layer's name (Layer.String) to the
 	// reason; nil when every layer runs.
@@ -55,7 +54,7 @@ type ExecPlan struct {
 // decline turns off every layer in ls that is still on, recording why.
 // The first reason found for a layer is the one reported.
 func (p *ExecPlan) decline(ls Layer, why string) {
-	for i, on := range [...]*bool{&p.WarmStart, &p.Prune, &p.Lockstep} {
+	for i, on := range [...]*bool{&p.WarmStart, &p.Prune} {
 		l := Layer(1 << i)
 		if ls&l == 0 || !*on {
 			continue
@@ -72,35 +71,37 @@ func (p *ExecPlan) decline(ls Layer, why string) {
 // is the only code that reads the campaign's fast-path inputs:
 //
 //   - SWIFI image faults decline every layer: they precede instruction
-//     0, so no checkpoint or shared prefix comes before them, and a code
-//     flip sits outside the state digest and the def-use index.
+//     0, so no fault-free prefix comes before them, and a code flip
+//     sits outside the state digest and the def-use index.
 //   - Detail-mode observers must see every instruction of every run,
-//     which checkpoints, golden splices, dead faults and shared lockstep
-//     prefixes all skip.
+//     which cursor forks, golden splices and dead faults all skip.
 //   - Armed detectors keep the warm start. Their monitors are
-//     workload.StatefulMonitors: a checkpoint freezes the monitor
-//     stack's state with the machine's, and the golden splice also
-//     requires equal monitor state. Equal machine, output history and
-//     monitor state imply the golden remainder, which trapped nothing.
+//     workload.StatefulMonitors: a lane forked off a cursor inherits
+//     the cursor's monitor state, and the golden splice also requires
+//     equal monitor state. Equal machine, output history and monitor
+//     state imply the golden remainder, which trapped nothing.
 //     Detectors decline pruning, because the automaton's state peeks
-//     are not def-use events, and lockstep, whose lanes do not fork
-//     monitor state.
+//     are not def-use events.
 //   - The pruner's def-use reasoning is proven only for permanent
 //     single bit-flips (prune.SupportsModel); other models simulate every
 //     experiment rather than risk silent misclassification. The warm
-//     start and lockstep are valid for every model: each model finishes
-//     changing machine state within the injected instruction's Step (the
-//     transient's restore included), while checkpoints precede the
-//     injection and re-convergence is tested only at later iteration
-//     boundaries, so an equal state digest and output history imply an
-//     equal remainder whatever the model.
-//   - Chaos hooks and per-experiment deadlines build their fault
-//     isolation around solo runs, so they decline batching.
+//     start is valid for every model: a lane forks before the injection,
+//     each model finishes changing machine state within the injected
+//     instruction's Step (the transient's restore included), and
+//     re-convergence is tested only at later iteration boundaries, so an
+//     equal state digest and output history imply an equal remainder
+//     whatever the model.
+//
+// Chaos hooks and per-experiment deadlines change no layer: each lane
+// runs under the same isolation as a run from instruction 0. RunContext
+// declines a layer on two facts only the set-up reveals: the warm start
+// when the environment cannot be cloned, pruning when the golden-run
+// capture built no def-use index.
 //
 // cfg is the caller's Config, before RunContext fills in defaults: a
 // zero Spec is what lets the golden set-up come from the memo.
 func planFor(cfg Config) ExecPlan {
-	p := ExecPlan{WarmStart: true, Prune: true, Lockstep: true}
+	p := ExecPlan{WarmStart: true, Prune: true}
 	if cfg.image {
 		p.decline(allLayers, "image faults precede instruction 0, and a code flip sits outside the state digest and the def-use index")
 	}
@@ -110,17 +111,10 @@ func planFor(cfg Config) ExecPlan {
 	}
 	if cfg.Detect.Enabled() {
 		p.decline(LayerPrune, "monitor peeks are not def-use events, see ROADMAP item 4 Phase B")
-		p.decline(LayerLockstep, "lockstep lanes do not fork monitor state")
 	}
 	if !prune.SupportsModel(string(cfg.Model)) {
 		p.decline(LayerPrune,
 			fmt.Sprintf("fault model %q is not a permanent single bit-flip", cfg.Model))
-	}
-	if cfg.Chaos != nil {
-		p.decline(LayerLockstep, "chaos hooks need solo-run fault isolation")
-	}
-	if cfg.ExperimentTimeout != 0 {
-		p.decline(LayerLockstep, "per-experiment deadlines need solo-run fault isolation")
 	}
 	p.memo = cfg.Spec.Iterations == 0 && (p.WarmStart || p.Prune)
 	return p

@@ -9,6 +9,7 @@ import (
 	"ctrlguard/internal/cpu"
 	"ctrlguard/internal/detect"
 	"ctrlguard/internal/inject"
+	"ctrlguard/internal/plant"
 	"ctrlguard/internal/workload"
 )
 
@@ -17,9 +18,6 @@ const (
 	whyAblated  = "ablated by Config.Ablate"
 	whyObserver = "a detail-mode observer must see every instruction"
 	whyDetPrune = "monitor peeks are not def-use events, see ROADMAP item 4 Phase B"
-	whyDetLock  = "lockstep lanes do not fork monitor state"
-	whyChaos    = "chaos hooks need solo-run fault isolation"
-	whyTimeout  = "per-experiment deadlines need solo-run fault isolation"
 )
 
 func whyModel(m inject.FaultModel) string {
@@ -39,7 +37,6 @@ var planModes = []struct {
 	{"spec", func(c *Config) { c.Spec = workload.SpecFor(c.Variant) }},
 	{"ablate-warm-start", func(c *Config) { c.Ablate = LayerWarmStart }},
 	{"ablate-prune", func(c *Config) { c.Ablate = LayerPrune }},
-	{"ablate-lockstep", func(c *Config) { c.Ablate = LayerLockstep }},
 }
 
 // wantPlan builds an expected ExecPlan from the declined layers'
@@ -48,7 +45,6 @@ func wantPlan(memo bool, declined map[Layer]string) ExecPlan {
 	p := ExecPlan{memo: memo}
 	p.WarmStart = declined[LayerWarmStart] == ""
 	p.Prune = declined[LayerPrune] == ""
-	p.Lockstep = declined[LayerLockstep] == ""
 	for l, why := range declined {
 		if p.Declined == nil {
 			p.Declined = make(map[string]string)
@@ -62,12 +58,13 @@ func wantPlan(memo bool, declined map[Layer]string) ExecPlan {
 // bit-flip campaign, of a campaign under a non-default fault model m
 // (which declines only the pruner, so it keeps the warm start and the
 // golden memo), and of a detector campaign (any model), which keeps the
-// warm start and the memo but declines pruning and lockstep with its
-// own reasons, unless an observer declined every layer first.
+// warm start and the memo but declines pruning with its own reason,
+// unless an observer declined every layer first. Chaos hooks and
+// per-experiment deadlines decline nothing.
 func expectedPlan(mode string, m inject.FaultModel, armed bool) ExecPlan {
-	W, P, L := LayerWarmStart, LayerPrune, LayerLockstep
+	W, P := LayerWarmStart, LayerPrune
 	wm := whyModel(m)
-	det := map[Layer]string{P: whyDetPrune, L: whyDetLock}
+	det := map[Layer]string{P: whyDetPrune}
 	table := map[string][3]ExecPlan{
 		"default": {
 			wantPlan(true, nil),
@@ -75,18 +72,18 @@ func expectedPlan(mode string, m inject.FaultModel, armed bool) ExecPlan {
 			wantPlan(true, det),
 		},
 		"observer": {
-			wantPlan(false, map[Layer]string{W: whyObserver, P: whyObserver, L: whyObserver}),
-			wantPlan(false, map[Layer]string{W: whyObserver, P: whyObserver, L: whyObserver}),
-			wantPlan(false, map[Layer]string{W: whyObserver, P: whyObserver, L: whyObserver}),
+			wantPlan(false, map[Layer]string{W: whyObserver, P: whyObserver}),
+			wantPlan(false, map[Layer]string{W: whyObserver, P: whyObserver}),
+			wantPlan(false, map[Layer]string{W: whyObserver, P: whyObserver}),
 		},
 		"chaos": {
-			wantPlan(true, map[Layer]string{L: whyChaos}),
-			wantPlan(true, map[Layer]string{P: wm, L: whyChaos}),
+			wantPlan(true, nil),
+			wantPlan(true, map[Layer]string{P: wm}),
 			wantPlan(true, det),
 		},
 		"timeout": {
-			wantPlan(true, map[Layer]string{L: whyTimeout}),
-			wantPlan(true, map[Layer]string{P: wm, L: whyTimeout}),
+			wantPlan(true, nil),
+			wantPlan(true, map[Layer]string{P: wm}),
 			wantPlan(true, det),
 		},
 		"spec": {
@@ -97,17 +94,12 @@ func expectedPlan(mode string, m inject.FaultModel, armed bool) ExecPlan {
 		"ablate-warm-start": {
 			wantPlan(true, map[Layer]string{W: whyAblated}),
 			wantPlan(false, map[Layer]string{W: whyAblated, P: wm}),
-			wantPlan(false, map[Layer]string{W: whyAblated, P: whyDetPrune, L: whyDetLock}),
+			wantPlan(false, map[Layer]string{W: whyAblated, P: whyDetPrune}),
 		},
 		"ablate-prune": {
 			wantPlan(true, map[Layer]string{P: whyAblated}),
 			wantPlan(true, map[Layer]string{P: whyAblated}),
-			wantPlan(true, map[Layer]string{P: whyAblated, L: whyDetLock}),
-		},
-		"ablate-lockstep": {
-			wantPlan(true, map[Layer]string{L: whyAblated}),
-			wantPlan(true, map[Layer]string{P: wm, L: whyAblated}),
-			wantPlan(true, map[Layer]string{P: whyDetPrune, L: whyAblated}),
+			wantPlan(true, map[Layer]string{P: whyAblated}),
 		},
 	}
 	switch {
@@ -141,7 +133,7 @@ func TestExecPlan(t *testing.T) {
 
 // TestExecPlanLayerNames pins the Declined keys.
 func TestExecPlanLayerNames(t *testing.T) {
-	for l, want := range map[Layer]string{LayerWarmStart: "warm-start", LayerPrune: "prune", LayerLockstep: "lockstep"} {
+	for l, want := range map[Layer]string{LayerWarmStart: "warm-start", LayerPrune: "prune"} {
 		if got := l.String(); got != want {
 			t.Errorf("Layer(%d).String() = %q, want %q", l, got, want)
 		}
@@ -157,10 +149,11 @@ func TestPlanStatsNilExactlyWhenDeclined(t *testing.T) {
 		"default":   {},
 		"transient": {Model: workload.ModelTransient},
 		"chaos":     {Chaos: func(int, int) {}},
+		"timeout":   {ExperimentTimeout: time.Minute},
 		"detector":  {Detect: detect.Spec{CFE: true}},
 		"observer+detector": {Detect: detect.Spec{CFE: true, Automaton: true},
 			Spec: withObserver(workload.SpecFor(workload.AlgorithmI))},
-		"ablated": {Ablate: LayerWarmStart | LayerLockstep},
+		"ablated": {Ablate: LayerWarmStart},
 	}
 	for name, cfg := range cases {
 		cfg.Variant, cfg.Experiments, cfg.Seed, cfg.Workers = workload.AlgorithmI, 20, 3, 2
@@ -177,11 +170,52 @@ func TestPlanStatsNilExactlyWhenDeclined(t *testing.T) {
 		if (res.Prune != nil) != res.Plan.Prune {
 			t.Errorf("%s: plan prune %v, stats %+v", name, res.Plan.Prune, res.Prune)
 		}
-		if (res.Lockstep != nil) != res.Plan.Lockstep {
-			t.Errorf("%s: plan lockstep %v, stats %+v", name, res.Plan.Lockstep, res.Lockstep)
+		if res.Lockstep != nil {
+			t.Errorf("%s: Result.Lockstep = %+v, want nil", name, res.Lockstep)
 		}
 	}
 }
+
+// TestWarmStartDeclinesUncloneableEnv: a custom environment that cannot
+// be cloned gets no golden cursor. The campaign records the decline in
+// Result.Plan, reports no warm-start counters, and runs every
+// experiment from instruction 0 to the records of the cloneable
+// environment it wraps.
+func TestWarmStartDeclinesUncloneableEnv(t *testing.T) {
+	spec := workload.SpecFor(workload.AlgorithmI)
+	cfg := Config{Variant: workload.AlgorithmI, Experiments: 40, Seed: 12, Workers: 2, Spec: spec}
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Spec.NewEnv = func(s workload.RunSpec) workload.Environment {
+		eng := plant.NewEngine(s.EngineCfg)
+		return &engineOnly{eng: eng, ref: s.Reference, t: s.EngineCfg.T, y: eng.Speed()}
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if why := res.Plan.Declined[LayerWarmStart.String()]; res.Plan.WarmStart || why == "" {
+		t.Errorf("plan %+v: the warm start was not declined", res.Plan)
+	}
+	if res.WarmStart != nil {
+		t.Errorf("declined warm start reported %+v", res.WarmStart)
+	}
+	if !reflect.DeepEqual(res.Records, want.Records) {
+		t.Error("records differ from the cloneable environment's")
+	}
+}
+
+// engineOnly is the paper's engine environment without CloneEnv.
+type engineOnly struct {
+	eng  *plant.Engine
+	ref  plant.ReferenceProfile
+	t, y float64
+}
+
+func (e *engineOnly) Inputs(k int, in []float64) { in[0], in[1] = e.ref(float64(k)*e.t), e.y }
+func (e *engineOnly) Deliver(_ int, u []float64) { e.y = e.eng.Step(u[0]) }
 
 func withObserver(spec workload.RunSpec) workload.RunSpec {
 	spec.Observer = func(int, uint64, *cpu.CPU) {}

@@ -176,41 +176,3 @@ func TestDetectorMemoMatchesCampaignLocal(t *testing.T) {
 		}
 	}
 }
-
-func TestLockstepKFromSimulatedCount(t *testing.T) {
-	cases := []struct {
-		name               string
-		override           int
-		workers, sim, want int
-	}{
-		{"nothing to simulate", 0, 2, 0, 4},
-		{"small floor", 0, 2, 20, 4},
-		{"four batches per worker", 0, 2, 57, 8},
-		{"exact multiple", 0, 1, 64, 16},
-		{"more workers, smaller batches", 0, 8, 300, 10},
-		{"ceiling", 0, 1, 9290, 64},
-		{"override wins", 3, 2, 1000, 3},
-	}
-	for _, c := range cases {
-		if got := lockstepBatchK(Config{lockstepK: c.override}, c.workers, c.sim); got != c.want {
-			t.Errorf("%s: lockstepBatchK(workers=%d, sim=%d) = %d, want %d", c.name, c.workers, c.sim, got, c.want)
-		}
-	}
-}
-
-// TestLockstepBatchesFromPostPruneCount pins the batch sizing on the
-// paper workload: pruning leaves a few dozen of 300 experiments, which
-// must still spread over several batches per worker rather than one.
-func TestLockstepBatchesFromPostPruneCount(t *testing.T) {
-	res, err := Run(Config{Variant: workload.AlgorithmI, Experiments: 300, Seed: 2001, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Lockstep == nil || res.Prune == nil {
-		t.Fatalf("default campaign reported no lockstep/prune stats: %+v %+v", res.Lockstep, res.Prune)
-	}
-	if res.Lockstep.Batches < 4 {
-		t.Fatalf("Alg I n=300 ran %d lockstep batches (K=%d, %d simulated), want >= 4",
-			res.Lockstep.Batches, res.Lockstep.K, res.Prune.Simulated)
-	}
-}

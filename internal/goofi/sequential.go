@@ -107,10 +107,6 @@ type PrecisionResult struct {
 	// over every batch; nil when no detectors were armed.
 	Detect *DetectStats
 
-	// Lockstep accumulates the batching engine's work sharing over
-	// every batch; nil when no batch ran lockstep.
-	Lockstep *LockstepStats
-
 	// Faults accumulates worker fault isolation's interventions over
 	// every batch (see Result.Faults).
 	Faults FaultStats
@@ -183,13 +179,6 @@ func RunUntilPrecisionContext(ctx context.Context, cfg PrecisionConfig) (*Precis
 		if out.Detect != nil && res.Detect == nil {
 			d := *out.Detect
 			res.Detect = &d
-		}
-		if out.Lockstep != nil {
-			res.Lockstep = cmp.Or(res.Lockstep, &LockstepStats{})
-			res.Lockstep.Batches += out.Lockstep.Batches
-			res.Lockstep.Lanes += out.Lockstep.Lanes
-			res.Lockstep.Solo += out.Lockstep.Solo
-			res.Lockstep.K = out.Lockstep.K
 		}
 		res.Faults.Add(out.Faults)
 		if len(out.Records) == 0 {

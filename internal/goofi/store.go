@@ -43,7 +43,12 @@ func (e *TruncatedError) Error() string {
 
 func (e *TruncatedError) Unwrap() error { return e.Err }
 
-// ReadRecords parses JSON-lines records from r.
+// maxRecordLine bounds one JSONL line. A record is a few hundred
+// bytes; a longer line is a corrupt or hostile file, not a record.
+const maxRecordLine = 4 << 20
+
+// ReadRecords parses JSON-lines records from r: every record a
+// RecordScanner yields, with its error.
 //
 // A malformed line in the middle of the stream is a hard error. A
 // malformed *final* line — a record cut short by a crash-interrupted
@@ -52,71 +57,50 @@ func (e *TruncatedError) Unwrap() error { return e.Err }
 // remains analysable.
 func ReadRecords(r io.Reader) ([]Record, error) {
 	var out []Record
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	line := 0
-	var trunc *TruncatedError
+	sc := NewRecordScanner(r)
 	for sc.Scan() {
-		line++
-		b := bytes.TrimSpace(sc.Bytes())
-		if len(b) == 0 {
-			continue
-		}
-		if trunc != nil {
-			// The bad line was not the last one: corrupt, not truncated.
-			return nil, fmt.Errorf("goofi: decode record on line %d: %w", trunc.Line, trunc.Err)
-		}
-		var rec Record
-		if err := json.Unmarshal(b, &rec); err != nil {
-			trunc = &TruncatedError{Line: line, Err: err}
-			continue
-		}
-		out = append(out, rec)
+		out = append(out, sc.Record())
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("goofi: read records: %w", err)
+	err := sc.Err()
+	var trunc *TruncatedError
+	if err != nil && !errors.As(err, &trunc) {
+		return nil, err
 	}
-	if trunc != nil {
-		return out, trunc
-	}
-	return out, nil
+	return out, err
 }
 
 // RecordScanner streams records from a JSONL reader one at a time, so
 // paginating a large record file costs O(page) memory instead of
-// loading the whole campaign. Its truncation semantics match
-// ReadRecords: a malformed final line yields a *TruncatedError from
-// Err() after the intact records have been scanned, while corruption
-// mid-stream is a hard error.
+// loading the whole campaign. A malformed final line yields a
+// *TruncatedError from Err() after the intact records have been
+// scanned, while corruption mid-stream, or a line longer than 4 MiB, is
+// a hard error.
 type RecordScanner struct {
-	br   *bufio.Reader
+	sc   *bufio.Scanner
 	rec  Record
 	line int
 	err  error
-	done bool
 }
 
 // NewRecordScanner wraps r for streaming record reads.
 func NewRecordScanner(r io.Reader) *RecordScanner {
-	return &RecordScanner{br: bufio.NewReaderSize(r, 64*1024)}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), maxRecordLine)
+	return &RecordScanner{sc: sc}
 }
 
 // Scan advances to the next record, reporting false at end of stream
 // or on error (check Err).
 func (s *RecordScanner) Scan() bool {
-	for !s.done && s.err == nil {
-		raw, err := s.br.ReadBytes('\n')
-		atEOF := errors.Is(err, io.EOF)
-		if err != nil && !atEOF {
-			s.err = fmt.Errorf("goofi: read records: %w", err)
-			return false
-		}
-		s.done = atEOF
+	for s.err == nil && s.sc.Scan() {
 		s.line++
-		b := bytes.TrimSpace(raw)
+		b := bytes.TrimSpace(s.sc.Bytes())
 		if len(b) == 0 {
 			continue
 		}
+		// Decode into a zero record: fields a line omits (omitempty)
+		// must not keep the previous record's values.
+		s.rec = Record{}
 		if uerr := json.Unmarshal(b, &s.rec); uerr != nil {
 			if s.lastDataLine() {
 				s.err = &TruncatedError{Line: s.line, Err: uerr}
@@ -127,27 +111,23 @@ func (s *RecordScanner) Scan() bool {
 		}
 		return true
 	}
+	if err := s.sc.Err(); err != nil && s.err == nil {
+		s.err = fmt.Errorf("goofi: read records: %w", err)
+	}
 	return false
 }
 
 // lastDataLine reports whether the line just read is the stream's
 // final non-blank line — the only place a parse failure means
-// "truncated" rather than "corrupt".
+// "truncated" rather than "corrupt". A line too long to read counts as
+// a further data line.
 func (s *RecordScanner) lastDataLine() bool {
-	if s.done {
-		return true
-	}
-	for {
-		raw, err := s.br.ReadBytes('\n')
-		if len(bytes.TrimSpace(raw)) > 0 {
+	for s.sc.Scan() {
+		if len(bytes.TrimSpace(s.sc.Bytes())) > 0 {
 			return false
 		}
-		if err != nil {
-			s.done = true
-			return true
-		}
-		s.line++
 	}
+	return s.sc.Err() == nil
 }
 
 // Record is the record most recently scanned.

@@ -251,10 +251,13 @@ func TestRecordScannerMidStreamCorruption(t *testing.T) {
 	}
 }
 
-// FuzzReadRecords feeds arbitrary bytes to the record reader, the trust
-// boundary every persisted or uploaded campaign file crosses: it must
-// never panic, and every record it accepts, intact or before a torn
-// final line, must round-trip through WriteRecords unchanged.
+// FuzzReadRecords feeds arbitrary bytes to the record readers, the
+// trust boundary every persisted or uploaded campaign file crosses:
+// ReadRecords (the result cache, LoadRecords, the appender) and the
+// streaming RecordScanner (record pages) must never panic, must accept
+// the same records and fail with the same error class, and every record
+// they accept, intact or before a torn final line, must round-trip
+// through WriteRecords unchanged.
 func FuzzReadRecords(f *testing.F) {
 	var valid bytes.Buffer
 	if err := WriteRecords(&valid, sampleRecords()); err != nil {
@@ -264,11 +267,23 @@ func FuzzReadRecords(f *testing.F) {
 	f.Add(valid.Bytes()[:valid.Len()-20])                                                // torn tail
 	f.Add(append([]byte(`{"id":0,"variant":`+"\n"), valid.Bytes()...))                   // malformed line
 	f.Add([]byte(`{"id":3,"model":"burst","width":2,"provenance":"class-member-of:1"}`)) // no newline
+	f.Add(overLongRecordLine())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := ReadRecords(bytes.NewReader(data))
+		var scanned []Record
+		sc := NewRecordScanner(bytes.NewReader(data))
+		for sc.Scan() {
+			scanned = append(scanned, sc.Record())
+		}
+		if errorClass(sc.Err()) != errorClass(err) {
+			t.Fatalf("ReadRecords error %v, RecordScanner error %v", err, sc.Err())
+		}
 		var trunc *TruncatedError
 		if err != nil && !errors.As(err, &trunc) {
 			return
+		}
+		if !reflect.DeepEqual(scanned, recs) {
+			t.Fatalf("RecordScanner read %+v, ReadRecords %+v", scanned, recs)
 		}
 		var buf bytes.Buffer
 		if err := WriteRecords(&buf, recs); err != nil {
@@ -282,4 +297,60 @@ func FuzzReadRecords(f *testing.F) {
 			t.Fatalf("round trip changed the records:\n got %+v\nwant %+v", again, recs)
 		}
 	})
+}
+
+// errorClass names the kind of a record reader's error: none, a torn
+// final line, or a hard failure.
+func errorClass(err error) string {
+	var trunc *TruncatedError
+	switch {
+	case err == nil:
+		return "nil"
+	case errors.As(err, &trunc):
+		return "truncated"
+	}
+	return "hard"
+}
+
+// overLongRecordLine is two records, the first padded with JSON
+// whitespace to a 5 MiB line, past the readers' 4 MiB bound.
+func overLongRecordLine() []byte {
+	return []byte(`{"id":0,` + strings.Repeat(" ", 5<<20) + `"variant":"alg1"}` + "\n" + `{"id":1}` + "\n")
+}
+
+// TestReadRecordsOverLongLine: a line past the 4 MiB bound is a hard
+// error for both readers, not a record and not a torn tail.
+func TestReadRecordsOverLongLine(t *testing.T) {
+	if recs, err := ReadRecords(bytes.NewReader(overLongRecordLine())); errorClass(err) != "hard" || recs != nil {
+		t.Errorf("ReadRecords: %d records, error %v", len(recs), err)
+	}
+	sc := NewRecordScanner(bytes.NewReader(overLongRecordLine()))
+	for sc.Scan() {
+		t.Errorf("RecordScanner read %+v", sc.Record())
+	}
+	if errorClass(sc.Err()) != "hard" {
+		t.Errorf("RecordScanner error %v", sc.Err())
+	}
+}
+
+// TestRecordScannerResetsOmittedFields: a record line omits its empty
+// fields, so the scanner must not carry the previous record's mechanism,
+// model, width or provenance into it.
+func TestRecordScannerResetsOmittedFields(t *testing.T) {
+	want := []Record{
+		{ID: 0, Outcome: "detected", Mechanism: "SIGNATURE MONITOR", Model: "burst", Width: 2, Provenance: ProvenanceSimulated},
+		{ID: 1, Outcome: "overwritten"},
+	}
+	var buf bytes.Buffer
+	if err := WriteRecords(&buf, want); err != nil {
+		t.Fatal(err)
+	}
+	var got []Record
+	sc := NewRecordScanner(&buf)
+	for sc.Scan() {
+		got = append(got, sc.Record())
+	}
+	if sc.Err() != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("scanned %+v (%v), want %+v", got, sc.Err(), want)
+	}
 }

@@ -230,7 +230,7 @@ func TestSWIFIRunsTheCampaignLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := wantPlan(false, map[Layer]string{LayerWarmStart: whyImage, LayerPrune: whyImage, LayerLockstep: whyImage}); !reflect.DeepEqual(full.Plan, want) {
+	if want := wantPlan(false, map[Layer]string{LayerWarmStart: whyImage, LayerPrune: whyImage}); !reflect.DeepEqual(full.Plan, want) {
 		t.Errorf("plan = %+v, want %+v", full.Plan, want)
 	}
 	if seen != cfg.Experiments {

@@ -15,7 +15,7 @@ import (
 // draws it, so the returned trace replays the campaign's experiment n
 // bit for bit — a campaign record plus its campaign spec is enough to
 // reconstruct the full forensic picture after the fact. The replay
-// declines every shortcut: no warm-start checkpoints and no fault-space
+// declines every shortcut: no golden-cursor forks and no fault-space
 // pruning, so even an experiment whose campaign record was inferred
 // (pruned-dead or class member) is traced as a genuine full simulation.
 // It refuses detector campaigns, whose monitors the detail-mode replay

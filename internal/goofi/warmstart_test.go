@@ -1,18 +1,17 @@
 package goofi
 
 import (
-	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
+	"time"
 
 	"ctrlguard/internal/trace"
 	"ctrlguard/internal/workload"
 )
 
 // warmTestConfig returns a campaign small enough to full-replay in a
-// test, but with enough experiments to exercise checkpoints, cache
-// reuse, early exits and the iteration-0 fallback.
+// test, but with enough experiments on enough workers to exercise
+// several cursors, forks in iteration 0 and early exits.
 func warmTestConfig(v workload.Variant) Config {
 	spec := workload.SpecFor(v)
 	spec.Iterations = 150
@@ -22,16 +21,16 @@ func warmTestConfig(v workload.Variant) Config {
 		Seed:        2001,
 		Spec:        spec,
 		Workers:     4,
-		// These tests pin warm-start bookkeeping exactly (resumed vs
+		// These tests pin warm-start bookkeeping exactly (forked vs
 		// full replays); pruning would skip some experiments entirely.
 		Ablate: LayerPrune,
 	}
 }
 
 // TestWarmStartRecordsByteIdentical is the pinned correctness contract
-// of the fast path: for a fixed seed, the checkpointed campaign and
-// the full-replay campaign must produce identical records, field for
-// field, for both of the paper's algorithms.
+// of the fast path: for a fixed seed, the campaign forking off golden
+// cursors and the full-replay campaign must produce identical records,
+// field for field, for both of the paper's algorithms.
 func TestWarmStartRecordsByteIdentical(t *testing.T) {
 	for _, v := range []workload.Variant{workload.AlgorithmI, workload.AlgorithmII} {
 		t.Run(string(v), func(t *testing.T) {
@@ -61,10 +60,10 @@ func TestWarmStartRecordsByteIdentical(t *testing.T) {
 				t.Fatal("warm-start campaign reported no stats")
 			}
 			if res.WarmStart.Resumed == 0 {
-				t.Error("no experiment resumed from a checkpoint; the fast path is dead code")
+				t.Error("no experiment forked off a cursor; the fast path is dead code")
 			}
 			if res.WarmStart.Checkpoints == 0 {
-				t.Error("no checkpoint was captured")
+				t.Error("no cursor was started")
 			}
 			if got := res.WarmStart.Resumed + res.WarmStart.FullReplays; got != cold.Experiments {
 				t.Errorf("stats cover %d experiments, want %d", got, cold.Experiments)
@@ -122,96 +121,36 @@ func TestWarmStartSequentialCampaignIdentical(t *testing.T) {
 	}
 }
 
-// TestWarmStateIterationZeroFallsBack covers the edge the cache must
-// not mishandle: injections during iteration 0 have no earlier
-// boundary to resume from and must run as full replays.
-func TestWarmStateIterationZeroFallsBack(t *testing.T) {
-	v := workload.AlgorithmI
-	spec := workload.SpecFor(v)
-	spec.Iterations = 50
-	prog := workload.Program(v)
-	goldenSpec := spec
-	goldenSpec.RecordStateHashes = true
-	golden := workload.Run(prog, goldenSpec)
-
-	w := newWarmState(prog, spec, golden, nil, checkpointCap)
-	if ck := w.checkpointFor(0); ck != nil {
-		t.Error("instruction 0 yielded a checkpoint")
+// TestWarmStartForksUnderIsolation: chaos hooks and per-experiment
+// deadlines keep the warm start. An attempt whose hook panics leaves
+// the worker's cursor where it was, the retry forks off it, and the
+// records equal a clean campaign's.
+func TestWarmStartForksUnderIsolation(t *testing.T) {
+	cfg := warmTestConfig(workload.AlgorithmI)
+	clean, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if at := golden.IterationStarts[1] - 1; w.checkpointFor(at) != nil {
-		t.Errorf("instruction %d (iteration 0) yielded a checkpoint", at)
-	}
-	if ck := w.checkpointFor(golden.IterationStarts[1]); ck == nil {
-		t.Error("iteration 1 should be checkpointable")
-	} else if ck.Iteration() != 1 {
-		t.Errorf("checkpoint at iteration %d, want 1", ck.Iteration())
-	}
-}
-
-// TestCheckpointCacheConcurrent hammers one small cache from many
-// goroutines; run with -race this checks the singleflight and LRU
-// locking, and it verifies every returned checkpoint matches its
-// requested iteration even while eviction churns the map.
-func TestCheckpointCacheConcurrent(t *testing.T) {
-	v := workload.AlgorithmI
-	spec := workload.SpecFor(v)
-	spec.Iterations = 60
-	prog := workload.Program(v)
-	goldenSpec := spec
-	goldenSpec.RecordStateHashes = true
-	golden := workload.Run(prog, goldenSpec)
-
-	w := newWarmState(prog, spec, golden, nil, 4)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			for i := 0; i < 40; i++ {
-				k := 1 + rng.Intn(spec.Iterations-1)
-				ck := w.get(k)
-				if ck == nil {
-					t.Errorf("iteration %d: capture failed", k)
-					return
-				}
-				if ck.Iteration() != k {
-					t.Errorf("asked for iteration %d, got %d", k, ck.Iteration())
-					return
-				}
-				if ck.Instructions() != golden.IterationStarts[k] {
-					t.Errorf("iteration %d: checkpoint at instruction %d, want %d",
-						k, ck.Instructions(), golden.IterationStarts[k])
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	s := w.stats()
-	if s.Evictions == 0 {
-		t.Error("a 4-entry cache under 320 mixed requests never evicted")
-	}
-	w.mu.Lock()
-	size := len(w.entries)
-	w.mu.Unlock()
-	if size > w.cap {
-		t.Errorf("cache holds %d entries, cap is %d", size, w.cap)
-	}
-}
-
-func TestInjectionIteration(t *testing.T) {
-	starts := []uint64{0, 100, 250, 400}
-	cases := []struct {
-		at   uint64
-		want int
-	}{
-		{0, 0}, {99, 0}, {100, 1}, {249, 1}, {250, 2}, {399, 2}, {400, 3}, {100000, 3},
-	}
-	for _, c := range cases {
-		if got := injectionIteration(starts, c.at); got != c.want {
-			t.Errorf("injectionIteration(%d) = %d, want %d", c.at, got, c.want)
+	cfg.ExperimentTimeout = time.Minute
+	cfg.RetryBackoff = time.Microsecond
+	cfg.Chaos = func(id, attempt int) {
+		if id%5 == 0 && attempt == 0 {
+			panic("chaos")
 		}
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Records, clean.Records) {
+		t.Fatal("records differ from the clean campaign's")
+	}
+	if want := cfg.Experiments / 5; res.Faults.Retried != want || res.Faults.Panicked != want {
+		t.Errorf("faults %+v, want %d retried panics", res.Faults, want)
+	}
+	got, want := *res.WarmStart, *clean.WarmStart
+	got.Checkpoints, want.Checkpoints = 0, 0 // cursors follow the scheduling
+	if got != want || got.FullReplays != 0 {
+		t.Errorf("warm start %+v under isolation, clean %+v", got, want)
 	}
 }

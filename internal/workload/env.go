@@ -16,6 +16,19 @@ type Environment interface {
 	Deliver(k int, u []float64)
 }
 
+// CloneableEnv is implemented by environment simulators that can be
+// deep-copied mid-run, the capability a Cursor needs to fork lanes. The
+// engine and two-shaft environments implement it; a custom
+// RunSpec.NewEnv environment that does not gets no cursor (its runs
+// start from instruction 0).
+type CloneableEnv interface {
+	Environment
+
+	// CloneEnv returns an independent copy frozen at the current
+	// state.
+	CloneEnv() Environment
+}
+
 // PortLayout describes a workload's I/O window: Inputs doubles followed
 // by Outputs doubles, then the sync word and the ready flag. Input j
 // lives at byte offset 8·j, output j at 8·(Inputs+j), sync at

@@ -43,31 +43,30 @@ type Injection struct {
 // applied) and OnIteration after each control iteration's outputs are
 // delivered. A non-nil trap terminates the run exactly like a CPU EDM
 // firing — detectors report through the same trap plumbing the
-// campaigns already classify. A monitor keeps the From/Golden fast
-// paths only when it is a StatefulMonitor, and the idle fast-forward
-// only when it is an IdleMonitor; any other disables them, since they
-// skip instructions the detector would need to see. A monitor that
-// never traps is a valid passive recorder: the pruner's def-use capture
-// records a golden run this way, as an IdleMonitor.
+// campaigns already classify. A monitor keeps the Golden splice and
+// Cursor forks only when it is a StatefulMonitor, and the idle
+// fast-forward only when it is an IdleMonitor; any other disables them,
+// since they skip instructions the detector would need to see. A
+// monitor that never traps is a valid passive recorder: the pruner's
+// def-use capture records a golden run this way, as an IdleMonitor.
 type Monitor interface {
 	OnInstr(iteration int, instr uint64, vm *cpu.CPU) *cpu.TrapError
 	OnIteration(iteration int, vm *cpu.CPU) *cpu.TrapError
 }
 
 // StatefulMonitor is the optional Monitor capability behind the fast
-// paths of monitored runs. A checkpoint captured under it freezes its
-// state next to the machine's, and a resumed run restores that state
-// into its own fresh monitor; a golden run recorded under it keeps its
-// state at every iteration boundary, so re-convergence can require the
-// monitor to match too.
+// paths of monitored runs. A lane forked off a Cursor restores the
+// cursor's monitor state into its own fresh monitor; a golden run
+// recorded under it keeps its state at every iteration boundary, so
+// re-convergence can require the monitor to match too.
 type StatefulMonitor interface {
 	Monitor
 
-	// MonitorState encodes the monitor's state at an iteration
-	// boundary: two monitors of one configuration in equal states trap
-	// identically on identical futures. ok is false when the monitor
-	// cannot report its state (a stack with a member lacking the
-	// capability); runs under it then take no fast path.
+	// MonitorState encodes the monitor's state between two
+	// instructions: two monitors of one configuration in equal states
+	// trap identically on identical futures. ok is false when the
+	// monitor cannot report its state (a stack with a member lacking
+	// the capability); runs under it then take no fast path.
 	MonitorState() (s string, ok bool)
 
 	// RestoreMonitorState puts a fresh monitor into state s, reported
@@ -138,16 +137,16 @@ type RunSpec struct {
 	// one instruction at a time (cpu.CPU.Step), whereas a run with
 	// neither an Observer nor a Monitor executes the straight-line
 	// stretches between the events it must see (an I/O store, a
-	// poll-loop head, the injection, a lane fork, the watchdog's
+	// poll-loop head, the injection, a cursor's stop, the watchdog's
 	// budget) in one cpu.CPU.Run call each.
 	Observer func(iteration int, instr uint64, vm *cpu.CPU)
 
 	// Monitor, if non-nil, is the in-loop detector for this run. It
 	// sees every instruction the run steps, and the run steps every
 	// instruction it does not fast-forward. A StatefulMonitor keeps the
-	// From and Golden fast paths (see those fields), and an IdleMonitor
-	// the idle fast-forward, where it accounts for the poll-loop trips
-	// the machine runs at once; any other monitor disables them.
+	// Golden splice and Cursor forks, and an IdleMonitor the idle
+	// fast-forward, where it accounts for the poll-loop trips the
+	// machine runs at once; any other monitor disables them.
 	Monitor Monitor
 
 	// Abort, if non-nil, is polled at every iteration boundary; when it
@@ -164,18 +163,6 @@ type RunSpec struct {
 	// to abandon hung experiments instead of wedging a worker.
 	Deadline time.Time
 
-	// From, if non-nil, resumes the run from a checkpoint instead of
-	// executing the pre-checkpoint iterations. It is purely an
-	// optimisation hint: the outcome is byte-identical to a full run,
-	// and the checkpoint is silently ignored whenever it cannot
-	// guarantee that (injection before the checkpoint, an Observer
-	// that must see every instruction, RecordStateHashes, a mismatched
-	// port layout, a Monitor when the checkpoint froze no monitor state
-	// or the monitor is not a StatefulMonitor). A monitored run restores
-	// the checkpoint's monitor state into its own fresh Monitor, which
-	// must be configured like the one the checkpoint was captured under.
-	From *Checkpoint
-
 	// Golden, if non-nil, is the fault-free outcome of the same spec,
 	// recorded with RecordStateHashes. After the injection the run
 	// then watches for re-convergence: once the machine state digest
@@ -186,8 +173,8 @@ type RunSpec struct {
 	// state at that boundary, so Golden must then be recorded under a
 	// monitor of the same configuration (Outcome.MonitorStates); the
 	// golden run trapped nothing, so the spliced remainder is clean.
-	// Like From, this never changes the outcome — only how much of it
-	// is recomputed.
+	// This never changes the outcome — only how much of it is
+	// recomputed.
 	Golden *Outcome
 
 	// RecordStateHashes captures the 128-bit machine-state digest at
@@ -383,12 +370,10 @@ func (p *ioPort) outputs() []float64 {
 
 // Run executes prog against its environment for spec.Iterations control
 // iterations, optionally injecting one bit-flip, and returns the
-// observable outcome. Runs are fully deterministic: the From and
-// Golden fast paths never change the outcome, only how much of it is
-// re-executed.
+// observable outcome. Runs are fully deterministic: the Golden splice
+// never changes the outcome, only how much of it is re-executed.
 func Run(prog *cpu.Program, spec RunSpec) *Outcome {
-	out, _ := run(prog, spec, -1)
-	return out
+	return newRunner(prog, spec).run()
 }
 
 // goldenUsable reports whether golden can serve as the re-convergence
@@ -414,9 +399,9 @@ func goldenUsable(golden *Outcome, spec RunSpec, ports PortLayout) bool {
 
 // runner is one in-flight harness execution: the machine, its
 // environment, the accumulating outcome, and the golden-splice
-// bookkeeping. Factoring the state out of run's locals is what lets
-// the lockstep engine fork a lane mid-iteration (mid=true) and resume
-// it through the exact same loop a solo run takes, preserving the
+// bookkeeping. Factoring the state out of run's locals is what lets a
+// Cursor stop mid-iteration, fork a lane there (mid=true) and resume
+// either through the exact same loop a solo run takes, preserving the
 // byte-identity of every outcome.
 type runner struct {
 	prog   *cpu.Program
@@ -445,19 +430,16 @@ type runner struct {
 	injected bool
 	k        int  // current control iteration
 	cycles   int  // instructions into the current iteration
-	mid      bool // resume inside iteration k (lane fork) — skip boundary work once
+	mid      bool // resume inside iteration k (a cursor's stop) — skip boundary work once
 
-	// fork, when non-nil, runs before the instruction numbered forkAt
-	// (where a solo run checks its injection point) and must advance
-	// forkAt past the current count; returning true stops the run — the
-	// lockstep leader exits once its last lane has forked.
-	fork   func(*runner) bool
-	forkAt uint64
+	// stop, set on a Cursor's run, makes run return nil before the
+	// instruction numbered stopAt, where a solo run checks its
+	// injection point, with mid set so the next call resumes there.
+	stop   bool
+	stopAt uint64
 }
 
-// newRunner normalises the spec and builds the initial machine state,
-// applying the From checkpoint when it provably cannot change the
-// outcome.
+// newRunner normalises the spec and builds the initial machine state.
 func newRunner(prog *cpu.Program, spec RunSpec) *runner {
 	budget := spec.CycleBudget
 	if budget <= 0 {
@@ -477,51 +459,18 @@ func newRunner(prog *cpu.Program, spec RunSpec) *runner {
 	mon := statefulMonitor(spec.Monitor)
 	unmonitorable := spec.Monitor != nil && mon == nil
 
-	// The checkpoint is only a shortcut when it provably cannot change
-	// the outcome; otherwise fall back to full replay.
-	from := spec.From
-	if from != nil {
-		usable := from.iteration > 0 &&
-			from.iteration < spec.Iterations &&
-			len(from.outHi) == ports.Outputs &&
-			spec.Observer == nil &&
-			!unmonitorable && (mon == nil || from.monitored) &&
-			!spec.RecordStateHashes &&
-			(spec.Injection == nil || spec.Injection.At >= from.vm.InstrCount)
-		if !usable {
-			from = nil
-		}
-	}
-
 	port := newIOPort(ports, idle)
 	out := &Outcome{MultiOutputs: make([][]float64, ports.Outputs)}
-	var env Environment
-	var vm *cpu.CPU
-	startK := 0
-	if from != nil {
-		copy(port.outHi, from.outHi)
-		copy(port.outLo, from.outLo)
-		vm = cpu.NewFromSnapshot(from.vm, port)
-		env = from.env.CloneEnv()
-		startK = from.iteration
-		for j := range out.MultiOutputs {
-			out.MultiOutputs[j] = append(make([]float64, 0, spec.Iterations), from.outputs[j]...)
-		}
-		out.IterationStarts = append(make([]uint64, 0, spec.Iterations), from.starts...)
-		if mon != nil {
-			mon.RestoreMonitorState(from.monitor)
-		}
-	} else {
-		if spec.NewEnv != nil {
-			env = spec.NewEnv(spec)
-		} else {
-			env = newEngineEnv(spec)
-		}
-		vm = cpu.New(prog, port)
-		for j := range out.MultiOutputs {
-			out.MultiOutputs[j] = make([]float64, 0, spec.Iterations)
-		}
+	for j := range out.MultiOutputs {
+		out.MultiOutputs[j] = make([]float64, 0, spec.Iterations)
 	}
+	var env Environment
+	if spec.NewEnv != nil {
+		env = spec.NewEnv(spec)
+	} else {
+		env = newEngineEnv(spec)
+	}
+	vm := cpu.New(prog, port)
 	if !spec.Interpret {
 		// The predecoded dispatch engine; behaviour-preserving, so no
 		// usability conditions. AttachDecoded itself verifies the
@@ -537,20 +486,12 @@ func newRunner(prog *cpu.Program, spec RunSpec) *runner {
 	return &runner{
 		prog: prog, spec: spec, budget: budget, ports: ports,
 		port: port, vm: vm, env: env, out: out, golden: golden, mon: mon,
-		gap: 1, k: startK,
+		gap: 1,
 	}
 }
 
-// run is the engine behind Run and CaptureCheckpoint. When captureAt
-// is non-negative the run stops at that iteration boundary and returns
-// the frozen state (nil when the boundary is unreachable or the
-// environment cannot be cloned); the partial outcome is returned
-// alongside for diagnostics.
-func run(prog *cpu.Program, spec RunSpec, captureAt int) (*Outcome, *Checkpoint) {
-	return newRunner(prog, spec).run(captureAt)
-}
-
-func (r *runner) run(captureAt int) (*Outcome, *Checkpoint) {
+// run executes the run to its end, or, on a Cursor, to its stop.
+func (r *runner) run() *Outcome {
 	spec, out, vm, port, env := r.spec, r.out, r.vm, r.port, r.env
 	// Observers must see every instruction, and monitors every one they
 	// cannot account for, so only runs without an observer, under no
@@ -568,14 +509,14 @@ func (r *runner) run(captureAt int) (*Outcome, *Checkpoint) {
 				out.Aborted = true
 				out.Instructions = vm.InstrCount()
 				out.finish(env)
-				return out, nil
+				return out
 			}
 			if !spec.Deadline.IsZero() && time.Now().After(spec.Deadline) {
 				out.Aborted = true
 				out.DeadlineExceeded = true
 				out.Instructions = vm.InstrCount()
 				out.finish(env)
-				return out, nil
+				return out
 			}
 			if spec.RecordStateHashes {
 				out.StateHashes = append(out.StateHashes, vm.StateDigest())
@@ -583,32 +524,6 @@ func (r *runner) run(captureAt int) (*Outcome, *Checkpoint) {
 					s, _ := r.mon.MonitorState()
 					out.MonitorStates = append(out.MonitorStates, s)
 				}
-			}
-			if k == captureAt {
-				ce, ok := env.(CloneableEnv)
-				if !ok {
-					return out, nil
-				}
-				clone, ok := ce.CloneEnv().(CloneableEnv)
-				if !ok {
-					return out, nil
-				}
-				ck := &Checkpoint{
-					iteration: k,
-					vm:        vm.Snapshot(),
-					env:       clone,
-					outHi:     append([]uint32(nil), port.outHi...),
-					outLo:     append([]uint32(nil), port.outLo...),
-					outputs:   make([][]float64, len(out.MultiOutputs)),
-					starts:    append([]uint64(nil), out.IterationStarts...),
-				}
-				for j := range ck.outputs {
-					ck.outputs[j] = append([]float64(nil), out.MultiOutputs[j]...)
-				}
-				if r.mon != nil {
-					ck.monitor, ck.monitored = r.mon.MonitorState()
-				}
-				return out, ck
 			}
 			if r.golden != nil && r.injected && !r.diverged && k >= r.nextCheck {
 				golden := r.golden
@@ -630,7 +545,7 @@ func (r *runner) run(captureAt int) (*Outcome, *Checkpoint) {
 					if len(golden.Speeds) > k && len(out.Speeds) == k {
 						out.Speeds = append(out.Speeds, golden.Speeds[k:]...)
 					}
-					return out, nil
+					return out
 				}
 				r.gap *= 2
 				r.nextCheck = k + r.gap
@@ -645,11 +560,9 @@ func (r *runner) run(captureAt int) (*Outcome, *Checkpoint) {
 
 		var restore func()
 		for !port.syncSeen {
-			if r.fork != nil && vm.InstrCount() >= r.forkAt && r.fork(r) {
-				out.Aborted = true
-				out.Instructions = vm.InstrCount()
-				out.finish(env)
-				return out, nil
+			if r.stop && vm.InstrCount() >= r.stopAt {
+				r.mid = true
+				return nil
 			}
 			if spec.Injection != nil && !r.injected && vm.InstrCount() == spec.Injection.At {
 				restore = applyInjection(vm, spec.Injection)
@@ -674,7 +587,7 @@ func (r *runner) run(captureAt int) (*Outcome, *Checkpoint) {
 						out.TrapIteration = k
 						out.Instructions = vm.InstrCount()
 						out.finish(env)
-						return out, nil
+						return out
 					}
 				}
 				var err error
@@ -688,7 +601,7 @@ func (r *runner) run(captureAt int) (*Outcome, *Checkpoint) {
 					out.TrapIteration = k
 					out.Instructions = vm.InstrCount()
 					out.finish(env)
-					return out, nil
+					return out
 				}
 				if restore != nil {
 					restore()
@@ -702,7 +615,7 @@ func (r *runner) run(captureAt int) (*Outcome, *Checkpoint) {
 				out.TrapIteration = k
 				out.Instructions = vm.InstrCount()
 				out.finish(env)
-				return out, nil
+				return out
 			}
 		}
 
@@ -721,19 +634,19 @@ func (r *runner) run(captureAt int) (*Outcome, *Checkpoint) {
 				out.TrapIteration = k
 				out.Instructions = vm.InstrCount()
 				out.finish(env)
-				return out, nil
+				return out
 			}
 		}
 	}
 	out.FinalState = vm.FinalState()
 	out.Instructions = vm.InstrCount()
 	out.finish(env)
-	return out, nil
+	return out
 }
 
 // untilEvent returns how many instructions the machine may run before
-// the step loop must look at it again: up to the injection, the next
-// lane fork, or the instruction that overruns the watchdog's budget,
+// the step loop must look at it again: up to the injection, the
+// cursor's stop, or the instruction that overruns the watchdog's budget,
 // whichever comes first. It is at least 1 at the top of the step loop.
 func (r *runner) untilEvent() uint64 {
 	now := r.vm.InstrCount()
@@ -741,8 +654,8 @@ func (r *runner) untilEvent() uint64 {
 	if inj := r.spec.Injection; inj != nil && !r.injected && inj.At >= now {
 		limit = min(limit, inj.At-now)
 	}
-	if r.fork != nil {
-		limit = min(limit, r.forkAt-now)
+	if r.stop {
+		limit = min(limit, r.stopAt-now)
 	}
 	return limit
 }

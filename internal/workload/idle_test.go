@@ -79,6 +79,10 @@ func idleSlots(t *testing.T, prog *cpu.Program, spec RunSpec, k, trip int) []uin
 // IdleSlots lets the external test package place faults in the loop.
 var IdleSlots = idleSlots
 
+// RequireSameOutcome lets the external test package compare outcomes
+// field for field.
+var RequireSameOutcome = requireSameOutcome
+
 func regBit(elem string, bit uint) cpu.StateBit {
 	return cpu.StateBit{Region: cpu.RegionRegisters, Element: elem, Bit: bit}
 }
@@ -152,10 +156,11 @@ func TestIdleRedirectedPollRunsToWatchdog(t *testing.T) {
 	}
 }
 
-// TestIdleLockstepLanesForkInsideLoop forks lockstep lanes at points
-// spread through the wait loop — first and last trips, the loop exit
-// and the JMP — so the leader fast-forwards between forks and every
-// lane resumes mid-loop. Each lane must equal the interpreted solo run.
+// TestIdleLockstepLanesForkInsideLoop forks lanes off a cursor at
+// points spread through the wait loop — first and last trips, the loop
+// exit and the JMP — so the cursor fast-forwards between forks and
+// every lane resumes mid-loop. Each lane must equal the interpreted solo
+// run.
 func TestIdleLockstepLanesForkInsideLoop(t *testing.T) {
 	for _, v := range Variants() {
 		t.Run(string(v), func(t *testing.T) {
@@ -166,31 +171,35 @@ func TestIdleLockstepLanesForkInsideLoop(t *testing.T) {
 			goldenSpec.RecordStateHashes = true
 			golden := Run(prog, goldenSpec)
 			start := golden.IterationStarts[6]
-			var injs []*Injection
+			var injs []Injection
 			for i, off := range []uint64{0, 1, 2, 3, 37, 38, 200, 398, 399, 400, 401, 402, 403, 404} {
 				b := []cpu.StateBit{regBit("r15", 1), regBit("r1", 2), regBit("flagZ", 0), regBit("r6", 30)}[i%4]
-				injs = append(injs, &Injection{At: start + off, Bit: b, Model: []FaultModel{ModelBitFlip, ModelTransient}[i%2]})
-			}
-			// Two lanes on one instruction, and one in a later iteration.
-			injs = append(injs,
-				&Injection{At: start + 37, Bit: regBit("r5", 4)},
-				&Injection{At: golden.IterationStarts[20] + 150, Bit: regBit("r1", 3)})
-			for _, g := range []*Outcome{nil, golden} {
-				batch := spec
-				batch.Golden = g
-				outs, ok := RunBatch(prog, batch, injs)
-				if !ok {
-					t.Fatal("RunBatch declined a batchable spec")
+				injs = append(injs, Injection{At: start + off, Bit: b, Model: []FaultModel{ModelBitFlip, ModelTransient}[i%2]})
+				if off == 37 {
+					// Two lanes on one instruction.
+					injs = append(injs, Injection{At: start + 37, Bit: regBit("r5", 4)})
 				}
-				for i, inj := range injs {
-					if outs[i] == nil {
-						t.Fatalf("lane %d (At=%d) not forked", i, inj.At)
+			}
+			// And one in a later iteration.
+			injs = append(injs, Injection{At: golden.IterationStarts[20] + 150, Bit: regBit("r1", 3)})
+			for _, g := range []*Outcome{nil, golden} {
+				lane := spec
+				lane.Golden = g
+				c, err := NewCursor(prog, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, inj := range injs {
+					ref := lane
+					ref.Injection = &inj
+					lane.Injection = &inj
+					got := c.Fork(lane)
+					if got == nil {
+						t.Fatalf("lane At=%d not forked", inj.At)
 					}
-					ref := batch
-					ref.Injection = inj
 					ref.Interpret = true
 					requireSameOutcome(t, fmt.Sprintf("lane At=%d %s golden=%v", inj.At, inj.Bit, g != nil),
-						outs[i], Run(prog, ref))
+						got, Run(prog, ref))
 				}
 			}
 		})

@@ -51,11 +51,12 @@ func sameOutcome(t *testing.T, label string, got, want *workload.Outcome) {
 
 // TestMonitoredResumeAndSpliceMatchFullRun pins the monitored fast
 // paths: under signature monitoring, the mined automaton and both
-// stacked, a run resumed from a checkpoint captured under the monitor,
-// with the monitored golden run as its splice reference, equals the
-// full monitored run for random injections under several fault models.
-// A stack with a member that cannot report its state (a Collector)
-// takes neither fast path and still equals its full run.
+// stacked, a lane forked off a cursor running under the monitor, with
+// the monitored golden run as its splice reference, equals the full
+// monitored run for random injections under several fault models, and
+// so does its monitor's final state. A stack with a member that cannot
+// report its state (a Collector) gets no cursor and no splice, and
+// still equals its full run.
 func TestMonitoredResumeAndSpliceMatchFullRun(t *testing.T) {
 	v := workload.AlgorithmII
 	prog := workload.Program(v)
@@ -97,44 +98,53 @@ func TestMonitoredResumeAndSpliceMatchFullRun(t *testing.T) {
 			t.Fatalf("%s: %d monitor states recorded", fam.name, len(golden.MonitorStates))
 		}
 
-		checkpoints := map[int]*workload.Checkpoint{}
-		var resumed, spliced, trapped int
+		cursorSpec := spec
+		cursorSpec.Monitor = fam.new()
+		if _, err := workload.NewCursor(prog, cursorSpec); fam.stateless != (err != nil) {
+			t.Fatalf("%s: NewCursor error %v", fam.name, err)
+		}
+		var forked, spliced, trapped int
 		for mi, m := range models {
 			sampler, err := inject.NewModelSampler(uint64(100*fi+mi+1), golden.Instructions, m, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < 15; i++ {
-				inj := sampler.Next()
+			injs := make([]workload.Injection, 15)
+			for i := range injs {
+				injs[i] = sampler.Next()
+			}
+			sort.Slice(injs, func(a, b int) bool { return injs[a].At < injs[b].At })
+			cursorSpec.Monitor = fam.new()
+			cur, _ := workload.NewCursor(prog, cursorSpec)
+			for _, inj := range injs {
 				run := spec
 				run.Injection = &inj
-				run.Monitor = fam.new()
+				fullMon := fam.new()
+				run.Monitor = fullMon
 				full := workload.Run(prog, run)
 
-				k := sort.Search(len(golden.IterationStarts), func(i int) bool {
-					return golden.IterationStarts[i] > inj.At
-				}) - 1
-				fast := spec
-				fast.Injection = &inj
-				fast.Monitor = fam.new()
+				fast := run
+				fastMon := fam.new()
+				fast.Monitor = fastMon
 				fast.Golden = golden
-				if k > 0 && !fam.stateless {
-					ck, ok := checkpoints[k]
-					if !ok {
-						capSpec := spec
-						capSpec.Monitor = fam.new()
-						if ck, err = workload.CaptureCheckpoint(prog, capSpec, k); err != nil {
-							t.Fatalf("%s: capture at %d: %v", fam.name, k, err)
-						}
-						checkpoints[k] = ck
+				var got *workload.Outcome
+				if cur != nil {
+					if got = cur.Fork(fast); got == nil {
+						t.Fatalf("%s: cursor declined the injection at %d", fam.name, inj.At)
 					}
-					fast.From = ck
-					resumed++
+					forked++
+				} else {
+					got = workload.Run(prog, fast)
 				}
-				got := workload.Run(prog, fast)
 				sameOutcome(t, fam.name+"/"+string(m), got, full)
 				if got.ReconvergedAt != 0 {
 					spliced++
+				} else if sm, ok := fullMon.(workload.StatefulMonitor); ok {
+					gs, _ := fastMon.(workload.StatefulMonitor).MonitorState()
+					ws, _ := sm.MonitorState()
+					if gs != ws {
+						t.Errorf("%s/%s: final monitor state %x, full run %x", fam.name, m, gs, ws)
+					}
 				}
 				if full.Trap != nil {
 					trapped++
@@ -145,36 +155,39 @@ func TestMonitoredResumeAndSpliceMatchFullRun(t *testing.T) {
 			if spliced != 0 {
 				t.Errorf("%s: %d runs spliced under a monitor that cannot report its state", fam.name, spliced)
 			}
-			if _, err := workload.CaptureCheckpoint(prog, goldenSpec, 10); err == nil {
-				t.Errorf("%s: captured a checkpoint under a monitor that cannot report its state", fam.name)
-			}
 			continue
 		}
-		if resumed == 0 || spliced == 0 || trapped == 0 {
-			t.Errorf("%s: %d resumed, %d spliced, %d trapped: the fast paths went unexercised",
-				fam.name, resumed, spliced, trapped)
+		if forked == 0 || spliced == 0 || trapped == 0 {
+			t.Errorf("%s: %d forked, %d spliced, %d trapped: the fast paths went unexercised",
+				fam.name, forked, spliced, trapped)
 		}
 	}
 }
 
-// TestCheckpointWithoutMonitorStateRejectedByMonitoredRun: a checkpoint
-// captured without a monitor froze no monitor state, so a monitored run
-// replays in full rather than resume with a fresh monitor mid-run (a
-// fresh signature monitor would trap on its first instruction there).
+// TestCheckpointWithoutMonitorStateRejectedByMonitoredRun: a cursor
+// running without a monitor has no monitor state to hand on, so it
+// declines a monitored lane rather than fork it with a fresh monitor
+// mid-run (a fresh signature monitor would trap on its first
+// instruction there); the caller's full run is clean.
 func TestCheckpointWithoutMonitorStateRejectedByMonitoredRun(t *testing.T) {
 	v := workload.AlgorithmI
 	prog := workload.Program(v)
 	spec := workload.SpecFor(v)
 	spec.Iterations = 40
-	ck, err := workload.CaptureCheckpoint(prog, spec, 20)
+	golden := workload.Run(prog, spec)
+	cur, err := workload.NewCursor(prog, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := spec
 	run.Monitor = detect.NewCFMonitor(detect.NewBlockGraph(prog))
-	run.From = ck
+	run.Injection = &workload.Injection{At: golden.IterationStarts[20],
+		Bit: cpu.StateBit{Region: cpu.RegionRegisters, Element: "r13", Bit: 0}}
+	if cur.Fork(run) != nil {
+		t.Fatal("an unmonitored cursor forked a monitored lane")
+	}
 	if out := workload.Run(prog, run); out.Trap != nil {
-		t.Fatalf("monitored run resumed from an unmonitored checkpoint: %v", out.Trap)
+		t.Fatalf("monitored full run trapped: %v", out.Trap)
 	}
 }
 
@@ -245,7 +258,7 @@ func TestSpliceRequiresEqualMonitorState(t *testing.T) {
 
 	capSpec := spec
 	capSpec.Monitor = newMon()
-	ck, err := workload.CaptureCheckpoint(prog, capSpec, 10)
+	cur, err := workload.NewCursor(prog, capSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,8 +272,10 @@ func TestSpliceRequiresEqualMonitorState(t *testing.T) {
 	fast := full
 	fast.Monitor = newMon()
 	fast.Golden = golden
-	fast.From = ck
-	got := workload.Run(prog, fast)
+	got := cur.Fork(fast)
+	if got == nil {
+		t.Fatal("cursor declined the injection")
+	}
 	if got.ReconvergedAt != 0 {
 		t.Errorf("monitored run spliced at iteration %d with the latch set", got.ReconvergedAt)
 	}

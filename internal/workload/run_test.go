@@ -58,30 +58,28 @@ func TestRunInjectionAtLimit(t *testing.T) {
 	}
 }
 
-// TestRunLaneForksAtLimit forks a lockstep lane at every instruction of
-// an iteration's computation, so the leader's Run calls stop at each
-// fork, and requires every lane to equal the stepped solo run.
+// TestRunLaneForksAtLimit forks a lane off a cursor at every
+// instruction of an iteration's computation, so the cursor's Run calls
+// stop at each fork, and requires every lane to equal the stepped solo
+// run.
 func TestRunLaneForksAtLimit(t *testing.T) {
 	for _, v := range Variants() {
 		prog := Program(v)
 		spec := SpecFor(v)
 		spec.Iterations = 5
 		start := computeStart(t, prog, spec, 3)
-		var injs []*Injection
+		c, err := NewCursor(prog, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for off := uint64(0); off < runSpan; off++ {
-			injs = append(injs, &Injection{At: start + off, Bit: runBits[off%uint64(len(runBits))]})
-		}
-		outs, ok := RunBatch(prog, spec, injs)
-		if !ok {
-			t.Fatalf("%s: RunBatch declined a batchable spec", v)
-		}
-		for i, inj := range injs {
-			if outs[i] == nil {
-				t.Fatalf("%s: lane At=%d not forked", v, inj.At)
-			}
 			solo := spec
-			solo.Injection = inj
-			requireSameOutcome(t, fmt.Sprintf("%s lane at %d", v, inj.At), outs[i], Run(prog, stepped(solo)))
+			solo.Injection = &Injection{At: start + off, Bit: runBits[off%uint64(len(runBits))]}
+			got := c.Fork(solo)
+			if got == nil {
+				t.Fatalf("%s: lane At=%d not forked", v, start+off)
+			}
+			requireSameOutcome(t, fmt.Sprintf("%s lane at %d", v, start+off), got, Run(prog, stepped(solo)))
 		}
 	}
 }
