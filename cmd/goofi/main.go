@@ -31,6 +31,7 @@ import (
 	"ctrlguard/internal/detect"
 	"ctrlguard/internal/goofi"
 	"ctrlguard/internal/inject"
+	"ctrlguard/internal/jsonl"
 	"ctrlguard/internal/workload"
 )
 
@@ -190,7 +191,7 @@ func runPrecision(ctx context.Context, cfg goofi.Config, target float64, out str
 // and print the tables plus the severe-failure investigation.
 func runAnalyze(path string) error {
 	recs, err := goofi.LoadRecords(path)
-	var trunc *goofi.TruncatedError
+	var trunc *jsonl.TruncatedError
 	if errors.As(err, &trunc) {
 		// A crash-interrupted campaign log: analyse what survived.
 		fmt.Fprintf(os.Stderr, "goofi: warning: %v (analysing %d intact records)\n", trunc, len(recs))

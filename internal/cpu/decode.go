@@ -163,8 +163,9 @@ func (c *CPU) CurrentInstr() (Instr, error) {
 
 // Clone returns an independent copy of the machine bound to io,
 // carrying the attached decoded stream (the copy runs the same
-// program). It is Snapshot + NewFromSnapshot without the intermediate
-// allocation — a workload.Cursor forks a lane per injection this way.
+// program). The copy's Snapshot equals the original's, cache hit/miss
+// counters included — a workload.Cursor forks a lane per injection
+// this way.
 func (c *CPU) Clone(io IOBus) *CPU {
 	cp := &CPU{
 		Regs:       c.Regs,

@@ -2,15 +2,14 @@ package cpu
 
 import "math/bits"
 
-// Full-machine checkpointing. A Snapshot captures every bit of state
-// that influences future execution — registers, PC, flags, the
+// Whole-machine state. A Snapshot captures every bit of state that
+// influences future execution — registers, PC, flags, the
 // control-flow-checking latch, the halt latch, the instruction counter,
 // the complete data cache (tags, status bits, data, hit/miss counters)
-// and the memory backing store. Restoring a snapshot and stepping is
-// byte-for-byte indistinguishable from having executed the original
-// prefix (FERRARI-style pre-injection snapshotting). The campaign engine
-// forks its experiments with CPU.Clone instead, which copies the same
-// state without the intermediate Snapshot.
+// and the memory backing store — as plain values, so tests can compare
+// two machines whole. The campaign engine forks its experiments with
+// CPU.Clone, which copies the same state into a runnable machine
+// (FERRARI-style pre-injection snapshotting).
 
 // LineSnapshot is the saved state of one cache line.
 type LineSnapshot struct {
@@ -21,8 +20,7 @@ type LineSnapshot struct {
 }
 
 // CacheSnapshot is the saved state of the data cache, including the
-// diagnostic hit/miss counters so a resumed run reports the same
-// statistics as a full replay.
+// diagnostic hit/miss counters.
 type CacheSnapshot struct {
 	Lines  [CacheLines]LineSnapshot
 	Hits   uint64
@@ -30,8 +28,7 @@ type CacheSnapshot struct {
 }
 
 // Snapshot is a complete, self-contained copy of the machine state.
-// It shares no storage with the CPU it was taken from, so one snapshot
-// can seed many concurrent resumed runs.
+// It shares no storage with the CPU it was taken from.
 type Snapshot struct {
 	Regs   [16]uint32
 	PC     uint32
@@ -39,8 +36,7 @@ type Snapshot struct {
 	FlagLT bool
 
 	// InstrCount is the dynamic instruction count at the snapshot
-	// point — the campaign's fault-injection time base continues from
-	// here on resume.
+	// point, the campaign's fault-injection time base.
 	InstrCount uint64
 
 	// LastJump and Halted preserve the control-flow-checking latch and
@@ -77,42 +73,6 @@ func (c *CPU) Snapshot() *Snapshot {
 		}
 	}
 	return s
-}
-
-// Restore overwrites the CPU's state with the snapshot's. The CPU keeps
-// its IOBus; the snapshot is not aliased and may be restored again.
-func (c *CPU) Restore(s *Snapshot) {
-	c.Regs = s.Regs
-	c.PC = s.PC
-	c.FlagZ = s.FlagZ
-	c.FlagLT = s.FlagLT
-	c.instrCount = s.InstrCount
-	c.lastJump = s.LastJump
-	c.halted = s.Halted
-	copy(c.Mem.words[:], s.Mem)
-	c.Cache.Hits = s.Cache.Hits
-	c.Cache.Misses = s.Cache.Misses
-	for i := range c.Cache.lines {
-		ls := &s.Cache.Lines[i]
-		c.Cache.lines[i] = cacheLine{
-			tag:   ls.Tag,
-			valid: ls.Valid,
-			dirty: ls.Dirty,
-			data:  ls.Data,
-		}
-	}
-}
-
-// NewFromSnapshot builds a fresh CPU positioned at the snapshot, bound
-// to the given I/O bus.
-func NewFromSnapshot(s *Snapshot, io IOBus) *CPU {
-	c := &CPU{
-		Mem:   NewMemory(),
-		Cache: NewCache(),
-		IO:    io,
-	}
-	c.Restore(s)
-	return c
 }
 
 // Digest is a 128-bit signature of the behavioural machine state

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -49,6 +50,9 @@ func stepN(t *testing.T, c *CPU, n int) {
 	}
 }
 
+// TestSnapshotRestoreResumesIdentically: a machine cloned at any prefix
+// is the original in every bit of state, hit/miss counters included,
+// and runs on to the straight run's final state.
 func TestSnapshotRestoreResumesIdentically(t *testing.T) {
 	p := assembleSnap(t)
 
@@ -63,11 +67,13 @@ func TestSnapshotRestoreResumesIdentically(t *testing.T) {
 	for _, prefix := range []int{0, 1, 17, 100, 333} {
 		c := New(p, newStubIO())
 		stepN(t, c, prefix)
-		snap := c.Snapshot()
 
-		resumed := NewFromSnapshot(snap, newStubIO())
-		if got, want := resumed.StateDigest(), c.StateDigest(); got != want {
-			t.Fatalf("prefix %d: digest after NewFromSnapshot differs", prefix)
+		resumed := c.Clone(newStubIO())
+		if !reflect.DeepEqual(resumed.Snapshot(), c.Snapshot()) {
+			t.Fatalf("prefix %d: clone's state differs from the original's", prefix)
+		}
+		if resumed.Cache.Hits != c.Cache.Hits || resumed.Cache.Misses != c.Cache.Misses {
+			t.Fatalf("prefix %d: clone did not carry the cache hit/miss counters", prefix)
 		}
 		for !resumed.Halted() {
 			if err := resumed.Step(); err != nil {
@@ -86,14 +92,16 @@ func TestSnapshotRestoreResumesIdentically(t *testing.T) {
 	}
 }
 
+// TestSnapshotIsDeepCopy: neither a snapshot nor a clone shares storage
+// with the machine it was taken from.
 func TestSnapshotIsDeepCopy(t *testing.T) {
 	p := assembleSnap(t)
 	c := New(p, newStubIO())
 	stepN(t, c, 50)
 	snap := c.Snapshot()
-	digest := NewFromSnapshot(snap, newStubIO()).StateDigest()
+	clone := c.Clone(newStubIO())
 
-	// Mutating the original machine must not reach the snapshot.
+	// Mutating the original machine must reach neither copy.
 	stepN(t, c, 50)
 	c.Regs[5] ^= 0xFFFF
 	c.Mem.WriteWord(DataBase, 0xDEADBEEF)
@@ -101,26 +109,8 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := NewFromSnapshot(snap, newStubIO()).StateDigest(); got != digest {
-		t.Error("snapshot changed when the source machine was mutated")
-	}
-}
-
-func TestRestoreOverwritesExistingMachine(t *testing.T) {
-	p := assembleSnap(t)
-	c := New(p, newStubIO())
-	stepN(t, c, 200)
-	snap := c.Snapshot()
-	want := c.StateDigest()
-
-	other := New(p, newStubIO())
-	stepN(t, other, 37)
-	other.Restore(snap)
-	if got := other.StateDigest(); got != want {
-		t.Error("Restore did not reproduce the source digest")
-	}
-	if other.Cache.Hits != c.Cache.Hits || other.Cache.Misses != c.Cache.Misses {
-		t.Error("Restore did not carry the cache hit/miss counters")
+	if !reflect.DeepEqual(clone.Snapshot(), snap) {
+		t.Error("snapshot or clone changed when the source machine was mutated")
 	}
 }
 
@@ -160,7 +150,7 @@ func TestStateDigestSensitivity(t *testing.T) {
 		{"cache dirty", func(m *CPU) { m.Cache.lines[0].dirty = !m.Cache.lines[0].dirty }},
 	}
 	for _, mt := range mutations {
-		m := NewFromSnapshot(c.Snapshot(), newStubIO())
+		m := c.Clone(newStubIO())
 		mt.mut(m)
 		if m.StateDigest() == base {
 			t.Errorf("%s mutation did not change the digest", mt.name)
@@ -168,7 +158,7 @@ func TestStateDigestSensitivity(t *testing.T) {
 	}
 
 	// Hit/miss counters are diagnostics, not behaviour.
-	m := NewFromSnapshot(c.Snapshot(), newStubIO())
+	m := c.Clone(newStubIO())
 	m.Cache.Hits += 5
 	if m.StateDigest() != base {
 		t.Error("hit counter changed the behavioural digest")
@@ -177,7 +167,7 @@ func TestStateDigestSensitivity(t *testing.T) {
 	// Memory a run cannot write is left out (see
 	// TestPropertyDigestExcludedMemoryImmutable for why that is sound).
 	for _, a := range []uint32{CodeBase + 8, IOBase, StackBase - 4} {
-		m := NewFromSnapshot(c.Snapshot(), newStubIO())
+		m := c.Clone(newStubIO())
 		m.Mem.WriteWord(a, m.Mem.ReadWord(a)^1)
 		if m.StateDigest() != base {
 			t.Errorf("word %#x outside the writable segments changed the digest", a)

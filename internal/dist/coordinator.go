@@ -14,6 +14,7 @@ import (
 
 	"ctrlguard/internal/goofi"
 	"ctrlguard/internal/journal"
+	"ctrlguard/internal/jsonl"
 )
 
 // Default knobs for Options. Shard size trades scheduling granularity
@@ -337,7 +338,7 @@ func LoadSegments(dir string) ([]goofi.Record, error) {
 	byID := make(map[int]goofi.Record)
 	for _, p := range paths {
 		recs, err := goofi.LoadRecords(p)
-		var trunc *goofi.TruncatedError
+		var trunc *jsonl.TruncatedError
 		if err != nil && !errors.As(err, &trunc) {
 			return nil, fmt.Errorf("dist: segment %s: %w", filepath.Base(p), err)
 		}

@@ -11,6 +11,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"ctrlguard/internal/jsonl"
 )
 
 // HTTP is the Executor transport to a ctrlexec process serving
@@ -90,8 +92,8 @@ func (h *HTTP) Run(ctx context.Context, task ShardTask, sink func(Event)) error 
 // sawDone reports a done event, evErr the last error event's message.
 func readEvents(r io.Reader, sink func(Event)) (sawDone bool, evErr string, err error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
-	sc.Split(scanTerminatedLines)
+	sc.Buffer(make([]byte, 0, 64*1024), jsonl.MaxLine)
+	sc.Split(jsonl.ScanTerminatedLines)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
@@ -110,15 +112,6 @@ func readEvents(r io.Reader, sink func(Event)) (sawDone bool, evErr string, err 
 		sink(ev)
 	}
 	return sawDone, evErr, sc.Err()
-}
-
-// scanTerminatedLines is bufio.ScanLines without the final line when
-// it lacks its newline.
-func scanTerminatedLines(data []byte, _ bool) (advance int, token []byte, err error) {
-	if i := bytes.IndexByte(data, '\n'); i >= 0 {
-		return i + 1, data[:i], nil
-	}
-	return 0, nil, nil
 }
 
 // ShardHandler serves shard tasks over HTTP — the remote side of the

@@ -1,8 +1,10 @@
 package goofi
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -157,5 +159,44 @@ func TestSaveRecordsReplacesIncrementalFile(t *testing.T) {
 		if got[i] != recs[i] {
 			t.Fatalf("record %d out of order after final save", i)
 		}
+	}
+}
+
+// TestRecordAppenderUnterminatedTail is the crash between a record's
+// bytes and its newline: the segment's last record parses, but it was
+// never acknowledged. Opening must drop it, or the next append glues
+// onto the same line and the segment stops reopening.
+func TestRecordAppenderUnterminatedTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "shard-0000.jsonl")
+	recs := testRecords(5)
+	var buf bytes.Buffer
+	if err := WriteRecords(&buf, recs[:3]); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, bytes.TrimSuffix(buf.Bytes(), []byte("\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	a, salvaged, err := OpenRecordAppender(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(salvaged, recs[:2]) {
+		t.Fatalf("salvaged %+v, want the 2 newline-terminated records", salvaged)
+	}
+	for _, rec := range recs[3:] {
+		if err := a.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	a2, got, err := OpenRecordAppender(path)
+	if err != nil {
+		t.Fatalf("reopen after two appends: %v", err)
+	}
+	a2.Close()
+	if want := append(recs[:2:2], recs[3:]...); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened to %+v, want %+v", got, want)
 	}
 }

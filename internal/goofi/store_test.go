@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"ctrlguard/internal/jsonl"
 )
 
 func sampleRecords() []Record {
@@ -68,7 +70,7 @@ func TestReadRecordsEmpty(t *testing.T) {
 // A zero-byte JSONL file — a campaign that crashed before its first
 // record, or a store file created but never written — is an empty
 // database, not a truncated one: no records, and in particular no
-// *TruncatedError.
+// *jsonl.TruncatedError.
 func TestReadRecordsZeroByteFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "empty.jsonl")
 	if err := os.WriteFile(path, nil, 0o644); err != nil {
@@ -80,7 +82,7 @@ func TestReadRecordsZeroByteFile(t *testing.T) {
 	}
 	defer f.Close()
 	got, err := ReadRecords(f)
-	var trunc *TruncatedError
+	var trunc *jsonl.TruncatedError
 	if errors.As(err, &trunc) {
 		t.Fatalf("zero-byte file reported as truncated: %v", err)
 	}
@@ -112,9 +114,9 @@ func TestReadRecordsTruncatedFinalLine(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected a TruncatedError for the half-written final line")
 	}
-	var trunc *TruncatedError
+	var trunc *jsonl.TruncatedError
 	if !errors.As(err, &trunc) {
-		t.Fatalf("got %T (%v), want *TruncatedError", err, err)
+		t.Fatalf("got %T (%v), want *jsonl.TruncatedError", err, err)
 	}
 	if trunc.Line != 3 {
 		t.Errorf("TruncatedError.Line = %d, want 3", trunc.Line)
@@ -141,7 +143,7 @@ func TestReadRecordsCorruptMiddleLine(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected hard error for a corrupt middle line")
 	}
-	var trunc *TruncatedError
+	var trunc *jsonl.TruncatedError
 	if errors.As(err, &trunc) {
 		t.Errorf("middle-line corruption misreported as truncation: %v", err)
 	}
@@ -198,10 +200,10 @@ func TestRecordScannerMatchesReadRecords(t *testing.T) {
 	recs := scanTestRecords(10)
 	var buf bytes.Buffer
 	WriteRecords(&buf, recs)
-	sc := NewRecordScanner(bytes.NewReader(buf.Bytes()))
+	sc := jsonl.NewScanner[Record](bytes.NewReader(buf.Bytes()))
 	var got []Record
 	for sc.Scan() {
-		got = append(got, sc.Record())
+		got = append(got, sc.Value())
 	}
 	if sc.Err() != nil {
 		t.Fatal(sc.Err())
@@ -221,12 +223,12 @@ func TestRecordScannerTornTail(t *testing.T) {
 	var buf bytes.Buffer
 	WriteRecords(&buf, recs)
 	buf.WriteString(`{"id":9999,"vari`)
-	sc := NewRecordScanner(bytes.NewReader(buf.Bytes()))
+	sc := jsonl.NewScanner[Record](bytes.NewReader(buf.Bytes()))
 	n := 0
 	for sc.Scan() {
 		n++
 	}
-	var trunc *TruncatedError
+	var trunc *jsonl.TruncatedError
 	if !errors.As(sc.Err(), &trunc) {
 		t.Fatalf("torn tail gave %v, want TruncatedError", sc.Err())
 	}
@@ -241,11 +243,11 @@ func TestRecordScannerMidStreamCorruption(t *testing.T) {
 	WriteRecords(&buf, recs)
 	lines := strings.SplitAfter(buf.String(), "\n")
 	lines[1] = "{\"id\":bogus}\n"
-	sc := NewRecordScanner(strings.NewReader(strings.Join(lines, "")))
+	sc := jsonl.NewScanner[Record](strings.NewReader(strings.Join(lines, "")))
 	for sc.Scan() {
 	}
 	err := sc.Err()
-	var trunc *TruncatedError
+	var trunc *jsonl.TruncatedError
 	if err == nil || errors.As(err, &trunc) {
 		t.Fatalf("mid-stream corruption gave %v, want a hard error", err)
 	}
@@ -254,7 +256,7 @@ func TestRecordScannerMidStreamCorruption(t *testing.T) {
 // FuzzReadRecords feeds arbitrary bytes to the record readers, the
 // trust boundary every persisted or uploaded campaign file crosses:
 // ReadRecords (the result cache, LoadRecords, the appender) and the
-// streaming RecordScanner (record pages) must never panic, must accept
+// streaming jsonl.Scanner (record pages) must never panic, must accept
 // the same records and fail with the same error class, and every record
 // they accept, intact or before a torn final line, must round-trip
 // through WriteRecords unchanged.
@@ -271,19 +273,19 @@ func FuzzReadRecords(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := ReadRecords(bytes.NewReader(data))
 		var scanned []Record
-		sc := NewRecordScanner(bytes.NewReader(data))
+		sc := jsonl.NewScanner[Record](bytes.NewReader(data))
 		for sc.Scan() {
-			scanned = append(scanned, sc.Record())
+			scanned = append(scanned, sc.Value())
 		}
 		if errorClass(sc.Err()) != errorClass(err) {
-			t.Fatalf("ReadRecords error %v, RecordScanner error %v", err, sc.Err())
+			t.Fatalf("ReadRecords error %v, Scanner error %v", err, sc.Err())
 		}
-		var trunc *TruncatedError
+		var trunc *jsonl.TruncatedError
 		if err != nil && !errors.As(err, &trunc) {
 			return
 		}
 		if !reflect.DeepEqual(scanned, recs) {
-			t.Fatalf("RecordScanner read %+v, ReadRecords %+v", scanned, recs)
+			t.Fatalf("Scanner read %+v, ReadRecords %+v", scanned, recs)
 		}
 		var buf bytes.Buffer
 		if err := WriteRecords(&buf, recs); err != nil {
@@ -302,7 +304,7 @@ func FuzzReadRecords(f *testing.F) {
 // errorClass names the kind of a record reader's error: none, a torn
 // final line, or a hard failure.
 func errorClass(err error) string {
-	var trunc *TruncatedError
+	var trunc *jsonl.TruncatedError
 	switch {
 	case err == nil:
 		return "nil"
@@ -324,12 +326,12 @@ func TestReadRecordsOverLongLine(t *testing.T) {
 	if recs, err := ReadRecords(bytes.NewReader(overLongRecordLine())); errorClass(err) != "hard" || recs != nil {
 		t.Errorf("ReadRecords: %d records, error %v", len(recs), err)
 	}
-	sc := NewRecordScanner(bytes.NewReader(overLongRecordLine()))
+	sc := jsonl.NewScanner[Record](bytes.NewReader(overLongRecordLine()))
 	for sc.Scan() {
-		t.Errorf("RecordScanner read %+v", sc.Record())
+		t.Errorf("Scanner read %+v", sc.Value())
 	}
 	if errorClass(sc.Err()) != "hard" {
-		t.Errorf("RecordScanner error %v", sc.Err())
+		t.Errorf("Scanner error %v", sc.Err())
 	}
 }
 
@@ -346,9 +348,9 @@ func TestRecordScannerResetsOmittedFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []Record
-	sc := NewRecordScanner(&buf)
+	sc := jsonl.NewScanner[Record](&buf)
 	for sc.Scan() {
-		got = append(got, sc.Record())
+		got = append(got, sc.Value())
 	}
 	if sc.Err() != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("scanned %+v (%v), want %+v", got, sc.Err(), want)

@@ -5,28 +5,24 @@
 // server acts on it, so a daemon crash costs at most the tail of the
 // current campaign, never the queue.
 //
-// The format is JSON lines, one Entry per line. Like the campaign
-// record store, the reader is truncation-tolerant: a final line cut
-// short by a crash mid-append is dropped (and the file repaired by
-// truncating the torn tail on Open; a final line missing its newline
-// is torn even when it parses), while a malformed line in the
-// middle of the stream — corruption, not truncation — is a hard error.
+// The format is JSON lines, one Entry per line, kept by package jsonl
+// under its one torn-tail rule: Open drops a final line that is
+// unterminated or unparsable and truncates it away, while a malformed
+// line in the middle of the stream (corruption, not truncation) is a
+// hard error.
 package journal
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"time"
 
 	"ctrlguard/internal/fsatomic"
+	"ctrlguard/internal/jsonl"
 )
 
 // EventType names one kind of lifecycle event.
@@ -91,132 +87,36 @@ type Entry struct {
 	Executor string `json:"executor,omitempty"`
 }
 
-// TruncatedError reports a journal whose final line was cut short by a
-// crash mid-append. The entries before it are intact.
-type TruncatedError struct {
-	Line int
-	Err  error
-}
-
-func (e *TruncatedError) Error() string {
-	return fmt.Sprintf("journal: truncated entry on final line %d: %v", e.Line, e.Err)
-}
-
-func (e *TruncatedError) Unwrap() error { return e.Err }
-
-// ReadEntries parses journal entries from r. A malformed final line
-// returns the intact entries together with a *TruncatedError; a
-// malformed line anywhere else is a hard error.
-func ReadEntries(r io.Reader) ([]Entry, error) {
-	var out []Entry
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	line := 0
-	var trunc *TruncatedError
-	for sc.Scan() {
-		line++
-		b := bytes.TrimSpace(sc.Bytes())
-		if len(b) == 0 {
-			continue
-		}
-		if trunc != nil {
-			return nil, fmt.Errorf("journal: corrupt entry on line %d: %w", trunc.Line, trunc.Err)
-		}
-		var e Entry
-		if err := json.Unmarshal(b, &e); err != nil {
-			trunc = &TruncatedError{Line: line, Err: err}
-			continue
-		}
-		out = append(out, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("journal: read: %w", err)
-	}
-	if trunc != nil {
-		return out, trunc
-	}
-	return out, nil
-}
+// ReadEntries parses journal entries from r (see jsonl.Read): a
+// malformed final line returns the intact entries together with a
+// *jsonl.TruncatedError; a malformed line anywhere else is a hard
+// error.
+func ReadEntries(r io.Reader) ([]Entry, error) { return jsonl.Read[Entry](r) }
 
 // Journal is an open write-ahead log. Appends are serialised and
 // fsync'd before returning, so an acknowledged event survives a crash.
 type Journal struct {
 	mu   sync.Mutex
-	f    *os.File
-	bw   *bufio.Writer
+	log  *jsonl.Appender[Entry] // nil once closed
 	path string
 	seq  int64
-	size int64
 }
 
 // Open opens (creating if needed) the journal at path, replays its
-// entries, repairs a crash-torn final line by truncating it, and
-// returns the journal positioned for appending together with the
-// replayed entries. Corruption other than a torn tail is a hard error.
+// entries, repairs a crash-torn final line by truncating it
+// (jsonl.Open), and returns the journal positioned for appending
+// together with the replayed entries. Corruption other than a torn
+// tail is a hard error.
 func Open(path string) (*Journal, []Entry, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	log, entries, err := jsonl.Open[Entry](path, 1)
 	if err != nil {
-		return nil, nil, fmt.Errorf("journal: open %s: %w", path, err)
+		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	entries, good, err := scan(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	// Truncate the torn tail (a no-op when the file ends cleanly) so
-	// subsequent appends produce a well-formed stream again.
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("journal: repair %s: %w", path, err)
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("journal: seek %s: %w", path, err)
-	}
-	j := &Journal{f: f, bw: bufio.NewWriter(f), path: path, size: good}
+	j := &Journal{log: log, path: path}
 	for _, e := range entries {
-		if e.Seq > j.seq {
-			j.seq = e.Seq
-		}
+		j.seq = max(j.seq, e.Seq)
 	}
 	return j, entries, nil
-}
-
-// scan reads entries from f and returns them together with the byte
-// offset just past the last fully-parseable line. Append acknowledges
-// an entry only once its newline is durable, so an unterminated final
-// line is torn even when it parses: it is dropped, and the offset
-// stops before it.
-func scan(f *os.File) ([]Entry, int64, error) {
-	b, err := io.ReadAll(f)
-	if err != nil {
-		return nil, 0, fmt.Errorf("journal: read: %w", err)
-	}
-	b = b[:bytes.LastIndexByte(b, '\n')+1]
-	entries, err := ReadEntries(bytes.NewReader(b))
-	if err != nil {
-		var trunc *TruncatedError
-		if !errors.As(err, &trunc) {
-			return nil, 0, err
-		}
-		// Offset of the torn tail: everything up to and including the
-		// last newline that terminates a good line.
-		good := int64(0)
-		rest := b
-		for i := 0; i < len(entries); {
-			nl := bytes.IndexByte(rest, '\n')
-			if nl < 0 {
-				break
-			}
-			if len(bytes.TrimSpace(rest[:nl])) > 0 {
-				i++
-			}
-			good += int64(nl + 1)
-			rest = rest[nl+1:]
-		}
-		return entries, good, nil
-	}
-	return entries, int64(len(b)), nil
 }
 
 // Append assigns the entry the next sequence number, stamps it, writes
@@ -224,30 +124,17 @@ func scan(f *os.File) ([]Entry, int64, error) {
 func (j *Journal) Append(e Entry) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
+	if j.log == nil {
 		return fmt.Errorf("journal: append to closed journal")
 	}
-	j.seq++
-	e.Seq = j.seq
+	e.Seq = j.seq + 1
 	if e.Time.IsZero() {
 		e.Time = time.Now().UTC()
 	}
-	b, err := json.Marshal(&e)
-	if err != nil {
-		j.seq--
-		return fmt.Errorf("journal: encode: %w", err)
+	if err := j.log.Append(e); err != nil {
+		return fmt.Errorf("journal: %w", err)
 	}
-	b = append(b, '\n')
-	if _, err := j.bw.Write(b); err != nil {
-		return fmt.Errorf("journal: write: %w", err)
-	}
-	if err := j.bw.Flush(); err != nil {
-		return fmt.Errorf("journal: flush: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("journal: fsync: %w", err)
-	}
-	j.size += int64(len(b))
+	j.seq = e.Seq
 	return nil
 }
 
@@ -256,28 +143,22 @@ func (j *Journal) Append(e Entry) error {
 func (j *Journal) Size() int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.size
+	if j.log == nil {
+		return 0
+	}
+	return j.log.Size()
 }
 
-// Close flushes and closes the journal file.
+// Close fsyncs and closes the journal file.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
+	if j.log == nil {
 		return nil
 	}
-	var first error
-	if err := j.bw.Flush(); err != nil {
-		first = err
-	}
-	if err := j.f.Sync(); err != nil && first == nil {
-		first = err
-	}
-	if err := j.f.Close(); err != nil && first == nil {
-		first = err
-	}
-	j.f = nil
-	return first
+	err := j.log.Close()
+	j.log = nil
+	return err
 }
 
 // JobStatus is the folded state of one job after replaying the journal.
@@ -391,18 +272,12 @@ func (j *Journal) CompactIfOver(maxBytes int64) (bool, error) {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil || j.size <= maxBytes {
+	if j.log == nil || j.log.Size() <= maxBytes {
 		return false, nil
 	}
-	if err := j.bw.Flush(); err != nil {
-		return false, fmt.Errorf("journal: flush: %w", err)
-	}
-	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
-		return false, fmt.Errorf("journal: seek: %w", err)
-	}
-	entries, _, err := scan(j.f)
+	entries, err := jsonl.Load[Entry](j.path)
 	if err != nil {
-		return false, err
+		return false, fmt.Errorf("journal: %w", err)
 	}
 	if err := j.compactLocked(Reduce(entries)); err != nil {
 		return false, err
@@ -411,81 +286,62 @@ func (j *Journal) CompactIfOver(maxBytes int64) (bool, error) {
 }
 
 func (j *Journal) compactLocked(statuses []JobStatus) error {
-	if j.f == nil {
+	if j.log == nil {
 		return fmt.Errorf("journal: compact closed journal")
 	}
-	var seq int64
-	err := fsatomic.WriteFile(j.path, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		for _, s := range statuses {
-			seq++
-			sub := Entry{
-				Seq: seq, Time: s.Submitted, Job: s.Job,
-				Type: EventSubmitted, Kind: s.Kind, State: s.State,
-				Total: s.Total, Spec: s.Spec, TuneSpec: s.TuneSpec,
-				Tenant: s.Tenant,
+	var entries []Entry
+	for _, s := range statuses {
+		entries = append(entries, Entry{
+			Time: s.Submitted, Job: s.Job,
+			Type: EventSubmitted, Kind: s.Kind, State: s.State,
+			Total: s.Total, Spec: s.Spec, TuneSpec: s.TuneSpec,
+			Tenant: s.Tenant,
+		})
+		if !s.Terminal {
+			// An in-flight distributed campaign's completed shards
+			// must survive compaction, or a restart would re-run
+			// them. One entry per shard, in index order.
+			shards := make([]int, 0, len(s.ShardsDone))
+			for sh := range s.ShardsDone {
+				shards = append(shards, sh)
 			}
-			if err := enc.Encode(&sub); err != nil {
-				return fmt.Errorf("journal: compact encode: %w", err)
+			sort.Ints(shards)
+			for _, sh := range shards {
+				entries = append(entries, Entry{
+					Time: s.Submitted, Job: s.Job,
+					Type: EventShardCompleted, Shard: &sh,
+				})
 			}
-			if !s.Terminal {
-				// An in-flight distributed campaign's completed shards
-				// must survive compaction, or a restart would re-run
-				// them. One entry per shard, in index order.
-				shards := make([]int, 0, len(s.ShardsDone))
-				for sh := range s.ShardsDone {
-					shards = append(shards, sh)
-				}
-				sort.Ints(shards)
-				for _, sh := range shards {
-					seq++
-					shard := sh
-					done := Entry{
-						Seq: seq, Time: s.Submitted, Job: s.Job,
-						Type: EventShardCompleted, Shard: &shard,
-					}
-					if err := enc.Encode(&done); err != nil {
-						return fmt.Errorf("journal: compact encode: %w", err)
-					}
-				}
-				continue
-			}
-			seq++
-			term := Entry{
-				Seq: seq, Time: s.Finished, Job: s.Job,
-				Type: EventTerminal, State: s.State,
-				Done: s.Done, Total: s.Total,
-				Outcomes: s.Outcomes, Error: s.Error,
-			}
-			if err := enc.Encode(&term); err != nil {
-				return fmt.Errorf("journal: compact encode: %w", err)
-			}
+			continue
 		}
-		return nil
-	})
-	if err != nil {
-		return err
+		entries = append(entries, Entry{
+			Time: s.Finished, Job: s.Job,
+			Type: EventTerminal, State: s.State,
+			Done: s.Done, Total: s.Total,
+			Outcomes: s.Outcomes, Error: s.Error,
+		})
+	}
+	for i := range entries {
+		entries[i].Seq = int64(i + 1)
+	}
+	if err := jsonl.Save(j.path, entries); err != nil {
+		return fmt.Errorf("journal: compact: %w", err)
 	}
 	// The journal is the server's source of truth across restarts: the
 	// rename that installed the compacted file must itself be durable
-	// before the old entries are considered gone, so unlike WriteFile's
+	// before the old entries are considered gone, so unlike Save's
 	// advisory sync this directory fsync is a hard requirement.
 	if err := fsatomic.SyncDir(filepath.Dir(j.path)); err != nil {
 		return fmt.Errorf("journal: compact: %w", err)
 	}
 	// Reopen the rewritten file for appending; the old descriptor now
 	// points at the unlinked pre-compaction inode.
-	f, err := os.OpenFile(j.path, os.O_RDWR|os.O_APPEND, 0o644)
+	log, _, err := jsonl.Open[Entry](j.path, 1)
 	if err != nil {
 		return fmt.Errorf("journal: reopen after compact: %w", err)
 	}
-	j.f.Close()
-	j.f = f
-	j.bw = bufio.NewWriter(f)
-	j.seq = seq
-	j.size = 0
-	if fi, err := f.Stat(); err == nil {
-		j.size = fi.Size()
-	}
+	j.log.Close()
+	j.log = log
+	j.seq = int64(len(entries))
 	return nil
 }

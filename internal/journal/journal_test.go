@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ctrlguard/internal/jsonl"
 )
 
 func openT(t *testing.T, path string) (*Journal, []Entry) {
@@ -219,7 +221,7 @@ func TestMidStreamCorruptionFails(t *testing.T) {
 func TestReadEntriesTruncatedError(t *testing.T) {
 	in := `{"seq":1,"job":"c1","ev":"submitted"}` + "\n" + `{"seq":2,"job":`
 	entries, err := ReadEntries(strings.NewReader(in))
-	var trunc *TruncatedError
+	var trunc *jsonl.TruncatedError
 	if !errors.As(err, &trunc) {
 		t.Fatalf("err = %v, want TruncatedError", err)
 	}

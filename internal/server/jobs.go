@@ -16,6 +16,7 @@ import (
 	"ctrlguard/internal/dist"
 	"ctrlguard/internal/goofi"
 	"ctrlguard/internal/journal"
+	"ctrlguard/internal/jsonl"
 	"ctrlguard/internal/tenant"
 	"ctrlguard/internal/tune"
 )
@@ -187,7 +188,7 @@ func (c *Campaign) Records() []goofi.Record {
 		switch {
 		case c.dataPath != "":
 			recs, err := goofi.LoadRecords(c.dataPath)
-			var trunc *goofi.TruncatedError
+			var trunc *jsonl.TruncatedError
 			if err == nil || errors.As(err, &trunc) {
 				c.records = recs
 			}
@@ -203,7 +204,7 @@ func (c *Campaign) Records() []goofi.Record {
 // RecordPage returns records[offset : offset+limit] plus the total
 // count. Unlike Records it never materializes the full set of a
 // finished disk-backed campaign: the canonical file is scanned
-// record-by-record through a RecordScanner.
+// record-by-record through a jsonl.Scanner.
 func (c *Campaign) RecordPage(offset, limit int) ([]goofi.Record, int, error) {
 	c.mu.Lock()
 	inMemory := c.records != nil || c.Kind != KindCampaign || c.dataPath == ""
@@ -223,14 +224,14 @@ func (c *Campaign) RecordPage(offset, limit int) ([]goofi.Record, int, error) {
 	defer f.Close()
 	var page []goofi.Record
 	total := 0
-	sc := goofi.NewRecordScanner(f)
+	sc := jsonl.NewScanner[goofi.Record](f)
 	for sc.Scan() {
 		if total >= offset && len(page) < limit {
-			page = append(page, sc.Record())
+			page = append(page, sc.Value())
 		}
 		total++
 	}
-	var trunc *goofi.TruncatedError
+	var trunc *jsonl.TruncatedError
 	if serr := sc.Err(); serr != nil && !errors.As(serr, &trunc) {
 		return nil, 0, serr
 	}

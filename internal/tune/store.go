@@ -1,70 +1,24 @@
 package tune
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"io"
-	"os"
 
-	"ctrlguard/internal/fsatomic"
+	"ctrlguard/internal/jsonl"
 )
 
 // Tuning results persist as JSON lines, one configuration per line —
-// the same dependency-free store the campaign records use, so study
+// the same store (package jsonl) the campaign records use, so study
 // and tuner outputs are uniformly greppable and joinable.
 
 // WriteResults streams results to w as JSON lines.
-func WriteResults(w io.Writer, rs []Result) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i := range rs {
-		if err := enc.Encode(&rs[i]); err != nil {
-			return fmt.Errorf("tune: encode result %d: %w", i, err)
-		}
-	}
-	return bw.Flush()
-}
+func WriteResults(w io.Writer, rs []Result) error { return jsonl.Write(w, rs) }
 
 // ReadResults parses JSON-lines results from r.
-func ReadResults(r io.Reader) ([]Result, error) {
-	var out []Result
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		b := bytes.TrimSpace(sc.Bytes())
-		if len(b) == 0 {
-			continue
-		}
-		var res Result
-		if err := json.Unmarshal(b, &res); err != nil {
-			return nil, fmt.Errorf("tune: decode result on line %d: %w", line, err)
-		}
-		out = append(out, res)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("tune: read results: %w", err)
-	}
-	return out, nil
-}
+func ReadResults(r io.Reader) ([]Result, error) { return jsonl.Read[Result](r) }
 
 // SaveResults writes results to path via write-temp/fsync/rename, so a
 // crash mid-save can never leave a torn result file behind.
-func SaveResults(path string, rs []Result) error {
-	return fsatomic.WriteFile(path, func(w io.Writer) error {
-		return WriteResults(w, rs)
-	})
-}
+func SaveResults(path string, rs []Result) error { return jsonl.Save(path, rs) }
 
 // LoadResults reads results from path.
-func LoadResults(path string) ([]Result, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("tune: open %s: %w", path, err)
-	}
-	defer f.Close()
-	return ReadResults(f)
-}
+func LoadResults(path string) ([]Result, error) { return jsonl.Load[Result](path) }
