@@ -7,6 +7,7 @@ package goofi
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -33,7 +34,8 @@ type Config struct {
 	Seed uint64
 
 	// Spec configures each run; the zero value means the paper's
-	// 650-iteration engine workload.
+	// 650-iteration engine workload. It carries no RunSpec.Hook, which
+	// every worker would share; detectors are armed through Detect.
 	Spec workload.RunSpec
 
 	// Workers bounds the number of parallel experiments
@@ -214,6 +216,9 @@ type LockstepStats struct {
 	Solo    int `json:"solo"`
 }
 
+// errSpecHook refuses a Config.Spec that carries a per-instruction hook.
+var errSpecHook = errors.New("goofi: Config.Spec carries a Monitor or Observer; arm detectors through Config.Detect")
+
 // Run executes a campaign: golden run, then Experiments independent
 // fault injections with uniform (location, time) sampling, classified
 // against the golden outputs.
@@ -243,33 +248,20 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if shard != nil {
 		shardTotal = shard.Size()
 	}
-	xp := planFor(cfg)
-	if cfg.Spec.Iterations == 0 {
-		cfg.Spec = workload.SpecFor(cfg.Variant)
-	}
 	if cfg.Classify == (classify.Config{}) {
 		cfg.Classify = classify.DefaultConfig()
 	}
-	prog := workload.Program(cfg.Variant)
 
 	// The warm start records state digests during the golden run and the
-	// pruner piggybacks a def-use observer on it to build its event
-	// index; armed detectors run it under their monitors, mine the
-	// automaton from it and repeat it under the experiments' monitor
-	// stack for the warm start's reference. The set-up of a variant's
-	// default spec is the same for every campaign, so the plan takes it
-	// from the process-wide memo, keyed by the armed detectors and with
-	// the prune index only when the plan prunes; warm-start counters, the
-	// dead verdict and detector verdict counts stay per campaign.
-	var (
-		su  setup
-		err error
-	)
-	if xp.memo {
-		su, err = prepFor(cfg.Variant, prog, xp.Prune, cfg.Detect)
-	} else {
-		su, err = newSetup(prog, cfg.Spec, xp.WarmStart, xp.Prune, cfg.Detect)
-	}
+	// pruner's def-use capture monitors it to build its event index;
+	// armed detectors run it under their monitors, mine the automaton
+	// from it and repeat it under the experiments' monitor stack for the
+	// warm start's reference. The set-up of a variant's default spec is
+	// the same for every campaign, so the plan takes it from the
+	// process-wide memo, keyed by the armed detectors and with the prune
+	// index only when the plan prunes; warm-start counters, the dead
+	// verdict and detector verdict counts stay per campaign.
+	xp, prog, su, err := setupFor(&cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -567,9 +559,7 @@ func runExperiment(prog *cpu.Program, cfg Config, golden *workload.Outcome, warm
 	spec := cfg.Spec
 	spec.Injection = &inj
 	spec.Deadline = deadline
-	if det != nil {
-		spec.Monitor = det.newMonitor(prog) // a fresh monitor stack per run
-	}
+	spec.Monitor = det.newMonitor(prog) // a fresh monitor stack per run
 	var out *workload.Outcome
 	if warm != nil {
 		out = warm.run(cur, spec)

@@ -53,7 +53,7 @@ type DetectStats struct {
 // detectState is the shared, immutable-after-setup detector state of
 // one campaign: built once from the golden run, reused by every
 // experiment and, for a variant's default spec, by every campaign of
-// the process that arms the same detectors (prepFor).
+// the process that arms the same detectors (setupFor).
 type detectState struct {
 	spec      detect.Spec
 	graph     *detect.BlockGraph
@@ -123,8 +123,12 @@ func newDetectState(prog *cpu.Program, spec workload.RunSpec, ds detect.Spec, ha
 	return d, nil
 }
 
-// newMonitor builds a fresh monitor stack for one experiment run.
+// newMonitor builds a fresh monitor stack for one experiment run, or
+// none without detectors (a nil d).
 func (d *detectState) newMonitor(prog *cpu.Program) workload.Monitor {
+	if d == nil {
+		return nil
+	}
 	var stack detect.Stack
 	if d.spec.CFE {
 		stack = append(stack, detect.NewCFMonitor(d.graph))

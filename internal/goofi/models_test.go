@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"testing"
 
+	"ctrlguard/internal/cpu"
 	"ctrlguard/internal/detect"
 	"ctrlguard/internal/inject"
 	"ctrlguard/internal/workload"
@@ -282,13 +283,39 @@ func TestSWIFIRejectsRuntimeModels(t *testing.T) {
 	}
 }
 
-// TestTraceRejectsDetectors pins the explicit decline for detail-mode
-// replay, which cannot arm monitors.
-func TestTraceRejectsDetectors(t *testing.T) {
-	cfg := Config{Variant: workload.AlgorithmI, Experiments: 5, Seed: 1,
-		Detect: detect.Spec{CFE: true}}
-	if _, err := TraceExperiment(nil, cfg, 0); err == nil {
-		t.Error("TraceExperiment replayed a detector campaign without its monitors")
+// TestTraceExperimentMatchesDetectorRecords: a detector campaign's
+// experiment replays in detail mode under a fresh stack of the
+// campaign's detectors, so every trace reaches its record's outcome and
+// mechanism, a detector's alarm included.
+func TestTraceExperimentMatchesDetectorRecords(t *testing.T) {
+	spec := workload.PaperRunSpec()
+	spec.Iterations = 80
+	for _, d := range []detect.Spec{{CFE: true}, {Automaton: true}, {CFE: true, Automaton: true}} {
+		t.Run(d.String(), func(t *testing.T) {
+			cfg := Config{Variant: workload.AlgorithmI, Experiments: 40, Seed: 2001,
+				Spec: spec, Model: workload.ModelPC, Detect: d}
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			alarms := 0
+			for _, rec := range res.Records {
+				tr, err := TraceExperiment(context.Background(), cfg, rec.ID)
+				if err != nil {
+					t.Fatalf("experiment %d: %v", rec.ID, err)
+				}
+				if h := tr.Header; h.Outcome != rec.Outcome || h.Mechanism != rec.Mechanism {
+					t.Errorf("experiment %d: trace %s/%q, record %s/%q",
+						rec.ID, h.Outcome, h.Mechanism, rec.Outcome, rec.Mechanism)
+				}
+				if rec.Mechanism == string(cpu.MechSignature) || rec.Mechanism == string(cpu.MechAutomaton) {
+					alarms++
+				}
+			}
+			if alarms == 0 {
+				t.Error("no record carries a detector's mechanism, so no alarm was traced")
+			}
+		})
 	}
 }
 

@@ -47,7 +47,7 @@ type ExecPlan struct {
 	Declined map[string]string
 
 	// memo is set when the golden set-up comes from the process-wide
-	// per-variant memo (prepFor) instead of a campaign-local golden run.
+	// per-variant memo (setupFor) instead of a campaign-local golden run.
 	memo bool
 }
 
@@ -73,8 +73,6 @@ func (p *ExecPlan) decline(ls Layer, why string) {
 //   - SWIFI image faults decline every layer: they precede instruction
 //     0, so no fault-free prefix comes before them, and a code flip
 //     sits outside the state digest and the def-use index.
-//   - Detail-mode observers must see every instruction of every run,
-//     which cursor forks, golden splices and dead faults all skip.
 //   - Armed detectors keep the warm start. Their monitors are
 //     workload.StatefulMonitors: a lane forked off a cursor inherits
 //     the cursor's monitor state, and the golden splice also requires
@@ -106,9 +104,6 @@ func planFor(cfg Config) ExecPlan {
 		p.decline(allLayers, "image faults precede instruction 0, and a code flip sits outside the state digest and the def-use index")
 	}
 	p.decline(cfg.Ablate, "ablated by Config.Ablate")
-	if cfg.Spec.Observer != nil {
-		p.decline(allLayers, "a detail-mode observer must see every instruction")
-	}
 	if cfg.Detect.Enabled() {
 		p.decline(LayerPrune, "monitor peeks are not def-use events, see ROADMAP item 4 Phase B")
 	}

@@ -1,6 +1,7 @@
 package goofi
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -16,7 +17,6 @@ import (
 // Reasons the planner reports, pinned verbatim.
 const (
 	whyAblated  = "ablated by Config.Ablate"
-	whyObserver = "a detail-mode observer must see every instruction"
 	whyDetPrune = "monitor peeks are not def-use events, see ROADMAP item 4 Phase B"
 )
 
@@ -31,7 +31,6 @@ var planModes = []struct {
 	set  func(*Config)
 }{
 	{"default", func(*Config) {}},
-	{"observer", func(c *Config) { c.Spec.Observer = func(int, uint64, *cpu.CPU) {} }},
 	{"chaos", func(c *Config) { c.Chaos = func(int, int) {} }},
 	{"timeout", func(c *Config) { c.ExperimentTimeout = time.Second }},
 	{"spec", func(c *Config) { c.Spec = workload.SpecFor(c.Variant) }},
@@ -58,9 +57,8 @@ func wantPlan(memo bool, declined map[Layer]string) ExecPlan {
 // bit-flip campaign, of a campaign under a non-default fault model m
 // (which declines only the pruner, so it keeps the warm start and the
 // golden memo), and of a detector campaign (any model), which keeps the
-// warm start and the memo but declines pruning with its own reason,
-// unless an observer declined every layer first. Chaos hooks and
-// per-experiment deadlines decline nothing.
+// warm start and the memo but declines pruning with its own reason.
+// Chaos hooks and per-experiment deadlines decline nothing.
 func expectedPlan(mode string, m inject.FaultModel, armed bool) ExecPlan {
 	W, P := LayerWarmStart, LayerPrune
 	wm := whyModel(m)
@@ -70,11 +68,6 @@ func expectedPlan(mode string, m inject.FaultModel, armed bool) ExecPlan {
 			wantPlan(true, nil),
 			wantPlan(true, map[Layer]string{P: wm}),
 			wantPlan(true, det),
-		},
-		"observer": {
-			wantPlan(false, map[Layer]string{W: whyObserver, P: whyObserver}),
-			wantPlan(false, map[Layer]string{W: whyObserver, P: whyObserver}),
-			wantPlan(false, map[Layer]string{W: whyObserver, P: whyObserver}),
 		},
 		"chaos": {
 			wantPlan(true, nil),
@@ -151,9 +144,7 @@ func TestPlanStatsNilExactlyWhenDeclined(t *testing.T) {
 		"chaos":     {Chaos: func(int, int) {}},
 		"timeout":   {ExperimentTimeout: time.Minute},
 		"detector":  {Detect: detect.Spec{CFE: true}},
-		"observer+detector": {Detect: detect.Spec{CFE: true, Automaton: true},
-			Spec: withObserver(workload.SpecFor(workload.AlgorithmI))},
-		"ablated": {Ablate: LayerWarmStart},
+		"ablated":   {Ablate: LayerWarmStart},
 	}
 	for name, cfg := range cases {
 		cfg.Variant, cfg.Experiments, cfg.Seed, cfg.Workers = workload.AlgorithmI, 20, 3, 2
@@ -217,7 +208,21 @@ type engineOnly struct {
 func (e *engineOnly) Inputs(k int, in []float64) { in[0], in[1] = e.ref(float64(k)*e.t), e.y }
 func (e *engineOnly) Deliver(_ int, u []float64) { e.y = e.eng.Step(u[0]) }
 
-func withObserver(spec workload.RunSpec) workload.RunSpec {
-	spec.Observer = func(int, uint64, *cpu.CPU) {}
-	return spec
+// TestSpecHookRefused: a Config.Spec that carries its own
+// per-instruction hook, a Monitor or an Observer, is refused by
+// campaigns and traces alike. Every worker would run the one hook
+// concurrently; detectors are armed through Config.Detect.
+func TestSpecHookRefused(t *testing.T) {
+	observed, monitored := workload.SpecFor(workload.AlgorithmI), workload.RunSpec{}
+	observed.Observer = func(int, uint64, *cpu.CPU) {}
+	monitored.Monitor = detect.Stack{} // on the zero spec, refused before the default fills it in
+	for name, spec := range map[string]workload.RunSpec{"observer": observed, "monitor": monitored} {
+		cfg := Config{Variant: workload.AlgorithmI, Experiments: 4, Seed: 1, Spec: spec}
+		if _, err := Run(cfg); !errors.Is(err, errSpecHook) {
+			t.Errorf("%s: Run returned %v, want the spec-hook refusal", name, err)
+		}
+		if _, err := TraceExperiment(nil, cfg, 0); !errors.Is(err, errSpecHook) {
+			t.Errorf("%s: TraceExperiment returned %v, want the spec-hook refusal", name, err)
+		}
+	}
 }

@@ -24,7 +24,9 @@ type setup struct {
 
 // newSetup builds a campaign's set-up, recording state digests for the
 // warm start when hashes is set and the pruner's event index when
-// capture is set. Armed detectors take the monitored golden run.
+// capture is set. Armed detectors take the monitored golden run; the
+// capture is otherwise the golden run's monitor, which keeps the idle
+// fast-forward.
 func newSetup(prog *cpu.Program, spec workload.RunSpec, hashes, capture bool, ds detect.Spec) (setup, error) {
 	if ds.Enabled() {
 		det, err := newDetectState(prog, spec, ds, hashes)
@@ -33,8 +35,22 @@ func newSetup(prog *cpu.Program, spec workload.RunSpec, hashes, capture bool, ds
 		}
 		return setup{golden: det.golden, det: det}, nil
 	}
-	golden, idx, err := runGolden(prog, spec, hashes, capture)
-	return setup{golden: golden, idx: idx}, err
+	spec.RecordStateHashes = hashes
+	var c *prune.Capture
+	if capture {
+		c = prune.NewCapture()
+		spec.Monitor = c
+	}
+	su := setup{golden: workload.Run(prog, spec)}
+	if su.golden.Detected() {
+		return setup{}, fmt.Errorf("goofi: reference execution trapped: %v", su.golden.Trap)
+	}
+	if c != nil {
+		// A nil index means the capture saw something it could not
+		// model; pruning silently degrades to full simulation.
+		su.idx = c.Finish(su.golden.Instructions)
+	}
+	return su, nil
 }
 
 // goldenPrep is one memoised set-up.
@@ -63,42 +79,27 @@ type prepKey struct {
 // detectors, one per detector selection).
 var preps sync.Map // prepKey -> *goldenPrep
 
-// prepFor returns v's warm-start set-up under the detectors ds, with
-// the prune index when capture is set, computing each kind at most once
-// per process.
-func prepFor(v workload.Variant, prog *cpu.Program, capture bool, ds detect.Spec) (setup, error) {
-	e, _ := preps.LoadOrStore(prepKey{v, capture, ds}, new(goldenPrep))
+// setupFor plans campaign cfg, fills in its Spec and returns its program
+// and the set-up it runs on, a memo plan's from preps, computed at most
+// once per process. RunContext and TraceExperiment share it, so a trace
+// replays its campaign's golden run and detectors.
+func setupFor(cfg *Config) (ExecPlan, *cpu.Program, setup, error) {
+	if cfg.Spec.Hook() != nil {
+		return ExecPlan{}, nil, setup{}, errSpecHook
+	}
+	xp := planFor(*cfg)
+	if cfg.Spec.Iterations == 0 {
+		cfg.Spec = workload.SpecFor(cfg.Variant)
+	}
+	prog := workload.Program(cfg.Variant)
+	if !xp.memo {
+		su, err := newSetup(prog, cfg.Spec, xp.WarmStart, xp.Prune, cfg.Detect)
+		return xp, prog, su, err
+	}
+	e, _ := preps.LoadOrStore(prepKey{cfg.Variant, xp.Prune, cfg.Detect}, new(goldenPrep))
 	p := e.(*goldenPrep)
 	p.once.Do(func() {
-		p.setup, p.err = newSetup(prog, workload.SpecFor(v), true, capture, ds)
+		p.setup, p.err = newSetup(prog, workload.SpecFor(cfg.Variant), true, xp.Prune, cfg.Detect)
 	})
-	return p.setup, p.err
-}
-
-// runGolden executes the reference run, recording state digests for the
-// warm start when hashes is set and the pruner's event index when
-// capture is set.
-func runGolden(prog *cpu.Program, spec workload.RunSpec, hashes, capture bool) (*workload.Outcome, *prune.Index, error) {
-	spec.RecordStateHashes = hashes
-	var c *prune.Capture
-	if capture {
-		// As the run's monitor the capture keeps the idle fast-forward;
-		// a caller's own monitor leaves it the stepping observer.
-		c = prune.NewCapture()
-		if spec.Monitor == nil {
-			spec.Monitor = c
-		} else {
-			spec.Observer = c.Observer()
-		}
-	}
-	golden := workload.Run(prog, spec)
-	if golden.Detected() {
-		return nil, nil, fmt.Errorf("goofi: reference execution trapped: %v", golden.Trap)
-	}
-	if c == nil {
-		return golden, nil, nil
-	}
-	// A nil index means the capture saw something it could not model;
-	// pruning silently degrades to full simulation.
-	return golden, c.Finish(golden.Instructions), nil
+	return xp, prog, p.setup, p.err
 }

@@ -12,14 +12,13 @@ import (
 // TraceExperiment re-runs experiment n of the campaign described by
 // cfg in detail mode and returns its propagation trace. The injection
 // is re-derived from cfg.Seed and cfg.Model exactly as RunContext
-// draws it, so the returned trace replays the campaign's experiment n
+// draws it, on the same set-up, and armed detectors run as in the
+// campaign, so the returned trace replays the campaign's experiment n
 // bit for bit — a campaign record plus its campaign spec is enough to
 // reconstruct the full forensic picture after the fact. The replay
 // declines every shortcut: no golden-cursor forks and no fault-space
 // pruning, so even an experiment whose campaign record was inferred
 // (pruned-dead or class member) is traced as a genuine full simulation.
-// It refuses detector campaigns, whose monitors the detail-mode replay
-// cannot arm.
 func TraceExperiment(ctx context.Context, cfg Config, n int) (*trace.Trace, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("goofi: experiment index %d is negative", n)
@@ -32,19 +31,12 @@ func TraceExperiment(ctx context.Context, cfg Config, n int) (*trace.Trace, erro
 		// campaign must not turn a huge index into an endless loop.
 		return nil, fmt.Errorf("goofi: experiment %d out of range (limit %d)", n, ExperimentLimit)
 	}
-	if cfg.Detect.Enabled() {
-		return nil, fmt.Errorf("goofi: trace mode does not support detector campaigns (the detail-mode replay cannot arm monitors)")
-	}
-	if cfg.Spec.Iterations == 0 {
-		cfg.Spec = workload.SpecFor(cfg.Variant)
-	}
-	prog := workload.Program(cfg.Variant)
-	golden := workload.Run(prog, cfg.Spec)
-	if golden.Detected() {
-		return nil, fmt.Errorf("goofi: reference execution trapped: %v", golden.Trap)
+	_, prog, su, err := setupFor(&cfg)
+	if err != nil {
+		return nil, err
 	}
 
-	sampler, err := inject.NewModelSampler(cfg.Seed, golden.Instructions, cfg.Model, cfg.BurstWidth)
+	sampler, err := inject.NewModelSampler(cfg.Seed, su.golden.Instructions, cfg.Model, cfg.BurstWidth)
 	if err != nil {
 		return nil, err
 	}
@@ -53,6 +45,7 @@ func TraceExperiment(ctx context.Context, cfg Config, n int) (*trace.Trace, erro
 		inj = sampler.Next()
 	}
 
+	cfg.Spec.Monitor = su.det.newMonitor(prog)
 	tr, err := trace.Capture(ctx, cfg.Variant, cfg.Spec, inj, cfg.Classify)
 	if err != nil {
 		return nil, err

@@ -64,9 +64,7 @@ func newWarmState(prog *cpu.Program, spec workload.RunSpec, golden *workload.Out
 // newCursor starts a golden cursor at instruction 0.
 func (w *warmState) newCursor() (*workload.Cursor, error) {
 	spec := w.spec
-	if w.det != nil {
-		spec.Monitor = w.det.newMonitor(w.prog)
-	}
+	spec.Monitor = w.det.newMonitor(w.prog)
 	return workload.NewCursor(w.prog, spec)
 }
 

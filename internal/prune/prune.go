@@ -51,11 +51,11 @@
 //     are invisible and therefore dead.
 //
 // The capture must account for every instruction of the golden run.
-// Attached through Observer() it sees each one. Attached as the run's
-// Monitor it is a workload.IdleMonitor that never traps, so the run
-// keeps the idle fast-forward: the trips of the ready-flag poll loop
-// the machine runs at once are stored as periods, one per location the
-// loop touches, whose events Index.Fate resolves arithmetically.
+// Attached as the run's Monitor it is a workload.IdleMonitor that never
+// traps, so the run keeps the idle fast-forward: the trips of the
+// ready-flag poll loop the machine runs at once are stored as periods,
+// one per location the loop touches, whose events Index.Fate resolves
+// arithmetically.
 package prune
 
 import (
@@ -193,10 +193,9 @@ func (p period) next(at uint64) (event, bool) {
 }
 
 // Capture observes a golden run and builds the per-location event
-// index. Attach it to the golden RunSpec as its Monitor, or attach
-// Observer() instead, then call Finish. Either way it is read-only (it
-// never perturbs the machine) and must account for every instruction
-// of exactly one fault-free run.
+// index. Attach it to the golden RunSpec as its Monitor, then call
+// Finish. It is read-only (it never perturbs the machine) and must
+// account for every instruction of exactly one fault-free run.
 type Capture struct {
 	bad       bool
 	vm        *cpu.CPU
@@ -213,19 +212,10 @@ func NewCapture() *Capture {
 	return &Capture{}
 }
 
-// Observer returns a workload.RunSpec observer that records events. It
-// must see every instruction, so the run steps the poll loop too; a
-// capture attached as the run's Monitor skips the loop, stores its trips
-// as periods and gives every injection the same fate.
+// Observer returns OnInstr as a workload.RunSpec observer, kept for the
+// benchmark module (bench/probe.go), which times a stepping capture.
 func (c *Capture) Observer() func(iteration int, instr uint64, vm *cpu.CPU) {
-	return c.observe
-}
-
-// OnInstr implements workload.Monitor: it records the instruction's
-// events and never traps.
-func (c *Capture) OnInstr(iteration int, instr uint64, vm *cpu.CPU) *cpu.TrapError {
-	c.observe(iteration, instr, vm)
-	return nil
+	return func(k int, instr uint64, vm *cpu.CPU) { c.OnInstr(k, instr, vm) }
 }
 
 // OnIteration implements workload.Monitor.
@@ -236,7 +226,7 @@ func (c *Capture) OnIteration(int, *cpu.CPU) *cpu.TrapError {
 // CanSkipPoll implements workload.IdleMonitor. It accepts while the
 // capture is healthy and the loop headed at pc touches only registers
 // and flags, and it records the loop's per-trip def/use pattern for
-// SkipPoll, built from each instruction's DefUse row the way observe
+// SkipPoll, built from each instruction's DefUse row the way OnInstr
 // would emit it. The machine is at the loop head, so the load's base
 // register holds the value the load itself reads: nothing before the
 // load in the loop writes a register.
@@ -327,19 +317,19 @@ func regVal(vm *cpu.CPU, r int) uint32 {
 	return vm.Regs[r]
 }
 
-// observe records the def/use events of the instruction about to
-// execute. Emission order mirrors CPU.Step's micro-operation order —
-// operand reads, the storage check, the cache access (hit check,
-// eviction, refill, then the word access), then result writes — so the
-// first-event-wins dedup resolves same-instruction conflicts the way
-// the hardware would.
-func (c *Capture) observe(_ int, instr uint64, vm *cpu.CPU) {
+// OnInstr implements workload.Monitor: it records the def/use events of
+// the instruction about to execute and never traps. Emission order
+// mirrors CPU.Step's micro-operation order — operand reads, the storage
+// check, the cache access (hit check, eviction, refill, then the word
+// access), then result writes — so the first-event-wins dedup resolves
+// same-instruction conflicts the way the hardware would.
+func (c *Capture) OnInstr(_ int, instr uint64, vm *cpu.CPU) *cpu.TrapError {
 	if c.bad {
-		return
+		return nil
 	}
 	if instr != c.count || instr >= maxInstr {
 		c.bad = true
-		return
+		return nil
 	}
 	c.count++
 	c.vm = vm
@@ -349,7 +339,7 @@ func (c *Capture) observe(_ int, instr uint64, vm *cpu.CPU) {
 	in, err := vm.CurrentInstr()
 	if err != nil {
 		c.bad = true // a golden run never fetches an illegal instruction
-		return
+		return nil
 	}
 	idx := uint32(instr)
 	du := in.DefUse()
@@ -369,16 +359,17 @@ func (c *Capture) observe(_ int, instr uint64, vm *cpu.CPU) {
 		case cpu.SegData:
 			if !c.cacheEvents(vm, addr, du.Mem == cpu.MemStore, idx) {
 				c.bad = true
-				return
+				return nil
 			}
 		default:
 			c.bad = true // would trap; cannot happen on a golden run
-			return
+			return nil
 		}
 	}
 
 	// 3. Result writes.
 	c.regEvents(du.DefRegs, du.DefFlags, idx, evDef)
+	return nil
 }
 
 // regEvents records one event of the given kind for each register in

@@ -116,6 +116,11 @@ type Campaign struct {
 	cancel     context.CancelFunc
 	subs       map[chan Event]struct{}
 	doneCh     chan struct{} // closed on reaching a terminal state
+
+	// fileRecords caches the record count of the file at countedPath,
+	// so the views of a disk-backed campaign scan its file once.
+	fileRecords int
+	countedPath string
 }
 
 // View is the JSON representation of a campaign's current state.
@@ -158,7 +163,7 @@ func (c *Campaign) Snapshot() View {
 		Done:        c.done,
 		Total:       c.total,
 		Outcomes:    copyCounts(c.outcomes),
-		Records:     len(c.records),
+		Records:     c.recordCountLocked(),
 		RecordsPath: c.dataPath,
 		Resumed:     c.resumed,
 		Faults:      c.faults,
@@ -201,6 +206,23 @@ func (c *Campaign) Records() []goofi.Record {
 	return append([]goofi.Record(nil), c.records...)
 }
 
+// recordCountLocked returns the total /records serves for a finished
+// campaign: the in-memory copy's length or, for a campaign restored
+// from disk, the record count of its canonical file. c.mu must be held.
+func (c *Campaign) recordCountLocked() int {
+	if c.records != nil || c.Kind != KindCampaign || c.dataPath == "" {
+		return len(c.records)
+	}
+	if c.countedPath != c.dataPath {
+		_, n, err := pageFile(c.dataPath, 0, 0)
+		if err != nil {
+			return 0
+		}
+		c.fileRecords, c.countedPath = n, c.dataPath
+	}
+	return c.fileRecords
+}
+
 // RecordPage returns records[offset : offset+limit] plus the total
 // count. Unlike Records it never materializes the full set of a
 // finished disk-backed campaign: the canonical file is scanned
@@ -217,9 +239,16 @@ func (c *Campaign) RecordPage(offset, limit int) ([]goofi.Record, int, error) {
 		hi := min(lo+limit, total)
 		return recs[lo:hi:hi], total, nil
 	}
-	f, err := os.Open(dataPath)
+	return pageFile(dataPath, offset, limit)
+}
+
+// pageFile decodes records[offset : offset+limit] of the record file at
+// path and counts all of them, tolerating a crash-torn tail. A file
+// reclaimed by retention reads as empty.
+func pageFile(path string, offset, limit int) ([]goofi.Record, int, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, 0, nil // reclaimed by retention since the check
+		return nil, 0, nil
 	}
 	defer f.Close()
 	var page []goofi.Record
@@ -846,6 +875,7 @@ func (m *Manager) finalize(c *Campaign, recs []goofi.Record, faults goofi.FaultS
 	wasQueued := c.state == StateQueued
 	c.records = recs
 	c.dataPath = dataPath
+	c.countedPath = ""
 	c.faults = faults
 	c.finished = time.Now()
 	switch {

@@ -12,7 +12,7 @@ import (
 // files are the resume source for the next start — and deletes their
 // persisted records oldest-finished-first, either past a configured
 // age or to fit a byte budget. The jobs themselves stay listed; only
-// the bulk record data is reclaimed.
+// the bulk record data is reclaimed, on disk and in memory alike.
 
 // retentionInterval paces the background sweep. Tests call
 // retentionSweep directly instead of waiting it out.
@@ -96,11 +96,12 @@ func (m *Manager) retentionSweep(now time.Time) (deleted int) {
 	return deleted
 }
 
-// reclaim removes one campaign's record files, detaching the paths
-// from the job first so readers see "records gone" rather than a
-// dangling file reference.
+// reclaim removes one campaign's records, detaching the paths and the
+// in-memory copy from the job first so readers see "records gone" rather
+// than a dangling file reference, exactly as after a restart.
 func (m *Manager) reclaim(r retainable) {
 	r.c.mu.Lock()
+	r.c.records = nil
 	r.c.dataPath = ""
 	r.c.segDir = ""
 	r.c.mu.Unlock()

@@ -446,17 +446,21 @@ func TestMemoizationTenantOptOut(t *testing.T) {
 }
 
 func TestRetentionSweep(t *testing.T) {
-	dataDir := t.TempDir()
-	s, ts := newTestServer(t, Config{
+	dataDir, journalDir := t.TempDir(), t.TempDir()
+	cfg := Config{
 		Workers: 1, QueueDepth: 4,
-		DataDir:   dataDir,
+		DataDir: dataDir, JournalDir: journalDir,
 		RetainAge: 30 * time.Minute,
-	})
+	}
+	s, ts := newTestServer(t, cfg)
 	v := submit(t, ts, `{"variant":"alg1","n":40,"seed":5}`)
 	waitForState(t, ts, v.ID, StateDone, time.Minute)
 	path := filepath.Join(dataDir, v.ID+".jsonl")
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("record file missing before sweep: %v", err)
+	}
+	if view, total := recordCounts(t, ts, v.ID); view != 40 || total != 40 {
+		t.Fatalf("before the sweep: view counts %d records, /records %d, want 40", view, total)
 	}
 
 	if n := s.mgr.retentionSweep(time.Now()); n != 0 {
@@ -472,6 +476,56 @@ func TestRetentionSweep(t *testing.T) {
 	getJSON(t, ts.URL+"/api/v1/campaigns/"+v.ID, &view)
 	if view.RecordsPath != "" {
 		t.Fatalf("swept campaign still advertises records at %q", view.RecordsPath)
+	}
+	// The sweep reclaims the in-memory copy too, so the campaign answers
+	// as it will after a restart, when only the (deleted) file could
+	// serve it.
+	if view, total := recordCounts(t, ts, v.ID); view != 0 || total != 0 {
+		t.Fatalf("after the sweep: view counts %d records, /records %d, want 0", view, total)
+	}
+	ts.Close()
+	s.Close()
+	_, ts2 := newTestServer(t, cfg)
+	if view, total := recordCounts(t, ts2, v.ID); view != 0 || total != 0 {
+		t.Fatalf("after a restart: view counts %d records, /records %d, want 0", view, total)
+	}
+}
+
+// recordCounts returns campaign id's record count as its view reports
+// it and as the /records endpoint totals it.
+func recordCounts(t *testing.T, ts *httptest.Server, id string) (view, total int) {
+	t.Helper()
+	var v View
+	if code := getJSON(t, ts.URL+"/api/v1/campaigns/"+id, &v); code != http.StatusOK {
+		t.Fatalf("campaign view returned %d", code)
+	}
+	var page struct {
+		Total int `json:"total"`
+	}
+	if code := getJSON(t, ts.URL+"/api/v1/campaigns/"+id+"/records?limit=1", &page); code != http.StatusOK {
+		t.Fatalf("records page returned %d", code)
+	}
+	return v.Records, page.Total
+}
+
+// TestRestoredViewCountsRecords: a finished campaign restored after a
+// graceful restart serves its records from the file alone, and its
+// view counts exactly the records /records serves.
+func TestRestoredViewCountsRecords(t *testing.T) {
+	dataDir, journalDir := t.TempDir(), t.TempDir()
+	cfg := Config{Workers: 1, QueueDepth: 4, DataDir: dataDir, JournalDir: journalDir}
+	s1, ts1 := newTestServer(t, cfg)
+	v := submit(t, ts1, `{"variant":"alg1","n":150,"seed":9}`)
+	waitForState(t, ts1, v.ID, StateDone, time.Minute)
+	if view, total := recordCounts(t, ts1, v.ID); view != 150 || total != 150 {
+		t.Fatalf("before the restart: view counts %d records, /records %d, want 150", view, total)
+	}
+	ts1.Close()
+	s1.Close()
+
+	_, ts2 := newTestServer(t, cfg)
+	if view, total := recordCounts(t, ts2, v.ID); view != 150 || total != 150 {
+		t.Fatalf("after the restart: view counts %d records, /records %d, want 150", view, total)
 	}
 }
 

@@ -12,10 +12,10 @@ import (
 // handleTrace replays experiment {n} of a campaign in detail mode and
 // serves its propagation trace. The replay is derived from the
 // campaign spec's seed — no trace is stored ahead of time — so it
-// works for any experiment of any campaign, at the cost of two
-// instrumented runs per request. ?format= selects the shape:
-// json (default: record + trace + causal chain), svg (the propagation
-// timeline), or text (the chain).
+// works for any experiment of any campaign, detector campaigns
+// included, at the cost of two instrumented runs per request.
+// ?format= selects the shape: json (default: record + trace + causal
+// chain), svg (the propagation timeline), or text (the chain).
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	c := s.campaign(w, r)
 	if c == nil {
@@ -47,11 +47,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	cfg, err := c.Spec.Resolve()
 	if err != nil { // validated at Submit; only a programming error lands here
 		s.writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	if cfg.Detect.Enabled() {
-		s.writeError(w, http.StatusConflict,
-			"campaign %s arms detectors; the detail-mode replay cannot", c.ID)
 		return
 	}
 	local := n

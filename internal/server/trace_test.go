@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"ctrlguard/internal/cpu"
 	"ctrlguard/internal/goofi"
 	"ctrlguard/internal/trace"
 )
@@ -107,12 +108,35 @@ func TestTraceLookupFailures(t *testing.T) {
 			t.Errorf("experiment %q: %d, want 404", n, code)
 		}
 	}
+}
 
-	// The detail-mode replay cannot arm a detector campaign's monitors.
-	d := submit(t, ts, `{"alg": 1, "n": 3, "seed": 9, "detector": "cfe"}`)
-	waitForTerminal(t, ts, d.ID, 30*time.Second)
-	if code := getJSON(t, ts.URL+"/api/v1/campaigns/"+d.ID+"/experiments/0/trace", nil); code != http.StatusConflict {
-		t.Errorf("detector campaign trace: %d, want 409", code)
+// TestTraceDetectorCampaign: the trace endpoint replays an armed
+// campaign's experiment under its detectors, so an experiment a
+// signature alarm ended traces to that alarm.
+func TestTraceDetectorCampaign(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	v := submit(t, ts, `{"alg": 1, "n": 20, "seed": 2001, "model": "pc", "detector": "cfe"}`)
+	waitForState(t, ts, v.ID, StateDone, time.Minute)
+	var page struct {
+		Records []goofi.Record `json:"records"`
+	}
+	getJSON(t, ts.URL+"/api/v1/campaigns/"+v.ID+"/records?limit=20", &page)
+	n := -1
+	for _, rec := range page.Records {
+		if rec.Mechanism == string(cpu.MechSignature) {
+			n = rec.ID
+			break
+		}
+	}
+	if n < 0 {
+		t.Fatalf("no signature alarm among %d records", len(page.Records))
+	}
+	var tr traceResponse
+	if code := getJSON(t, ts.URL+"/api/v1/campaigns/"+v.ID+"/experiments/"+strconv.Itoa(n)+"/trace", &tr); code != http.StatusOK {
+		t.Fatalf("detector campaign trace returned %d", code)
+	}
+	if h := tr.Trace.Header; h.Outcome != tr.Record.Outcome || h.Mechanism != string(cpu.MechSignature) {
+		t.Errorf("experiment %d: trace %s/%q, record %s/%q", n, h.Outcome, h.Mechanism, tr.Record.Outcome, tr.Record.Mechanism)
 	}
 }
 

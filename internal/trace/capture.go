@@ -17,6 +17,8 @@ import (
 // deterministic: the same (variant, spec, injection) always yields an
 // identical Trace, so a campaign record can be replayed after the fact
 // from nothing but its seed and ID (see goofi.TraceExperiment).
+// spec.Monitor, if set, is a fresh stack of the campaign's detectors:
+// the faulty pass runs it after its collector, the reference pass not.
 //
 // A detail-mode run is orders of magnitude slower than a campaign
 // experiment; ctx cancellation is honoured at iteration boundaries.
@@ -37,7 +39,7 @@ func Capture(ctx context.Context, variant workload.Variant, spec workload.RunSpe
 	goldenCol := newCollector(prog)
 	goldenSpec := spec
 	goldenSpec.Injection = nil
-	goldenSpec.Observer = goldenCol.observe
+	goldenSpec.Monitor = workload.Observed{Observe: goldenCol.observe}
 	goldenSpec.Abort = abort
 	golden := workload.Run(prog, goldenSpec)
 	if golden.Aborted {
@@ -53,7 +55,7 @@ func Capture(ctx context.Context, variant workload.Variant, spec workload.RunSpe
 	faultyCol.injectAt, faultyCol.hasInject = inj.At, true
 	faultySpec := spec
 	faultySpec.Injection = &inj
-	faultySpec.Observer = faultyCol.observe
+	faultySpec.Monitor = workload.Observed{Observe: faultyCol.observe, Next: spec.Monitor}
 	faultySpec.Abort = abort
 	faulty := workload.Run(prog, faultySpec)
 	if faulty.Aborted {
@@ -209,11 +211,11 @@ func newCollector(prog *cpu.Program) *collector {
 	return c
 }
 
-// observe is the workload.RunSpec.Observer hook: called before every
-// instruction with the machine state the previous instruction left
-// behind. State deltas are therefore attributed to the iteration that
-// executed the writing instruction, and the snapshot flushed at an
-// iteration boundary is the end-of-iteration state.
+// observe is the run's per-instruction hook (workload.Observed), called
+// with the machine state the previous instruction left behind. State
+// deltas are therefore attributed to the iteration that executed the
+// writing instruction, and the snapshot flushed at an iteration
+// boundary is the end-of-iteration state.
 func (c *collector) observe(k int, instr uint64, vm *cpu.CPU) {
 	if !c.started {
 		c.started = true

@@ -24,21 +24,19 @@ type Cursor struct {
 // NewCursor starts a cursor at instruction 0 of prog under spec, which
 // must be fault-free. A monitored cursor runs under its own spec.Monitor
 // and hands that monitor's state to every lane. NewCursor fails when
-// spec injects, has an Observer or records state hashes, when its
-// environment cannot be cloned (CloneableEnv), or when its Monitor
-// cannot report its state (StatefulMonitor).
+// spec injects or records state hashes, when its environment cannot be
+// cloned (CloneableEnv), or when its Monitor cannot report its state
+// (StatefulMonitor).
 func NewCursor(prog *cpu.Program, spec RunSpec) (*Cursor, error) {
+	r := newRunner(prog, spec)
 	switch {
 	case spec.Injection != nil:
 		return nil, errors.New("workload: a cursor runs fault-free, but the spec injects")
-	case spec.Observer != nil:
-		return nil, errors.New("workload: a detail-mode observer must see every instruction of every run")
 	case spec.RecordStateHashes:
 		return nil, errors.New("workload: a cursor records no state hashes")
-	case spec.Monitor != nil && statefulMonitor(spec.Monitor) == nil:
+	case r.spec.Monitor != nil && r.mon == nil:
 		return nil, errors.New("workload: the monitor cannot report its state")
 	}
-	r := newRunner(prog, spec)
 	if _, ok := r.env.(CloneableEnv); !ok {
 		return nil, errors.New("workload: the environment cannot be cloned (CloneableEnv)")
 	}
@@ -54,15 +52,16 @@ func NewCursor(prog *cpu.Program, spec RunSpec) (*Cursor, error) {
 // Deadline and Abort apply to the lane alone.
 //
 // Fork returns nil, and leaves the cursor where it is, when the
-// injection lies behind the cursor, when lane has an Observer or
-// records state hashes, or when its monitor does not match the
-// cursor's. It returns nil when the fault-free run ends before the
-// injection point, and from then on for every lane. Callers run those
-// experiments from instruction 0 with Run.
+// injection lies behind the cursor, when lane records state hashes, or
+// when its monitor does not match the cursor's. It returns nil when the
+// fault-free run ends before the injection point, and from then on for
+// every lane. Callers run those experiments from instruction 0 with
+// Run.
 func (c *Cursor) Fork(lane RunSpec) *Outcome {
+	lane.Monitor, lane.Observer = lane.Hook(), nil
 	inj := lane.Injection
 	if c.end || inj == nil || inj.At < c.r.vm.InstrCount() ||
-		lane.Observer != nil || lane.RecordStateHashes ||
+		lane.RecordStateHashes ||
 		(c.r.mon == nil) != (lane.Monitor == nil) ||
 		lane.Monitor != nil && statefulMonitor(lane.Monitor) == nil {
 		return nil

@@ -93,6 +93,40 @@ type IdleMonitor interface {
 	SkipPoll(trips uint64)
 }
 
+// Observed runs Observe, a passive per-instruction hook such as a
+// detail-mode trace's collector, as a monitor ahead of Next (nil for
+// none). It has neither optional capability, so it sees every
+// instruction.
+type Observed struct {
+	Observe func(iteration int, instr uint64, vm *cpu.CPU)
+	Next    Monitor
+}
+
+// OnInstr implements Monitor.
+func (o Observed) OnInstr(iteration int, instr uint64, vm *cpu.CPU) *cpu.TrapError {
+	if o.Observe(iteration, instr, vm); o.Next == nil {
+		return nil
+	}
+	return o.Next.OnInstr(iteration, instr, vm)
+}
+
+// OnIteration implements Monitor.
+func (o Observed) OnIteration(iteration int, vm *cpu.CPU) *cpu.TrapError {
+	if o.Next == nil {
+		return nil
+	}
+	return o.Next.OnIteration(iteration, vm)
+}
+
+// Hook returns the run's one per-instruction hook, which the harness
+// runs in place of Observer and Monitor.
+func (s RunSpec) Hook() Monitor {
+	if s.Observer == nil {
+		return s.Monitor
+	}
+	return Observed{s.Observer, s.Monitor}
+}
+
 // statefulMonitor returns m's StatefulMonitor capability, or nil when m
 // is nil, lacks it, or cannot report its state.
 func statefulMonitor(m Monitor) StatefulMonitor {
@@ -132,18 +166,15 @@ type RunSpec struct {
 
 	// Observer, if non-nil, is invoked before every instruction with
 	// the current iteration, the global instruction index and the
-	// machine — GOOFI's detail mode, used for error-propagation
-	// analysis. It slows the run down considerably: the run then steps
-	// one instruction at a time (cpu.CPU.Step), whereas a run with
-	// neither an Observer nor a Monitor executes the straight-line
-	// stretches between the events it must see (an I/O store, a
-	// poll-loop head, the injection, a cursor's stop, the watchdog's
-	// budget) in one cpu.CPU.Run call each.
+	// machine, as a monitor ahead of Monitor (see Hook). It is kept for
+	// the benchmark module (bench/probe.go).
 	Observer func(iteration int, instr uint64, vm *cpu.CPU)
 
-	// Monitor, if non-nil, is the in-loop detector for this run. It
-	// sees every instruction the run steps, and the run steps every
-	// instruction it does not fast-forward. A StatefulMonitor keeps the
+	// Monitor, if non-nil, is the in-loop detector or passive recorder
+	// for this run. It sees every instruction the run steps: a monitored
+	// run steps every instruction it does not fast-forward, where an
+	// unmonitored one executes the stretches between the events it must
+	// see in one cpu.CPU.Run call each. A StatefulMonitor keeps the
 	// Golden splice and Cursor forks, and an IdleMonitor the idle
 	// fast-forward, where it accounts for the poll-loop trips the
 	// machine runs at once; any other monitor disables them.
@@ -441,6 +472,7 @@ type runner struct {
 
 // newRunner normalises the spec and builds the initial machine state.
 func newRunner(prog *cpu.Program, spec RunSpec) *runner {
+	spec.Monitor, spec.Observer = spec.Hook(), nil
 	budget := spec.CycleBudget
 	if budget <= 0 {
 		budget = DefaultCycleBudget
@@ -479,7 +511,7 @@ func newRunner(prog *cpu.Program, spec RunSpec) *runner {
 	}
 
 	golden := spec.Golden
-	if spec.Injection == nil || spec.Observer != nil || unmonitorable ||
+	if spec.Injection == nil || unmonitorable ||
 		!goldenUsable(golden, spec, ports) {
 		golden = nil
 	}
@@ -493,15 +525,13 @@ func newRunner(prog *cpu.Program, spec RunSpec) *runner {
 // run executes the run to its end, or, on a Cursor, to its stop.
 func (r *runner) run() *Outcome {
 	spec, out, vm, port, env := r.spec, r.out, r.vm, r.port, r.env
-	// Observers must see every instruction, and monitors every one they
-	// cannot account for, so only runs without an observer, under no
-	// monitor or an IdleMonitor, fast-forward through the idle poll loop.
+	// Only runs under no monitor or an IdleMonitor, which accounts for
+	// the trips, fast-forward through the idle poll loop.
 	idle, _ := spec.Monitor.(IdleMonitor)
-	skipIdle := spec.Observer == nil && (spec.Monitor == nil || idle != nil)
-	// Runs nobody watches per instruction execute straight-line
-	// stretches in one cpu.CPU.Run call, stopping at every event the
-	// loop below must see; observed and monitored runs step.
-	unwatched := spec.Observer == nil && spec.Monitor == nil
+	skipIdle := spec.Monitor == nil || idle != nil
+	// Unmonitored runs execute straight-line stretches in one
+	// cpu.CPU.Run call, stopping at every event the loop below must see.
+	unwatched := spec.Monitor == nil
 	for ; r.k < spec.Iterations; r.k++ {
 		k := r.k
 		if !r.mid {
@@ -569,9 +599,6 @@ func (r *runner) run() *Outcome {
 				r.injected = true
 				r.nextCheck = k + 1
 				r.gap = 1
-			}
-			if spec.Observer != nil {
-				spec.Observer(k, vm.InstrCount(), vm)
 			}
 			var n uint64
 			if skipIdle && restore == nil && vm.JumpedToPollHead() &&
