@@ -15,16 +15,19 @@
 //	curl -X DELETE localhost:8077/api/v1/campaigns/c000001
 //	curl localhost:8077/metrics
 //
-// With -journal set, every job transition is written through an
-// fsync'd write-ahead journal, and with -data each finished experiment
-// is appended to the campaign's record segments as it happens. SIGINT/SIGTERM shuts
-// down gracefully: running campaigns stop at the next experiment
-// boundary and are journaled as interrupted; the next start replays
-// the journal and resumes them from their persisted records, skipping
-// every experiment that already completed. A hard crash (SIGKILL,
-// power loss) loses at most the unsynced tail of the running
-// campaign's records — the restart re-runs just those experiments.
-// -no-resume parks interrupted campaigns instead of re-running them.
+// Each finished experiment is appended to the campaign's record
+// segments under -data as it happens, and a finished campaign's records
+// are served from its one <id>.jsonl there. Without -data they go to a
+// private temporary directory that a graceful shutdown removes. With
+// -journal set, every job transition is written through an fsync'd
+// write-ahead journal. SIGINT/SIGTERM shuts down gracefully: running
+// campaigns stop at the next experiment boundary and are journaled as
+// interrupted; the next start replays the journal and resumes them
+// from their persisted records, skipping every experiment that already
+// completed. A hard crash (SIGKILL, power loss) loses at most the
+// unsynced tail of the running campaign's records — the restart
+// re-runs just those experiments. -no-resume parks interrupted
+// campaigns instead of re-running them.
 //
 // Every campaign runs through the same shard coordinator. By default
 // it is one shard on the daemon's own engine; with -executors N,
@@ -80,7 +83,7 @@ func main() {
 		addr      = flag.String("addr", ":8077", "listen address")
 		workers   = flag.Int("workers", 1, "campaigns executed concurrently (each parallelises its own experiments)")
 		queue     = flag.Int("queue", 16, "max campaigns waiting in the queue")
-		data      = flag.String("data", "", "directory for per-campaign JSONL record files (empty = in-memory only)")
+		data      = flag.String("data", "", "directory for per-campaign JSONL record files (empty = a private temporary directory, removed on exit)")
 		jdir      = flag.String("journal", "", "directory for the crash-recovery job journal (empty = no journal, no resume)")
 		jnlMax    = flag.Int64("journal-max-bytes", 8<<20, "auto-compact the journal past this size (0 = startup-only compaction)")
 		noResume  = flag.Bool("no-resume", false, "replay the journal but do not re-run interrupted campaigns")
@@ -110,13 +113,6 @@ func main() {
 		*execBin = findCtrlexec()
 		if *execBin == "" {
 			fmt.Fprintln(os.Stderr, "ctrlguardd: -executors needs ctrlexec; build it and put it next to ctrlguardd, on $PATH, or pass -exec-bin")
-			os.Exit(1)
-		}
-	}
-
-	if *data != "" {
-		if err := os.MkdirAll(*data, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "ctrlguardd:", err)
 			os.Exit(1)
 		}
 	}

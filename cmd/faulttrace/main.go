@@ -14,6 +14,11 @@
 //	    replay experiment 17 of the campaign (variant, seed, n) —
 //	    deterministic, bit for bit — and print its trace
 //
+//	faulttrace show -variant alg1 -seed 2001 -exp 17 -n 9290 -model pc -detector cfe
+//	    the same for a campaign run with goofi's -model, -burst-width
+//	    and -detector flags, which name the fault model and the armed
+//	    detectors of its experiments
+//
 //	faulttrace show -defuse -variant alg1
 //	    print the workload's disassembly annotated with each
 //	    instruction's def/use sets (the fault-space pruner's tables)
@@ -37,7 +42,9 @@ import (
 
 	"ctrlguard/internal/classify"
 	"ctrlguard/internal/cpu"
+	"ctrlguard/internal/detect"
 	"ctrlguard/internal/goofi"
+	"ctrlguard/internal/inject"
 	"ctrlguard/internal/trace"
 	"ctrlguard/internal/workload"
 )
@@ -72,19 +79,23 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  faulttrace show [-variant V] (-fault element:bit:iteration | -exp N [-seed S] [-n COUNT])
+  faulttrace show [-variant V] (-fault element:bit:iteration | -exp N [-seed S] [-n COUNT] [CAMPAIGN FLAGS])
   faulttrace show -defuse [-variant V]
   faulttrace diff -fault element:bit:iteration [-a V1] [-b V2]
-  faulttrace svg [-variant V] (-fault element:bit:iteration | -exp N [-seed S] [-n COUNT]) [-o FILE]`)
+  faulttrace svg [-variant V] (-fault element:bit:iteration | -exp N [-seed S] [-n COUNT] [CAMPAIGN FLAGS]) [-o FILE]
+campaign flags (as goofi's): -model M, -burst-width W, -detector D`)
 }
 
 // experiment names the experiment a subcommand replays: an explicit
-// fault, or experiment exp of the campaign (variant, seed, n).
+// fault, or experiment exp of the campaign (variant, seed, n) under
+// its fault model and detectors.
 type experiment struct {
-	variant, fault string
-	exp            int
-	seed           uint64
-	n              int
+	variant, fault  string
+	exp             int
+	seed            uint64
+	n               int
+	model, detector string
+	burstWidth      int
 }
 
 // experimentFlags registers the flags that name an experiment on fs.
@@ -95,6 +106,9 @@ func experimentFlags(fs *flag.FlagSet) *experiment {
 	fs.IntVar(&e.exp, "exp", -1, "campaign experiment index to replay")
 	fs.Uint64Var(&e.seed, "seed", 2001, "campaign seed (with -exp)")
 	fs.IntVar(&e.n, "n", 0, "campaign experiment count (with -exp; 0 = unbounded)")
+	fs.StringVar(&e.model, "model", "", "campaign fault model, as goofi -model (with -exp)")
+	fs.IntVar(&e.burstWidth, "burst-width", 0, "campaign burst width, as goofi -burst-width (with -exp)")
+	fs.StringVar(&e.detector, "detector", "", "campaign detectors, as goofi -detector (with -exp)")
 	return e
 }
 
@@ -104,14 +118,29 @@ func (e *experiment) replay(ctx context.Context) (*trace.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	if e.fault != "" {
+	campaignFlags := e.model != "" || e.burstWidth != 0 || e.detector != ""
+	switch {
+	case e.fault != "" && campaignFlags:
+		return nil, fmt.Errorf("-model, -burst-width and -detector name a campaign's experiments; use them with -exp, not -fault")
+	case e.fault != "":
 		return captureFault(ctx, v, e.fault)
-	}
-	if e.exp < 0 {
+	case e.exp < 0:
 		return nil, fmt.Errorf("need -fault or -exp")
+	}
+	model, err := inject.ParseModel(e.model)
+	if err != nil {
+		return nil, err
+	}
+	if e.burstWidth < 0 || e.burstWidth > 32 || (e.burstWidth != 0 && model != inject.ModelBurst) {
+		return nil, fmt.Errorf("-burst-width must be in [0, 32] and applies only to -model %s", inject.ModelBurst)
+	}
+	det, err := detect.ParseSpec(e.detector)
+	if err != nil {
+		return nil, err
 	}
 	return goofi.TraceExperiment(ctx, goofi.Config{
 		Variant: v, Experiments: e.n, Seed: e.seed,
+		Model: model, BurstWidth: e.burstWidth, Detect: det,
 	}, e.exp)
 }
 

@@ -61,3 +61,64 @@ func TestReplayFault(t *testing.T) {
 		t.Errorf("variant %q, want alg2", got.Header.Variant)
 	}
 }
+
+// TestReplayCampaignFlags: -model, -burst-width and -detector name the
+// campaign goofi ran with the same flags, so experiment N replays the
+// fault its record logged under the same detectors and reaches the
+// same verdict. They name a campaign's experiments, so -fault refuses
+// them.
+func TestReplayCampaignFlags(t *testing.T) {
+	const n = 30
+	for _, flags := range [][]string{
+		{"-model", "pc"},
+		{"-detector", "cfe"},
+		{"-model", "burst", "-burst-width", "3"},
+	} {
+		t.Run(strings.Join(flags, " "), func(t *testing.T) {
+			fs := flag.NewFlagSet("show", flag.ContinueOnError)
+			e := experimentFlags(fs)
+			if err := parseArgs(fs, append([]string{"-variant", "alg1", "-seed", "23", "-n", "30"}, flags...)); err != nil {
+				t.Fatal(err)
+			}
+			// goofi's flags go through CampaignSpec.Resolve.
+			cfg, err := goofi.CampaignSpec{Variant: "alg1", Experiments: n, Seed: 23,
+				Model: e.model, BurstWidth: e.burstWidth, Detector: e.detector}.Resolve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := goofi.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, i := range []int{0, 11, n - 1} {
+				e.exp = i
+				tr, err := e.replay(context.Background())
+				if err != nil {
+					t.Fatalf("experiment %d: %v", i, err)
+				}
+				rec, h := res.Records[i], tr.Header
+				if inj := h.Injection; inj.Region != rec.Region || inj.Element != rec.Element ||
+					inj.Bit != rec.Bit || inj.At != rec.At || inj.Model != rec.Model || inj.Width != rec.Width {
+					t.Errorf("experiment %d: trace injects %+v, record logged %s/%s[%d]@%d model %q width %d",
+						i, inj, rec.Region, rec.Element, rec.Bit, rec.At, rec.Model, rec.Width)
+				}
+				if h.Outcome != rec.Outcome || h.Mechanism != rec.Mechanism {
+					t.Errorf("experiment %d: trace %s/%q, record %s/%q", i, h.Outcome, h.Mechanism, rec.Outcome, rec.Mechanism)
+				}
+			}
+		})
+	}
+
+	for name, e := range map[string]experiment{
+		"-model with -fault":        {fault: "line0.data0:28:300", exp: -1, model: "pc"},
+		"-detector with -fault":     {fault: "line0.data0:28:300", exp: -1, detector: "cfe"},
+		"-burst-width with -fault":  {fault: "line0.data0:28:300", exp: -1, burstWidth: 2},
+		"unknown model":             {exp: 0, model: "gamma-ray"},
+		"unknown detector":          {exp: 0, detector: "oracle"},
+		"burst width without burst": {exp: 0, burstWidth: 2},
+	} {
+		if _, err := e.replay(context.Background()); err == nil {
+			t.Errorf("%s: replay succeeded", name)
+		}
+	}
+}

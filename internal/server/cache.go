@@ -113,51 +113,49 @@ func (m *Manager) serveFromCache(ten tenant.Tenant, c *Campaign) (bool, error) {
 		metrics.CacheMisses.Add(1)
 		return false, nil
 	}
-	recs, err := goofi.ReadRecords(bytes.NewReader(data))
+	// The one decode of the entry checks it, counts its outcomes and
+	// computes its report; then the bytes become the campaign's
+	// canonical record file, so /records, /report and /trace serve the
+	// memoized job exactly like a freshly run one.
+	file, err := indexRecordFile("", bytes.NewReader(data), nil)
 	if err != nil { // corrupt entry: run for real rather than serve garbage
 		m.logger.Printf("cache entry %s unreadable, ignoring: %v", key[:12], err)
 		metrics.CacheMisses.Add(1)
 		return false, nil
 	}
-
-	now := time.Now()
+	// The ID is taken before the file is written under it. A write that
+	// fails sends the submission to run for real under the next ID.
 	m.mu.Lock()
 	m.nextID++
-	c.ID = fmt.Sprintf("c%06d", m.nextID)
-	m.jobs[c.ID] = c
-	m.order = append(m.order, c.ID)
+	id := fmt.Sprintf("c%06d", m.nextID)
 	m.mu.Unlock()
-
-	// Materialize the canonical record file so /records, /report, and
-	// /trace serve the memoized job exactly like a freshly run one.
-	path := ""
-	if m.dataDir != "" {
-		path = filepath.Join(m.dataDir, c.ID+".jsonl")
-		if werr := fsatomic.WriteFile(path, func(w io.Writer) error {
-			_, err := w.Write(data)
-			return err
-		}); werr != nil {
-			m.logger.Printf("campaign %s: cache materialization failed (serving in memory): %v", c.ID, werr)
-			path = ""
-		}
+	file.path = filepath.Join(m.dataDir, id+".jsonl")
+	if err := fsatomic.WriteFile(file.path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}); err != nil {
+		m.logger.Printf("campaign %s: cache entry %s not materialized, running for real: %v", id, key[:12], err)
+		metrics.CacheMisses.Add(1)
+		return false, nil
 	}
 
-	outcomes := make(map[string]int, 4)
-	for _, r := range recs {
-		outcomes[r.Outcome]++
-	}
+	now := time.Now()
 	c.mu.Lock()
+	c.ID = id
 	c.state = StateDone
 	c.started = now
-	c.finished = time.Now()
+	c.finished = now
 	c.cacheHit = true
-	c.done = len(recs)
-	c.records = recs
-	c.outcomes = outcomes
-	c.dataPath = path
+	c.done = file.total()
+	c.outcomes = copyCounts(file.summary.Outcomes)
+	c.dataPath, c.file = file.path, file
 	c.broadcastLocked(c.eventLocked(string(StateDone)))
 	close(c.doneCh)
 	c.mu.Unlock()
+	m.mu.Lock()
+	m.jobs[c.ID] = c
+	m.order = append(m.order, c.ID)
+	m.mu.Unlock()
 	metrics.CacheHits.Add(1)
 	metrics.CampaignsDone.Add(1)
 
@@ -168,30 +166,21 @@ func (m *Manager) serveFromCache(ten tenant.Tenant, c *Campaign) (bool, error) {
 		Spec: spec, Tenant: c.Tenant,
 	})
 	m.journalTerminal(c)
-	m.logger.Printf("campaign %s served from result cache (%d records, key %s)", c.ID, len(recs), key[:12])
+	m.logger.Printf("campaign %s served from result cache (%d records, key %s)", c.ID, file.total(), key[:12])
 	return true, nil
 }
 
-// cachePut memoizes a cleanly completed campaign: from its canonical
-// record file when one was written, else straight from memory (no data
-// directory configured).
-func (m *Manager) cachePut(c *Campaign, faults goofi.FaultStats, recs []goofi.Record, path string) {
-	if len(recs) == 0 || faults.Abandoned > 0 || !m.memoizable(c) {
+// cachePut memoizes a cleanly completed campaign from its canonical
+// record file.
+func (m *Manager) cachePut(c *Campaign, faults goofi.FaultStats, path string) {
+	if faults.Abandoned > 0 || !m.memoizable(c) {
 		return
 	}
 	key, err := memoKey(c.Spec)
 	if err != nil {
 		return
 	}
-	if path != "" {
-		err = m.cache.PutFile(key, path)
-	} else {
-		var buf bytes.Buffer
-		if err = goofi.WriteRecords(&buf, recs); err == nil {
-			err = m.cache.Put(key, buf.Bytes())
-		}
-	}
-	if err != nil {
+	if err := m.cache.PutFile(key, path); err != nil {
 		m.logger.Printf("campaign %s: memoization failed (continuing): %v", c.ID, err)
 	}
 }

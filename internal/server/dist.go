@@ -110,37 +110,15 @@ func (m *Manager) executors(n int) ([]dist.Executor, int) {
 	return out, m.shardSize
 }
 
-// segmentDir is where a campaign's live record segments go; empty
-// without a data directory, when records stay in memory only.
-func (m *Manager) segmentDir(c *Campaign) string {
-	if m.dataDir == "" {
-		return ""
-	}
-	return filepath.Join(m.dataDir, c.ID+".shards")
-}
+// segmentDir is where a campaign's live record segments go.
+func (m *Manager) segmentDir(c *Campaign) string { return filepath.Join(m.dataDir, c.ID+".shards") }
+
+// recordPath is where a finished campaign's records go.
+func (m *Manager) recordPath(c *Campaign) string { return filepath.Join(m.dataDir, c.ID+".jsonl") }
 
 // batchDir is where batch b of a precision-driven campaign keeps its
 // segments, with batch-local IDs, inside the campaign's segDir.
 func batchDir(segDir string, b int) string { return filepath.Join(segDir, fmt.Sprintf("b%d", b)) }
-
-// liveRecords reads the records in a campaign's segment directory in
-// experiment-ID order, a precision-driven campaign's batch by batch.
-func liveRecords(spec goofi.CampaignSpec, segDir string) []goofi.Record {
-	if !spec.Sequential() {
-		recs, _ := dist.LoadSegments(segDir)
-		return recs
-	}
-	var out []goofi.Record
-	for b := 0; ; b++ {
-		recs, _ := dist.LoadSegments(batchDir(segDir, b))
-		if len(recs) == 0 {
-			return out
-		}
-		for _, rec := range recs {
-			out = append(out, goofi.ShiftID(rec, b*goofi.DefaultBatchSize))
-		}
-	}
-}
 
 // startRun points a starting campaign at its segment directory. A
 // resumed campaign keeps the segments as its resume source; a fresh
@@ -148,14 +126,12 @@ func liveRecords(spec goofi.CampaignSpec, segDir string) []goofi.Record {
 // under the same ID.
 func (m *Manager) startRun(c *Campaign, resumed bool) string {
 	dir := m.segmentDir(c)
-	if dir != "" && !resumed {
+	if !resumed {
 		os.RemoveAll(dir)
-		os.Remove(filepath.Join(m.dataDir, c.ID+".jsonl"))
+		os.Remove(m.recordPath(c))
 	}
 	c.mu.Lock()
-	c.segDir = dir
-	c.dataPath = ""
-	c.records = nil
+	c.segDir, c.dataPath, c.file = dir, "", nil
 	c.mu.Unlock()
 	return dir
 }
@@ -258,11 +234,7 @@ func (m *Manager) runPrecision(ctx context.Context, c *Campaign, segDir string, 
 			spec := c.Spec
 			spec.Precision, spec.MaxExperiments = 0, 0
 			spec.Experiments, spec.Seed = batch.Experiments, batch.Seed
-			dir := segDir
-			if dir != "" {
-				dir = batchDir(segDir, b)
-			}
-			out, err := m.distRun(ctx, c, spec, dir, b*goofi.DefaultBatchSize, progress)
+			out, err := m.distRun(ctx, c, spec, batchDir(segDir, b), b*goofi.DefaultBatchSize, progress)
 			if out == nil {
 				return nil, err
 			}
@@ -325,31 +297,30 @@ func (m *Manager) noteStats(c *Campaign, p *goofi.PruneStats, d *goofi.DetectSta
 // <id>.jsonl, the segments go, and a clean result is memoized. A chaos
 // kill persists nothing, exactly like a real SIGKILL.
 func (m *Manager) conclude(c *Campaign, recs []goofi.Record, faults goofi.FaultStats, runErr error) {
-	path := ""
 	if !m.killed.Load() && !m.interrupted(c, runErr) {
-		c.mu.Lock()
-		segDir := c.segDir
-		c.mu.Unlock()
-		if m.dataDir != "" && len(recs) > 0 {
-			path = filepath.Join(m.dataDir, c.ID+".jsonl")
-			if err := goofi.SaveRecords(path, recs); err != nil {
-				path = ""
-				if runErr == nil {
-					runErr = err
-				}
+		var file *recordFile
+		if len(recs) > 0 {
+			var err error
+			if file, err = saveRecordFile(m.recordPath(c), recs); err != nil && runErr == nil {
+				runErr = err
 			}
 		}
-		if segDir != "" && (path != "" || len(recs) == 0) {
-			os.RemoveAll(segDir)
+		if file != nil || len(recs) == 0 {
+			// The file replaces the segments as the campaign's records.
 			c.mu.Lock()
+			segDir := c.segDir
 			c.segDir = ""
+			if file != nil {
+				c.dataPath, c.file = file.path, file
+			}
 			c.mu.Unlock()
+			os.RemoveAll(segDir)
 		}
-		if runErr == nil {
-			m.cachePut(c, faults, recs, path)
+		if runErr == nil && file != nil {
+			m.cachePut(c, faults, file.path)
 		}
 	}
-	m.finalize(c, recs, faults, runErr, path)
+	m.finalize(c, faults, runErr)
 }
 
 // --- executor registry HTTP endpoints -------------------------------

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -160,22 +161,42 @@ type report struct {
 	} `json:"maxDeviation"`
 }
 
-// handleReport runs the analysis phase over a campaign's records,
-// reusing the goofi query layer. Filters: ?region=, ?outcome=,
-// ?element=. With ?format=table the paper-style region table is
-// returned as plain text instead.
+// newReport runs the analysis phase over recs, reusing the goofi query
+// layer; the caller names the campaign, its state and the filters.
+func newReport(recs []goofi.Record) report {
+	q := goofi.NewQuery(recs)
+	rep := report{
+		Records:  q.Len(),
+		Outcomes: map[string]int{},
+		Severe:   q.Severe().Len(),
+		Detected: q.Detected("").Len(),
+	}
+	for _, rec := range recs {
+		rep.Outcomes[rec.Outcome]++
+	}
+	rep.TopElements = q.TopElements(5)
+	rep.MaxDeviation.Min, rep.MaxDeviation.Mean, rep.MaxDeviation.Max = q.MaxDeviationStats()
+	return rep
+}
+
+// handleReport runs the analysis phase over a campaign's records.
+// Filters: ?region=, ?outcome=, ?element=. With ?format=table the
+// paper-style region table is returned as plain text instead.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	c := s.campaign(w, r)
 	if c == nil {
 		return
 	}
-	recs := c.Records()
-	if len(recs) == 0 {
-		s.writeError(w, http.StatusConflict, "campaign %s has no records yet (state %s)", c.ID, c.Snapshot().State)
-		return
-	}
-
 	if r.URL.Query().Get("format") == "table" {
+		recs, err := c.Scan(nil)
+		if err != nil {
+			s.writeError(w, http.StatusInternalServerError, "reading records: %v", err)
+			return
+		}
+		if len(recs) == 0 {
+			s.writeError(w, http.StatusConflict, "campaign %s has no records yet (state %s)", c.ID, c.Snapshot().State)
+			return
+		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		a := goofi.Analyze(recs)
 		fmt.Fprintln(w, a.RenderRegionTable(fmt.Sprintf("Campaign %s (%d records)", c.ID, len(recs))))
@@ -183,38 +204,32 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	q := goofi.NewQuery(recs)
 	filters := map[string]string{}
-	if v := r.URL.Query().Get("region"); v != "" {
-		filters["region"] = v
-		q = q.ByRegion(v)
+	for _, k := range []string{"region", "element", "outcome"} {
+		if v := r.URL.Query().Get(k); v != "" {
+			filters[k] = v
+		}
 	}
-	if v := r.URL.Query().Get("element"); v != "" {
-		filters["element"] = v
-		q = q.ByElement(v)
+	var keep func(goofi.Record) bool
+	if len(filters) > 0 {
+		keep = func(rec goofi.Record) bool {
+			return (filters["region"] == "" || rec.Region == filters["region"]) &&
+				(filters["element"] == "" || rec.Element == filters["element"]) &&
+				(filters["outcome"] == "" || rec.Outcome == filters["outcome"])
+		}
+	} else {
+		filters = nil
 	}
-	if v := r.URL.Query().Get("outcome"); v != "" {
-		filters["outcome"] = v
-		q = q.Where(func(rec goofi.Record) bool { return rec.Outcome == v })
+	rep, err := c.Report(keep)
+	if err != nil {
+		s.writeError(w, http.StatusInternalServerError, "reading records: %v", err)
+		return
 	}
-
-	rep := report{
-		Campaign: c.ID,
-		State:    c.Snapshot().State,
-		Filters:  filters,
-		Records:  q.Len(),
-		Outcomes: map[string]int{},
-		Severe:   q.Severe().Len(),
-		Detected: q.Detected("").Len(),
+	if rep == nil {
+		s.writeError(w, http.StatusConflict, "campaign %s has no records yet (state %s)", c.ID, c.Snapshot().State)
+		return
 	}
-	if len(filters) == 0 {
-		rep.Filters = nil
-	}
-	for _, rec := range q.Records() {
-		rep.Outcomes[rec.Outcome]++
-	}
-	rep.TopElements = q.TopElements(5)
-	rep.MaxDeviation.Min, rep.MaxDeviation.Mean, rep.MaxDeviation.Max = q.MaxDeviationStats()
+	rep.Campaign, rep.State, rep.Filters = c.ID, c.Snapshot().State, filters
 	s.writeJSON(w, http.StatusOK, rep)
 }
 
@@ -249,17 +264,29 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusInternalServerError, "reading records: %v", err)
 		return
 	}
-	if page == nil {
-		page = []goofi.Record{}
+	// The body is laid out byte for byte as writeJSON lays out the map
+	// of these fields, but the records, already JSON, are indented in
+	// one pass: handing them to the encoder would scan each twice.
+	id, _ := json.Marshal(c.ID)
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "{\n  \"campaign\": %s,\n  \"count\": %d,\n  \"limit\": %d,\n  \"offset\": %d,\n  \"records\": [",
+		id, len(page), limit, offset)
+	for i, rec := range page {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString("\n    ")
+		if err := json.Indent(&b, rec, "    ", "  "); err != nil {
+			s.writeError(w, http.StatusInternalServerError, "reading records: %v", err)
+			return
+		}
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{
-		"campaign": c.ID,
-		"total":    total,
-		"offset":   offset,
-		"limit":    limit,
-		"count":    len(page),
-		"records":  page,
-	})
+	if len(page) > 0 {
+		b.WriteString("\n  ")
+	}
+	fmt.Fprintf(&b, "],\n  \"total\": %d\n}\n", total)
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(b.Bytes())
 }
 
 // queryInt parses an optional integer query parameter.

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,7 +15,6 @@ import (
 	"ctrlguard/internal/dist"
 	"ctrlguard/internal/goofi"
 	"ctrlguard/internal/journal"
-	"ctrlguard/internal/jsonl"
 	"ctrlguard/internal/tenant"
 	"ctrlguard/internal/tune"
 )
@@ -103,12 +101,12 @@ type Campaign struct {
 	total      int
 	outcomes   map[string]int
 	errMsg     string
-	records    []goofi.Record
-	dataPath   string
-	segDir     string // <id>.shards/: live record segments (resume source)
-	cacheHit   bool   // served from the content-addressed result cache
-	resumed    bool   // re-enqueued by journal recovery after a restart
-	userCancel bool   // cancelled via the API, as opposed to a shutdown
+	dataPath   string      // <id>.jsonl: a finished campaign's records
+	file       *recordFile // dataPath's index, built on first use
+	segDir     string      // <id>.shards/: live record segments (resume source)
+	cacheHit   bool        // served from the content-addressed result cache
+	resumed    bool        // re-enqueued by journal recovery after a restart
+	userCancel bool        // cancelled via the API, as opposed to a shutdown
 	faults     goofi.FaultStats
 	prune      *goofi.PruneStats
 	detect     *goofi.DetectStats
@@ -116,11 +114,6 @@ type Campaign struct {
 	cancel     context.CancelFunc
 	subs       map[chan Event]struct{}
 	doneCh     chan struct{} // closed on reaching a terminal state
-
-	// fileRecords caches the record count of the file at countedPath,
-	// so the views of a disk-backed campaign scan its file once.
-	fileRecords int
-	countedPath string
 }
 
 // View is the JSON representation of a campaign's current state.
@@ -180,91 +173,6 @@ func (c *Campaign) Snapshot() View {
 		v.Finished = &t
 	}
 	return v
-}
-
-// Records returns the campaign's completed experiment records. For a
-// job restored from the journal after a restart, the records are loaded
-// lazily from its persisted JSONL file (tolerating a crash-torn tail);
-// a running campaign's come from its live segments.
-func (c *Campaign) Records() []goofi.Record {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.records == nil && c.Kind == KindCampaign {
-		switch {
-		case c.dataPath != "":
-			recs, err := goofi.LoadRecords(c.dataPath)
-			var trunc *jsonl.TruncatedError
-			if err == nil || errors.As(err, &trunc) {
-				c.records = recs
-			}
-		case c.segDir != "":
-			// No canonical file yet (still running, or a crash before
-			// the final rewrite): the segments, read afresh each time.
-			return liveRecords(c.Spec, c.segDir)
-		}
-	}
-	return append([]goofi.Record(nil), c.records...)
-}
-
-// recordCountLocked returns the total /records serves for a finished
-// campaign: the in-memory copy's length or, for a campaign restored
-// from disk, the record count of its canonical file. c.mu must be held.
-func (c *Campaign) recordCountLocked() int {
-	if c.records != nil || c.Kind != KindCampaign || c.dataPath == "" {
-		return len(c.records)
-	}
-	if c.countedPath != c.dataPath {
-		_, n, err := pageFile(c.dataPath, 0, 0)
-		if err != nil {
-			return 0
-		}
-		c.fileRecords, c.countedPath = n, c.dataPath
-	}
-	return c.fileRecords
-}
-
-// RecordPage returns records[offset : offset+limit] plus the total
-// count. Unlike Records it never materializes the full set of a
-// finished disk-backed campaign: the canonical file is scanned
-// record-by-record through a jsonl.Scanner.
-func (c *Campaign) RecordPage(offset, limit int) ([]goofi.Record, int, error) {
-	c.mu.Lock()
-	inMemory := c.records != nil || c.Kind != KindCampaign || c.dataPath == ""
-	dataPath := c.dataPath
-	c.mu.Unlock()
-	if inMemory {
-		recs := c.Records()
-		total := len(recs)
-		lo := min(offset, total)
-		hi := min(lo+limit, total)
-		return recs[lo:hi:hi], total, nil
-	}
-	return pageFile(dataPath, offset, limit)
-}
-
-// pageFile decodes records[offset : offset+limit] of the record file at
-// path and counts all of them, tolerating a crash-torn tail. A file
-// reclaimed by retention reads as empty.
-func pageFile(path string, offset, limit int) ([]goofi.Record, int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, nil
-	}
-	defer f.Close()
-	var page []goofi.Record
-	total := 0
-	sc := jsonl.NewScanner[goofi.Record](f)
-	for sc.Scan() {
-		if total >= offset && len(page) < limit {
-			page = append(page, sc.Value())
-		}
-		total++
-	}
-	var trunc *jsonl.TruncatedError
-	if serr := sc.Err(); serr != nil && !errors.As(serr, &trunc) {
-		return nil, 0, serr
-	}
-	return page, total, nil
 }
 
 // Subscribe registers a progress listener. The returned channel
@@ -337,10 +245,12 @@ type Options struct {
 	// QueueDepth bounds the number of campaigns waiting to run (min 1).
 	// Jobs re-enqueued by journal recovery do not count against it.
 	QueueDepth int
-	// DataDir, if set, receives each campaign's records: appended
+	// DataDir receives each campaign's records: appended
 	// experiment-by-experiment to segments under <id>.shards/ while the
 	// campaign runs (the crash-recovery source), then written atomically
-	// in experiment order as <id>.jsonl when it finishes.
+	// in experiment order as <id>.jsonl when it finishes. It is created
+	// if missing; empty means a private temporary directory, removed by
+	// Close.
 	DataDir string
 	// JournalPath, if set, is the write-ahead journal of job lifecycle
 	// events. With a journal, a restarted manager re-enqueues and
@@ -419,6 +329,7 @@ type Manager struct {
 	stop       context.CancelFunc
 	wg         sync.WaitGroup
 	dataDir    string
+	ownDataDir bool // dataDir is private and goes with the manager
 	jnl        *journal.Journal
 	jnlMax     int64
 	logger     *log.Logger
@@ -475,12 +386,22 @@ func NewManager(opts Options) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
+	ownDataDir := opts.DataDir == ""
+	if ownDataDir {
+		opts.DataDir, err = os.MkdirTemp("", "ctrlguardd-data-")
+	} else {
+		err = os.MkdirAll(opts.DataDir, 0o755)
+	}
+	if err != nil {
+		return nil, err
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
 		queueDepth:   opts.QueueDepth,
 		baseCtx:      ctx,
 		stop:         cancel,
 		dataDir:      opts.DataDir,
+		ownDataDir:   ownDataDir,
 		jnlMax:       opts.JournalMaxBytes,
 		logger:       opts.Logger,
 		hook:         opts.ConfigHook,
@@ -499,7 +420,7 @@ func NewManager(opts Options) (*Manager, error) {
 	if opts.CacheDir != "" {
 		cache, err := castore.Open(opts.CacheDir, opts.CacheMaxBytes)
 		if err != nil {
-			cancel()
+			m.release()
 			return nil, err
 		}
 		m.cache = cache
@@ -509,7 +430,7 @@ func NewManager(opts Options) (*Manager, error) {
 	if opts.JournalPath != "" {
 		jnl, entries, err := journal.Open(opts.JournalPath)
 		if err != nil {
-			cancel()
+			m.release()
 			return nil, err
 		}
 		m.jnl = jnl
@@ -539,10 +460,8 @@ func NewManager(opts Options) (*Manager, error) {
 		m.wg.Add(1)
 		go m.runner()
 	}
-	if m.dataDir != "" {
-		m.wg.Add(1)
-		go m.retentionLoop()
-	}
+	m.wg.Add(1)
+	go m.retentionLoop()
 	return m, nil
 }
 
@@ -589,15 +508,11 @@ func (m *Manager) restoreJobs(entries []journal.Entry, resume bool) []*Campaign 
 		if c.Tenant == "" {
 			c.Tenant = tenant.DefaultName // pre-tenancy journal entry
 		}
-		if m.dataDir != "" {
-			path := filepath.Join(m.dataDir, c.ID+".jsonl")
-			if _, err := os.Stat(path); err == nil {
-				c.dataPath = path
-			}
-			segDir := m.segmentDir(c)
-			if _, err := os.Stat(segDir); err == nil {
-				c.segDir = segDir
-			}
+		if _, err := os.Stat(m.recordPath(c)); err == nil {
+			c.dataPath = m.recordPath(c)
+		}
+		if _, err := os.Stat(m.segmentDir(c)); err == nil {
+			c.segDir = m.segmentDir(c)
 		}
 		var num int
 		if _, err := fmt.Sscanf(c.ID, "c%d", &num); err == nil && num > m.nextID {
@@ -674,19 +589,25 @@ func (m *Manager) Close() {
 	// graceful-drain half of the paper's best-effort recovery applied
 	// to the service itself.
 	for _, c := range m.queue.Drain() {
-		m.finalize(c, nil, goofi.FaultStats{}, context.Canceled, c.Snapshot().RecordsPath)
+		m.finalize(c, goofi.FaultStats{}, context.Canceled)
 	}
 	m.wg.Wait()
-	m.closeExecutors()
+	m.release()
+}
+
+// release stops what the manager holds once its runners are gone: the
+// local executor pool's processes, the journal and a private data
+// directory.
+func (m *Manager) release() {
+	m.stop()
+	if m.pool != nil {
+		m.pool.Close()
+	}
 	if m.jnl != nil {
 		m.jnl.Close()
 	}
-}
-
-// closeExecutors kills and reaps the local executor pool's processes.
-func (m *Manager) closeExecutors() {
-	if m.pool != nil {
-		m.pool.Close()
+	if m.ownDataDir {
+		os.RemoveAll(m.dataDir)
 	}
 }
 
@@ -699,10 +620,7 @@ func (m *Manager) kill() {
 	m.stop()
 	m.queue.Close()
 	m.wg.Wait()
-	m.closeExecutors()
-	if m.jnl != nil {
-		m.jnl.Close()
-	}
+	m.release()
 }
 
 // Submit validates a spec and enqueues a campaign for execution as
@@ -839,8 +757,8 @@ func (m *Manager) runTune(ctx context.Context, c *Campaign) {
 	})
 
 	path := ""
-	if m.dataDir != "" && outcome != nil && len(outcome.Results) > 0 {
-		path = filepath.Join(m.dataDir, c.ID+".jsonl")
+	if outcome != nil && len(outcome.Results) > 0 {
+		path = m.recordPath(c)
 		if saveErr := tune.SaveResults(path, outcome.Results); saveErr != nil {
 			path = ""
 			if err == nil {
@@ -849,9 +767,9 @@ func (m *Manager) runTune(ctx context.Context, c *Campaign) {
 		}
 	}
 	c.mu.Lock()
-	c.outcome = outcome
+	c.outcome, c.dataPath = outcome, path
 	c.mu.Unlock()
-	m.finalize(c, nil, goofi.FaultStats{}, err, path)
+	m.finalize(c, goofi.FaultStats{}, err)
 }
 
 // Outcome returns a tune job's finished search, or nil while the
@@ -866,16 +784,13 @@ func (c *Campaign) Outcome() *tune.Outcome {
 // and journals the transition. A cancellation during graceful shutdown
 // lands in StateInterrupted — the journal keeps the job alive for the
 // next start — while a user cancellation is final.
-func (m *Manager) finalize(c *Campaign, recs []goofi.Record, faults goofi.FaultStats, err error, dataPath string) {
+func (m *Manager) finalize(c *Campaign, faults goofi.FaultStats, err error) {
 	c.mu.Lock()
 	if c.state.Terminal() {
 		c.mu.Unlock()
 		return
 	}
 	wasQueued := c.state == StateQueued
-	c.records = recs
-	c.dataPath = dataPath
-	c.countedPath = ""
 	c.faults = faults
 	c.finished = time.Now()
 	switch {

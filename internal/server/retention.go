@@ -12,7 +12,7 @@ import (
 // files are the resume source for the next start — and deletes their
 // persisted records oldest-finished-first, either past a configured
 // age or to fit a byte budget. The jobs themselves stay listed; only
-// the bulk record data is reclaimed, on disk and in memory alike.
+// their record files and segments are reclaimed.
 
 // retentionInterval paces the background sweep. Tests call
 // retentionSweep directly instead of waiting it out.
@@ -97,13 +97,11 @@ func (m *Manager) retentionSweep(now time.Time) (deleted int) {
 }
 
 // reclaim removes one campaign's records, detaching the paths and the
-// in-memory copy from the job first so readers see "records gone" rather
+// file's index from the job first so readers see "records gone" rather
 // than a dangling file reference, exactly as after a restart.
 func (m *Manager) reclaim(r retainable) {
 	r.c.mu.Lock()
-	r.c.records = nil
-	r.c.dataPath = ""
-	r.c.segDir = ""
+	r.c.dataPath, r.c.file, r.c.segDir = "", nil, ""
 	r.c.mu.Unlock()
 	if r.dataPath != "" {
 		if err := os.Remove(r.dataPath); err != nil && !os.IsNotExist(err) {

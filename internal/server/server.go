@@ -64,9 +64,11 @@ type Config struct {
 	// (default 16); submissions beyond it are rejected with 503.
 	QueueDepth int
 
-	// DataDir, if set, receives each campaign's records: appended live
-	// to per-shard segments under <id>.shards/ while the campaign runs,
-	// then written atomically as the experiment-ordered <id>.jsonl.
+	// DataDir receives each campaign's records: appended live to
+	// per-shard segments under <id>.shards/ while the campaign runs,
+	// then written atomically as the experiment-ordered <id>.jsonl, from
+	// which /records, /report and /trace serve them. Empty means a
+	// private temporary directory, removed by Close.
 	DataDir string
 
 	// JournalDir, if set, holds journal.wal — the fsync'd write-ahead

@@ -98,16 +98,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 						return
 					}
 				default:
-					v := c.Snapshot()
-					ev := Event{
-						Type:     string(v.State),
-						Campaign: c.ID,
-						State:    v.State,
-						Done:     v.Done,
-						Total:    v.Total,
-						Outcomes: v.Outcomes,
-						Error:    v.Error,
-					}
+					c.mu.Lock()
+					ev := c.eventLocked(string(c.state))
+					c.mu.Unlock()
 					write(ev)
 					return
 				}

@@ -30,18 +30,15 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, "bad experiment index %q", r.PathValue("n"))
 		return
 	}
-	var rec *goofi.Record
-	recs := c.Records()
-	for i := range recs {
-		if recs[i].ID == n {
-			rec = &recs[i]
-			break
-		}
+	rec, total, err := c.Record(n)
+	if err != nil {
+		s.writeError(w, http.StatusInternalServerError, "reading records: %v", err)
+		return
 	}
 	if rec == nil {
 		s.writeError(w, http.StatusNotFound,
 			"campaign %s has no record for experiment %d (state %s, %d records)",
-			c.ID, n, c.Snapshot().State, len(recs))
+			c.ID, n, c.Snapshot().State, total)
 		return
 	}
 	cfg, err := c.Spec.Resolve()
