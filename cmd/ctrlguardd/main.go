@@ -120,8 +120,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	srv, err := server.New(server.Config{
-		Addr:            *addr,
+	srv, err := server.New(server.Options{
 		Workers:         *workers,
 		QueueDepth:      *queue,
 		DataDir:         *data,
@@ -142,7 +141,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ctrlguardd:", err)
 		os.Exit(1)
 	}
-	if err := srv.ListenAndServe(ctx); err != nil && err != http.ErrServerClosed {
+	if err := srv.ListenAndServe(ctx, *addr); err != nil && err != http.ErrServerClosed {
 		fmt.Fprintln(os.Stderr, "ctrlguardd:", err)
 		os.Exit(1)
 	}

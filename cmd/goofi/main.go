@@ -236,10 +236,12 @@ func campaign(ctx context.Context, base goofi.Config, v workload.Variant, n int,
 	cfg := base
 	cfg.Variant, cfg.Experiments, cfg.Seed = v, n, seed
 	if !quiet {
-		cfg.Progress = func(done, total int) {
-			if done%500 == 0 || done == total {
-				fmt.Fprintf(os.Stderr, "\r%s: %d/%d experiments", v, done, total)
-				if done == total {
+		done := 0
+		cfg.OnRecord = func(goofi.Record) {
+			done++
+			if done%500 == 0 || done == n {
+				fmt.Fprintf(os.Stderr, "\r%s: %d/%d experiments", v, done, n)
+				if done == n {
 					fmt.Fprintln(os.Stderr)
 				}
 			}

@@ -22,13 +22,16 @@ func main() {
 }
 
 func run() error {
+	const n = 500
+	done := 0
 	res, err := goofi.Run(goofi.Config{
 		Variant:     workload.AlgorithmI,
-		Experiments: 500,
+		Experiments: n,
 		Seed:        1,
-		Progress: func(done, total int) {
+		OnRecord: func(goofi.Record) {
+			done++
 			if done%100 == 0 {
-				fmt.Printf("  %d/%d experiments done\n", done, total)
+				fmt.Printf("  %d/%d experiments done\n", done, n)
 			}
 		},
 	})

@@ -46,10 +46,6 @@ type Config struct {
 	// value means the paper's defaults.
 	Classify classify.Config
 
-	// Progress, if non-nil, is called after each completed experiment
-	// with the number done so far.
-	Progress func(done, total int)
-
 	// OnRecord, if non-nil, is called with each completed experiment's
 	// record. Calls are serialised (never concurrent) but their order
 	// follows worker completion, not experiment ID.
@@ -367,13 +363,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			reused = append(reused, rec)
 		}
 		faults.Resumed = len(reused)
-		if len(reused) > 0 {
-			if cfg.Progress != nil {
-				cfg.Progress(done, shardTotal)
-			}
-			if cfg.OnResume != nil {
-				cfg.OnResume(reused)
-			}
+		if len(reused) > 0 && cfg.OnResume != nil {
+			cfg.OnResume(reused)
 		}
 	}
 
@@ -387,9 +378,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			return
 		}
 		done++
-		if cfg.Progress != nil {
-			cfg.Progress(done, shardTotal)
-		}
 		if cfg.OnRecord != nil {
 			cfg.OnRecord(rec)
 		}

@@ -87,13 +87,13 @@ func TestCampaignProgressCallback(t *testing.T) {
 		Variant:     workload.AlgorithmI,
 		Experiments: 20,
 		Seed:        3,
-		Progress:    func(done, total int) { calls++ },
+		OnRecord:    func(Record) { calls++ },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if calls != 20 {
-		t.Errorf("progress calls = %d, want 20", calls)
+		t.Errorf("OnRecord calls = %d, want 20", calls)
 	}
 }
 

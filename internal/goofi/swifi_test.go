@@ -55,7 +55,9 @@ func TestSWIFICancel(t *testing.T) {
 	defer cancel()
 	cfg := full.Config
 	cfg.Workers = 2
-	cfg.Progress = func(done, _ int) {
+	done := 0
+	cfg.OnRecord = func(Record) {
+		done++
 		if done == 20 {
 			cancel()
 		}

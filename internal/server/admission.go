@@ -114,7 +114,7 @@ func (m *Manager) allow(ten tenant.Tenant) error {
 	}
 	m.mu.Unlock()
 	if ok, retry := b.Allow(time.Now()); !ok {
-		metrics.RequestsThrottled.Add(1)
+		m.metrics.RequestsThrottled.Add(1)
 		return &RateLimitError{Tenant: ten.Name, RetryAfter: retry}
 	}
 	return nil
@@ -132,19 +132,19 @@ func (m *Manager) enqueue(ten tenant.Tenant, c *Campaign) (*Campaign, error) {
 	if ten.MaxQueuedJobs > 0 && u.QueuedJobs >= ten.MaxQueuedJobs {
 		reason := fmt.Sprintf("%d outstanding jobs (max %d)", u.QueuedJobs, ten.MaxQueuedJobs)
 		m.mu.Unlock()
-		metrics.RequestsQuotaRejected.Add(1)
+		m.metrics.RequestsQuotaRejected.Add(1)
 		return nil, &QuotaError{Tenant: ten.Name, Reason: reason}
 	}
 	if ten.MaxQueuedExperiments > 0 && u.QueuedExperiments+c.total > ten.MaxQueuedExperiments {
 		reason := fmt.Sprintf("%d outstanding experiments + %d requested (max %d)", u.QueuedExperiments, c.total, ten.MaxQueuedExperiments)
 		m.mu.Unlock()
-		metrics.RequestsQuotaRejected.Add(1)
+		m.metrics.RequestsQuotaRejected.Add(1)
 		return nil, &QuotaError{Tenant: ten.Name, Reason: reason}
 	}
 	c.ID = fmt.Sprintf("c%06d", m.nextID+1)
 	if err := m.queue.Push(ten.Name, ten.FairWeight(), c); err != nil {
 		m.mu.Unlock()
-		metrics.RequestsShed.Add(1)
+		m.metrics.RequestsShed.Add(1)
 		return nil, ErrQueueFull // shed without consuming an ID
 	}
 	m.nextID++
@@ -152,7 +152,6 @@ func (m *Manager) enqueue(ten tenant.Tenant, c *Campaign) (*Campaign, error) {
 	m.jobs[c.ID] = c
 	m.order = append(m.order, c.ID)
 	m.mu.Unlock()
-	metrics.CampaignsQueued.Add(1)
 
 	e := journal.Entry{
 		Job: c.ID, Type: journal.EventSubmitted,
@@ -242,7 +241,7 @@ func (m *Manager) fairWeight(name string) int {
 func (m *Manager) QueueLen() int { return m.queue.Len() }
 
 // QueueDepth is the queue's admission capacity.
-func (m *Manager) QueueDepth() int { return m.queueDepth }
+func (m *Manager) QueueDepth() int { return m.opts.QueueDepth }
 
 // Draining reports whether the manager is in graceful shutdown.
 func (m *Manager) Draining() bool { return m.closing.Load() }

@@ -92,7 +92,7 @@ func memoKey(s goofi.CampaignSpec) (string, error) {
 // *served* from the cache (checked in serveFromCache) but not
 // contributing to it — a fresh run's bytes are correct for everyone.
 func (m *Manager) memoizable(c *Campaign) bool {
-	return m.cache != nil && c.Kind == KindCampaign && m.hook == nil
+	return m.cache != nil && c.Kind == KindCampaign && m.opts.ConfigHook == nil
 }
 
 // serveFromCache checks the content-addressed store for the spec's
@@ -110,7 +110,7 @@ func (m *Manager) serveFromCache(ten tenant.Tenant, c *Campaign) (bool, error) {
 	}
 	data, ok, err := m.cache.Get(key)
 	if err != nil || !ok {
-		metrics.CacheMisses.Add(1)
+		m.metrics.CacheMisses.Add(1)
 		return false, nil
 	}
 	// The one decode of the entry checks it, counts its outcomes and
@@ -119,8 +119,8 @@ func (m *Manager) serveFromCache(ten tenant.Tenant, c *Campaign) (bool, error) {
 	// memoized job exactly like a freshly run one.
 	file, err := indexRecordFile("", bytes.NewReader(data), nil)
 	if err != nil { // corrupt entry: run for real rather than serve garbage
-		m.logger.Printf("cache entry %s unreadable, ignoring: %v", key[:12], err)
-		metrics.CacheMisses.Add(1)
+		m.opts.Logger.Printf("cache entry %s unreadable, ignoring: %v", key[:12], err)
+		m.metrics.CacheMisses.Add(1)
 		return false, nil
 	}
 	// The ID is taken before the file is written under it. A write that
@@ -129,13 +129,13 @@ func (m *Manager) serveFromCache(ten tenant.Tenant, c *Campaign) (bool, error) {
 	m.nextID++
 	id := fmt.Sprintf("c%06d", m.nextID)
 	m.mu.Unlock()
-	file.path = filepath.Join(m.dataDir, id+".jsonl")
+	file.path = filepath.Join(m.opts.DataDir, id+".jsonl")
 	if err := fsatomic.WriteFile(file.path, func(w io.Writer) error {
 		_, err := w.Write(data)
 		return err
 	}); err != nil {
-		m.logger.Printf("campaign %s: cache entry %s not materialized, running for real: %v", id, key[:12], err)
-		metrics.CacheMisses.Add(1)
+		m.opts.Logger.Printf("campaign %s: cache entry %s not materialized, running for real: %v", id, key[:12], err)
+		m.metrics.CacheMisses.Add(1)
 		return false, nil
 	}
 
@@ -156,8 +156,8 @@ func (m *Manager) serveFromCache(ten tenant.Tenant, c *Campaign) (bool, error) {
 	m.jobs[c.ID] = c
 	m.order = append(m.order, c.ID)
 	m.mu.Unlock()
-	metrics.CacheHits.Add(1)
-	metrics.CampaignsDone.Add(1)
+	m.metrics.CacheHits.Add(1)
+	m.metrics.CampaignsDone.Add(1)
 
 	spec, _ := json.Marshal(c.Spec)
 	m.appendJournal(journal.Entry{
@@ -166,7 +166,7 @@ func (m *Manager) serveFromCache(ten tenant.Tenant, c *Campaign) (bool, error) {
 		Spec: spec, Tenant: c.Tenant,
 	})
 	m.journalTerminal(c)
-	m.logger.Printf("campaign %s served from result cache (%d records, key %s)", c.ID, file.total(), key[:12])
+	m.opts.Logger.Printf("campaign %s served from result cache (%d records, key %s)", c.ID, file.total(), key[:12])
 	return true, nil
 }
 
@@ -181,6 +181,6 @@ func (m *Manager) cachePut(c *Campaign, faults goofi.FaultStats, path string) {
 		return
 	}
 	if err := m.cache.PutFile(key, path); err != nil {
-		m.logger.Printf("campaign %s: memoization failed (continuing): %v", c.ID, err)
+		m.opts.Logger.Printf("campaign %s: memoization failed (continuing): %v", c.ID, err)
 	}
 }

@@ -80,7 +80,7 @@ func metricsMap(t *testing.T, ts *httptest.Server) map[string]float64 {
 func cleanRecordFile(t *testing.T) []byte {
 	t.Helper()
 	dataDir := t.TempDir()
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2, DataDir: dataDir})
+	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 2, DataDir: dataDir})
 	v := submit(t, ts, chaosSpec)
 	waitForState(t, ts, v.ID, StateDone, 2*time.Minute)
 	b, err := os.ReadFile(filepath.Join(dataDir, v.ID+".jsonl"))
@@ -99,11 +99,11 @@ func TestChaosCrashRestartResume(t *testing.T) {
 	want := cleanRecordFile(t)
 	dataDir, journalDir := t.TempDir(), t.TempDir()
 	before := func() map[string]float64 {
-		_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
+		_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 2})
 		return metricsMap(t, ts)
 	}()
 
-	s1, ts1 := newTestServer(t, Config{
+	s1, ts1 := newTestServer(t, Options{
 		Workers: 1, QueueDepth: 2, DataDir: dataDir, JournalDir: journalDir,
 		ConfigHook: slowHook(3 * time.Millisecond),
 	})
@@ -123,7 +123,7 @@ func TestChaosCrashRestartResume(t *testing.T) {
 
 	// Restart on the same state. The journal replay must re-enqueue the
 	// campaign and resume it to completion.
-	_, ts2 := newTestServer(t, Config{
+	_, ts2 := newTestServer(t, Options{
 		Workers: 1, QueueDepth: 2, DataDir: dataDir, JournalDir: journalDir,
 	})
 	var restored View
@@ -188,7 +188,7 @@ func TestChaosJournalReplaysRemovedFastPathFields(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2, DataDir: dataDir, JournalDir: journalDir})
+	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 2, DataDir: dataDir, JournalDir: journalDir})
 	waitForState(t, ts, id, StateDone, 2*time.Minute)
 	got, err := os.ReadFile(filepath.Join(dataDir, id+".jsonl"))
 	if err != nil {
@@ -206,7 +206,7 @@ func TestChaosGracefulShutdownInterrupts(t *testing.T) {
 	want := cleanRecordFile(t)
 	dataDir, journalDir := t.TempDir(), t.TempDir()
 
-	s1, ts1 := newTestServer(t, Config{
+	s1, ts1 := newTestServer(t, Options{
 		Workers: 1, QueueDepth: 2, DataDir: dataDir, JournalDir: journalDir,
 		ConfigHook: slowHook(3 * time.Millisecond),
 	})
@@ -222,7 +222,7 @@ func TestChaosGracefulShutdownInterrupts(t *testing.T) {
 		t.Fatalf("after graceful shutdown campaign is %s, want %s", st, StateInterrupted)
 	}
 
-	_, ts2 := newTestServer(t, Config{
+	_, ts2 := newTestServer(t, Options{
 		Workers: 1, QueueDepth: 2, DataDir: dataDir, JournalDir: journalDir,
 	})
 	waitForState(t, ts2, v.ID, StateDone, 2*time.Minute)
@@ -240,7 +240,7 @@ func TestChaosGracefulShutdownInterrupts(t *testing.T) {
 // campaign instead of re-running it.
 func TestChaosNoResumeParksInterrupted(t *testing.T) {
 	dataDir, journalDir := t.TempDir(), t.TempDir()
-	s1, ts1 := newTestServer(t, Config{
+	s1, ts1 := newTestServer(t, Options{
 		Workers: 1, QueueDepth: 2, DataDir: dataDir, JournalDir: journalDir,
 		ConfigHook: slowHook(3 * time.Millisecond),
 	})
@@ -248,7 +248,7 @@ func TestChaosNoResumeParksInterrupted(t *testing.T) {
 	waitForProgress(t, ts1, v.ID, 10)
 	s1.mgr.kill()
 
-	_, ts2 := newTestServer(t, Config{
+	_, ts2 := newTestServer(t, Options{
 		Workers: 1, QueueDepth: 2, DataDir: dataDir, JournalDir: journalDir, NoResume: true,
 	})
 	var parked View
@@ -268,7 +268,7 @@ func TestChaosResumeDropsTornTail(t *testing.T) {
 	want := cleanRecordFile(t)
 	dataDir, journalDir := t.TempDir(), t.TempDir()
 
-	s1, ts1 := newTestServer(t, Config{
+	s1, ts1 := newTestServer(t, Options{
 		Workers: 1, QueueDepth: 2, DataDir: dataDir, JournalDir: journalDir,
 		ConfigHook: slowHook(3 * time.Millisecond),
 	})
@@ -286,7 +286,7 @@ func TestChaosResumeDropsTornTail(t *testing.T) {
 	f.Close()
 	path := filepath.Join(dataDir, v.ID+".jsonl")
 
-	_, ts2 := newTestServer(t, Config{
+	_, ts2 := newTestServer(t, Options{
 		Workers: 1, QueueDepth: 2, DataDir: dataDir, JournalDir: journalDir,
 	})
 	waitForState(t, ts2, v.ID, StateDone, 2*time.Minute)
@@ -317,7 +317,7 @@ func TestChaosGracefulDrainUnderLoad(t *testing.T) {
 	want := cleanRecordFile(t)
 	dataDir, journalDir := t.TempDir(), t.TempDir()
 
-	s1, ts1 := newTestServer(t, Config{
+	s1, ts1 := newTestServer(t, Options{
 		Workers: 1, QueueDepth: 8, DataDir: dataDir, JournalDir: journalDir,
 		ConfigHook: slowHook(3 * time.Millisecond),
 	})
@@ -351,7 +351,7 @@ func TestChaosGracefulDrainUnderLoad(t *testing.T) {
 	}
 
 	// Restart resumes the whole backlog, running and queued alike.
-	_, ts2 := newTestServer(t, Config{
+	_, ts2 := newTestServer(t, Options{
 		Workers: 1, QueueDepth: 8, DataDir: dataDir, JournalDir: journalDir,
 	})
 	for _, id := range ids {
@@ -373,7 +373,7 @@ func TestChaosGracefulDrainUnderLoad(t *testing.T) {
 // counters surface both on the campaign view and on /metrics.
 func TestChaosWorkerFaultMetrics(t *testing.T) {
 	const n, victim = 40, 13
-	_, ts := newTestServer(t, Config{
+	_, ts := newTestServer(t, Options{
 		Workers: 1, QueueDepth: 2,
 		ConfigHook: func(cfg *goofi.Config) {
 			cfg.RetryBackoff = time.Millisecond
@@ -387,8 +387,6 @@ func TestChaosWorkerFaultMetrics(t *testing.T) {
 			}
 		},
 	})
-	before := metricsMap(t, ts)
-
 	v := submit(t, ts, fmt.Sprintf(`{"variant":"alg1","n":%d,"seed":9,"workers":2}`, n))
 	waitForTerminal(t, ts, v.ID, 2*time.Minute)
 
@@ -411,14 +409,17 @@ func TestChaosWorkerFaultMetrics(t *testing.T) {
 		t.Errorf("done = %d, want %d", final.Done, n)
 	}
 
-	after := metricsMap(t, ts)
-	for metric, delta := range map[string]float64{
+	// The daemon ran this one campaign, so its counts are the campaign's.
+	mm := metricsMap(t, ts)
+	for metric, want := range map[string]float64{
+		"experiments_total":     n,
 		"experiments_retried":   float64(wantRetried),
 		"experiments_panicked":  float64(wantPanicked),
 		"experiments_abandoned": 1,
+		"campaigns_done":        1,
 	} {
-		if got := after[metric] - before[metric]; got < delta {
-			t.Errorf("%s advanced by %v, want at least %v", metric, got, delta)
+		if got := mm[metric]; got != want {
+			t.Errorf("%s = %v, want %v", metric, got, want)
 		}
 	}
 }
@@ -430,7 +431,7 @@ func TestChaosWorkerFaultMetrics(t *testing.T) {
 func TestChaosSequentialResume(t *testing.T) {
 	const spec = `{"variant":"alg1","precision":0.000001,"maxExperiments":150,"seed":77,"workers":2}`
 	cleanDir := t.TempDir()
-	_, ts0 := newTestServer(t, Config{Workers: 1, QueueDepth: 2, DataDir: cleanDir})
+	_, ts0 := newTestServer(t, Options{Workers: 1, QueueDepth: 2, DataDir: cleanDir})
 	clean := submit(t, ts0, spec)
 	waitForState(t, ts0, clean.ID, StateDone, 2*time.Minute)
 	want, err := os.ReadFile(filepath.Join(cleanDir, clean.ID+".jsonl"))
@@ -439,7 +440,7 @@ func TestChaosSequentialResume(t *testing.T) {
 	}
 
 	dataDir, journalDir := t.TempDir(), t.TempDir()
-	s1, ts1 := newTestServer(t, Config{
+	s1, ts1 := newTestServer(t, Options{
 		Workers: 1, QueueDepth: 2, DataDir: dataDir, JournalDir: journalDir,
 		ConfigHook: slowHook(3 * time.Millisecond),
 	})
@@ -447,7 +448,7 @@ func TestChaosSequentialResume(t *testing.T) {
 	waitForProgress(t, ts1, v.ID, 25)
 	s1.mgr.kill()
 
-	_, ts2 := newTestServer(t, Config{Workers: 1, QueueDepth: 2, DataDir: dataDir, JournalDir: journalDir})
+	_, ts2 := newTestServer(t, Options{Workers: 1, QueueDepth: 2, DataDir: dataDir, JournalDir: journalDir})
 	waitForState(t, ts2, v.ID, StateDone, 2*time.Minute)
 	var final View
 	getJSON(t, ts2.URL+"/api/v1/campaigns/"+v.ID, &final)

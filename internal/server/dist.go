@@ -98,23 +98,25 @@ func (r *execRegistry) live() []execEntry {
 // as one shard.
 func (m *Manager) executors(n int) ([]dist.Executor, int) {
 	var out []dist.Executor
-	for i := 0; i < m.distWorkers; i++ {
+	for i := 0; i < m.opts.Executors; i++ {
 		out = append(out, &dist.Proc{Pool: m.pool, Tag: fmt.Sprintf("local-%d", i+1)})
 	}
 	for _, e := range m.registry.live() {
 		out = append(out, &dist.HTTP{URL: e.URL, Tag: e.Name})
 	}
 	if len(out) == 0 {
-		return []dist.Executor{dist.Engine{Configure: m.hook}}, n
+		return []dist.Executor{dist.Engine{Configure: m.opts.ConfigHook}}, n
 	}
-	return out, m.shardSize
+	return out, m.opts.ShardSize
 }
 
 // segmentDir is where a campaign's live record segments go.
-func (m *Manager) segmentDir(c *Campaign) string { return filepath.Join(m.dataDir, c.ID+".shards") }
+func (m *Manager) segmentDir(c *Campaign) string {
+	return filepath.Join(m.opts.DataDir, c.ID+".shards")
+}
 
 // recordPath is where a finished campaign's records go.
-func (m *Manager) recordPath(c *Campaign) string { return filepath.Join(m.dataDir, c.ID+".jsonl") }
+func (m *Manager) recordPath(c *Campaign) string { return filepath.Join(m.opts.DataDir, c.ID+".jsonl") }
 
 // batchDir is where batch b of a precision-driven campaign keeps its
 // segments, with batch-local IDs, inside the campaign's segDir.
@@ -144,13 +146,13 @@ func (m *Manager) distRun(ctx context.Context, c *Campaign, spec goofi.CampaignS
 	executors, shardSize := m.executors(spec.Experiments)
 	opts := dist.Options{
 		ShardSize:  shardSize,
-		LeaseTTL:   m.leaseTTL,
+		LeaseTTL:   m.opts.LeaseTTL,
 		SegmentDir: segDir,
 		Campaign:   c.ID,
-		Logger:     m.logger,
-		TaskHook:   m.distTaskHook,
+		Logger:     m.opts.Logger,
+		TaskHook:   m.opts.DistTaskHook,
 		OnRecord: func(rec goofi.Record, done int) {
-			metrics.ExperimentsTotal.Add(1)
+			m.metrics.ExperimentsTotal.Add(1)
 			progress(goofi.ShiftID(rec, first), first+done)
 		},
 	}
@@ -169,16 +171,16 @@ func (m *Manager) distRun(ctx context.Context, c *Campaign, spec goofi.CampaignS
 	if _, inproc := executors[0].(dist.Engine); inproc {
 		opts.MaxAttempts = 1
 	} else {
-		m.logger.Printf("campaign %s: distributing across %d executors (shard size %d)",
+		m.opts.Logger.Printf("campaign %s: distributing across %d executors (shard size %d)",
 			c.ID, len(executors), shardSize)
 		opts.Journal = func(e journal.Entry) {
 			switch e.Type {
 			case journal.EventShardLeased:
-				metrics.ShardsLeased.Add(1)
+				m.metrics.ShardsLeased.Add(1)
 			case journal.EventShardCompleted:
-				metrics.ShardsCompleted.Add(1)
+				m.metrics.ShardsCompleted.Add(1)
 			case journal.EventShardExpired:
-				metrics.ShardsExpired.Add(1)
+				m.metrics.ShardsExpired.Add(1)
 			}
 			m.appendJournal(e)
 		}
@@ -204,7 +206,7 @@ func (m *Manager) runCampaign(ctx context.Context, c *Campaign, resumed bool) {
 	if res == nil {
 		res = &dist.Result{}
 	}
-	metrics.ExperimentsResumed.Add(int64(res.Faults.Resumed))
+	m.metrics.ExperimentsResumed.Add(int64(res.Faults.Resumed))
 	m.noteStats(c, res.Prune, res.Detect)
 	// Salvaged segments count towards progress as they are opened,
 	// but their outcomes arrive only with the result.
@@ -275,15 +277,15 @@ func (m *Manager) progressFunc(c *Campaign) func(rec goofi.Record, done int) {
 // campaign view and in the process metrics.
 func (m *Manager) noteStats(c *Campaign, p *goofi.PruneStats, d *goofi.DetectStats) {
 	if p != nil {
-		metrics.ExperimentsPlanned.Add(int64(p.Planned))
-		metrics.ExperimentsSimulated.Add(int64(p.Simulated))
-		metrics.ExperimentsPrunedDead.Add(int64(p.PrunedDead))
-		metrics.ExperimentsCollapsed.Add(int64(p.Collapsed))
+		m.metrics.ExperimentsPlanned.Add(int64(p.Planned))
+		m.metrics.ExperimentsSimulated.Add(int64(p.Simulated))
+		m.metrics.ExperimentsPrunedDead.Add(int64(p.PrunedDead))
+		m.metrics.ExperimentsCollapsed.Add(int64(p.Collapsed))
 	}
 	if d != nil {
-		metrics.DetectorCFEDetected.Add(int64(d.CFEDetected))
-		metrics.DetectorAutomatonDetected.Add(int64(d.AutomatonDetected))
-		metrics.DetectorFalsePositives.Add(int64(d.FalsePositives))
+		m.metrics.DetectorCFEDetected.Add(int64(d.CFEDetected))
+		m.metrics.DetectorAutomatonDetected.Add(int64(d.AutomatonDetected))
+		m.metrics.DetectorFalsePositives.Add(int64(d.FalsePositives))
 	}
 	c.mu.Lock()
 	c.prune, c.detect = p, d
@@ -342,7 +344,7 @@ func (s *Server) handleExecRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e := s.mgr.registry.upsert(req.Name, req.URL)
-	metrics.ExecutorsRegistered.Add(1)
+	s.mgr.metrics.ExecutorsRegistered.Add(1)
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"name":    e.Name,
 		"url":     e.URL,

@@ -115,7 +115,7 @@ func TestNewRejectsShardSizeOutOfRange(t *testing.T) {
 		{goofi.ExperimentLimit, true},
 		{goofi.ExperimentLimit + 1, false},
 	} {
-		s, err := New(Config{ShardSize: tc.size, Logger: quietLogger()})
+		s, err := New(Options{ShardSize: tc.size, Logger: quietLogger()})
 		if err == nil {
 			s.Close()
 		}
@@ -136,7 +136,7 @@ func TestDistCampaignEndToEnd(t *testing.T) {
 	want := soloRecordFile(t, spec)
 	dataDir := t.TempDir()
 
-	_, ts := newTestServer(t, Config{
+	_, ts := newTestServer(t, Options{
 		DataDir:    dataDir,
 		JournalDir: t.TempDir(),
 		Executors:  2,
@@ -168,10 +168,11 @@ func TestDistCampaignEndToEnd(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dataDir, v.ID+".shards")); !os.IsNotExist(err) {
 		t.Fatalf("segment dir survived a successful campaign (err=%v)", err)
 	}
-	// Shard metrics moved.
+	// Three shards completed; every lease ends completed or expired.
 	mm := metricsMap(t, ts)
-	if mm["shards_leased"] < 3 || mm["shards_completed"] < 3 {
-		t.Fatalf("shard metrics did not move: leased=%v completed=%v", mm["shards_leased"], mm["shards_completed"])
+	if mm["shards_completed"] != 3 || mm["shards_leased"] != 3+mm["shards_expired"] {
+		t.Fatalf("shard metrics: leased=%v completed=%v expired=%v, want 3 completed and leased = completed + expired",
+			mm["shards_leased"], mm["shards_completed"], mm["shards_expired"])
 	}
 }
 
@@ -186,14 +187,14 @@ func TestDistChaosKillReLease(t *testing.T) {
 	jnlDir := t.TempDir()
 
 	mgr, err := NewManager(Options{
-		Workers:     1,
-		QueueDepth:  4,
-		DataDir:     dataDir,
-		JournalPath: filepath.Join(jnlDir, "journal.wal"),
-		Logger:      quietLogger(),
-		Executors:   2,
-		ExecBin:     ctrlexecBin(t),
-		ShardSize:   30,
+		Workers:    1,
+		QueueDepth: 4,
+		DataDir:    dataDir,
+		JournalDir: jnlDir,
+		Logger:     quietLogger(),
+		Executors:  2,
+		ExecBin:    ctrlexecBin(t),
+		ShardSize:  30,
 		DistTaskHook: func(task *dist.ShardTask) {
 			if task.Shard == 0 && task.Attempt == 0 {
 				task.ChaosKillAfter = 3
@@ -255,15 +256,15 @@ func TestDistCrashRestartResume(t *testing.T) {
 	jnlPath := filepath.Join(jnlDir, "journal.wal")
 
 	mgr1, err := NewManager(Options{
-		Workers:     1,
-		QueueDepth:  4,
-		DataDir:     dataDir,
-		JournalPath: jnlPath,
-		Logger:      quietLogger(),
-		Executors:   2,
-		ExecBin:     ctrlexecBin(t),
-		ShardSize:   30,
-		LeaseTTL:    time.Minute, // the wedge must outlive phase one
+		Workers:    1,
+		QueueDepth: 4,
+		DataDir:    dataDir,
+		JournalDir: jnlDir,
+		Logger:     quietLogger(),
+		Executors:  2,
+		ExecBin:    ctrlexecBin(t),
+		ShardSize:  30,
+		LeaseTTL:   time.Minute, // the wedge must outlive phase one
 		DistTaskHook: func(task *dist.ShardTask) {
 			if task.Shard == 0 && task.Attempt == 0 {
 				task.ChaosHangAfter = 2 // shard 0 stalls after 2 records
@@ -308,14 +309,14 @@ func TestDistCrashRestartResume(t *testing.T) {
 	mgr1.kill()
 
 	mgr2, err := NewManager(Options{
-		Workers:     1,
-		QueueDepth:  4,
-		DataDir:     dataDir,
-		JournalPath: jnlPath,
-		Logger:      quietLogger(),
-		Executors:   2,
-		ExecBin:     ctrlexecBin(t),
-		ShardSize:   30,
+		Workers:    1,
+		QueueDepth: 4,
+		DataDir:    dataDir,
+		JournalDir: jnlDir,
+		Logger:     quietLogger(),
+		Executors:  2,
+		ExecBin:    ctrlexecBin(t),
+		ShardSize:  30,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -351,7 +352,7 @@ func TestDistPrecisionCampaignMatchesInProcess(t *testing.T) {
 	spec := goofi.CampaignSpec{Variant: "alg1", Precision: 1e-6, MaxExperiments: 700, Seed: 61}
 	want := soloPrecisionFile(t, spec)
 	dataDir := t.TempDir()
-	_, ts := newTestServer(t, Config{
+	_, ts := newTestServer(t, Options{
 		DataDir:   dataDir,
 		Executors: 2,
 		ExecBin:   ctrlexecBin(t),
@@ -375,8 +376,9 @@ func TestDistPrecisionCampaignMatchesInProcess(t *testing.T) {
 		t.Fatalf("segment dir survived a successful campaign (err=%v)", err)
 	}
 	// Batch 0 splits into three shards, batch 1 (200 experiments) is one.
-	if mm := metricsMap(t, ts); mm["shards_completed"] < 4 {
-		t.Fatalf("shards_completed = %v, want >= 4", mm["shards_completed"])
+	if mm := metricsMap(t, ts); mm["shards_completed"] != 4 || mm["shards_leased"] != 4+mm["shards_expired"] {
+		t.Fatalf("shard metrics: leased=%v completed=%v expired=%v, want 4 completed and leased = completed + expired",
+			mm["shards_leased"], mm["shards_completed"], mm["shards_expired"])
 	}
 }
 
@@ -389,16 +391,16 @@ func TestDistPrecisionCrashRestartResume(t *testing.T) {
 	spec := goofi.CampaignSpec{Variant: "alg1", Precision: 1e-6, MaxExperiments: 1000, Seed: 67}
 	want := soloPrecisionFile(t, spec)
 	dataDir := t.TempDir()
-	jnlPath := filepath.Join(t.TempDir(), "journal.wal")
+	jnlDir := t.TempDir()
 	opts := Options{
-		Workers:     1,
-		QueueDepth:  4,
-		DataDir:     dataDir,
-		JournalPath: jnlPath,
-		Logger:      quietLogger(),
-		Executors:   2,
-		ExecBin:     ctrlexecBin(t),
-		ShardSize:   250,
+		Workers:    1,
+		QueueDepth: 4,
+		DataDir:    dataDir,
+		JournalDir: jnlDir,
+		Logger:     quietLogger(),
+		Executors:  2,
+		ExecBin:    ctrlexecBin(t),
+		ShardSize:  250,
 	}
 	first := opts
 	first.LeaseTTL = time.Minute // the wedge must outlive phase one
@@ -452,7 +454,7 @@ func TestDistPrecisionCrashRestartResume(t *testing.T) {
 
 // TestRecordsPagination covers GET /campaigns/{id}/records.
 func TestRecordsPagination(t *testing.T) {
-	_, ts := newTestServer(t, Config{DataDir: t.TempDir()})
+	_, ts := newTestServer(t, Options{DataDir: t.TempDir()})
 	v := submit(t, ts, `{"variant":"alg1","n":25,"seed":53}`)
 	waitForTerminal(t, ts, v.ID, 60*time.Second)
 
@@ -498,7 +500,7 @@ func TestRecordsPagination(t *testing.T) {
 // TestExecutorRegistryAPI covers executor registration, heartbeat
 // upsert, listing, expiry, and deregistration.
 func TestExecutorRegistryAPI(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Options{})
 
 	post := func(body string) int {
 		resp, err := http.Post(ts.URL+"/api/v1/executors", "application/json", strings.NewReader(body))
@@ -569,7 +571,7 @@ func TestDistCampaignCachesAndReportsDetectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts := newTestServer(t, Config{
+	_, ts := newTestServer(t, Options{
 		DataDir:   t.TempDir(),
 		CacheDir:  t.TempDir(),
 		Executors: 2,

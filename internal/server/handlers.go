@@ -26,7 +26,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {
-		s.log.Printf("encode response: %v", err)
+		s.mgr.opts.Logger.Printf("encode response: %v", err)
 	}
 }
 
@@ -87,7 +87,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeSubmitError(w, err)
 		return
 	}
-	s.log.Printf("campaign %s submitted by %s: %+v", c.ID, ten.Name, spec)
+	s.mgr.opts.Logger.Printf("campaign %s submitted by %s: %+v", c.ID, ten.Name, spec)
 	w.Header().Set("Location", "/api/v1/campaigns/"+c.ID)
 	s.writeJSON(w, http.StatusAccepted, c.Snapshot())
 }
@@ -139,7 +139,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusConflict, "campaign %s already %s", c.ID, c.Snapshot().State)
 		return
 	}
-	s.log.Printf("campaign %s cancelled", c.ID)
+	s.mgr.opts.Logger.Printf("campaign %s cancelled", c.ID)
 	s.writeJSON(w, http.StatusAccepted, c.Snapshot())
 }
 
@@ -319,7 +319,7 @@ func (s *Server) handleSubmitTune(w http.ResponseWriter, r *http.Request) {
 		s.writeSubmitError(w, err)
 		return
 	}
-	s.log.Printf("tune job %s submitted by %s: %d planned evaluations", c.ID, ten.Name, c.Snapshot().Total)
+	s.mgr.opts.Logger.Printf("tune job %s submitted by %s: %d planned evaluations", c.ID, ten.Name, c.Snapshot().Total)
 	w.Header().Set("Location", "/api/v1/tune/"+c.ID+"/result")
 	s.writeJSON(w, http.StatusAccepted, c.Snapshot())
 }
@@ -353,13 +353,9 @@ func (s *Server) handleVariants(w http.ResponseWriter, _ *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]any{"variants": names})
 }
 
-// handleMetrics serves the ctrlguardd expvar map as JSON.
+// handleMetrics serves this daemon's counters and derived gauges as
+// one JSON object, keys sorted.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	page := metrics.page
-	if page == nil {
-		fmt.Fprintln(w, "{}")
-		return
-	}
-	fmt.Fprintln(w, page.String())
+	fmt.Fprintln(w, s.mgr.metricsPage().String())
 }

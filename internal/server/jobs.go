@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -238,30 +239,34 @@ var ErrQueueFull = errors.New("server: campaign queue is full")
 // ErrNotFound is returned for unknown campaign IDs.
 var ErrNotFound = errors.New("server: no such campaign")
 
-// Options configures a Manager.
+// Options configures a Manager, and through it a Server.
 type Options struct {
-	// Workers is the number of campaigns executed concurrently (min 1).
+	// Workers is the number of campaigns executed concurrently
+	// (default 1: each campaign already parallelises its experiments
+	// across cores).
 	Workers int
-	// QueueDepth bounds the number of campaigns waiting to run (min 1).
-	// Jobs re-enqueued by journal recovery do not count against it.
+	// QueueDepth bounds the number of campaigns waiting to run
+	// (default 16); submissions beyond it are shed with 503. Jobs
+	// re-enqueued by journal recovery do not count against it.
 	QueueDepth int
 	// DataDir receives each campaign's records: appended
 	// experiment-by-experiment to segments under <id>.shards/ while the
 	// campaign runs (the crash-recovery source), then written atomically
-	// in experiment order as <id>.jsonl when it finishes. It is created
-	// if missing; empty means a private temporary directory, removed by
-	// Close.
+	// in experiment order as <id>.jsonl when it finishes, from which
+	// /records, /report and /trace serve them. It is created if missing;
+	// empty means a private temporary directory, removed by Close.
 	DataDir string
-	// JournalPath, if set, is the write-ahead journal of job lifecycle
-	// events. With a journal, a restarted manager re-enqueues and
-	// resumes every campaign that was queued, running, or interrupted.
-	JournalPath string
+	// JournalDir, if set, holds journal.wal, the fsync'd write-ahead
+	// journal of job lifecycle events; it is created if missing. With a
+	// journal, a restarted manager re-enqueues and resumes every
+	// campaign that was queued, running, or interrupted.
+	JournalDir string
 	// NoResume replays the journal (finished jobs stay visible) but
 	// leaves interrupted jobs in StateInterrupted instead of re-running
 	// them.
 	NoResume bool
-	// Logger receives recovery and journal diagnostics (default
-	// log.Default).
+	// Logger receives request, lifecycle, recovery and journal logs
+	// (default log.Default).
 	Logger *log.Logger
 	// ConfigHook, if non-nil, is applied to every campaign's resolved
 	// goofi.Config just before execution. TEST-ONLY: the chaos harness
@@ -295,9 +300,15 @@ type Options struct {
 	// executor with the pid of the process running it. TEST-ONLY: the
 	// chaos suite SIGKILLs executors through it.
 	ExecLeaseHook func(task dist.ShardTask, pid int)
+	// ExecTTL overrides how long a remote executor registration stays
+	// live without a heartbeat (default 15s). The server hands the
+	// value to executors in the registration response so both sides
+	// agree on the heartbeat cadence.
+	ExecTTL time.Duration
 
-	// Tenants is the multi-tenant admission configuration. Empty runs
-	// the server open: every request is the default tenant, unlimited.
+	// Tenants is the multi-tenant admission configuration: API keys,
+	// rate limits, quotas, and fair-share weights. Empty runs the server
+	// open: every request is the default tenant, unlimited.
 	Tenants []tenant.Tenant
 	// CacheDir, if set, enables content-addressed campaign memoization:
 	// completed deterministic campaigns are filed under the hash of
@@ -316,43 +327,32 @@ type Options struct {
 	// RetainBytes, if positive, bounds the total bytes of terminal
 	// campaigns' record files; oldest-finished are deleted first.
 	RetainBytes int64
-	// ExecTTL overrides how long a remote executor registration stays
-	// live without a heartbeat (default 15s).
-	ExecTTL time.Duration
 }
 
 // Manager owns the campaign queue and worker pool.
 type Manager struct {
+	opts       Options // defaults applied, DataDir made
 	queue      *tenant.FairQueue[*Campaign]
-	queueDepth int
 	baseCtx    context.Context
 	stop       context.CancelFunc
 	wg         sync.WaitGroup
-	dataDir    string
-	ownDataDir bool // dataDir is private and goes with the manager
+	ownDataDir bool // opts.DataDir is private and goes with the manager
 	jnl        *journal.Journal
-	jnlMax     int64
-	logger     *log.Logger
-	hook       func(*goofi.Config)
 	closing    atomic.Bool // graceful shutdown: running jobs -> interrupted
 	killed     atomic.Bool // test-only crash: suppress journal/terminal writes
+	started    time.Time
+	metrics    counters
 
 	// Multi-tenant admission and result reuse (see admission.go,
 	// cache.go, retention.go).
-	tenants     *tenant.Registry
-	cache       *castore.Store
-	retainAge   time.Duration
-	retainBytes int64
-	buckets     map[string]*tenant.Bucket // m.mu-guarded, one per tenant
-	usage       map[string]*tenant.Usage  // m.mu-guarded quota accounting
+	tenants *tenant.Registry
+	cache   *castore.Store
+	buckets map[string]*tenant.Bucket // m.mu-guarded, one per tenant
+	usage   map[string]*tenant.Usage  // m.mu-guarded quota accounting
 
 	// Distributed-coordinator state (see dist.go).
-	distWorkers  int
-	pool         *dist.Pool // nil without local executors
-	shardSize    int
-	leaseTTL     time.Duration
-	registry     *execRegistry
-	distTaskHook func(*dist.ShardTask)
+	pool     *dist.Pool // nil without local executors
+	registry *execRegistry
 
 	mu     sync.Mutex
 	jobs   map[string]*Campaign
@@ -370,7 +370,7 @@ func NewManager(opts Options) (*Manager, error) {
 		opts.Workers = 1
 	}
 	if opts.QueueDepth <= 0 {
-		opts.QueueDepth = 1
+		opts.QueueDepth = 16
 	}
 	if opts.Logger == nil {
 		opts.Logger = log.Default()
@@ -386,6 +386,11 @@ func NewManager(opts Options) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
+	if opts.JournalDir != "" {
+		if err := os.MkdirAll(opts.JournalDir, 0o755); err != nil {
+			return nil, err
+		}
+	}
 	ownDataDir := opts.DataDir == ""
 	if ownDataDir {
 		opts.DataDir, err = os.MkdirTemp("", "ctrlguardd-data-")
@@ -397,25 +402,16 @@ func NewManager(opts Options) (*Manager, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
-		queueDepth:   opts.QueueDepth,
-		baseCtx:      ctx,
-		stop:         cancel,
-		dataDir:      opts.DataDir,
-		ownDataDir:   ownDataDir,
-		jnlMax:       opts.JournalMaxBytes,
-		logger:       opts.Logger,
-		hook:         opts.ConfigHook,
-		tenants:      registry,
-		retainAge:    opts.RetainAge,
-		retainBytes:  opts.RetainBytes,
-		buckets:      make(map[string]*tenant.Bucket),
-		usage:        make(map[string]*tenant.Usage),
-		jobs:         make(map[string]*Campaign),
-		distWorkers:  opts.Executors,
-		shardSize:    opts.ShardSize,
-		leaseTTL:     opts.LeaseTTL,
-		registry:     newExecRegistry(opts.ExecTTL),
-		distTaskHook: opts.DistTaskHook,
+		opts:       opts,
+		baseCtx:    ctx,
+		stop:       cancel,
+		ownDataDir: ownDataDir,
+		started:    time.Now(),
+		tenants:    registry,
+		buckets:    make(map[string]*tenant.Bucket),
+		usage:      make(map[string]*tenant.Usage),
+		jobs:       make(map[string]*Campaign),
+		registry:   newExecRegistry(opts.ExecTTL),
 	}
 	if opts.CacheDir != "" {
 		cache, err := castore.Open(opts.CacheDir, opts.CacheMaxBytes)
@@ -427,8 +423,8 @@ func NewManager(opts Options) (*Manager, error) {
 	}
 	m.queue = tenant.NewFairQueue[*Campaign](opts.QueueDepth)
 	var pending []*Campaign
-	if opts.JournalPath != "" {
-		jnl, entries, err := journal.Open(opts.JournalPath)
+	if opts.JournalDir != "" {
+		jnl, entries, err := journal.Open(filepath.Join(opts.JournalDir, "journal.wal"))
 		if err != nil {
 			m.release()
 			return nil, err
@@ -443,7 +439,6 @@ func NewManager(opts Options) (*Manager, error) {
 		m.pool = &dist.Pool{Bin: opts.ExecBin, Args: opts.ExecArgs, OnLease: opts.ExecLeaseHook}
 		m.pool.Prestart(opts.Executors)
 	}
-	metricsInit(opts.Workers)
 	for _, c := range pending {
 		// Recovered jobs ride along without eating into the queue depth
 		// for new submissions, but they re-charge their tenant's quota
@@ -451,9 +446,8 @@ func NewManager(opts Options) (*Manager, error) {
 		m.queue.PushRecovered(c.Tenant, m.fairWeight(c.Tenant), c)
 		m.chargeUsage(c)
 		m.appendJournal(journal.Entry{Job: c.ID, Type: journal.EventResumed, State: string(StateQueued), Tenant: c.Tenant})
-		metrics.CampaignsQueued.Add(1)
-		metrics.CampaignsResumed.Add(1)
-		m.logger.Printf("campaign %s resumed from journal (%s, %d/%d done before restart)",
+		m.metrics.CampaignsResumed.Add(1)
+		m.opts.Logger.Printf("campaign %s resumed from journal (%s, %d/%d done before restart)",
 			c.ID, c.Kind, c.done, c.total)
 	}
 	for i := 0; i < opts.Workers; i++ {
@@ -472,7 +466,7 @@ func (m *Manager) restoreJobs(entries []journal.Entry, resume bool) []*Campaign 
 	statuses := journal.Reduce(entries)
 	if len(entries) > 2*len(statuses)+64 {
 		if err := m.jnl.Compact(statuses); err != nil {
-			m.logger.Printf("journal compaction failed (continuing): %v", err)
+			m.opts.Logger.Printf("journal compaction failed (continuing): %v", err)
 		}
 	}
 	var pending []*Campaign
@@ -493,14 +487,14 @@ func (m *Manager) restoreJobs(entries []journal.Entry, resume bool) []*Campaign 
 		c.shardsDone = s.ShardsDone
 		if len(s.Spec) > 0 {
 			if err := json.Unmarshal(s.Spec, &c.Spec); err != nil {
-				m.logger.Printf("journal: job %s has an unreadable spec, dropping: %v", s.Job, err)
+				m.opts.Logger.Printf("journal: job %s has an unreadable spec, dropping: %v", s.Job, err)
 				continue
 			}
 		}
 		if len(s.TuneSpec) > 0 {
 			c.TuneSpec = new(tune.Spec)
 			if err := json.Unmarshal(s.TuneSpec, c.TuneSpec); err != nil {
-				m.logger.Printf("journal: job %s has an unreadable tune spec, dropping: %v", s.Job, err)
+				m.opts.Logger.Printf("journal: job %s has an unreadable tune spec, dropping: %v", s.Job, err)
 				continue
 			}
 		}
@@ -551,16 +545,16 @@ func (m *Manager) appendJournal(e journal.Entry) {
 		return
 	}
 	if err := m.jnl.Append(e); err != nil {
-		m.logger.Printf("journal append failed (job %s, %s): %v", e.Job, e.Type, err)
+		m.opts.Logger.Printf("journal append failed (job %s, %s): %v", e.Job, e.Type, err)
 	}
 	// Long-running servers fold the journal back down once it outgrows
 	// its size budget, preserving in-flight jobs' shard completions.
-	ran, err := m.jnl.CompactIfOver(m.jnlMax)
+	ran, err := m.jnl.CompactIfOver(m.opts.JournalMaxBytes)
 	if err != nil {
-		m.logger.Printf("journal auto-compaction failed (continuing): %v", err)
+		m.opts.Logger.Printf("journal auto-compaction failed (continuing): %v", err)
 	} else if ran {
-		metrics.JournalCompactions.Add(1)
-		m.logger.Printf("journal compacted (exceeded %d bytes)", m.jnlMax)
+		m.metrics.JournalCompactions.Add(1)
+		m.opts.Logger.Printf("journal compacted (exceeded %d bytes)", m.opts.JournalMaxBytes)
 	}
 }
 
@@ -607,7 +601,7 @@ func (m *Manager) release() {
 		m.jnl.Close()
 	}
 	if m.ownDataDir {
-		os.RemoveAll(m.dataDir)
+		os.RemoveAll(m.opts.DataDir)
 	}
 }
 
@@ -680,8 +674,7 @@ func (m *Manager) Cancel(id string) (bool, error) {
 		c.userCancel = true
 		c.state = StateCancelled
 		c.finished = time.Now()
-		metrics.CampaignsQueued.Add(-1)
-		metrics.CampaignsCancelled.Add(1)
+		m.metrics.CampaignsCancelled.Add(1)
 		c.broadcastLocked(c.eventLocked(string(StateCancelled)))
 		close(c.doneCh)
 		c.mu.Unlock()
@@ -731,11 +724,6 @@ func (m *Manager) execute(c *Campaign) {
 	resumed := c.resumed
 	c.broadcastLocked(c.eventLocked("progress"))
 	c.mu.Unlock()
-	metrics.CampaignsQueued.Add(-1)
-	metrics.CampaignsRunning.Add(1)
-	metrics.BusyWorkers.Add(1)
-	defer metrics.CampaignsRunning.Add(-1)
-	defer metrics.BusyWorkers.Add(-1)
 	m.appendJournal(journal.Entry{Job: c.ID, Type: journal.EventStarted, State: string(StateRunning)})
 
 	if c.Kind == KindTune {
@@ -790,34 +778,32 @@ func (m *Manager) finalize(c *Campaign, faults goofi.FaultStats, err error) {
 		c.mu.Unlock()
 		return
 	}
-	wasQueued := c.state == StateQueued
 	c.faults = faults
 	c.finished = time.Now()
 	switch {
 	case m.interruptedLocked(c, err):
 		c.state = StateInterrupted
-		metrics.CampaignsInterrupted.Add(1)
+		m.metrics.CampaignsInterrupted.Add(1)
 	case isCancel(err):
 		c.state = StateCancelled
-		metrics.CampaignsCancelled.Add(1)
+		m.metrics.CampaignsCancelled.Add(1)
 	case err != nil:
 		c.state = StateFailed
 		c.errMsg = err.Error()
-		metrics.CampaignsFailed.Add(1)
+		m.metrics.CampaignsFailed.Add(1)
 	default:
 		c.state = StateDone
-		metrics.CampaignsDone.Add(1)
+		m.metrics.CampaignsDone.Add(1)
 	}
-	if wasQueued {
-		metrics.CampaignsQueued.Add(-1)
-	}
+	// Counted before the terminal state shows, so a reader that sees it
+	// sees the campaign's counts too.
+	m.metrics.ExperimentsRetried.Add(int64(faults.Retried))
+	m.metrics.ExperimentsPanicked.Add(int64(faults.Panicked))
+	m.metrics.ExperimentsAbandoned.Add(int64(faults.Abandoned))
 	c.broadcastLocked(c.eventLocked(string(c.state)))
 	close(c.doneCh)
 	c.mu.Unlock()
 
-	metrics.ExperimentsRetried.Add(int64(faults.Retried))
-	metrics.ExperimentsPanicked.Add(int64(faults.Panicked))
-	metrics.ExperimentsAbandoned.Add(int64(faults.Abandoned))
 	m.releaseUsage(c)
 	m.journalTerminal(c)
 }

@@ -2,129 +2,96 @@ package server
 
 import (
 	"expvar"
-	"sync"
+	"reflect"
 	"time"
 )
 
-// Process-wide campaign metrics, published once under the "ctrlguardd"
-// expvar map (expvar registration panics on duplicates, and several
-// servers may exist in one process under test). Queued/Running/Busy
-// are gauges; the rest are monotonic counters.
-var metrics struct {
-	CampaignsQueued      expvar.Int
-	CampaignsRunning     expvar.Int
-	CampaignsDone        expvar.Int
-	CampaignsFailed      expvar.Int
-	CampaignsCancelled   expvar.Int
-	CampaignsInterrupted expvar.Int
-	CampaignsResumed     expvar.Int
-	ExperimentsTotal     expvar.Int
-	ExperimentsRetried   expvar.Int
-	ExperimentsPanicked  expvar.Int
-	ExperimentsAbandoned expvar.Int
-	ExperimentsResumed   expvar.Int
+// counters are one Manager's monotonic counts, each served on /metrics
+// under its tag. The gauges are not kept here: metricsPage derives them
+// from the job table and the options whenever /metrics is read.
+type counters struct {
+	CampaignsDone        expvar.Int `metric:"campaigns_done"`
+	CampaignsFailed      expvar.Int `metric:"campaigns_failed"`
+	CampaignsCancelled   expvar.Int `metric:"campaigns_cancelled"`
+	CampaignsInterrupted expvar.Int `metric:"campaigns_interrupted"`
+	CampaignsResumed     expvar.Int `metric:"campaigns_resumed"`
+	ExperimentsTotal     expvar.Int `metric:"experiments_total"`
+	ExperimentsRetried   expvar.Int `metric:"experiments_retried"`
+	ExperimentsPanicked  expvar.Int `metric:"experiments_panicked"`
+	ExperimentsAbandoned expvar.Int `metric:"experiments_abandoned"`
+	ExperimentsResumed   expvar.Int `metric:"experiments_resumed"`
 
 	// Fault-space pruning work avoidance, accumulated over completed
 	// campaigns (see goofi.PruneStats).
-	ExperimentsPlanned    expvar.Int
-	ExperimentsSimulated  expvar.Int
-	ExperimentsPrunedDead expvar.Int
-	ExperimentsCollapsed  expvar.Int
-	BusyWorkers           expvar.Int
-	TotalWorkers          expvar.Int
+	ExperimentsPlanned    expvar.Int `metric:"experiments_planned"`
+	ExperimentsSimulated  expvar.Int `metric:"experiments_simulated"`
+	ExperimentsPrunedDead expvar.Int `metric:"experiments_pruned_dead"`
+	ExperimentsCollapsed  expvar.Int `metric:"experiments_collapsed"`
 
 	// Distributed-campaign scheduling: shard lease lifecycle counts and
 	// remote-executor registrations (each heartbeat re-POST counts).
-	ShardsLeased        expvar.Int
-	ShardsCompleted     expvar.Int
-	ShardsExpired       expvar.Int
-	ExecutorsRegistered expvar.Int
+	ShardsLeased        expvar.Int `metric:"shards_leased"`
+	ShardsCompleted     expvar.Int `metric:"shards_completed"`
+	ShardsExpired       expvar.Int `metric:"shards_expired"`
+	ExecutorsRegistered expvar.Int `metric:"executors_registered"`
 
 	// Overload admission: submissions bounced by a tenant's token
 	// bucket, by a tenant quota, or shed by the bounded fair queue.
-	RequestsThrottled     expvar.Int
-	RequestsQuotaRejected expvar.Int
-	RequestsShed          expvar.Int
+	RequestsThrottled     expvar.Int `metric:"requests_throttled"`
+	RequestsQuotaRejected expvar.Int `metric:"requests_quota_rejected"`
+	RequestsShed          expvar.Int `metric:"requests_shed"`
 
 	// Content-addressed memoization: duplicate campaigns served from
 	// the cache versus submissions that had to run.
-	CacheHits   expvar.Int
-	CacheMisses expvar.Int
+	CacheHits   expvar.Int `metric:"cache_hits"`
+	CacheMisses expvar.Int `metric:"cache_misses"`
 
 	// Housekeeping: automatic journal compactions and record files
 	// removed by the retention sweep.
-	JournalCompactions expvar.Int
-	RetentionDeleted   expvar.Int
-	RetentionBytes     expvar.Int
+	JournalCompactions expvar.Int `metric:"journal_compactions"`
+	RetentionDeleted   expvar.Int `metric:"retention_deleted"`
+	RetentionBytes     expvar.Int `metric:"retention_bytes"`
 
 	// Detector verdicts, accumulated over completed campaigns with
 	// in-loop detectors armed (see goofi.DetectStats): experiments
 	// caught by signature monitoring / the behavior automaton, and
 	// golden iterations the armed detectors rejected (detector noise).
-	DetectorCFEDetected       expvar.Int
-	DetectorAutomatonDetected expvar.Int
-	DetectorFalsePositives    expvar.Int
-
-	start time.Time
-	once  sync.Once
-	page  *expvar.Map
+	DetectorCFEDetected       expvar.Int `metric:"detector_cfe_detected"`
+	DetectorAutomatonDetected expvar.Int `metric:"detector_automaton_detected"`
+	DetectorFalsePositives    expvar.Int `metric:"detector_false_positives"`
 }
 
-// metricsInit publishes the metric set (first call only) and records
-// the worker-pool size for the utilization gauge.
-func metricsInit(workers int) {
-	metrics.once.Do(func() {
-		metrics.start = time.Now()
-		m := new(expvar.Map).Init()
-		m.Set("campaigns_queued", &metrics.CampaignsQueued)
-		m.Set("campaigns_running", &metrics.CampaignsRunning)
-		m.Set("campaigns_done", &metrics.CampaignsDone)
-		m.Set("campaigns_failed", &metrics.CampaignsFailed)
-		m.Set("campaigns_cancelled", &metrics.CampaignsCancelled)
-		m.Set("campaigns_interrupted", &metrics.CampaignsInterrupted)
-		m.Set("campaigns_resumed", &metrics.CampaignsResumed)
-		m.Set("experiments_total", &metrics.ExperimentsTotal)
-		m.Set("experiments_retried", &metrics.ExperimentsRetried)
-		m.Set("experiments_panicked", &metrics.ExperimentsPanicked)
-		m.Set("experiments_abandoned", &metrics.ExperimentsAbandoned)
-		m.Set("experiments_resumed", &metrics.ExperimentsResumed)
-		m.Set("experiments_planned", &metrics.ExperimentsPlanned)
-		m.Set("experiments_simulated", &metrics.ExperimentsSimulated)
-		m.Set("experiments_pruned_dead", &metrics.ExperimentsPrunedDead)
-		m.Set("experiments_collapsed", &metrics.ExperimentsCollapsed)
-		m.Set("shards_leased", &metrics.ShardsLeased)
-		m.Set("shards_completed", &metrics.ShardsCompleted)
-		m.Set("shards_expired", &metrics.ShardsExpired)
-		m.Set("executors_registered", &metrics.ExecutorsRegistered)
-		m.Set("requests_throttled", &metrics.RequestsThrottled)
-		m.Set("requests_quota_rejected", &metrics.RequestsQuotaRejected)
-		m.Set("requests_shed", &metrics.RequestsShed)
-		m.Set("cache_hits", &metrics.CacheHits)
-		m.Set("cache_misses", &metrics.CacheMisses)
-		m.Set("journal_compactions", &metrics.JournalCompactions)
-		m.Set("retention_deleted", &metrics.RetentionDeleted)
-		m.Set("retention_bytes", &metrics.RetentionBytes)
-		m.Set("detector_cfe_detected", &metrics.DetectorCFEDetected)
-		m.Set("detector_automaton_detected", &metrics.DetectorAutomatonDetected)
-		m.Set("detector_false_positives", &metrics.DetectorFalsePositives)
-		m.Set("campaign_workers", &metrics.TotalWorkers)
-		m.Set("campaign_workers_busy", &metrics.BusyWorkers)
-		m.Set("experiments_per_sec", expvar.Func(func() any {
-			secs := time.Since(metrics.start).Seconds()
-			if secs <= 0 {
-				return 0.0
-			}
-			return float64(metrics.ExperimentsTotal.Value()) / secs
-		}))
-		m.Set("worker_utilization", expvar.Func(func() any {
-			total := metrics.TotalWorkers.Value()
-			if total <= 0 {
-				return 0.0
-			}
-			return float64(metrics.BusyWorkers.Value()) / float64(total)
-		}))
-		expvar.Publish("ctrlguardd", m)
-		metrics.page = m
-	})
-	metrics.TotalWorkers.Set(int64(workers))
+// metricsPage builds the /metrics map: every counter under its tag,
+// plus the gauges derived from the job table (queued and running
+// campaigns; a running campaign occupies one worker) and the worker
+// count, and the experiment rate since the manager started.
+func (m *Manager) metricsPage() *expvar.Map {
+	page := new(expvar.Map).Init()
+	v := reflect.ValueOf(&m.metrics).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		page.Set(v.Type().Field(i).Tag.Get("metric"), v.Field(i).Addr().Interface().(*expvar.Int))
+	}
+	var queued, running int
+	for _, c := range m.List() {
+		c.mu.Lock()
+		switch c.state {
+		case StateQueued:
+			queued++
+		case StateRunning:
+			running++
+		}
+		c.mu.Unlock()
+	}
+	rate := 0.0
+	if secs := time.Since(m.started).Seconds(); secs > 0 {
+		rate = float64(m.metrics.ExperimentsTotal.Value()) / secs
+	}
+	gauge := func(name string, value any) { page.Set(name, expvar.Func(func() any { return value })) }
+	gauge("campaigns_queued", queued)
+	gauge("campaigns_running", running)
+	gauge("campaign_workers", m.opts.Workers)
+	gauge("campaign_workers_busy", running)
+	gauge("worker_utilization", float64(running)/float64(m.opts.Workers))
+	gauge("experiments_per_sec", rate)
+	return page
 }

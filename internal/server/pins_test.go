@@ -42,7 +42,7 @@ func TestRecordResponsePins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 1 500 experiments")
 	}
-	cfg := Config{Workers: 1, QueueDepth: 8,
+	cfg := Options{Workers: 1, QueueDepth: 8,
 		DataDir: t.TempDir(), JournalDir: t.TempDir(), CacheDir: t.TempDir()}
 	got := map[string]string{}
 	s1, ts1 := newTestServer(t, cfg)

@@ -45,7 +45,7 @@ func TestRunningViewCountsRecords(t *testing.T) {
 					}
 				}
 			}
-			_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, DataDir: t.TempDir(), ConfigHook: hook})
+			_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4, DataDir: t.TempDir(), ConfigHook: hook})
 			var once sync.Once
 			t.Cleanup(func() { once.Do(func() { close(release) }) })
 			v := submit(t, ts, tc.spec)
@@ -94,7 +94,7 @@ func TestRecordPageHeapBounded(t *testing.T) {
 		t.Skip("runs 8 000 experiments")
 	}
 	const n, perRecord = 1000, 64
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 16, DataDir: t.TempDir(), CacheDir: t.TempDir()})
+	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 16, DataDir: t.TempDir(), CacheDir: t.TempDir()})
 	seed := 0
 	run := func(count int) {
 		for i := 0; i < count; i++ {
@@ -222,7 +222,7 @@ func FuzzRecordPage(f *testing.F) {
 // the next ID and ends with the same records.
 func TestMemoizationUnwritableHitRunsForReal(t *testing.T) {
 	dataDir := t.TempDir()
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, DataDir: dataDir, CacheDir: t.TempDir()})
+	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4, DataDir: dataDir, CacheDir: t.TempDir()})
 	const spec = `{"variant":"alg1","n":60,"seed":42}`
 	v1 := submit(t, ts, spec)
 	waitForState(t, ts, v1.ID, StateDone, time.Minute)

@@ -46,7 +46,7 @@ type retainable struct {
 // non-interrupted jobs are considered, and their paths are cleared
 // under the campaign lock before the files go away.
 func (m *Manager) retentionSweep(now time.Time) (deleted int) {
-	if m.retainAge <= 0 && m.retainBytes <= 0 {
+	if m.opts.RetainAge <= 0 && m.opts.RetainBytes <= 0 {
 		return 0
 	}
 	var items []retainable
@@ -84,8 +84,8 @@ func (m *Manager) retentionSweep(now time.Time) (deleted int) {
 		total += r.bytes
 	}
 	for _, r := range items {
-		expired := m.retainAge > 0 && !r.finished.IsZero() && now.Sub(r.finished) > m.retainAge
-		overBudget := m.retainBytes > 0 && total > m.retainBytes
+		expired := m.opts.RetainAge > 0 && !r.finished.IsZero() && now.Sub(r.finished) > m.opts.RetainAge
+		overBudget := m.opts.RetainBytes > 0 && total > m.opts.RetainBytes
 		if !expired && !overBudget {
 			continue
 		}
@@ -105,15 +105,15 @@ func (m *Manager) reclaim(r retainable) {
 	r.c.mu.Unlock()
 	if r.dataPath != "" {
 		if err := os.Remove(r.dataPath); err != nil && !os.IsNotExist(err) {
-			m.logger.Printf("retention: remove %s: %v", r.dataPath, err)
+			m.opts.Logger.Printf("retention: remove %s: %v", r.dataPath, err)
 		}
 	}
 	if r.segDir != "" {
 		if err := os.RemoveAll(r.segDir); err != nil {
-			m.logger.Printf("retention: remove %s: %v", r.segDir, err)
+			m.opts.Logger.Printf("retention: remove %s: %v", r.segDir, err)
 		}
 	}
-	metrics.RetentionDeleted.Add(1)
-	metrics.RetentionBytes.Add(r.bytes)
-	m.logger.Printf("retention: reclaimed %s (%d bytes)", r.c.ID, r.bytes)
+	m.metrics.RetentionDeleted.Add(1)
+	m.metrics.RetentionBytes.Add(r.bytes)
+	m.opts.Logger.Printf("retention: reclaimed %s (%d bytes)", r.c.ID, r.bytes)
 }

@@ -24,7 +24,8 @@
 //	                                     and heartbeat (same upsert)
 //	GET    /api/v1/executors             live remote executors
 //	DELETE /api/v1/executors/{name}      deregister an executor
-//	GET    /metrics                      expvar campaign metrics
+//	GET    /metrics                      this daemon's counters and
+//	                                     gauges derived from its jobs
 //	GET    /healthz                      liveness probe
 //	GET    /readyz                       readiness probe (503 while
 //	                                     draining) with queue depth and
@@ -40,167 +41,25 @@ package server
 
 import (
 	"context"
-	"log"
 	"net/http"
-	"os"
-	"path/filepath"
 	"time"
-
-	"ctrlguard/internal/goofi"
-	"ctrlguard/internal/tenant"
 )
-
-// Config configures a Server.
-type Config struct {
-	// Addr is the listen address for ListenAndServe (default :8077).
-	Addr string
-
-	// Workers is the number of campaigns executed concurrently
-	// (default 1 — individual campaigns already parallelise their
-	// experiments across cores).
-	Workers int
-
-	// QueueDepth bounds the number of campaigns waiting to run
-	// (default 16); submissions beyond it are rejected with 503.
-	QueueDepth int
-
-	// DataDir receives each campaign's records: appended live to
-	// per-shard segments under <id>.shards/ while the campaign runs,
-	// then written atomically as the experiment-ordered <id>.jsonl, from
-	// which /records, /report and /trace serve them. Empty means a
-	// private temporary directory, removed by Close.
-	DataDir string
-
-	// JournalDir, if set, holds journal.wal — the fsync'd write-ahead
-	// journal of job lifecycle events. A journal-backed server replays
-	// it on start and resumes every campaign a crash or shutdown
-	// interrupted.
-	JournalDir string
-
-	// NoResume keeps journal replay (finished jobs stay listed) but
-	// leaves interrupted campaigns parked instead of re-running them.
-	NoResume bool
-
-	// Logger receives request and lifecycle logs (default
-	// log.Default).
-	Logger *log.Logger
-
-	// ConfigHook is applied to every campaign's resolved goofi.Config
-	// just before it runs. TEST-ONLY: the chaos harness injects worker
-	// panics and hangs through it; leave nil in production.
-	ConfigHook func(*goofi.Config)
-
-	// Executors, when positive, shards campaigns (a precision-driven
-	// one batch by batch) across this many local ctrlexec processes
-	// (plus any remote executors that register themselves) instead of
-	// running each as one in-process shard. New starts the processes
-	// and Close stops them. Requires ExecBin.
-	Executors int
-
-	// ExecBin is the ctrlexec binary the local executors run.
-	ExecBin string
-
-	// ShardSize is the experiments-per-shard for distributed campaigns
-	// (0 = dist.DefaultShardSize; New rejects a negative value or one
-	// past goofi.ExperimentLimit).
-	ShardSize int
-
-	// LeaseTTL overrides the shard lease TTL for distributed campaigns
-	// (default dist.DefaultLeaseTTL).
-	LeaseTTL time.Duration
-
-	// ExecTTL overrides how long a remote executor registration stays
-	// live without a heartbeat (default 15s). The server hands the
-	// value to executors in the registration response so both sides
-	// agree on the heartbeat cadence.
-	ExecTTL time.Duration
-
-	// Tenants configures multi-tenant admission: API keys, rate
-	// limits, quotas, and fair-share weights. Empty runs the server
-	// open — every request is the default tenant, unlimited.
-	Tenants []tenant.Tenant
-
-	// CacheDir, if set, enables content-addressed campaign
-	// memoization: duplicate submissions of a completed deterministic
-	// spec are served the original run's bytes without re-running.
-	CacheDir string
-
-	// CacheMaxBytes bounds the memoization cache (0 = unbounded).
-	CacheMaxBytes int64
-
-	// JournalMaxBytes triggers automatic journal compaction once the
-	// write-ahead journal grows past it (0 = startup-only compaction).
-	JournalMaxBytes int64
-
-	// RetainAge, if positive, lets the retention sweep delete the
-	// record files of terminal campaigns finished longer ago than this.
-	RetainAge time.Duration
-
-	// RetainBytes, if positive, bounds the total record bytes of
-	// terminal campaigns; oldest-finished files are deleted first.
-	RetainBytes int64
-}
 
 // Server is the ctrlguardd HTTP service.
 type Server struct {
-	cfg Config
 	mgr *Manager
 	mux *http.ServeMux
-	log *log.Logger
 }
 
 // New builds a Server and starts its campaign worker pool. With a
 // JournalDir, the prior process's journal is replayed first and
 // interrupted campaigns are re-enqueued to resume.
-func New(cfg Config) (*Server, error) {
-	if cfg.Addr == "" {
-		cfg.Addr = ":8077"
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 16
-	}
-	if cfg.Logger == nil {
-		cfg.Logger = log.Default()
-	}
-	journalPath := ""
-	if cfg.JournalDir != "" {
-		if err := os.MkdirAll(cfg.JournalDir, 0o755); err != nil {
-			return nil, err
-		}
-		journalPath = filepath.Join(cfg.JournalDir, "journal.wal")
-	}
-	mgr, err := NewManager(Options{
-		Workers:         cfg.Workers,
-		QueueDepth:      cfg.QueueDepth,
-		DataDir:         cfg.DataDir,
-		JournalPath:     journalPath,
-		NoResume:        cfg.NoResume,
-		Logger:          cfg.Logger,
-		ConfigHook:      cfg.ConfigHook,
-		Executors:       cfg.Executors,
-		ExecBin:         cfg.ExecBin,
-		ShardSize:       cfg.ShardSize,
-		LeaseTTL:        cfg.LeaseTTL,
-		ExecTTL:         cfg.ExecTTL,
-		Tenants:         cfg.Tenants,
-		CacheDir:        cfg.CacheDir,
-		CacheMaxBytes:   cfg.CacheMaxBytes,
-		JournalMaxBytes: cfg.JournalMaxBytes,
-		RetainAge:       cfg.RetainAge,
-		RetainBytes:     cfg.RetainBytes,
-	})
+func New(opts Options) (*Server, error) {
+	mgr, err := NewManager(opts)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{
-		cfg: cfg,
-		mgr: mgr,
-		mux: http.NewServeMux(),
-		log: cfg.Logger,
-	}
+	s := &Server{mgr: mgr, mux: http.NewServeMux()}
 	s.routes()
 	return s, nil
 }
@@ -255,22 +114,23 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // them from their persisted records.
 func (s *Server) Close() { s.mgr.Close() }
 
-// ListenAndServe serves until ctx is cancelled, then shuts down
-// gracefully: in-flight requests get a drain window while running
+// ListenAndServe serves on addr until ctx is cancelled, then shuts
+// down gracefully: in-flight requests get a drain window while running
 // campaigns stop at their next experiment boundary and are journaled
 // as interrupted for the next start to resume.
-func (s *Server) ListenAndServe(ctx context.Context) error {
-	srv := &http.Server{Addr: s.cfg.Addr, Handler: s.mux}
+func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
+	srv := &http.Server{Addr: addr, Handler: s.mux}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
-	s.log.Printf("ctrlguardd listening on %s (%d campaign workers, queue depth %d)",
-		s.cfg.Addr, s.cfg.Workers, s.cfg.QueueDepth)
+	opts := s.mgr.opts
+	opts.Logger.Printf("ctrlguardd listening on %s (%d campaign workers, queue depth %d)",
+		addr, opts.Workers, opts.QueueDepth)
 	select {
 	case err := <-errCh:
 		return err
 	case <-ctx.Done():
 	}
-	s.log.Printf("ctrlguardd shutting down")
+	opts.Logger.Printf("ctrlguardd shutting down")
 	s.mgr.Close()
 	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

@@ -18,7 +18,7 @@ import (
 	"ctrlguard/internal/workload"
 )
 
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+func newTestServer(t *testing.T, cfg Options) (*Server, *httptest.Server) {
 	t.Helper()
 	if cfg.Logger == nil {
 		cfg.Logger = log.New(io.Discard, "", 0)
@@ -110,7 +110,7 @@ func streamEvents(t *testing.T, url string, timeout time.Duration) []Event {
 // deterministic as a direct goofi.Run with the same seed.
 func TestCampaignLifecycle(t *testing.T) {
 	dataDir := t.TempDir()
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, DataDir: dataDir})
+	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4, DataDir: dataDir})
 
 	const n, seed = 50, 7
 	v := submit(t, ts, fmt.Sprintf(`{"variant":"alg1","n":%d,"seed":%d,"workers":2}`, n, seed))
@@ -206,7 +206,7 @@ func TestCampaignLifecycle(t *testing.T) {
 // TestCancelRunningCampaign checks DELETE stops a running campaign
 // within an experiment boundary and keeps the partial records.
 func TestCancelRunningCampaign(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, DataDir: t.TempDir()})
+	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4, DataDir: t.TempDir()})
 
 	// Big enough to be mid-flight when cancelled; one experiment
 	// worker makes progress steady.
@@ -299,7 +299,7 @@ func TestCancelRunningCampaign(t *testing.T) {
 }
 
 func TestSubmitValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
+	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 2})
 	cases := []struct {
 		name string
 		body string
@@ -336,7 +336,7 @@ func TestSubmitValidation(t *testing.T) {
 // campaign spec, so the strict decoder answers a request that still
 // sends them with 400 instead of silently running a different engine.
 func TestSubmitRejectsRemovedFastPathFields(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
+	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 2})
 	for _, field := range []string{`"disablePrune":true`, `"disableWarmStart":true`, `"disableLockstep":true`, `"lockstepK":8`} {
 		body := `{"variant":"alg1","n":10,"seed":1,` + field + `}`
 		resp, err := http.Post(ts.URL+"/api/v1/campaigns", "application/json", strings.NewReader(body))
@@ -352,7 +352,7 @@ func TestSubmitRejectsRemovedFastPathFields(t *testing.T) {
 }
 
 func TestQueueSheddingAndList(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
 
 	// One long campaign occupies the single runner...
 	running := submit(t, ts, `{"variant":"alg1","n":50000,"seed":1,"workers":1}`)
@@ -439,10 +439,10 @@ func waitForTerminal(t *testing.T, ts *httptest.Server, id string, timeout time.
 	t.Fatalf("campaign %s never reached a terminal state", id)
 }
 
-// TestMetricsChangeOverCampaignLifetime asserts /metrics moves as
-// campaigns run (monotonic counters only: metrics are process-wide).
+// TestMetricsChangeOverCampaignLifetime asserts a fresh daemon's
+// /metrics reads zero, then exactly one finished campaign's counts.
 func TestMetricsChangeOverCampaignLifetime(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
+	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 2})
 
 	read := func() map[string]any {
 		resp, err := http.Get(ts.URL + "/metrics")
@@ -468,25 +468,37 @@ func TestMetricsChangeOverCampaignLifetime(t *testing.T) {
 	}
 
 	before := read()
+	for _, key := range []string{"experiments_total", "campaigns_done", "experiments_per_sec"} {
+		if got := num(before, key); got != 0 {
+			t.Errorf("fresh daemon: %s = %v, want 0", key, got)
+		}
+	}
 	v := submit(t, ts, `{"variant":"alg1","n":30,"seed":9}`)
 	streamEvents(t, ts.URL+"/api/v1/campaigns/"+v.ID+"/events", 2*time.Minute)
 	after := read()
 
-	if got, was := num(after, "experiments_total"), num(before, "experiments_total"); got < was+30 {
-		t.Errorf("experiments_total %v -> %v, want +30", was, got)
+	for key, want := range map[string]float64{
+		"experiments_total":     30,
+		"campaigns_done":        1,
+		"campaigns_queued":      0,
+		"campaigns_running":     0,
+		"campaigns_cancelled":   0,
+		"campaigns_failed":      0,
+		"campaign_workers":      1,
+		"campaign_workers_busy": 0,
+		"worker_utilization":    0,
+	} {
+		if got := num(after, key); got != want {
+			t.Errorf("%s = %v, want %v", key, got, want)
+		}
 	}
-	if got, was := num(after, "campaigns_done"), num(before, "campaigns_done"); got != was+1 {
-		t.Errorf("campaigns_done %v -> %v, want +1", was, got)
-	}
-	for _, key := range []string{"campaigns_queued", "campaigns_running", "campaigns_cancelled",
-		"campaigns_failed", "campaign_workers", "campaign_workers_busy",
-		"experiments_per_sec", "worker_utilization"} {
-		num(after, key) // presence + numeric
+	if got := num(after, "experiments_per_sec"); got <= 0 {
+		t.Errorf("experiments_per_sec = %v after 30 experiments, want > 0", got)
 	}
 }
 
 func TestEventsSSE(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
+	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 2})
 	v := submit(t, ts, `{"variant":"alg1","n":20,"seed":4}`)
 
 	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/api/v1/campaigns/"+v.ID+"/events", nil)
@@ -512,7 +524,7 @@ func TestEventsSSE(t *testing.T) {
 }
 
 func TestNotFoundAndVariants(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
+	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 2})
 	if code := getJSON(t, ts.URL+"/api/v1/campaigns/c999999", nil); code != http.StatusNotFound {
 		t.Errorf("unknown campaign returned %d, want 404", code)
 	}

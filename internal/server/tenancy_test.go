@@ -62,7 +62,7 @@ func submitKey(t *testing.T, ts *httptest.Server, key, spec string) View {
 }
 
 func TestTenantAuthRequired(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, Tenants: []tenant.Tenant{
+	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4, Tenants: []tenant.Tenant{
 		{Name: "acme", Key: "acme-key"},
 	}})
 	if resp, _ := postSpec(t, ts, "", `{"variant":"alg1","n":5,"seed":1}`); resp.StatusCode != http.StatusUnauthorized {
@@ -79,7 +79,7 @@ func TestTenantAuthRequired(t *testing.T) {
 }
 
 func TestTenantRateLimit(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8, Tenants: []tenant.Tenant{
+	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 8, Tenants: []tenant.Tenant{
 		{Name: "slow", Key: "slow-key", RatePerSec: 0.2, Burst: 1},
 	}})
 	if resp, body := postSpec(t, ts, "slow-key", `{"variant":"alg1","n":5,"seed":1}`); resp.StatusCode != http.StatusAccepted {
@@ -96,7 +96,7 @@ func TestTenantRateLimit(t *testing.T) {
 }
 
 func TestTenantQuotaOutstandingJobs(t *testing.T) {
-	_, ts := newTestServer(t, Config{
+	_, ts := newTestServer(t, Options{
 		Workers: 1, QueueDepth: 8,
 		ConfigHook: slowHook(3 * time.Millisecond),
 		Tenants: []tenant.Tenant{
@@ -130,7 +130,7 @@ func TestTenantQuotaOutstandingJobs(t *testing.T) {
 }
 
 func TestTenantQuotaOutstandingExperiments(t *testing.T) {
-	_, ts := newTestServer(t, Config{
+	_, ts := newTestServer(t, Options{
 		Workers: 1, QueueDepth: 8,
 		ConfigHook: slowHook(3 * time.Millisecond),
 		Tenants: []tenant.Tenant{
@@ -152,7 +152,7 @@ func TestTenantQuotaOutstandingExperiments(t *testing.T) {
 // submission is charged its experiment budget, the default one when
 // maxExperiments is unset, so a quota below that budget refuses it.
 func TestTenantQuotaPrecisionDefaultBudget(t *testing.T) {
-	_, ts := newTestServer(t, Config{
+	_, ts := newTestServer(t, Options{
 		Workers: 1, QueueDepth: 8,
 		Tenants: []tenant.Tenant{
 			{Name: "capped", Key: "cap-key", MaxQueuedExperiments: goofi.DefaultMaxExperiments - 1},
@@ -168,7 +168,7 @@ func TestTenantQuotaPrecisionDefaultBudget(t *testing.T) {
 }
 
 func TestQueueOverloadSheds503(t *testing.T) {
-	_, ts := newTestServer(t, Config{
+	_, ts := newTestServer(t, Options{
 		Workers: 1, QueueDepth: 2,
 		ConfigHook: slowHook(3 * time.Millisecond),
 	})
@@ -183,9 +183,8 @@ func TestQueueOverloadSheds503(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("503 missing Retry-After")
 	}
-	after := metricsMap(t, ts)
-	if after["requests_shed"] < 1 {
-		t.Fatalf("requests_shed = %v, want >= 1", after["requests_shed"])
+	if shed := metricsMap(t, ts)["requests_shed"]; shed != 1 {
+		t.Fatalf("requests_shed = %v, want 1", shed)
 	}
 }
 
@@ -199,7 +198,7 @@ func TestOverloadFairShare(t *testing.T) {
 		{Name: "silver", Key: "ks", Weight: 2},
 		{Name: "gold", Key: "kg", Weight: 3},
 	}
-	s, ts := newTestServer(t, Config{
+	s, ts := newTestServer(t, Options{
 		Workers: 1, QueueDepth: 64,
 		ConfigHook: slowHook(2 * time.Millisecond),
 		Tenants:    tenants,
@@ -256,7 +255,7 @@ func TestUsageAccountingSurvivesRestart(t *testing.T) {
 		{Name: "beta", Key: "kb2"},
 	}
 	dataDir, journalDir := t.TempDir(), t.TempDir()
-	cfg := Config{
+	cfg := Options{
 		Workers: 1, QueueDepth: 8,
 		DataDir: dataDir, JournalDir: journalDir,
 		ConfigHook: slowHook(5 * time.Millisecond),
@@ -300,7 +299,7 @@ func itoa(n int) string {
 
 func TestMemoizationServesDuplicates(t *testing.T) {
 	dataDir, cacheDir := t.TempDir(), t.TempDir()
-	_, ts := newTestServer(t, Config{
+	_, ts := newTestServer(t, Options{
 		Workers: 1, QueueDepth: 4,
 		DataDir: dataDir, CacheDir: cacheDir,
 	})
@@ -326,9 +325,8 @@ func TestMemoizationServesDuplicates(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("memoized record file differs from the original run (%d vs %d bytes)", len(got), len(want))
 	}
-	after := metricsMap(t, ts)
-	if after["cache_hits"] < 1 {
-		t.Fatalf("cache_hits = %v, want >= 1", after["cache_hits"])
+	if mm := metricsMap(t, ts); mm["cache_hits"] != 1 || mm["cache_misses"] != 1 {
+		t.Fatalf("cache_hits = %v, cache_misses = %v, want 1 and 1", mm["cache_hits"], mm["cache_misses"])
 	}
 	// A different seed is a different content address.
 	v3 := submit(t, ts, `{"variant":"alg1","n":120,"seed":43}`)
@@ -342,7 +340,7 @@ func TestMemoizationServesDuplicates(t *testing.T) {
 // from the cache, byte-identical; another budget is another address.
 func TestMemoizationPrecisionCampaign(t *testing.T) {
 	dataDir := t.TempDir()
-	_, ts := newTestServer(t, Config{
+	_, ts := newTestServer(t, Options{
 		Workers: 1, QueueDepth: 4,
 		DataDir: dataDir, CacheDir: t.TempDir(),
 	})
@@ -416,7 +414,7 @@ func TestMemoizationKeysPinned(t *testing.T) {
 
 func TestMemoizationTenantOptOut(t *testing.T) {
 	dataDir, cacheDir := t.TempDir(), t.TempDir()
-	_, ts := newTestServer(t, Config{
+	_, ts := newTestServer(t, Options{
 		Workers: 1, QueueDepth: 4,
 		DataDir: dataDir, CacheDir: cacheDir,
 		Tenants: []tenant.Tenant{
@@ -447,7 +445,7 @@ func TestMemoizationTenantOptOut(t *testing.T) {
 
 func TestRetentionSweep(t *testing.T) {
 	dataDir, journalDir := t.TempDir(), t.TempDir()
-	cfg := Config{
+	cfg := Options{
 		Workers: 1, QueueDepth: 4,
 		DataDir: dataDir, JournalDir: journalDir,
 		RetainAge: 30 * time.Minute,
@@ -513,7 +511,7 @@ func recordCounts(t *testing.T, ts *httptest.Server, id string) (view, total int
 // view counts exactly the records /records serves.
 func TestRestoredViewCountsRecords(t *testing.T) {
 	dataDir, journalDir := t.TempDir(), t.TempDir()
-	cfg := Config{Workers: 1, QueueDepth: 4, DataDir: dataDir, JournalDir: journalDir}
+	cfg := Options{Workers: 1, QueueDepth: 4, DataDir: dataDir, JournalDir: journalDir}
 	s1, ts1 := newTestServer(t, cfg)
 	v := submit(t, ts1, `{"variant":"alg1","n":150,"seed":9}`)
 	waitForState(t, ts1, v.ID, StateDone, time.Minute)
@@ -531,7 +529,7 @@ func TestRestoredViewCountsRecords(t *testing.T) {
 
 func TestRetentionByteBudget(t *testing.T) {
 	dataDir := t.TempDir()
-	s, ts := newTestServer(t, Config{
+	s, ts := newTestServer(t, Options{
 		Workers: 1, QueueDepth: 4,
 		DataDir:     dataDir,
 		RetainBytes: 1, // every terminal record file is over budget
@@ -556,7 +554,7 @@ func TestRetentionByteBudget(t *testing.T) {
 // server ever materializing the full set.
 func TestRecordPageStreams(t *testing.T) {
 	dataDir, journalDir := t.TempDir(), t.TempDir()
-	cfg := Config{Workers: 1, QueueDepth: 4, DataDir: dataDir, JournalDir: journalDir}
+	cfg := Options{Workers: 1, QueueDepth: 4, DataDir: dataDir, JournalDir: journalDir}
 	s1, ts1 := newTestServer(t, cfg)
 	v := submit(t, ts1, `{"variant":"alg1","n":150,"seed":9}`)
 	waitForState(t, ts1, v.ID, StateDone, time.Minute)

@@ -23,7 +23,7 @@ type traceResponse struct {
 }
 
 func TestTraceEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
 	v := submit(t, ts, `{"alg": 1, "n": 4, "seed": 2001}`)
 	waitForTerminal(t, ts, v.ID, 30*time.Second)
 
@@ -91,7 +91,7 @@ func TestTraceEndpoint(t *testing.T) {
 }
 
 func TestTraceLookupFailures(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
 
 	// Unknown campaign.
 	if code := getJSON(t, ts.URL+"/api/v1/campaigns/c999999/experiments/0/trace", nil); code != http.StatusNotFound {
@@ -114,7 +114,7 @@ func TestTraceLookupFailures(t *testing.T) {
 // campaign's experiment under its detectors, so an experiment a
 // signature alarm ended traces to that alarm.
 func TestTraceDetectorCampaign(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
 	v := submit(t, ts, `{"alg": 1, "n": 20, "seed": 2001, "model": "pc", "detector": "cfe"}`)
 	waitForState(t, ts, v.ID, StateDone, time.Minute)
 	var page struct {
@@ -145,7 +145,7 @@ func TestTraceDetectorCampaign(t *testing.T) {
 // n / B under that batch's seed, so a trace of an experiment past the
 // first batch injects the fault its record logged.
 func TestTracePrecisionCampaignLaterBatch(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, DataDir: t.TempDir()})
+	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4, DataDir: t.TempDir()})
 	v := submit(t, ts, `{"alg": 1, "seed": 3, "precision": 0.000001, "maxExperiments": 600}`)
 	waitForState(t, ts, v.ID, StateDone, time.Minute)
 
@@ -173,7 +173,7 @@ func TestTracePrecisionCampaignLaterBatch(t *testing.T) {
 // is running; the handler must notice the dead context and bail out
 // without wedging the server.
 func TestTraceClientCancelMidTrace(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
 	v := submit(t, ts, `{"alg": 1, "n": 2, "seed": 2001}`)
 	waitForTerminal(t, ts, v.ID, 30*time.Second)
 
@@ -209,7 +209,7 @@ func TestTraceClientCancelMidTrace(t *testing.T) {
 }
 
 func TestTraceOnTuneJobConflict(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
 	spec := `{
 		"space": {"policies": ["none", "rollback"], "learned": [false], "slacks": [0], "rateLimits": [0]},
 		"seed": 17, "initialExperiments": 40, "rounds": 1

@@ -17,7 +17,7 @@ import (
 // the per-candidate results persisted like campaign records.
 func TestServerTuneJobLifecycle(t *testing.T) {
 	dataDir := t.TempDir()
-	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, DataDir: dataDir})
+	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4, DataDir: dataDir})
 
 	spec := `{
 		"space": {
@@ -115,7 +115,7 @@ func TestServerTuneJobLifecycle(t *testing.T) {
 }
 
 func TestServerTuneSubmitValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
 	for name, body := range map[string]string{
 		"garbage":       "{",
 		"unknown field": `{"bogus": true}`,
@@ -134,7 +134,7 @@ func TestServerTuneSubmitValidation(t *testing.T) {
 }
 
 func TestServerTuneResultOnPlainCampaign(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
 	v := submit(t, ts, `{"variant":"alg1","n":2,"seed":1}`)
 	deadline := time.Now().Add(60 * time.Second)
 	for {
