@@ -56,8 +56,9 @@ func rangeAssert() core.Assertion {
 
 // learnAssertions derives range and rate assertions from one fault-free
 // closed-loop run, the automated version of the paper's manual
-// constraint engineering.
-func learnAssertions() (core.Assertion, error) {
+// constraint engineering. It returns a constructor: the rate assertion
+// keeps history, so every controller needs its own.
+func learnAssertions() (func() core.Assertion, error) {
 	ctrl := control.NewPI(piConfig())
 	eng := plant.NewEngine(plant.DefaultEngineConfig())
 	ref := plant.PaperReference()
@@ -71,15 +72,24 @@ func learnAssertions() (core.Assertion, error) {
 			return nil, err
 		}
 	}
-	rng, err := learner.RangeAssertionWithMargin(0.25)
-	if err != nil {
+	learned := func() (core.Assertion, error) {
+		rng, err := learner.RangeAssertionWithMargin(0.25)
+		if err != nil {
+			return nil, err
+		}
+		rate, err := learner.RateAssertionWithMargin(3)
+		if err != nil {
+			return nil, err
+		}
+		return core.All(rng, rate), nil
+	}
+	if _, err := learned(); err != nil {
 		return nil, err
 	}
-	rate, err := learner.RateAssertionWithMargin(3)
-	if err != nil {
-		return nil, err
-	}
-	return core.All(rng, rate), nil
+	return func() core.Assertion {
+		a, _ := learned() // succeeded above on the same learner
+		return a
+	}, nil
 }
 
 func designs() ([]design, error) {
@@ -87,9 +97,12 @@ func designs() ([]design, error) {
 	if err != nil {
 		return nil, err
 	}
-	guarded := func(assert core.Assertion, opts ...core.GuardOption) func() control.Stateful {
+	// guarded builds each controller over a fresh assertion from
+	// assert: campaign runs execute concurrently, and a stateful
+	// assertion shared between them would mix their histories.
+	guarded := func(assert func() core.Assertion, opts ...core.GuardOption) func() control.Stateful {
 		return func() control.Stateful {
-			g := core.NewGuard(control.NewPI(piConfig()), assert, opts...)
+			g := core.NewGuard(control.NewPI(piConfig()), assert(), opts...)
 			return core.NewGuardedController(g)
 		}
 	}
@@ -107,17 +120,17 @@ func designs() ([]design, error) {
 		{
 			name: "guard-range",
 			why:  "Guard, physical range assertion, rollback",
-			new:  guarded(rangeAssert()),
+			new:  guarded(rangeAssert),
 		},
 		{
 			name: "guard-range-rate",
 			why:  "adds a rate assertion: catches in-range jumps (Figure 10)",
-			new:  guarded(core.All(rangeAssert(), core.NewRateAssertion(8))),
+			new:  guarded(func() core.Assertion { return core.All(rangeAssert(), core.NewRateAssertion(8)) }),
 		},
 		{
 			name: "guard-saturate",
 			why:  "Guard, range assertion, saturate instead of rollback",
-			new:  guarded(rangeAssert(), core.WithPolicy(core.Saturate)),
+			new:  guarded(rangeAssert, core.WithPolicy(core.Saturate)),
 		},
 		{
 			name: "guard-learned",

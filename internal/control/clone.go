@@ -1,10 +1,9 @@
 package control
 
 // Controller cloning, the capability behind warm-started variable-level
-// fault-injection campaigns: a campaign snapshots a controller at its
-// injection iteration by cloning it during the single golden pass, then
-// resumes each experiment from the clone instead of replaying the
-// prefix.
+// fault-injection campaigns: each campaign worker walks one fault-free
+// controller forward to every injection iteration and runs the
+// experiment on a clone of it instead of replaying the prefix.
 //
 // CloneStateful returns `any` rather than Stateful to keep the method
 // usable through the structurally identical Stateful interfaces of

@@ -99,9 +99,10 @@ func sameAssertion(a, b Assertion) bool {
 	}
 }
 
-// cloneStateful clones a controller through the CloneStateful() any
-// convention (see package control).
-func cloneStateful(c Stateful) (Stateful, bool) {
+// CloneController clones a controller through the CloneStateful() any
+// convention (see package control; GuardedController implements it
+// too), or returns false when c cannot be cloned.
+func CloneController(c Stateful) (Stateful, bool) {
 	cl, ok := c.(interface{ CloneStateful() any })
 	if !ok {
 		return nil, false
@@ -118,7 +119,7 @@ func cloneStateful(c Stateful) (Stateful, bool) {
 // history, backups and stats — or false when any part declines to be
 // cloned.
 func (g *Guard) Clone() (*Guard, bool) {
-	ctrl, ok := cloneStateful(g.ctrl)
+	ctrl, ok := CloneController(g.ctrl)
 	if !ok {
 		return nil, false
 	}

@@ -10,8 +10,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"ctrlguard/internal/classify"
@@ -307,35 +307,20 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return ProvenanceSimulated
 	}
 
-	// Feed experiments in injection order so every worker's golden
-	// cursor only walks forward. Records still land at their experiment
-	// ID, so results are unaffected.
-	order := make([]int, cfg.Experiments)
-	for i := range order {
-		order[i] = i
-	}
-	if warm != nil {
-		sort.SliceStable(order, func(a, b int) bool {
-			return injections[order[a]].At < injections[order[b]].At
-		})
-	}
-
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > cfg.Experiments {
-		workers = cfg.Experiments
-	}
 
-	records := make([]Record, cfg.Experiments)
-	completed := make([]bool, cfg.Experiments)
-	var (
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-		done   int
-		faults FaultStats
-	)
+	loop := newCampaignLoop[*workload.Cursor](cfg.Experiments, &cfg)
+	loop.run = func(cur **workload.Cursor, i int, deadline time.Time) (Record, error) {
+		return runExperiment(prog, cfg, golden, warm, det, cur, i, injections[i], deadline)
+	}
+	loop.blank = func(i int) Record {
+		return verdictRecord(cfg, i, injections[i], classify.Verdict{}, ProvenanceSimulated)
+	}
+	records, completed := loop.records, loop.completed
+	var faults FaultStats
 
 	// Best-effort recovery for the campaign itself: records persisted
 	// by an earlier interrupted run stand in for their experiments, so
@@ -357,9 +342,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			// record file matches an uninterrupted one, even when the
 			// interrupted run had pruning toggled differently.
 			rec.Provenance = prov(i)
-			records[i] = rec
-			completed[i] = true
-			done++
+			loop.book(i, rec, false)
 			reused = append(reused, rec)
 		}
 		faults.Resumed = len(reused)
@@ -370,18 +353,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 
 	// emit books experiment i's record. An out-of-shard class
 	// representative runs only to supply its class verdict: its record
-	// is kept for fan-out but not counted or handed to OnRecord. Callers
-	// hold mu (or run before the workers start).
-	emit := func(i int, rec Record) {
-		records[i], completed[i] = rec, true
-		if !inShard(i) {
-			return
-		}
-		done++
-		if cfg.OnRecord != nil {
-			cfg.OnRecord(rec)
-		}
-	}
+	// is kept for fan-out but not handed to OnRecord.
+	emit := func(i int, rec Record) { loop.book(i, rec, inShard(i)) }
 	// fanOut infers the records of rep's equivalence-class members from
 	// its verdict, skipping members reused from a resumed run and other
 	// shards' members.
@@ -392,11 +365,12 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			}
 		}
 	}
-	// settle emits a simulated experiment's record; a class
+	// A simulated experiment's record is emitted; a class
 	// representative's verdict is stamped and fanned out to its members
 	// unless it was abandoned, which leaves the members to the fallback
 	// pass below.
-	settle := func(i int, rec Record) {
+	loop.settle = func(i int, rec Record, fs FaultStats) {
+		faults.Add(fs)
 		rep := plan != nil && plan.decision[i] == pdRep && rec.Outcome != OutcomeAbandoned
 		if rep {
 			rec.Provenance = prov(i)
@@ -423,72 +397,30 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	}
 
-	// runOne executes experiment i under fault isolation and books its
-	// record. cur is the calling worker's cursor slot, nil for a run
-	// from instruction 0.
-	runOne := func(cur **workload.Cursor, i int) {
-		rec, fs := runExperimentIsolated(prog, cfg, golden, warm, det, cur, i, injections[i])
-		mu.Lock()
-		faults.Add(fs)
-		settle(i, rec)
-		mu.Unlock()
-	}
-
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var cur *workload.Cursor // this worker's golden cursor
-			for i := range next {
-				if ctx.Err() == nil { // else drain without running
-					runOne(&cur, i)
-				}
-			}
-		}()
-	}
-
-feed:
-	for _, i := range order {
-		// Members and dead faults never dispatch (members land with
-		// their representative); checking the plan first also keeps this
-		// unlocked completed[] read off indices the workers' fan-out
-		// writes concurrently.
-		if plan != nil && (plan.decision[i] == pdDead || plan.decision[i] == pdMember) {
-			continue
-		}
-		if !inShard(i) {
-			// Another shard's experiment — unless it is a class
-			// representative whose verdict an in-shard member still
-			// needs, in which case it runs here too (un-emitted). The
-			// members read below is safe unlocked: only this
-			// representative's own fan-out writes them, and it cannot
-			// have been dispatched yet.
-			if plan == nil || plan.decision[i] != pdRep {
-				continue
-			}
-			needed := false
-			for _, m := range plan.members[i] {
-				if inShard(m) && !completed[m] {
-					needed = true
-					break
-				}
-			}
-			if !needed {
-				continue
-			}
-		}
-		if completed[i] {
-			continue // reused from a resumed run
-		}
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break feed
+	// The experiments to simulate, in injection order when the warm
+	// start runs so every worker's golden cursor only walks forward.
+	// Records still land at their experiment ID, so results are
+	// unaffected. Members and dead faults never run (members land with
+	// their representative), nor do experiments reused from a resumed
+	// run or other shards' — unless one is a class representative whose
+	// verdict an in-shard member still needs, in which case it runs here
+	// too (un-emitted).
+	needed := func(m int) bool { return inShard(m) && !completed[m] }
+	var ids []int
+	for i := range injections {
+		switch {
+		case completed[i]:
+		case plan != nil && (plan.decision[i] == pdDead || plan.decision[i] == pdMember):
+		case inShard(i) || plan != nil && plan.decision[i] == pdRep && slices.ContainsFunc(plan.members[i], needed):
+			ids = append(ids, i)
 		}
 	}
-	close(next)
-	wg.Wait()
+	if warm != nil {
+		sort.SliceStable(ids, func(a, b int) bool {
+			return injections[ids[a]].At < injections[ids[b]].At
+		})
+	}
+	loop.runAll(ctx, workers, ids)
 
 	// An abandoned representative (wall-clock deadline — the one
 	// nondeterministic outcome) cannot vouch for its class: fall back to
@@ -501,7 +433,7 @@ feed:
 			}
 			for _, m := range members {
 				if !completed[m] && inShard(m) && ctx.Err() == nil {
-					runOne(nil, m)
+					loop.runOne(nil, m)
 				}
 			}
 		}
@@ -524,13 +456,7 @@ feed:
 	if shard != nil || ctx.Err() != nil {
 		// Shard runs emit only their own range; cancelled runs only what
 		// finished. Either way the records stay in experiment-ID order.
-		partial := make([]Record, 0, done)
-		for i := lo; i < hi; i++ {
-			if completed[i] {
-				partial = append(partial, records[i])
-			}
-		}
-		res.Records = partial
+		res.Records = loop.partial(lo, hi)
 	}
 	if err := ctx.Err(); err != nil {
 		return res, err

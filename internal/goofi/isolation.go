@@ -1,12 +1,12 @@
 package goofi
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
-	"ctrlguard/internal/classify"
-	"ctrlguard/internal/cpu"
 	"ctrlguard/internal/workload"
 )
 
@@ -16,7 +16,8 @@ import (
 // experiment attempt runs panic-recovered under an optional wall-clock
 // deadline, is retried a bounded number of times with exponential
 // backoff, and, if it keeps failing, is recorded with the distinct
-// OutcomeAbandoned instead of poisoning the campaign.
+// OutcomeAbandoned instead of poisoning the campaign. The one worker
+// pool, campaignLoop, runs every campaign kind's experiments this way.
 
 // OutcomeAbandoned marks an experiment that exhausted its retry budget
 // (repeated panics or deadline expiries). It is outside the paper's
@@ -65,73 +66,159 @@ func (s *FaultStats) Add(o FaultStats) {
 // Zero reports whether isolation never had to intervene.
 func (s FaultStats) Zero() bool { return s == FaultStats{} }
 
-// retryBudget resolves the configured retry knobs.
-func (cfg *Config) retryBudget() (retries int, backoff time.Duration) {
-	retries = cfg.ExperimentRetries
-	if retries == 0 {
-		retries = DefaultExperimentRetries
-	} else if retries < 0 {
-		retries = 0
-	}
-	backoff = cfg.RetryBackoff
-	if backoff <= 0 {
-		backoff = DefaultRetryBackoff
-	}
-	return retries, backoff
+// campaignLoop is the campaign engine's one worker pool, shared by
+// every campaign kind. It owns the records of the experiments it runs,
+// indexed by ID; a worker keeps a slot of type S across experiments
+// (its golden cursor) and runs each experiment off it under isolation.
+type campaignLoop[S any] struct {
+	records   []Record
+	completed []bool
+	onRecord  func(Record)
+
+	// The isolation knobs, resolved from a Config.
+	retries          int
+	backoff, timeout time.Duration
+	chaos            func(id, attempt int)
+
+	// run is one attempt at experiment id off the worker's slot (nil
+	// for a run without one); an attempt past a non-zero deadline
+	// returns errExperimentDeadline. blank is id's record with a zero
+	// verdict, which an abandoned experiment keeps. settle books a
+	// finished experiment (see book) with the isolation tally fs; it
+	// runs under the loop's lock.
+	run    func(slot *S, id int, deadline time.Time) (Record, error)
+	blank  func(id int) Record
+	settle func(id int, rec Record, fs FaultStats)
+
+	mu sync.Mutex
 }
 
-// runExperimentIsolated runs one experiment under fault isolation:
-// panic-recovered, deadline-bounded, retried with exponential backoff,
-// and finally abandoned with a distinct outcome rather than failing the
-// campaign.
-func runExperimentIsolated(prog *cpu.Program, cfg Config, golden *workload.Outcome, warm *warmState, det *detectState, cur **workload.Cursor, id int, inj workload.Injection) (Record, FaultStats) {
-	retries, backoff := cfg.retryBudget()
-	var stats FaultStats
-	var lastErr error
-	for attempt := 0; attempt <= retries; attempt++ {
+// newCampaignLoop returns a loop over experiment IDs [0, n) that
+// isolates experiments and reports records as cfg configures.
+func newCampaignLoop[S any](n int, cfg *Config) *campaignLoop[S] {
+	l := &campaignLoop[S]{
+		records: make([]Record, n), completed: make([]bool, n), onRecord: cfg.OnRecord,
+		retries: cfg.ExperimentRetries, backoff: cfg.RetryBackoff, timeout: cfg.ExperimentTimeout, chaos: cfg.Chaos,
+	}
+	if l.retries == 0 {
+		l.retries = DefaultExperimentRetries
+	} else if l.retries < 0 {
+		l.retries = 0
+	}
+	if l.backoff <= 0 {
+		l.backoff = DefaultRetryBackoff
+	}
+	return l
+}
+
+// book stores experiment id's record and, when emit, hands it to
+// onRecord. Callers hold the lock (settle) or run outside the workers.
+func (l *campaignLoop[S]) book(id int, rec Record, emit bool) {
+	l.records[id], l.completed[id] = rec, true
+	if emit && l.onRecord != nil {
+		l.onRecord(rec)
+	}
+}
+
+// runAll runs the experiments ids on workers goroutines, fed in the
+// given order. When ctx is cancelled the feed stops and the workers
+// drain what was handed out without running it.
+func (l *campaignLoop[S]) runAll(ctx context.Context, workers int, ids []int) {
+	workers = min(workers, len(ids))
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var slot S // this worker's golden cursor
+			for id := range next {
+				if ctx.Err() == nil {
+					l.runOne(&slot, id)
+				}
+			}
+		}()
+	}
+feed:
+	for _, id := range ids {
+		select {
+		case next <- id:
+		case <-ctx.Done():
+			break feed
+		}
+	}
+	close(next)
+	wg.Wait()
+}
+
+// runOne runs experiment id under fault isolation — panic-recovered,
+// deadline-bounded, retried with exponential backoff, and finally
+// abandoned with a distinct outcome rather than failing the campaign —
+// and settles its record.
+func (l *campaignLoop[S]) runOne(slot *S, id int) {
+	backoff := l.backoff
+	var fs FaultStats
+	var rec Record
+	var err error
+	for attempt := 0; attempt <= l.retries; attempt++ {
 		if attempt > 0 {
-			stats.Retried++
+			fs.Retried++
 			time.Sleep(backoff)
 			backoff *= 2
 		}
-		rec, err := runAttempt(prog, cfg, golden, warm, det, cur, id, inj, attempt)
-		if err == nil {
-			return rec, stats
+		if rec, err = l.attempt(slot, id, attempt); err == nil {
+			break
 		}
 		if errors.Is(err, errExperimentDeadline) {
-			stats.TimedOut++
+			fs.TimedOut++
 		} else {
-			stats.Panicked++
+			fs.Panicked++
 		}
-		lastErr = err
 	}
-	stats.Abandoned++
-	rec := verdictRecord(cfg, id, inj, classify.Verdict{}, ProvenanceSimulated)
-	rec.Outcome, rec.Mechanism = OutcomeAbandoned, lastErr.Error()
-	return rec, stats
+	if err != nil {
+		fs.Abandoned++
+		rec = l.blank(id)
+		rec.Outcome, rec.Mechanism = OutcomeAbandoned, err.Error()
+	}
+	l.mu.Lock()
+	l.settle(id, rec, fs)
+	l.mu.Unlock()
 }
 
-// runAttempt is one panic-recovered, deadline-bounded attempt at an
+// attempt is one panic-recovered, deadline-bounded attempt at an
 // experiment.
-func runAttempt(prog *cpu.Program, cfg Config, golden *workload.Outcome, warm *warmState, det *detectState, cur **workload.Cursor, id int, inj workload.Injection, attempt int) (rec Record, err error) {
+func (l *campaignLoop[S]) attempt(slot *S, id, attempt int) (rec Record, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("goofi: experiment %d panicked: %v", id, p)
 		}
 	}()
 	var deadline time.Time
-	if cfg.ExperimentTimeout > 0 {
-		deadline = time.Now().Add(cfg.ExperimentTimeout)
+	if l.timeout > 0 {
+		deadline = time.Now().Add(l.timeout)
 	}
-	if cfg.Chaos != nil {
+	if l.chaos != nil {
 		// The hook may sleep (a hung worker) or panic (a crashed one);
 		// its time counts against the attempt's deadline.
-		cfg.Chaos(id, attempt)
+		l.chaos(id, attempt)
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			return Record{}, errExperimentDeadline
 		}
 	}
-	return runExperiment(prog, cfg, golden, warm, det, cur, id, inj, deadline)
+	return l.run(slot, id, deadline)
+}
+
+// partial returns the completed records with IDs in [lo, hi), in ID
+// order: a shard's range, a cancelled run's finished experiments, or
+// one campaign of a batch.
+func (l *campaignLoop[S]) partial(lo, hi int) []Record {
+	recs := make([]Record, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		if l.completed[i] {
+			recs = append(recs, l.records[i])
+		}
+	}
+	return recs
 }
 
 // resumable reports whether a persisted record can stand in for

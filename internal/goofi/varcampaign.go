@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
+	"sort"
 	"sync/atomic"
+	"time"
 
 	"ctrlguard/internal/classify"
 	"ctrlguard/internal/control"
+	"ctrlguard/internal/core"
 	"ctrlguard/internal/inject"
 	"ctrlguard/internal/plant"
 	"ctrlguard/internal/stats"
@@ -25,10 +27,12 @@ type VarConfig struct {
 	// Name labels the records (the Variant column).
 	Name string
 
-	// New constructs a fresh controller for each run. The controller
-	// is driven through Stateful.Update with inputs [r, y]. Runs execute
-	// concurrently, so each call must return a controller that shares
-	// no mutable state (such as a stateful assertion) with the others.
+	// New constructs a fresh controller for the golden run, for each
+	// worker's golden cursor and for each experiment that runs in full.
+	// The controller is driven through Stateful.Update with inputs
+	// [r, y]. Workers run concurrently, so each call must return a
+	// controller that shares no mutable state (such as a stateful
+	// assertion) with the others.
 	New func() control.Stateful
 
 	// Experiments is the number of faults to inject.
@@ -51,11 +55,11 @@ type VarConfig struct {
 	Workers int
 
 	// noWarmStart forces every experiment to replay the pre-injection
-	// iterations instead of resuming from a controller clone captured
-	// during the golden run; tests use it to pin that both produce the
-	// same records. Warm start also disables itself when the controller
-	// does not support cloning (no CloneStateful method, or a guard
-	// with an uncloneable assertion).
+	// iterations instead of forking off a clone of the worker's golden
+	// cursor; tests use it to pin that both produce the same records.
+	// Warm start also disables itself when the controller does not
+	// support cloning (no CloneStateful method, or a guard with an
+	// uncloneable assertion).
 	noWarmStart bool
 }
 
@@ -85,17 +89,11 @@ func (cfg *VarConfig) fill() error {
 	return nil
 }
 
-// runVarLoop drives ctrl closed-loop and returns the output trace.
-// corruptAt < 0 disables injection.
-func runVarLoop(ctrl control.Stateful, cfg *VarConfig, corruptAt int, flip inject.VarFlip) []float64 {
-	eng := plant.NewEngine(*cfg.Engine)
-	return varLoopFrom(ctrl, eng, eng.Speed(), 0, nil, cfg, corruptAt, flip)
-}
-
-// varLoopFrom is the loop body shared by full runs and checkpoint
-// resumes: iterations [0, startK) are taken from the golden prefix
-// (identical by determinism — the injection has not happened yet),
-// iterations [startK, Iterations) are executed.
+// varLoopFrom drives ctrl closed-loop from iteration startK, with the
+// plant eng and last measurement y there, and returns the output trace:
+// iterations [0, startK) are taken from the golden prefix (identical by
+// determinism — the injection has not happened yet), iterations
+// [startK, Iterations) are executed. corruptAt < 0 disables injection.
 func varLoopFrom(ctrl control.Stateful, eng *plant.Engine, y float64, startK int,
 	prefix []float64, cfg *VarConfig, corruptAt int, flip inject.VarFlip) []float64 {
 	out := make([]float64, 0, cfg.Iterations)
@@ -104,62 +102,19 @@ func varLoopFrom(ctrl control.Stateful, eng *plant.Engine, y float64, startK int
 		if k == corruptAt {
 			flip.Apply(ctrl)
 		}
-		t := float64(k) * cfg.Engine.T
-		u := ctrl.Update([]float64{cfg.Reference(t), y})[0]
-		y = eng.Step(u)
+		var u float64
+		u, y = varStep(cfg, ctrl, eng, y, k)
 		out = append(out, u)
 	}
 	return out
 }
 
-// varCheckpoint freezes a variable-level run at the top of one control
-// iteration: the controller clone, the plant clone and the last
-// measurement. Checkpoints are immutable; every resume re-clones.
-type varCheckpoint struct {
-	ctrl control.Stateful
-	eng  *plant.Engine
-	y    float64
-}
-
-// cloneVarController clones a controller through the CloneStateful()
-// any convention (see package control; core.GuardedController also
-// implements it).
-func cloneVarController(c control.Stateful) (control.Stateful, bool) {
-	cl, ok := c.(interface{ CloneStateful() any })
-	if !ok {
-		return nil, false
-	}
-	v := cl.CloneStateful()
-	if v == nil {
-		return nil, false
-	}
-	s, ok := v.(control.Stateful)
-	return s, ok
-}
-
-// runVarGolden drives ctrl fault-free like runVarLoop while capturing a
-// checkpoint at each requested iteration. When the controller (or the
-// guard state it carries) cannot be cloned, the checkpoint map comes
-// back nil and the campaign runs every experiment in full.
-func runVarGolden(ctrl control.Stateful, cfg *VarConfig, want map[int]bool) ([]float64, map[int]*varCheckpoint) {
-	eng := plant.NewEngine(*cfg.Engine)
-	out := make([]float64, 0, cfg.Iterations)
-	ckpts := make(map[int]*varCheckpoint, len(want))
-	y := eng.Speed()
-	for k := 0; k < cfg.Iterations; k++ {
-		if ckpts != nil && want[k] {
-			if cc, ok := cloneVarController(ctrl); ok {
-				ckpts[k] = &varCheckpoint{ctrl: cc, eng: eng.Clone(), y: y}
-			} else {
-				ckpts = nil
-			}
-		}
-		t := float64(k) * cfg.Engine.T
-		u := ctrl.Update([]float64{cfg.Reference(t), y})[0]
-		y = eng.Step(u)
-		out = append(out, u)
-	}
-	return out, ckpts
+// varStep runs control iteration k from measurement y and returns the
+// controller's output and the plant's next measurement.
+func varStep(cfg *VarConfig, ctrl control.Stateful, eng *plant.Engine, y float64, k int) (u, next float64) {
+	t := float64(k) * cfg.Engine.T
+	u = ctrl.Update([]float64{cfg.Reference(t), y})[0]
+	return u, eng.Step(u)
 }
 
 // RunVariable executes a variable-level campaign and returns records in
@@ -195,41 +150,80 @@ type varCampaign struct {
 	golden      []float64
 	goldenFinal []float64
 	exps        []varExperiment
-	records     []Record
-	completed   []bool
+	base        int  // the batch task ID of experiment 0
+	warm        bool // experiments fork off golden cursors
+	faults      FaultStats
 
-	// ckpts holds the warm-start checkpoints keyed by injection
-	// iteration, captured during the golden run; nil when warm start
-	// is off or the controller is not cloneable.
-	ckpts       map[int]*varCheckpoint
-	resumed     atomic.Int64
-	fullReplays atomic.Int64
+	resumed, fullReplays, cursors atomic.Int64
 }
 
-// runOne executes one experiment, resuming from the checkpoint at its
-// injection iteration when one exists.
-func (c *varCampaign) runOne(e varExperiment) ([]float64, control.Stateful) {
-	if ck := c.ckpts[e.iteration]; ck != nil {
-		if ctrl, ok := cloneVarController(ck.ctrl); ok {
+// varCursor is a worker's golden controller and plant for campaign
+// camp, at the top of iteration k with last measurement y. It only
+// walks forward; every experiment forks off a clone of it.
+type varCursor struct {
+	camp *varCampaign
+	ctrl control.Stateful
+	eng  *plant.Engine
+	y    float64
+	k    int
+}
+
+// run executes experiment e, forked off the worker's cursor when the
+// warm start is on, from New() otherwise, and returns its outputs and
+// faulty controller. The cursor is taken out of its slot while it
+// advances, so a panic there leaves a fresh one to the retry.
+func (c *varCampaign) run(slot *varCursor, e varExperiment) ([]float64, control.Stateful) {
+	if c.warm {
+		cur := *slot
+		*slot = varCursor{}
+		if cur.camp != c || cur.k > e.iteration {
+			eng := plant.NewEngine(*c.cfg.Engine)
+			cur = varCursor{camp: c, ctrl: c.cfg.New(), eng: eng, y: eng.Speed()}
+			c.cursors.Add(1)
+		}
+		for ; cur.k < e.iteration; cur.k++ {
+			_, cur.y = varStep(&c.cfg, cur.ctrl, cur.eng, cur.y, cur.k)
+		}
+		*slot = cur
+		if ctrl, ok := core.CloneController(cur.ctrl); ok {
 			c.resumed.Add(1)
-			out := varLoopFrom(ctrl, ck.eng.Clone(), ck.y, e.iteration,
-				c.golden, &c.cfg, e.iteration, e.flip)
-			return out, ctrl
+			return varLoopFrom(ctrl, cur.eng.Clone(), cur.y, cur.k, c.golden, &c.cfg, e.iteration, e.flip), ctrl
 		}
 	}
 	c.fullReplays.Add(1)
-	ctrl := c.cfg.New()
-	return runVarLoop(ctrl, &c.cfg, e.iteration, e.flip), ctrl
+	ctrl, eng := c.cfg.New(), plant.NewEngine(*c.cfg.Engine)
+	return varLoopFrom(ctrl, eng, eng.Speed(), 0, nil, &c.cfg, e.iteration, e.flip), ctrl
 }
 
-// RunVariableBatch evaluates several variable-level campaigns over one
-// shared worker pool, interleaving their experiments so a batch of
-// small campaigns saturates the machine the way one large campaign
-// does — the throughput path for the design-space tuner, which
-// evaluates many candidate configurations at once. Results align with
-// cfgs by index, and each campaign's records are identical to what
+// record is experiment id's record with verdict v.
+func (c *varCampaign) record(id int, v classify.Verdict) Record {
+	e := c.exps[id]
+	return Record{
+		ID:         id,
+		Variant:    c.cfg.Name,
+		Region:     "variable",
+		Element:    fmt.Sprintf("state[%d]", e.flip.Element),
+		Bit:        e.flip.Bit,
+		At:         uint64(e.iteration),
+		Outcome:    v.Outcome.String(),
+		FirstDev:   v.FirstDeviation,
+		StrongIts:  v.StrongIterations,
+		MaxDev:     v.MaxDeviation,
+		Provenance: ProvenanceSimulated,
+	}
+}
+
+// RunVariableBatch evaluates several variable-level campaigns on the
+// campaign engine's worker loop, interleaving their experiments so a
+// batch of small campaigns saturates the machine the way one large
+// campaign does — the throughput path for the design-space tuner,
+// which evaluates many candidate configurations at once. Results align
+// with cfgs by index, and each campaign's records are identical to what
 // RunVariable would produce alone: faults are pre-drawn per campaign
-// from its own seed, so scheduling cannot change any result.
+// from its own seed, so scheduling cannot change any result. Every
+// experiment runs under the loop's fault isolation with the default
+// retry budget: one whose controller keeps panicking is recorded as
+// OutcomeAbandoned and counted in its campaign's Result.Faults.
 //
 // When ctx is cancelled the batch stops at the next experiment
 // boundary and every campaign returns the records it completed so far
@@ -244,120 +238,85 @@ func RunVariableBatch(ctx context.Context, cfgs []VarConfig) ([]*Result, error) 
 
 	// Set-up phase: golden run and pre-drawn faults per campaign.
 	camps := make([]*varCampaign, len(cfgs))
-	poolSize := 0
-	totalExps := 0
+	workers, total := 0, 0
 	for ci := range cfgs {
 		cfg := cfgs[ci] // copy; fill must not mutate the caller's slice
 		if err := cfg.fill(); err != nil {
 			return nil, fmt.Errorf("goofi: campaign %d (%s): %w", ci, cfg.Name, err)
 		}
-		if cfg.Workers > poolSize {
-			poolSize = cfg.Workers
-		}
+		workers = max(workers, cfg.Workers)
 		goldenCtrl := cfg.New()
 		stateDim := len(goldenCtrl.State())
 		if stateDim == 0 {
 			return nil, fmt.Errorf("goofi: campaign %d (%s): controller exposes no state to inject into", ci, cfg.Name)
 		}
+		_, cloneable := core.CloneController(goldenCtrl)
 		c := &varCampaign{
-			cfg:       cfg,
-			exps:      make([]varExperiment, cfg.Experiments),
-			records:   make([]Record, cfg.Experiments),
-			completed: make([]bool, cfg.Experiments),
+			cfg:  cfg,
+			exps: make([]varExperiment, cfg.Experiments),
+			base: total,
+			warm: cloneable && !cfg.noWarmStart,
 		}
-		// Pre-draw the faults before the golden run so the golden pass
-		// knows which iterations to checkpoint. Injections at
-		// iteration 0 have no prefix to skip and stay full replays.
 		sampler := inject.NewVarSampler(cfg.Seed, stateDim, cfg.Iterations)
-		want := make(map[int]bool)
 		for i := range c.exps {
 			it, flip := sampler.Next()
 			c.exps[i] = varExperiment{iteration: it, flip: flip}
-			if it > 0 && !cfg.noWarmStart {
-				want[it] = true
-			}
 		}
-		if cfg.noWarmStart {
-			c.golden = runVarLoop(goldenCtrl, &c.cfg, -1, inject.VarFlip{})
-		} else {
-			c.golden, c.ckpts = runVarGolden(goldenCtrl, &c.cfg, want)
-		}
+		eng := plant.NewEngine(*cfg.Engine)
+		c.golden = varLoopFrom(goldenCtrl, eng, eng.Speed(), 0, nil, &c.cfg, -1, inject.VarFlip{})
 		c.goldenFinal = goldenCtrl.State()
-		totalExps += cfg.Experiments
+		total += cfg.Experiments
 		camps[ci] = c
 	}
-	if poolSize > totalExps {
-		poolSize = totalExps
-	}
 
-	// Injection phase: one task queue over (campaign, experiment)
-	// pairs; records land at fixed indices, so the result is
-	// deterministic regardless of worker scheduling.
-	type task struct{ camp, exp int }
-	next := make(chan task)
-	var wg sync.WaitGroup
-	for w := 0; w < poolSize; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for tk := range next {
-				if ctx.Err() != nil {
-					continue // drain without running
-				}
-				c := camps[tk.camp]
-				e := c.exps[tk.exp]
-				outputs, ctrl := c.runOne(e)
-				stateDiffers := !float64SlicesEqual(ctrl.State(), c.goldenFinal)
-				verdict := classify.Run(c.golden, outputs, stateDiffers, c.cfg.Classify)
-				c.records[tk.exp] = Record{
-					ID:         tk.exp,
-					Variant:    c.cfg.Name,
-					Region:     "variable",
-					Element:    fmt.Sprintf("state[%d]", e.flip.Element),
-					Bit:        e.flip.Bit,
-					At:         uint64(e.iteration),
-					Outcome:    verdict.Outcome.String(),
-					FirstDev:   verdict.FirstDeviation,
-					StrongIts:  verdict.StrongIterations,
-					MaxDev:     verdict.MaxDeviation,
-					Provenance: ProvenanceSimulated,
-				}
-				c.completed[tk.exp] = true
-			}
-		}()
+	// Injection phase: the batch's experiments are the loop's tasks,
+	// numbered campaign by campaign and fed in (campaign, injection
+	// iteration) order so every worker's cursor only walks forward.
+	// Records land at their task ID, so the result is deterministic
+	// regardless of worker scheduling.
+	type task struct {
+		c  *varCampaign
+		id int
 	}
-feed:
-	for ci, c := range camps {
-		for i := 0; i < c.cfg.Experiments; i++ {
-			select {
-			case next <- task{camp: ci, exp: i}:
-			case <-ctx.Done():
-				break feed
-			}
+	tasks := make([]task, 0, total)
+	ids := make([]int, 0, total)
+	for _, c := range camps {
+		for i := range c.exps {
+			tasks = append(tasks, task{c, i})
+			ids = append(ids, c.base+i)
 		}
+		sort.SliceStable(ids[c.base:], func(a, b int) bool {
+			return c.exps[ids[c.base+a]-c.base].iteration < c.exps[ids[c.base+b]-c.base].iteration
+		})
 	}
-	close(next)
-	wg.Wait()
+	loop := newCampaignLoop[varCursor](total, &Config{})
+	loop.run = func(slot *varCursor, t int, _ time.Time) (Record, error) {
+		tk := tasks[t]
+		outputs, ctrl := tk.c.run(slot, tk.c.exps[tk.id])
+		stateDiffers := !float64SlicesEqual(ctrl.State(), tk.c.goldenFinal)
+		return tk.c.record(tk.id, classify.Run(tk.c.golden, outputs, stateDiffers, tk.c.cfg.Classify)), nil
+	}
+	loop.blank = func(t int) Record { return tasks[t].c.record(tasks[t].id, classify.Verdict{}) }
+	loop.settle = func(t int, rec Record, fs FaultStats) {
+		tasks[t].c.faults.Add(fs)
+		loop.book(t, rec, false)
+	}
+	loop.runAll(ctx, workers, ids)
 
 	results := make([]*Result, len(camps))
 	err := ctx.Err()
 	for ci, c := range camps {
-		res := &Result{Records: c.records}
-		if c.ckpts != nil {
+		lo, hi := c.base, c.base+c.cfg.Experiments
+		res := &Result{Records: loop.records[lo:hi:hi], Faults: c.faults}
+		if c.warm {
 			res.WarmStart = &WarmStartStats{
 				Resumed:     int(c.resumed.Load()),
 				FullReplays: int(c.fullReplays.Load()),
-				Checkpoints: len(c.ckpts),
+				Checkpoints: int(c.cursors.Load()),
 			}
 		}
 		if err != nil {
-			partial := make([]Record, 0, len(c.records))
-			for i, ok := range c.completed {
-				if ok {
-					partial = append(partial, c.records[i])
-				}
-			}
-			res.Records = partial
+			res.Records = loop.partial(lo, hi)
 		}
 		results[ci] = res
 	}

@@ -1,7 +1,10 @@
 package goofi
 
 import (
+	"bytes"
 	"context"
+	"math"
+	"strings"
 	"testing"
 
 	"ctrlguard/internal/control"
@@ -197,5 +200,92 @@ func TestVariableCampaignRateAssertion(t *testing.T) {
 	}
 	if rangeOnly > 0 && withRate == rangeOnly {
 		t.Logf("note: rate assertion did not reduce severe count (%d); acceptable but unexpected", rangeOnly)
+	}
+}
+
+// crashingPI is a PI controller that crashes on some faults: a state
+// write that flips bit 60 or above of its integrator makes the Update
+// of the iteration after the injection panic.
+type crashingPI struct {
+	*control.PI
+	countdown int // Updates left before the panic; 0 = disarmed
+}
+
+func (c *crashingPI) SetState(x []float64) {
+	if math.Float64bits(x[0])^math.Float64bits(c.X) >= 1<<60 {
+		c.countdown = 2
+	}
+	c.PI.SetState(x)
+}
+
+func (c *crashingPI) Update(in []float64) []float64 {
+	if c.countdown > 0 {
+		if c.countdown--; c.countdown == 0 {
+			panic("crashingPI: high-bit fault")
+		}
+	}
+	return c.PI.Update(in)
+}
+
+func (c *crashingPI) CloneStateful() any {
+	return &crashingPI{PI: c.PI.CloneStateful().(*control.PI), countdown: c.countdown}
+}
+
+// TestVarChaosPanickingController: a variable-level campaign whose
+// controller panics on some faults returns, records exactly those
+// experiments as abandoned after the default retry budget, and leaves
+// every other record byte-identical to the same campaign run on a
+// controller that never panics.
+func TestVarChaosPanickingController(t *testing.T) {
+	cfg := VarConfig{Name: "pi", Experiments: 200, Seed: 2001, Workers: 2}
+	cfg.New = func() control.Stateful {
+		return &crashingPI{PI: control.NewPI(control.PaperPIConfig(plant.DefaultSampleInterval))}
+	}
+	crash, err := RunVariable(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.New = piFactory()
+	clean, err := RunVariable(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(crash.Records) != len(clean.Records) {
+		t.Fatalf("crashing campaign kept %d records, want %d", len(crash.Records), len(clean.Records))
+	}
+	abandoned := 0
+	for i, rec := range crash.Records {
+		want := clean.Records[i]
+		if rec.Bit >= 60 && rec.At+1 < plant.DefaultIterations { // a last-iteration fault never reaches the panic
+			abandoned++
+			if rec.Outcome != OutcomeAbandoned || !strings.Contains(rec.Mechanism, "panicked") {
+				t.Errorf("record %d (bit %d): outcome %q mechanism %q, want abandoned after a panic", i, rec.Bit, rec.Outcome, rec.Mechanism)
+			}
+			continue
+		}
+		var a, b bytes.Buffer
+		if err := WriteRecords(&a, []Record{rec}); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteRecords(&b, []Record{want}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Errorf("record %d differs:\ncrashing %s\nclean    %s", i, a.Bytes(), b.Bytes())
+		}
+	}
+	if abandoned == 0 {
+		t.Fatal("no fault hit a high bit; the campaign never panicked")
+	}
+	want := FaultStats{
+		Abandoned: abandoned,
+		Panicked:  abandoned * (DefaultExperimentRetries + 1),
+		Retried:   abandoned * DefaultExperimentRetries,
+	}
+	if crash.Faults != want {
+		t.Errorf("Faults = %+v, want %+v", crash.Faults, want)
+	}
+	if !clean.Faults.Zero() {
+		t.Errorf("clean campaign Faults = %+v, want zero", clean.Faults)
 	}
 }

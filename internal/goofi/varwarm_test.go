@@ -1,6 +1,10 @@
 package goofi
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -65,16 +69,22 @@ func TestVarWarmStartRecordsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestVarWarmStartDeclinesUncloneable: a guard built on a FuncAssertion
-// cannot promise a faithful clone (the closure may capture state), so
-// the campaign must fall back to full replay — and still be correct.
-func TestVarWarmStartDeclinesUncloneable(t *testing.T) {
-	factory := guardedFactory(func() core.Assertion {
+// opaqueFactory builds guards over a FuncAssertion, which cannot be
+// cloned.
+func opaqueFactory() func() control.Stateful {
+	return guardedFactory(func() core.Assertion {
 		return core.FuncAssertion{
 			CheckFunc: func(_ int, v float64) bool { return v > -1e9 },
 			Label:     "opaque",
 		}
 	})
+}
+
+// TestVarWarmStartDeclinesUncloneable: a guard built on a FuncAssertion
+// cannot promise a faithful clone (the closure may capture state), so
+// the campaign must fall back to full replay — and still be correct.
+func TestVarWarmStartDeclinesUncloneable(t *testing.T) {
+	factory := opaqueFactory()
 	warm := VarConfig{Name: "opaque", New: factory, Experiments: 40, Seed: 3, Iterations: 120}
 	cold := warm
 	cold.noWarmStart = true
@@ -141,5 +151,46 @@ func TestGuardCloneIndependence(t *testing.T) {
 		// violation-free steps since; only the SetState above may not
 		// have leaked. Equal stats are expected here.
 		t.Fatalf("stats diverged: original %+v, clone %+v", g.Stats(), clone.Stats())
+	}
+}
+
+// varRecordDigest is the SHA-256 of the record file SaveRecords writes
+// for res.
+func varRecordDigest(t *testing.T, res *Result) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "records.jsonl")
+	if err := SaveRecords(path, res.Records); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%x", sha256.Sum256(data))
+}
+
+// TestVarRecordDigests pins variable-level record files byte for byte
+// for every controller shape of varWarmFactories, 200 experiments each.
+// The digests were recorded when these campaigns still ran on their own
+// worker pool, resuming from per-iteration golden checkpoints, so they
+// prove the shared campaign loop and its golden cursors reproduce it.
+func TestVarRecordDigests(t *testing.T) {
+	want := map[string]string{
+		"pi":           "e1164301e2de3f5aef93fd537e79ca0ed56feb705988c1b5d4db4854ce5e025c",
+		"protected":    "c3d2cbdcc88176ca4b26adb0694595e38310c1059de08b63860e024da05a9795",
+		"guarded":      "0fc4d47a42079b54a22af7b295cd2f8c72832226b08a1da545729d50d3e52e9c",
+		"guarded-rate": "2b3187f3e27f46779cd4e6fca545a7887a4561f29f5a909439b2aa371e275cfe",
+		"opaque":       "a6d82f9cdac0f200d29a9163590719b3dfa11d1478d0afc188e9afcbe07f5439",
+	}
+	factories := varWarmFactories()
+	factories["opaque"] = opaqueFactory() // uncloneable: every run in full
+	for name, factory := range factories {
+		res, err := RunVariable(VarConfig{Name: name, New: factory, Experiments: 200, Seed: 2001, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := varRecordDigest(t, res); got != want[name] {
+			t.Errorf("%s: record file SHA-256 %s, want %s", name, got, want[name])
+		}
 	}
 }

@@ -12,8 +12,8 @@ import (
 type WarmStartStats struct {
 	// Resumed counts experiments that skipped the fault-free prefix,
 	// forked off a worker's golden cursor at their injection
-	// instruction (resumed from a checkpoint in a variable-level
-	// campaign); FullReplays counts those that ran from the start.
+	// instruction (iteration, in a variable-level campaign);
+	// FullReplays counts those that ran from the start.
 	Resumed     int `json:"resumed"`
 	FullReplays int `json:"fullReplays"`
 
@@ -23,8 +23,7 @@ type WarmStartStats struct {
 	EarlyExits int `json:"earlyExits"`
 
 	// Checkpoints counts the golden cursors started, one per worker
-	// that ran an experiment; a variable-level campaign counts its
-	// checkpoints.
+	// that ran an experiment of the campaign.
 	Checkpoints int `json:"checkpoints"`
 
 	// SkippedInstructions is the total pre-injection instruction count

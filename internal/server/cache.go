@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -99,7 +100,8 @@ func (m *Manager) memoizable(c *Campaign) bool {
 // results and, on a hit, completes the campaign immediately: it is
 // registered, journaled, and visible like any other job, but reaches
 // StateDone without ever touching the queue. Returns false on any
-// miss or cache trouble — the caller then runs the campaign for real.
+// miss or cache trouble, an entry that is not a whole campaign among
+// them — the caller then runs the campaign for real.
 func (m *Manager) serveFromCache(ten tenant.Tenant, c *Campaign) (bool, error) {
 	if !m.memoizable(c) || ten.NoCache {
 		return false, nil
@@ -117,8 +119,15 @@ func (m *Manager) serveFromCache(ten tenant.Tenant, c *Campaign) (bool, error) {
 	// computes its report; then the bytes become the campaign's
 	// canonical record file, so /records, /report and /trace serve the
 	// memoized job exactly like a freshly run one.
-	file, err := indexRecordFile("", bytes.NewReader(data), nil)
-	if err != nil { // corrupt entry: run for real rather than serve garbage
+	recs, err := goofi.ReadRecords(bytes.NewReader(data))
+	if err == nil {
+		err = wholeCampaign(recs, c.Spec)
+	}
+	var file *recordFile
+	if err == nil {
+		file, err = indexRecordFile("", bytes.NewReader(data), recs)
+	}
+	if err != nil { // corrupt or cut-short entry: run for real rather than serve garbage
 		m.opts.Logger.Printf("cache entry %s unreadable, ignoring: %v", key[:12], err)
 		m.metrics.CacheMisses.Add(1)
 		return false, nil
@@ -168,6 +177,25 @@ func (m *Manager) serveFromCache(ten tenant.Tenant, c *Campaign) (bool, error) {
 	m.journalTerminal(c)
 	m.opts.Logger.Printf("campaign %s served from result cache (%d records, key %s)", c.ID, file.total(), key[:12])
 	return true, nil
+}
+
+// wholeCampaign checks that recs, a cache entry's records, are a whole
+// campaign of spec: experiment IDs 0, 1, 2, ... in order, and exactly n
+// of them for a fixed-count spec. A precision-driven campaign's
+// stopping point is not checked.
+func wholeCampaign(recs []goofi.Record, spec goofi.CampaignSpec) error {
+	if len(recs) == 0 {
+		return errors.New("no records")
+	}
+	if !spec.Sequential() && len(recs) != spec.Experiments {
+		return fmt.Errorf("%d records, want %d", len(recs), spec.Experiments)
+	}
+	for i, rec := range recs {
+		if rec.ID != i {
+			return fmt.Errorf("record %d has ID %d", i, rec.ID)
+		}
+	}
+	return nil
 }
 
 // cachePut memoizes a cleanly completed campaign from its canonical

@@ -243,3 +243,43 @@ func TestMemoizationUnwritableHitRunsForReal(t *testing.T) {
 		t.Fatalf("the real run's record file differs from the first run's (%v)", err)
 	}
 }
+
+// TestMemoizationTruncatedEntryRunsForReal: a cache entry cut short at
+// a record boundary still parses, so only its record count and IDs
+// show it is not the whole campaign. Cut to n-1 records or emptied, it
+// is a miss and the campaign runs for real, into the same bytes.
+func TestMemoizationTruncatedEntryRunsForReal(t *testing.T) {
+	dataDir, cacheDir := t.TempDir(), t.TempDir()
+	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4, DataDir: dataDir, CacheDir: cacheDir})
+	const spec = `{"variant":"alg1","n":60,"seed":42}`
+	v1 := submit(t, ts, spec)
+	waitForState(t, ts, v1.ID, StateDone, time.Minute)
+	want, err := os.ReadFile(filepath.Join(dataDir, v1.ID+".jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobs, _ := filepath.Glob(filepath.Join(cacheDir, "*.blob"))
+	if len(blobs) != 1 {
+		t.Fatalf("cache holds %d entries, want 1", len(blobs))
+	}
+	lastRecord := bytes.LastIndexByte(want[:len(want)-1], '\n') + 1
+	for i, cut := range []int{lastRecord, 0} {
+		if err := os.WriteFile(blobs[0], want[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		v := submit(t, ts, spec)
+		if v.CacheHit {
+			t.Fatalf("entry cut to %d bytes served as a cache hit", cut)
+		}
+		waitForState(t, ts, v.ID, StateDone, time.Minute)
+		if view, total := recordCounts(t, ts, v.ID); view != 60 || total != 60 {
+			t.Fatalf("entry cut to %d bytes: the real run's view counts %d records, /records %d, want 60", cut, view, total)
+		}
+		if got, err := os.ReadFile(filepath.Join(dataDir, v.ID+".jsonl")); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("entry cut to %d bytes: the real run's record file differs from the first run's (%v)", cut, err)
+		}
+		if mm := metricsMap(t, ts); mm["cache_hits"] != 0 || mm["cache_misses"] != float64(i+2) {
+			t.Fatalf("cache_hits = %v, cache_misses = %v, want 0 and %d", mm["cache_hits"], mm["cache_misses"], i+2)
+		}
+	}
+}

@@ -83,6 +83,10 @@ type Evaluator struct {
 	// Workers bounds campaign parallelism (0 = GOMAXPROCS).
 	Workers int
 
+	// wrap, if non-nil, wraps every campaign controller. TEST-ONLY: the
+	// tests use it to make a candidate's controller crash.
+	wrap func(control.Stateful) control.Stateful
+
 	prepOnce sync.Once
 	prepErr  error
 	pi       control.PIConfig
@@ -292,9 +296,11 @@ func (e *Evaluator) Evaluate(ctx context.Context, c Config, n int) (Result, erro
 }
 
 // EvaluateAll measures every candidate: fault-free runs concurrently
-// across a bounded pool, then all fault-injection campaigns batched
-// over one shared worker pool (goofi.RunVariableBatch) so small
-// campaigns saturate the machine. Results align with cands by index.
+// across a bounded pool, then all fault-injection campaigns batched on
+// the campaign engine's worker loop (goofi.RunVariableBatch) so small
+// campaigns saturate the machine. Results align with cands by index. A
+// candidate whose controller panics in any experiment fails the
+// evaluation with an error naming it.
 func (e *Evaluator) EvaluateAll(ctx context.Context, cands []Config, n int) ([]Result, error) {
 	if err := e.prepare(); err != nil {
 		return nil, err
@@ -351,6 +357,10 @@ func (e *Evaluator) EvaluateAll(ctx context.Context, cands []Config, n int) ([]R
 		if err != nil {
 			return nil, err
 		}
+		if e.wrap != nil {
+			inner := factory
+			factory = func() control.Stateful { return e.wrap(inner()) }
+		}
 		cfgs[i] = goofi.VarConfig{
 			Name:        c.ID(),
 			New:         factory,
@@ -367,6 +377,12 @@ func (e *Evaluator) EvaluateAll(ctx context.Context, cands []Config, n int) ([]R
 		return nil, err
 	}
 	for i, res := range campaigns {
+		// An abandoned experiment counts toward the campaign size but
+		// never as a failure, so a crashing candidate would score better
+		// than a working one.
+		if a := res.Faults.Abandoned; a > 0 {
+			return nil, fmt.Errorf("tune: candidate %s: %d of %d experiments abandoned, its controller panicked", cands[i].ID(), a, n)
+		}
 		vf, sev := goofi.VarSummary(res.Records)
 		results[i].ValueFailures = vf
 		results[i].Severe = sev

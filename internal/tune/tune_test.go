@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"regexp"
 	"testing"
 
+	"ctrlguard/internal/control"
 	"ctrlguard/internal/stats"
 )
 
@@ -328,6 +330,38 @@ func TestTuneSearchProgressAndRounds(t *testing.T) {
 	if out.Rounds[1].Experiments != 2*spec.InitialExperiments {
 		t.Errorf("round 1 experiments = %d, want doubled %d",
 			out.Rounds[1].Experiments, 2*spec.InitialExperiments)
+	}
+}
+
+// crashOnFault is a controller that panics on every Update after its
+// state has been written, so every injected fault crashes it.
+type crashOnFault struct {
+	control.Stateful
+	hit bool
+}
+
+func (c *crashOnFault) SetState(x []float64) { c.hit = true; c.Stateful.SetState(x) }
+
+func (c *crashOnFault) Update(in []float64) []float64 {
+	if c.hit {
+		panic("crashOnFault: state written")
+	}
+	return c.Stateful.Update(in)
+}
+
+// TestTuneEvaluateRejectsCrashingCandidate: abandoned experiments count
+// toward a campaign's size but never as failures, so a candidate whose
+// controller panics must fail the evaluation, naming the candidate and
+// its abandoned count, rather than be scored as unusually safe.
+func TestTuneEvaluateRejectsCrashingCandidate(t *testing.T) {
+	ev := NewEvaluator(17)
+	ev.wrap = func(c control.Stateful) control.Stateful { return &crashOnFault{Stateful: c} }
+	_, err := ev.EvaluateAll(context.Background(), []Config{{Policy: PolicyNone}, {Policy: PolicyRollback}}, 20)
+	if err == nil {
+		t.Fatal("a candidate whose controller panics on every fault was scored")
+	}
+	if !regexp.MustCompile(`candidate none: [1-9][0-9]* of 20 experiments abandoned`).MatchString(err.Error()) {
+		t.Errorf("error %q does not name the candidate and its abandoned count", err)
 	}
 }
 
