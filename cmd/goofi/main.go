@@ -179,8 +179,8 @@ func runPrecision(ctx context.Context, cfg goofi.Config, target float64, out str
 			return err
 		}
 	}
-	fmt.Printf("experiments: %d in %d batches (converged: %v)\n", res.Experiments, res.Batches, res.Converged)
-	printStats(os.Stdout, "", res.Plan, nil, res.Prune, res.Detect)
+	fmt.Printf("experiments: %d in %d batches (converged: %v)\n", len(res.Records), res.Batches, res.Converged)
+	printStats(os.Stdout, "", &res.Result)
 	fmt.Printf("severe rate: %s (half-width %.4f%%)\n", res.Estimate, res.HalfWidth*100)
 	a := goofi.Analyze(res.Records)
 	fmt.Println(a.Summary())
@@ -249,7 +249,7 @@ func campaign(ctx context.Context, base goofi.Config, v workload.Variant, n int,
 	}
 	res, err := goofi.RunContext(ctx, cfg)
 	if res != nil && !quiet {
-		printStats(os.Stderr, string(v)+": ", res.Plan, res.WarmStart, res.Prune, res.Detect)
+		printStats(os.Stderr, string(v)+": ", res)
 	}
 	return res, err
 }
@@ -258,7 +258,8 @@ func campaign(ctx context.Context, base goofi.Config, v workload.Variant, n int,
 // detectors, each line starting with prefix: the layer's counters when
 // it ran and was given them (precision campaigns carry no warm-start
 // counters), the planner's reason when it declined.
-func printStats(w io.Writer, prefix string, plan goofi.ExecPlan, ws *goofi.WarmStartStats, p *goofi.PruneStats, d *goofi.DetectStats) {
+func printStats(w io.Writer, prefix string, res *goofi.Result) {
+	plan, ws, p, d := res.Plan, res.WarmStart, res.Prune, res.Detect
 	for _, layer := range []goofi.Layer{goofi.LayerWarmStart, goofi.LayerPrune} {
 		if why, ok := plan.Declined[layer.String()]; ok {
 			fmt.Fprintf(w, "%s%s: declined (%s)\n", prefix, layer, why)

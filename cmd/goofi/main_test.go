@@ -22,7 +22,7 @@ func statsOutput(t *testing.T, cfg goofi.Config) string {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	printStats(&buf, "alg2: ", res.Plan, res.WarmStart, res.Prune, res.Detect)
+	printStats(&buf, "alg2: ", res)
 	return buf.String()
 }
 

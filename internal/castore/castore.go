@@ -3,9 +3,9 @@
 // memoize campaigns — a campaign's records are a deterministic
 // function of (engine version, canonical spec), so a duplicate
 // submission can be served the original run's bytes instead of
-// burning workers re-deriving them. Entries are immutable once
-// written; eviction is least-recently-used under an optional byte
-// budget.
+// burning workers re-deriving them. The daemon reads an entry with
+// Get and writes one with PutFile; eviction is least-recently-used
+// under an optional byte budget.
 package castore
 
 import (
@@ -44,7 +44,7 @@ func Key(parts ...any) (string, error) {
 
 // Store is a directory of content-addressed blobs. All methods are
 // safe for concurrent use; writes are atomic (temp + fsync + rename),
-// so a crash mid-Put never leaves a corrupt entry addressable.
+// so a crash mid-PutFile never leaves a corrupt entry addressable.
 type Store struct {
 	dir      string
 	maxBytes int64 // 0 = unbounded
@@ -79,15 +79,6 @@ func validKey(key string) error {
 	return nil
 }
 
-// Has reports whether key is present.
-func (s *Store) Has(key string) bool {
-	if s == nil || validKey(key) != nil {
-		return false
-	}
-	_, err := os.Stat(s.path(key))
-	return err == nil
-}
-
 // Get returns the blob stored under key, touching its LRU clock.
 // ok is false when the key is absent.
 func (s *Store) Get(key string) (data []byte, ok bool, err error) {
@@ -108,59 +99,9 @@ func (s *Store) Get(key string) (data []byte, ok bool, err error) {
 	return b, true, nil
 }
 
-// CopyTo writes the blob stored under key to dst atomically, touching
-// the entry's LRU clock. ok is false when the key is absent.
-func (s *Store) CopyTo(key, dst string) (ok bool, err error) {
-	if s == nil {
-		return false, nil
-	}
-	if err := validKey(key); err != nil {
-		return false, err
-	}
-	src, err := os.Open(s.path(key))
-	if os.IsNotExist(err) {
-		return false, nil
-	}
-	if err != nil {
-		return false, fmt.Errorf("castore: open %s: %w", key, err)
-	}
-	defer src.Close()
-	if err := fsatomic.WriteFile(dst, func(w io.Writer) error {
-		_, err := io.Copy(w, src)
-		return err
-	}); err != nil {
-		return false, fmt.Errorf("castore: copy %s to %s: %w", key, dst, err)
-	}
-	s.touch(key)
-	return true, nil
-}
-
-// Put stores data under key. Entries are immutable: putting an
-// existing key is a no-op (first write wins — with deterministic
-// producers every writer carries the same bytes anyway).
-func (s *Store) Put(key string, data []byte) error {
-	if s == nil {
-		return nil
-	}
-	if err := validKey(key); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, err := os.Stat(s.path(key)); err == nil {
-		return nil
-	}
-	if err := fsatomic.WriteFile(s.path(key), func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	}); err != nil {
-		return fmt.Errorf("castore: put %s: %w", key, err)
-	}
-	return s.evictLocked()
-}
-
-// PutFile stores the contents of src under key (immutable, first
-// write wins).
+// PutFile stores the contents of src under key, replacing any entry
+// already there. With deterministic producers a replaced entry held
+// the same bytes, unless it was damaged, which the write repairs.
 func (s *Store) PutFile(key, src string) error {
 	if s == nil {
 		return nil
@@ -168,16 +109,13 @@ func (s *Store) PutFile(key, src string) error {
 	if err := validKey(key); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, err := os.Stat(s.path(key)); err == nil {
-		return nil
-	}
 	f, err := os.Open(src)
 	if err != nil {
 		return fmt.Errorf("castore: put %s: %w", key, err)
 	}
 	defer f.Close()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err := fsatomic.WriteFile(s.path(key), func(w io.Writer) error {
 		_, err := io.Copy(w, f)
 		return err

@@ -40,50 +40,52 @@ func TestKeyDeterministicAndFramed(t *testing.T) {
 	}
 }
 
+// blobFile writes data to a fresh file for PutFile and returns its path.
+func blobFile(t *testing.T, data []byte) string {
+	t.Helper()
+	src := filepath.Join(t.TempDir(), "run.jsonl")
+	if err := os.WriteFile(src, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return src
+}
+
+// has reports whether the store holds an entry under key.
+func has(s *Store, key string) bool {
+	_, err := os.Stat(s.path(key))
+	return err == nil
+}
+
 func TestStorePutGetCopy(t *testing.T) {
 	s, err := Open(filepath.Join(t.TempDir(), "cache"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	key, _ := Key("engine/1", 42)
-	if s.Has(key) {
-		t.Fatal("empty store has key")
-	}
 	if _, ok, _ := s.Get(key); ok {
 		t.Fatal("Get on empty store hit")
 	}
 	want := []byte("{\"id\":0}\n{\"id\":1}\n")
-	if err := s.Put(key, want); err != nil {
+	if err := s.PutFile(key, blobFile(t, want)); err != nil {
 		t.Fatal(err)
-	}
-	if !s.Has(key) {
-		t.Fatal("stored key missing")
 	}
 	got, ok, err := s.Get(key)
 	if err != nil || !ok || !bytes.Equal(got, want) {
 		t.Fatalf("Get = %q, %v, %v", got, ok, err)
 	}
-	// First write wins; a second Put cannot mutate the entry.
-	if err := s.Put(key, []byte("different")); err != nil {
+	// A later write replaces the entry: that is how a damaged entry is
+	// repaired.
+	cut := want[:len(want)/2]
+	os.WriteFile(s.path(key), cut, 0o644)
+	if err := s.PutFile(key, blobFile(t, want)); err != nil {
 		t.Fatal(err)
 	}
-	got, _, _ = s.Get(key)
-	if !bytes.Equal(got, want) {
-		t.Fatal("Put overwrote an immutable entry")
-	}
-
-	dst := filepath.Join(t.TempDir(), "out.jsonl")
-	ok, err = s.CopyTo(key, dst)
-	if err != nil || !ok {
-		t.Fatalf("CopyTo = %v, %v", ok, err)
-	}
-	b, _ := os.ReadFile(dst)
-	if !bytes.Equal(b, want) {
-		t.Fatal("CopyTo bytes differ from Put bytes")
+	if got, _, _ = s.Get(key); !bytes.Equal(got, want) {
+		t.Fatalf("Get after a repairing PutFile = %q, want %q", got, want)
 	}
 	missing, _ := Key("engine/1", 43)
-	if ok, _ := s.CopyTo(missing, dst); ok {
-		t.Fatal("CopyTo hit on a missing key")
+	if _, ok, _ := s.Get(missing); ok {
+		t.Fatal("Get hit on a missing key")
 	}
 
 	if n, sz := s.Stats(); n != 1 || sz != int64(len(want)) {
@@ -111,13 +113,13 @@ func TestStoreLRUEviction(t *testing.T) {
 	// Budget fits two 100-byte entries; a third evicts the least
 	// recently used.
 	s, _ := Open(filepath.Join(t.TempDir(), "cache"), 250)
-	blob := bytes.Repeat([]byte("x"), 100)
+	blob := blobFile(t, bytes.Repeat([]byte("x"), 100))
 	keys := make([]string, 3)
 	for i := range keys {
 		keys[i], _ = Key("engine/1", i)
 	}
-	s.Put(keys[0], blob)
-	s.Put(keys[1], blob)
+	s.PutFile(keys[0], blob)
+	s.PutFile(keys[1], blob)
 	// Age entry 0, then touch it via Get so entry 1 becomes the LRU.
 	old := time.Now().Add(-time.Hour)
 	os.Chtimes(s.path(keys[0]), old, old)
@@ -126,11 +128,11 @@ func TestStoreLRUEviction(t *testing.T) {
 	if _, ok, _ := s.Get(keys[0]); !ok {
 		t.Fatal("entry 0 missing before eviction")
 	}
-	s.Put(keys[2], blob)
-	if s.Has(keys[1]) {
+	s.PutFile(keys[2], blob)
+	if has(s, keys[1]) {
 		t.Fatal("LRU entry survived eviction")
 	}
-	if !s.Has(keys[0]) || !s.Has(keys[2]) {
+	if !has(s, keys[0]) || !has(s, keys[2]) {
 		t.Fatal("recently used entries evicted")
 	}
 }
@@ -138,25 +140,23 @@ func TestStoreLRUEviction(t *testing.T) {
 func TestNilStoreIsInert(t *testing.T) {
 	var s *Store
 	key, _ := Key("engine/1", 1)
-	if s.Has(key) {
-		t.Fatal("nil store has key")
-	}
 	if _, ok, err := s.Get(key); ok || err != nil {
 		t.Fatal("nil store Get misbehaved")
 	}
-	if err := s.Put(key, []byte("x")); err != nil {
+	if err := s.PutFile(key, "unused"); err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := s.CopyTo(key, "unused"); ok || err != nil {
-		t.Fatal("nil store CopyTo misbehaved")
+	if n, sz := s.Stats(); n != 0 || sz != 0 {
+		t.Fatal("nil store Stats misbehaved")
 	}
 }
 
 func TestMalformedKeyRejected(t *testing.T) {
 	s, _ := Open(filepath.Join(t.TempDir(), "cache"), 0)
+	src := blobFile(t, []byte("x"))
 	for _, bad := range []string{"", "short", "../../etc/passwd", string(bytes.Repeat([]byte("Z"), 64))} {
-		if err := s.Put(bad, []byte("x")); err == nil {
-			t.Errorf("Put accepted malformed key %q", bad)
+		if err := s.PutFile(bad, src); err == nil {
+			t.Errorf("PutFile accepted malformed key %q", bad)
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"ctrlguard/internal/goofi"
+	"ctrlguard/internal/journal"
 )
 
 // The chaos suite runs shards on real pooled ctrlexec processes and
@@ -62,17 +63,19 @@ func TestProcExecutorsByteIdentical(t *testing.T) {
 	spec := goofi.CampaignSpec{Variant: "alg1", Experiments: 60, Seed: 21}
 	want := soloBytes(t, spec)
 
+	var jnl shardJournal
 	res, err := Run(context.Background(), spec, procExecutors(t, 2, nil), Options{
 		ShardSize:  20,
 		SegmentDir: t.TempDir(),
 		Campaign:   "c-proc",
 		Logger:     quietLogger(),
+		Journal:    jnl.add,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Releases != 0 {
-		t.Fatalf("Releases = %d, want 0", res.Releases)
+	if n := jnl.count(journal.EventShardExpired); n != 0 {
+		t.Fatalf("Releases = %d, want 0", n)
 	}
 	if got := distBytes(t, res); !bytes.Equal(got, want) {
 		t.Fatal("subprocess-distributed record file differs from solo run")
@@ -87,11 +90,13 @@ func TestProcChaosSelfKillReLease(t *testing.T) {
 	spec := goofi.CampaignSpec{Variant: "alg1", Experiments: 60, Seed: 23}
 	want := soloBytes(t, spec)
 
+	var jnl shardJournal
 	res, err := Run(context.Background(), spec, procExecutors(t, 2, nil), Options{
 		ShardSize:  30,
 		SegmentDir: t.TempDir(),
 		Campaign:   "c-kill",
 		Logger:     quietLogger(),
+		Journal:    jnl.add,
 		TaskHook: func(task *ShardTask) {
 			if task.Shard == 0 && task.Attempt == 0 {
 				task.ChaosKillAfter = 3
@@ -101,8 +106,8 @@ func TestProcChaosSelfKillReLease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Releases < 1 {
-		t.Fatalf("Releases = %d, want >= 1 (the killed executor's shard)", res.Releases)
+	if n := jnl.count(journal.EventShardExpired); n < 1 {
+		t.Fatalf("Releases = %d, want >= 1 (the killed executor's shard)", n)
 	}
 	if got := distBytes(t, res); !bytes.Equal(got, want) {
 		t.Fatal("record file differs from solo run after mid-shard executor death")
@@ -128,6 +133,7 @@ func TestProcExternalSIGKILLReLease(t *testing.T) {
 	killed := false
 	shard0Records := 0
 
+	var jnl shardJournal
 	res, err := Run(context.Background(), spec, procExecutors(t, 2, func(task ShardTask, pid int) {
 		mu.Lock()
 		if task.Attempt == 0 {
@@ -140,6 +146,7 @@ func TestProcExternalSIGKILLReLease(t *testing.T) {
 		SegmentDir: t.TempDir(),
 		Campaign:   "c-sigkill",
 		Logger:     quietLogger(),
+		Journal:    jnl.add,
 		TaskHook: func(task *ShardTask) {
 			if task.Shard == 0 && task.Attempt == 0 {
 				task.ChaosHangAfter = 3
@@ -168,8 +175,8 @@ func TestProcExternalSIGKILLReLease(t *testing.T) {
 	if !killed {
 		t.Fatal("the kill never fired; test exercised nothing")
 	}
-	if res.Releases < 1 {
-		t.Fatalf("Releases = %d, want >= 1 after SIGKILL", res.Releases)
+	if n := jnl.count(journal.EventShardExpired); n < 1 {
+		t.Fatalf("Releases = %d, want >= 1 after SIGKILL", n)
 	}
 	if elapsed := time.Since(start); elapsed >= ttl {
 		t.Fatalf("finished in %v — the %v lease may have expired rather than the kill re-leasing it", elapsed, ttl)
@@ -188,12 +195,14 @@ func TestProcChaosWedgeLeaseExpiry(t *testing.T) {
 
 	start := time.Now()
 	const ttl = 1500 * time.Millisecond
+	var jnl shardJournal
 	res, err := Run(context.Background(), spec, procExecutors(t, 2, nil), Options{
 		ShardSize:  20,
 		LeaseTTL:   ttl,
 		SegmentDir: t.TempDir(),
 		Campaign:   "c-wedge",
 		Logger:     quietLogger(),
+		Journal:    jnl.add,
 		TaskHook: func(task *ShardTask) {
 			if task.Shard == 0 && task.Attempt == 0 {
 				task.ChaosHangAfter = 2
@@ -203,8 +212,8 @@ func TestProcChaosWedgeLeaseExpiry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Releases < 1 {
-		t.Fatalf("Releases = %d, want >= 1 (the wedged executor's lease)", res.Releases)
+	if n := jnl.count(journal.EventShardExpired); n < 1 {
+		t.Fatalf("Releases = %d, want >= 1 (the wedged executor's lease)", n)
 	}
 	if elapsed := time.Since(start); elapsed < ttl {
 		t.Fatalf("finished in %v — the wedge cannot have expired a %v lease", elapsed, ttl)

@@ -97,39 +97,6 @@ func (o *Options) withDefaults() Options {
 	return out
 }
 
-// Result is the merged outcome of a distributed campaign: exactly what
-// the solo engine would have produced for the same spec, plus
-// scheduling counters.
-type Result struct {
-	// Records is the complete record set in experiment order,
-	// byte-identical to a single-process run of the same spec. When Run
-	// fails or is cancelled it holds the records ingested so far, still
-	// in experiment order.
-	Records []goofi.Record
-
-	// Faults aggregates executor-side isolation stats across the leases
-	// that completed during this coordinator incarnation. Shards
-	// finished by a previous incarnation contribute records but no
-	// stats.
-	Faults goofi.FaultStats
-
-	// Prune aggregates the per-shard pruning tallies the same way; nil
-	// when no completed lease reported any (pruning declined).
-	Prune *goofi.PruneStats
-
-	// Detect is the armed detectors' configuration as the completed
-	// leases report it, with verdict counts tallied over Records; nil
-	// when no detectors were armed or no lease completed here.
-	Detect *goofi.DetectStats
-
-	// Shards is the number of shards the plan was split into.
-	Shards int
-
-	// Releases counts leases that died (expired, crashed, or errored)
-	// and sent their shard back to the queue.
-	Releases int
-}
-
 // shardState is the coordinator's view of one shard.
 type shardState struct {
 	idx   int
@@ -139,8 +106,8 @@ type shardState struct {
 	records  map[int]goofi.Record  // ingested, newest wins
 	appender *goofi.RecordAppender // nil without a SegmentDir
 	attempt  int
-	result   *ShardResult
-	lastJot  time.Time // last journaled renewal
+	result   *goofi.Stats // the completed lease's accounting
+	lastJot  time.Time    // last journaled renewal
 }
 
 // resume returns the shard's salvaged records in ID order — the Resume
@@ -163,19 +130,22 @@ type coordinator struct {
 	states []*shardState
 	queue  chan int
 
-	mu       sync.Mutex
-	pending  int
-	done     int // ingested unique records, campaign-wide
-	releases int
-	failure  error
-	cancel   context.CancelFunc
+	mu      sync.Mutex
+	pending int
+	done    int // ingested unique records, campaign-wide
+	failure error
+	cancel  context.CancelFunc
 }
 
 // Run executes a campaign sharded across the given executors and
-// returns the merged result. The record file content is byte-identical
-// to a solo run of the same spec: shards are contiguous experiment-ID
-// ranges of the same deterministic plan, and the merge re-assembles
-// them in experiment order.
+// returns the merged result. Its Records are byte-identical to a solo
+// run of the same spec: shards are contiguous experiment-ID ranges of
+// the same deterministic plan, and the merge re-assembles them in
+// experiment order. When Run fails or is cancelled they are the
+// records ingested so far, still in experiment order. Its Stats fold
+// the shards that completed during this coordinator incarnation
+// (goofi.Fold); shards finished by a previous one contribute records
+// but no stats.
 //
 // Fault tolerance is lease-based. Every event an executor streams
 // (records, completion, and idle heartbeats) renews its shard's lease;
@@ -183,7 +153,7 @@ type coordinator struct {
 // executor is killed (for subprocess transports, SIGKILL) and the
 // shard re-queued, resuming from the records its segment already
 // holds. A shard that fails MaxAttempts times fails the campaign.
-func Run(ctx context.Context, spec goofi.CampaignSpec, executors []Executor, opts Options) (*Result, error) {
+func Run(ctx context.Context, spec goofi.CampaignSpec, executors []Executor, opts Options) (*goofi.Result, error) {
 	if len(executors) == 0 {
 		return nil, fmt.Errorf("dist: no executors")
 	}
@@ -272,52 +242,35 @@ func Run(ctx context.Context, spec goofi.CampaignSpec, executors []Executor, opt
 		wg.Wait()
 	}
 
-	// Aggregate the per-lease stats and gather the shard records, which
-	// concatenate in experiment order because shards are contiguous.
+	// Gather the shard records, which concatenate in experiment order
+	// because shards are contiguous, and fold the per-lease stats.
 	c.mu.Lock()
 	failure := c.failure
-	res := &Result{Shards: len(shards), Releases: c.releases}
 	c.mu.Unlock()
-	sets := make([][]goofi.Record, len(c.states))
-	for i, st := range c.states {
-		sets[i] = st.resume()
-		r := st.result
-		if r == nil {
-			continue
-		}
-		res.Faults.Add(r.Faults)
-		if r.Prune != nil {
-			if res.Prune == nil {
-				res.Prune = &goofi.PruneStats{}
-			}
-			res.Prune.Add(*r.Prune)
-		}
-		if r.Detect != nil && res.Detect == nil {
-			d := *r.Detect
-			res.Detect = &d
-		}
-	}
 	if failure == nil {
 		failure = ctx.Err()
 	}
-	if failure != nil {
-		// Hand back what was ingested: a cancelled campaign keeps its
-		// partial records like a cancelled solo run does.
-		for _, set := range sets {
-			res.Records = append(res.Records, set...)
+	res := &goofi.Result{Config: cfg}
+	sets := make([][]goofi.Record, len(c.states))
+	var parts []goofi.Stats
+	for i, st := range c.states {
+		sets[i] = st.resume()
+		if failure != nil {
+			// Hand back what was ingested: a cancelled campaign keeps
+			// its partial records like a cancelled solo run does.
+			res.Records = append(res.Records, sets[i]...)
 		}
-	} else if res.Records, err = MergeRecords(total, sets...); err != nil {
-		return nil, err
+		if st.result != nil {
+			parts = append(parts, *st.result)
+		}
 	}
-	if res.Detect != nil {
-		// Shard results count only their own records; the campaign's
-		// verdict counts come from the merged set.
-		res.Detect.CFEDetected, res.Detect.AutomatonDetected = goofi.TallyDetect(res.Records)
+	if failure == nil {
+		if res.Records, err = MergeRecords(total, sets...); err != nil {
+			return nil, err
+		}
 	}
-	if failure != nil {
-		return res, failure
-	}
-	return res, nil
+	res.Stats = goofi.Fold(parts, res.Records)
+	return res, failure
 }
 
 // SegmentPath names shard's record segment inside dir.
@@ -431,7 +384,6 @@ func (c *coordinator) release(st *shardState, ex Executor, cause error) {
 		}
 		return
 	}
-	c.releases++
 	c.opts.Logger.Printf("dist: shard %d lease to %s died (%v); re-queueing with %d salvaged records (attempt %d)",
 		st.idx, ex.Name(), cause, salvaged, attempt)
 	c.queue <- st.idx

@@ -41,7 +41,7 @@ func soloBytes(t *testing.T, spec goofi.CampaignSpec) []byte {
 	return buf.Bytes()
 }
 
-func distBytes(t *testing.T, res *Result) []byte {
+func distBytes(t *testing.T, res *goofi.Result) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := goofi.WriteRecords(&buf, res.Records); err != nil {
@@ -50,24 +50,52 @@ func distBytes(t *testing.T, res *Result) []byte {
 	return buf.Bytes()
 }
 
+// shardJournal collects a run's shard journal entries: its counts of
+// completed and expired leases are the run's scheduling counters.
+type shardJournal struct {
+	mu      sync.Mutex
+	entries []journal.Entry
+}
+
+func (j *shardJournal) add(e journal.Entry) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.entries = append(j.entries, e)
+}
+
+// count returns the number of journaled entries of type typ.
+func (j *shardJournal) count(typ journal.EventType) int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	n := 0
+	for _, e := range j.entries {
+		if e.Type == typ {
+			n++
+		}
+	}
+	return n
+}
+
 func TestCoordinatorEngineExecutorsByteIdentical(t *testing.T) {
 	spec := goofi.CampaignSpec{Variant: "alg1", Experiments: 90, Seed: 7}
 	want := soloBytes(t, spec)
 
+	var jnl shardJournal
 	res, err := Run(context.Background(), spec, []Executor{Engine{}, Engine{}}, Options{
 		ShardSize:  17,
 		SegmentDir: t.TempDir(),
 		Campaign:   "c-test",
 		Logger:     quietLogger(),
+		Journal:    jnl.add,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Shards != 6 { // ceil-free contiguous split: 5×17 + 1×5
-		t.Fatalf("Shards = %d, want 6", res.Shards)
+	if n := jnl.count(journal.EventShardCompleted); n != 6 { // ceil-free contiguous split: 5×17 + 1×5
+		t.Fatalf("Shards = %d, want 6", n)
 	}
-	if res.Releases != 0 {
-		t.Fatalf("Releases = %d, want 0", res.Releases)
+	if n := jnl.count(journal.EventShardExpired); n != 0 {
+		t.Fatalf("Releases = %d, want 0", n)
 	}
 	if got := distBytes(t, res); !bytes.Equal(got, want) {
 		t.Fatalf("distributed record file differs from solo run (%d vs %d bytes)", len(got), len(want))
@@ -122,13 +150,14 @@ func TestCoordinatorJournalAndSegments(t *testing.T) {
 			completed++
 		}
 	}
-	if leased != res.Shards || completed != res.Shards {
-		t.Fatalf("journaled %d leases / %d completions, want %d each", leased, completed, res.Shards)
+	shards := len(goofi.SplitShards(spec.Experiments, 25))
+	if leased != shards || completed != shards {
+		t.Fatalf("journaled %d leases / %d completions, want %d each", leased, completed, shards)
 	}
 
 	// Every shard's segment survives and holds exactly its
 	// in-shard records.
-	for i := 0; i < res.Shards; i++ {
+	for i := 0; i < shards; i++ {
 		path := filepath.Join(segDir, "shard-000"+string(rune('0'+i))+".jsonl")
 		recs, err := goofi.LoadRecords(path)
 		if err != nil {
@@ -147,16 +176,17 @@ func TestCoordinatorSkipsCompletedShards(t *testing.T) {
 
 	// First: run shard 0 alone to produce its segment, as a previous
 	// coordinator incarnation would have.
-	first, err := Run(context.Background(), spec, []Executor{Engine{}}, Options{
+	var jnl shardJournal
+	if _, err := Run(context.Background(), spec, []Executor{Engine{}}, Options{
 		ShardSize:  20,
 		SegmentDir: segDir,
 		Logger:     quietLogger(),
-	})
-	if err != nil {
+		Journal:    jnl.add,
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if first.Shards != 3 {
-		t.Fatalf("Shards = %d, want 3", first.Shards)
+	if n := jnl.count(journal.EventShardCompleted); n != 3 {
+		t.Fatalf("Shards = %d, want 3", n)
 	}
 	// Drop the later segments, keeping shard 0's — the salvaged state.
 	os.Remove(filepath.Join(segDir, "shard-0001.jsonl"))
@@ -226,17 +256,19 @@ func TestCoordinatorLeaseExpiryReLeases(t *testing.T) {
 	want := soloBytes(t, spec)
 
 	start := time.Now()
+	var jnl shardJournal
 	res, err := Run(context.Background(), spec, []Executor{wedgingExecutor{}}, Options{
 		ShardSize:  40,
 		LeaseTTL:   400 * time.Millisecond,
 		SegmentDir: t.TempDir(),
 		Logger:     quietLogger(),
+		Journal:    jnl.add,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Releases != 1 {
-		t.Fatalf("Releases = %d, want 1 (one expired lease)", res.Releases)
+	if n := jnl.count(journal.EventShardExpired); n != 1 {
+		t.Fatalf("Releases = %d, want 1 (one expired lease)", n)
 	}
 	if elapsed := time.Since(start); elapsed < 400*time.Millisecond {
 		t.Fatalf("finished in %v, before the lease could have expired", elapsed)

@@ -67,21 +67,6 @@ type ShardTask struct {
 	ChaosHangAfter int `json:"chaosHangAfter,omitempty"`
 }
 
-// ShardResult summarises a completed shard. The records themselves
-// travel as individual record events (they double as heartbeats and
-// land in the coordinator's segment as they complete); the result
-// carries only the accounting.
-type ShardResult struct {
-	Shard   int                `json:"shard"`
-	Start   int                `json:"start"`
-	End     int                `json:"end"`
-	Done    int                `json:"done"`    // records completed, including resumed
-	Resumed int                `json:"resumed"` // reused from Resume, not re-executed
-	Faults  goofi.FaultStats   `json:"faults"`
-	Prune   *goofi.PruneStats  `json:"prune,omitempty"`
-	Detect  *goofi.DetectStats `json:"detect,omitempty"`
-}
-
 // Event is one line of the executor→coordinator stream (JSON lines
 // over an HTTP response body). Every event renews
 // the shard's lease.
@@ -95,8 +80,12 @@ type Event struct {
 	Shard  int           `json:"shard"`
 	Done   int           `json:"done,omitempty"` // progress: records completed so far
 	Record *goofi.Record `json:"record,omitempty"`
-	Result *ShardResult  `json:"result,omitempty"`
 	Error  string        `json:"error,omitempty"`
+
+	// Result is a finished shard's accounting. The records themselves
+	// travel as record events (they double as heartbeats and land in
+	// the coordinator's segment as they complete).
+	Result *goofi.Stats `json:"result,omitempty"`
 }
 
 // Event type values.

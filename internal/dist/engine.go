@@ -64,16 +64,7 @@ func runShard(ctx context.Context, task ShardTask, configure func(*goofi.Config)
 	if err != nil {
 		return err
 	}
-	emit(Event{Type: EventDone, Shard: task.Shard, Done: done, Result: &ShardResult{
-		Shard:   task.Shard,
-		Start:   task.Start,
-		End:     task.End,
-		Done:    done,
-		Resumed: res.Faults.Resumed,
-		Faults:  res.Faults,
-		Prune:   res.Prune,
-		Detect:  res.Detect,
-	}})
+	emit(Event{Type: EventDone, Shard: task.Shard, Done: done, Result: &res.Stats})
 	return nil
 }
 

@@ -67,7 +67,7 @@ func TestReadEvents(t *testing.T) {
 	rec := goofi.Record{ID: 4, Outcome: "overwritten"}
 	beat := Event{Type: EventBeat, Shard: 2}
 	record := Event{Type: EventRecord, Shard: 2, Done: 1, Record: &rec}
-	done := Event{Type: EventDone, Shard: 2, Done: 1, Result: &ShardResult{Shard: 2, Start: 4, End: 5, Done: 1}}
+	done := Event{Type: EventDone, Shard: 2, Done: 1, Result: &goofi.Stats{Faults: goofi.FaultStats{Retried: 1}}}
 	doneLine := eventLines(t, done)
 
 	for _, tc := range []struct {
@@ -97,13 +97,13 @@ func TestReadEvents(t *testing.T) {
 func FuzzReadEvents(f *testing.F) {
 	rec := goofi.Record{ID: 9, Outcome: "latent"}
 	f.Add(eventLines(f, Event{Type: EventBeat}, Event{Type: EventRecord, Done: 1, Record: &rec},
-		Event{Type: EventDone, Done: 1, Result: &ShardResult{Done: 1}}), uint16(0))
+		Event{Type: EventDone, Done: 1, Result: &goofi.Stats{}}), uint16(0))
 	f.Add(eventLines(f, Event{Type: EventRecord, Record: &rec}, Event{Type: EventError, Error: "x"}), uint16(17))
 	f.Add([]byte("{\"type\":\"done\"}"), uint16(40))
 	f.Add([]byte("\n\r\n{\"type\":\"beat\",\"shard\":\"x\"}\n{\"type\":\"rec"), uint16(5))
 	f.Add([]byte("not json\n[]\nnull\n{}\n"), uint16(1))
 
-	doneLine, err := json.Marshal(Event{Type: EventDone, Shard: 1, Done: 3, Result: &ShardResult{Shard: 1, Done: 3}})
+	doneLine, err := json.Marshal(Event{Type: EventDone, Shard: 1, Done: 3, Result: &goofi.Stats{Faults: goofi.FaultStats{Resumed: 3}}})
 	if err != nil {
 		f.Fatal(err)
 	}

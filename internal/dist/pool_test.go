@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"ctrlguard/internal/goofi"
+	"ctrlguard/internal/journal"
 )
 
 // The pool's contract: a process serves shard after shard as long as
@@ -68,17 +69,19 @@ func TestPoolReusesProcesses(t *testing.T) {
 	want := soloBytes(t, spec)
 
 	var seen leaseLog
+	var jnl shardJournal
 	res, err := Run(context.Background(), spec, procExecutors(t, 2, seen.observe), Options{
 		ShardSize:  500,
 		SegmentDir: t.TempDir(),
 		Campaign:   "c-reuse",
 		Logger:     quietLogger(),
+		Journal:    jnl.add,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Shards != 6 || res.Releases != 0 {
-		t.Fatalf("Shards = %d, Releases = %d, want 6 and 0", res.Shards, res.Releases)
+	if shards, releases := jnl.count(journal.EventShardCompleted), jnl.count(journal.EventShardExpired); shards != 6 || releases != 0 {
+		t.Fatalf("Shards = %d, Releases = %d, want 6 and 0", shards, releases)
 	}
 	if n := len(seen.snapshot()); n != 6 {
 		t.Fatalf("%d leases, want 6", n)
@@ -142,6 +145,7 @@ func TestPoolFreshProcessAfterFailure(t *testing.T) {
 				killed bool
 			)
 			var out bytes.Buffer // written by the coordinator's logger, read after Run
+			var jnl shardJournal
 			start := time.Now()
 			res, err := Run(context.Background(), spec, procExecutors(t, 1, seen.observe), Options{
 				ShardSize:  20,
@@ -149,6 +153,7 @@ func TestPoolFreshProcessAfterFailure(t *testing.T) {
 				SegmentDir: t.TempDir(),
 				Campaign:   "c-fail",
 				Logger:     log.New(&out, "", 0),
+				Journal:    jnl.add,
 				TaskHook:   tc.taskHook,
 				OnRecord: func(rec goofi.Record, _ int) {
 					mu.Lock()
@@ -166,8 +171,8 @@ func TestPoolFreshProcessAfterFailure(t *testing.T) {
 			if elapsed := time.Since(start); tc.killOnRecord && elapsed >= tc.ttl {
 				t.Fatalf("finished in %v — the %v lease may have expired rather than the kill re-leasing it", elapsed, tc.ttl)
 			}
-			if res.Releases != 1 {
-				t.Fatalf("Releases = %d, want 1", res.Releases)
+			if n := jnl.count(journal.EventShardExpired); n != 1 {
+				t.Fatalf("Releases = %d, want 1", n)
 			}
 			if got := distBytes(t, res); !bytes.Equal(got, want) {
 				t.Fatal("record file differs from solo run")
@@ -271,10 +276,12 @@ func TestPoolNoSharedProcesses(t *testing.T) {
 		for _, ex := range poolSlots(pool, 2) {
 			slots = append(slots, trackedExec{ex, tr})
 		}
+		var jnl shardJournal
 		res, err := Run(context.Background(), spec, slots, Options{
 			ShardSize: 100,
 			Campaign:  name,
 			Logger:    quietLogger(),
+			Journal:   jnl.add,
 			TaskHook: func(task *ShardTask) {
 				if task.Shard == 2 && task.Attempt == 0 {
 					task.ChaosKillAfter = 2
@@ -284,8 +291,8 @@ func TestPoolNoSharedProcesses(t *testing.T) {
 		if err != nil {
 			return fmt.Errorf("campaign %s: %w", name, err)
 		}
-		if res.Releases != 1 {
-			return fmt.Errorf("campaign %s: Releases = %d, want 1", name, res.Releases)
+		if n := jnl.count(journal.EventShardExpired); n != 1 {
+			return fmt.Errorf("campaign %s: Releases = %d, want 1", name, n)
 		}
 		if !bytes.Equal(distBytes(t, res), soloBytes(t, spec)) {
 			return fmt.Errorf("campaign %s record file differs from solo run", name)

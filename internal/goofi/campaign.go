@@ -6,6 +6,7 @@
 package goofi
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -164,7 +165,9 @@ type Record struct {
 	Provenance string `json:"provenance,omitempty"`
 }
 
-// Result is a completed campaign.
+// Result is a completed campaign: the one result type of every
+// execution path, whether it ran in-process, sharded across executors
+// or in sequential batches.
 type Result struct {
 	Config Config
 
@@ -183,25 +186,56 @@ type Result struct {
 	// exactly when Plan declined the layer.
 	WarmStart *WarmStartStats
 
-	// Prune reports the fault-space pruner's work avoidance; nil
-	// exactly when Plan declined the layer.
-	Prune *PruneStats
-
 	// Lockstep is always nil: the lockstep batching engine it reported
 	// on was retired, and lanes now fork off each worker's golden
 	// cursor (WarmStart). The field stays because the benchmark module
 	// (bench/layers.go) still reads it.
 	Lockstep *LockstepStats
 
-	// Detect reports the armed detectors' configuration, verdict counts
-	// and modeled overhead; nil when no detectors were armed.
-	Detect *DetectStats
+	Stats
+}
 
+// Stats is a campaign's accounting, the part of its Result that a
+// campaign run in parts — the shards of a distributed run, the batches
+// of a sequential one — reports per part and folds (see Fold).
+type Stats struct {
 	// Faults reports the campaign engine's own fault handling: retries,
 	// recovered panics, deadline expiries, abandoned experiments, and
 	// records reused from a resumed run. All zero for a healthy,
 	// fresh campaign.
-	Faults FaultStats
+	Faults FaultStats `json:"faults"`
+
+	// Prune reports the fault-space pruner's work avoidance; nil
+	// exactly when Plan declined the layer.
+	Prune *PruneStats `json:"prune,omitempty"`
+
+	// Detect reports the armed detectors' configuration, verdict counts
+	// and modeled overhead; nil when no detectors were armed.
+	Detect *DetectStats `json:"detect,omitempty"`
+}
+
+// Fold returns the stats of one campaign run in parts, from the parts'
+// stats and records, their records merged in experiment order. Fault
+// counts are summed; prune stats are summed once any part pruned; the
+// detector configuration comes from the first part that armed
+// detectors, with its verdict counts re-tallied over records.
+func Fold(parts []Stats, records []Record) Stats {
+	var s Stats
+	for _, p := range parts {
+		s.Faults.Add(p.Faults)
+		if p.Prune != nil {
+			s.Prune = cmp.Or(s.Prune, &PruneStats{})
+			s.Prune.Add(*p.Prune)
+		}
+		if p.Detect != nil && s.Detect == nil {
+			d := *p.Detect
+			s.Detect = &d
+		}
+	}
+	if s.Detect != nil {
+		s.Detect.CFEDetected, s.Detect.AutomatonDetected = tallyDetect(records)
+	}
+	return s
 }
 
 // LockstepStats is the type of the always-nil Result.Lockstep, kept
@@ -313,8 +347,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	loop := newCampaignLoop[*workload.Cursor](cfg.Experiments, &cfg)
-	loop.run = func(cur **workload.Cursor, i int, deadline time.Time) (Record, error) {
-		return runExperiment(prog, cfg, golden, warm, det, cur, i, injections[i], deadline)
+	loop.run = func(cur **workload.Cursor, i int, abort func() bool) (Record, error) {
+		return runExperiment(prog, cfg, golden, warm, det, cur, i, injections[i], abort)
 	}
 	loop.blank = func(i int) Record {
 		return verdictRecord(cfg, i, injections[i], classify.Verdict{}, ProvenanceSimulated)
@@ -415,35 +449,40 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			ids = append(ids, i)
 		}
 	}
-	if warm != nil {
-		sort.SliceStable(ids, func(a, b int) bool {
-			return injections[ids[a]].At < injections[ids[b]].At
-		})
+	runAll := func(ids []int) {
+		if warm != nil {
+			sort.SliceStable(ids, func(a, b int) bool {
+				return injections[ids[a]].At < injections[ids[b]].At
+			})
+		}
+		loop.runAll(ctx, workers, ids)
 	}
-	loop.runAll(ctx, workers, ids)
+	runAll(ids)
 
 	// An abandoned representative (wall-clock deadline — the one
 	// nondeterministic outcome) cannot vouch for its class: fall back to
-	// simulating the members it was standing for, from instruction 0
-	// (they may inject behind every cursor).
+	// simulating the members it was standing for, on fresh cursors
+	// (they may inject behind every cursor of the first pass).
 	if plan != nil && ctx.Err() == nil {
+		var fallback []int
 		for rep, members := range plan.members {
 			if !completed[rep] || records[rep].Outcome != OutcomeAbandoned {
 				continue
 			}
 			for _, m := range members {
-				if !completed[m] && inShard(m) && ctx.Err() == nil {
-					loop.runOne(nil, m)
+				if needed(m) {
+					fallback = append(fallback, m)
 				}
 			}
 		}
+		runAll(fallback)
 	}
 
 	lo, hi := 0, cfg.Experiments
 	if shard != nil {
 		lo, hi = shard.Start, shard.End
 	}
-	res := &Result{Config: cfg, Plan: xp, Golden: golden, Records: records, Faults: faults}
+	res := &Result{Config: cfg, Plan: xp, Golden: golden, Records: records, Stats: Stats{Faults: faults}}
 	if warm != nil {
 		res.WarmStart = warm.stats()
 	}
@@ -466,13 +505,13 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 
 // runExperiment performs one fault injection and classifies it: forked
 // off the worker's cursor slot cur when the warm start runs, from
-// instruction 0 otherwise. A non-zero deadline bounds the run's
-// wall-clock time; an expired run returns errExperimentDeadline instead
-// of a (meaningless) record.
-func runExperiment(prog *cpu.Program, cfg Config, golden *workload.Outcome, warm *warmState, det *detectState, cur **workload.Cursor, id int, inj workload.Injection, deadline time.Time) (Record, error) {
+// instruction 0 otherwise. A non-nil abort bounds the run's wall-clock
+// time; a run it stops returns errExperimentDeadline instead of a
+// (meaningless) record.
+func runExperiment(prog *cpu.Program, cfg Config, golden *workload.Outcome, warm *warmState, det *detectState, cur **workload.Cursor, id int, inj workload.Injection, abort func() bool) (Record, error) {
 	spec := cfg.Spec
 	spec.Injection = &inj
-	spec.Deadline = deadline
+	spec.Abort = abort
 	spec.Monitor = det.newMonitor(prog) // a fresh monitor stack per run
 	var out *workload.Outcome
 	if warm != nil {

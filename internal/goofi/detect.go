@@ -143,14 +143,13 @@ func (d *detectState) newMonitor(prog *cpu.Program) workload.Monitor {
 // and returns the campaign-level stats.
 func (d *detectState) tally(records []Record) *DetectStats {
 	s := d.stats
-	s.CFEDetected, s.AutomatonDetected = TallyDetect(records)
+	s.CFEDetected, s.AutomatonDetected = tallyDetect(records)
 	return &s
 }
 
-// TallyDetect counts records whose detection verdict came from each
-// detector family. Exported for consumers that merge records without a
-// campaign Result (the distributed coordinator).
-func TallyDetect(records []Record) (cfe, automaton int) {
+// tallyDetect counts records whose detection verdict came from each
+// detector family.
+func tallyDetect(records []Record) (cfe, automaton int) {
 	for _, rec := range records {
 		switch rec.Mechanism {
 		case string(cpu.MechSignature):

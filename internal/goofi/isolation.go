@@ -80,13 +80,13 @@ type campaignLoop[S any] struct {
 	backoff, timeout time.Duration
 	chaos            func(id, attempt int)
 
-	// run is one attempt at experiment id off the worker's slot (nil
-	// for a run without one); an attempt past a non-zero deadline
-	// returns errExperimentDeadline. blank is id's record with a zero
+	// run is one attempt at experiment id off the worker's slot; an
+	// attempt that abort (nil without a deadline) stops returns
+	// errExperimentDeadline. blank is id's record with a zero
 	// verdict, which an abandoned experiment keeps. settle books a
 	// finished experiment (see book) with the isolation tally fs; it
 	// runs under the loop's lock.
-	run    func(slot *S, id int, deadline time.Time) (Record, error)
+	run    func(slot *S, id int, abort func() bool) (Record, error)
 	blank  func(id int) Record
 	settle func(id int, rec Record, fs FaultStats)
 
@@ -193,19 +193,20 @@ func (l *campaignLoop[S]) attempt(slot *S, id, attempt int) (rec Record, err err
 			err = fmt.Errorf("goofi: experiment %d panicked: %v", id, p)
 		}
 	}()
-	var deadline time.Time
+	var abort func() bool // reports the attempt's deadline passed
 	if l.timeout > 0 {
-		deadline = time.Now().Add(l.timeout)
+		deadline := time.Now().Add(l.timeout)
+		abort = func() bool { return time.Now().After(deadline) }
 	}
 	if l.chaos != nil {
 		// The hook may sleep (a hung worker) or panic (a crashed one);
 		// its time counts against the attempt's deadline.
 		l.chaos(id, attempt)
-		if !deadline.IsZero() && time.Now().After(deadline) {
+		if abort != nil && abort() {
 			return Record{}, errExperimentDeadline
 		}
 	}
-	return l.run(slot, id, deadline)
+	return l.run(slot, id, abort)
 }
 
 // partial returns the completed records with IDs in [lo, hi), in ID

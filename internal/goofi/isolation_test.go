@@ -1,6 +1,8 @@
 package goofi
 
 import (
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -107,6 +109,70 @@ func TestChaosPersistentPanicAbandons(t *testing.T) {
 			continue
 		}
 		if rec != clean.Records[i] {
+			t.Fatalf("bystander record %d differs: %+v vs %+v", i, rec, clean.Records[i])
+		}
+	}
+}
+
+// TestChaosAbandonedRepresentative: in a pruned campaign, a class
+// representative panics on every attempt. It is abandoned, so it cannot
+// vouch for its class, and the members it stood for are simulated
+// instead: each member's record equals the clean run's in every field
+// but provenance, which reads simulated, and every other record is
+// untouched.
+func TestChaosAbandonedRepresentative(t *testing.T) {
+	cfg := chaosConfig(2000, 11)
+	cfg.Ablate = 0
+	clean, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clean.Prune == nil {
+		t.Fatalf("the campaign declined pruning: %v", clean.Plan.Declined)
+	}
+	// The representative standing for the most members.
+	classes := map[int][]int{}
+	rep := -1
+	for _, rec := range clean.Records {
+		if id, ok := strings.CutPrefix(rec.Provenance, provenanceMemberPrefix); ok {
+			r, _ := strconv.Atoi(id)
+			classes[r] = append(classes[r], rec.ID)
+			if rep < 0 || len(classes[r]) > len(classes[rep]) || len(classes[r]) == len(classes[rep]) && r < rep {
+				rep = r
+			}
+		}
+	}
+	if rep < 0 {
+		t.Fatal("the pruned campaign collapsed no class")
+	}
+	t.Logf("representative %d stands for %d members", rep, len(classes[rep]))
+
+	cfg.Chaos = func(id, attempt int) {
+		if id == rep {
+			panic("chaos: representative crashes")
+		}
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Faults.Abandoned != 1 || res.Records[rep].Outcome != OutcomeAbandoned {
+		t.Fatalf("faults = %+v, representative %d outcome %q; want it alone abandoned", res.Faults, rep, res.Records[rep].Outcome)
+	}
+	member := map[int]bool{}
+	for _, m := range classes[rep] {
+		member[m] = true
+		rec := res.Records[m]
+		if rec.Provenance != ProvenanceSimulated {
+			t.Errorf("member %d provenance %q, want %q", m, rec.Provenance, ProvenanceSimulated)
+		}
+		rec.Provenance = clean.Records[m].Provenance
+		if rec != clean.Records[m] {
+			t.Errorf("member %d differs from the clean run: %+v vs %+v", m, rec, clean.Records[m])
+		}
+	}
+	for i, rec := range res.Records {
+		if i != rep && !member[i] && rec != clean.Records[i] {
 			t.Fatalf("bystander record %d differs: %+v vs %+v", i, rec, clean.Records[i])
 		}
 	}

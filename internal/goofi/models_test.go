@@ -229,9 +229,9 @@ func TestDetectorCampaign(t *testing.T) {
 	if d.BlockEntries == 0 || d.Overhead <= 0 {
 		t.Errorf("overhead model not populated: %+v", d)
 	}
-	cfe, auto := TallyDetect(res.Records)
+	cfe, auto := tallyDetect(res.Records)
 	if cfe != d.CFEDetected || auto != d.AutomatonDetected {
-		t.Errorf("TallyDetect (%d, %d) disagrees with stats (%d, %d)",
+		t.Errorf("tallyDetect (%d, %d) disagrees with stats (%d, %d)",
 			cfe, auto, d.CFEDetected, d.AutomatonDetected)
 	}
 	if res.Prune != nil {

@@ -1,7 +1,6 @@
 package goofi
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"strconv"
@@ -86,30 +85,15 @@ func (p PrecisionConfig) Batch(b int) Config {
 	return cfg
 }
 
-// PrecisionResult is the outcome of a sequential campaign.
+// PrecisionResult is the outcome of a sequential campaign: its batches
+// folded into one Result (Plan is the last batch's, and Stats folds
+// every batch's; see Fold), plus the stopping rule's state.
 type PrecisionResult struct {
-	Records     []Record
-	Estimate    stats.Proportion
-	HalfWidth   float64
-	Batches     int
-	Converged   bool // target reached before MaxExperiments
-	Experiments int
-
-	// Plan is the fast-path decision the batches executed (see
-	// Result.Plan); zero when RunBatch reports none.
-	Plan ExecPlan
-
-	// Prune accumulates the fault-space pruner's work avoidance over
-	// every batch; nil when no batch pruned.
-	Prune *PruneStats
-
-	// Detect is the armed detectors' configuration with verdict counts
-	// over every batch; nil when no detectors were armed.
-	Detect *DetectStats
-
-	// Faults accumulates worker fault isolation's interventions over
-	// every batch (see Result.Faults).
-	Faults FaultStats
+	Result
+	Estimate  stats.Proportion
+	HalfWidth float64
+	Batches   int
+	Converged bool // target reached before MaxExperiments
 }
 
 // RunUntilPrecision runs batches of experiments, extending the seed per
@@ -146,10 +130,11 @@ func RunUntilPrecisionContext(ctx context.Context, cfg PrecisionConfig) (*Precis
 
 	res := &PrecisionResult{}
 	counter := stats.NewCounter()
+	var parts []Stats
 	var err error
-	for err == nil && !res.Converged && res.Experiments < cfg.MaxExperiments {
+	for err == nil && !res.Converged && len(res.Records) < cfg.MaxExperiments {
 		batch := cfg.Batch(res.Batches)
-		first := res.Experiments
+		first := len(res.Records)
 		for _, rec := range cfg.Campaign.Resume {
 			if rec.ID >= first && rec.ID < first+batch.Experiments {
 				batch.Resume = append(batch.Resume, ShiftID(rec, -first))
@@ -172,15 +157,7 @@ func RunUntilPrecisionContext(ctx context.Context, cfg PrecisionConfig) (*Precis
 			break
 		}
 		res.Plan = out.Plan
-		if out.Prune != nil {
-			res.Prune = cmp.Or(res.Prune, &PruneStats{})
-			res.Prune.Add(*out.Prune)
-		}
-		if out.Detect != nil && res.Detect == nil {
-			d := *out.Detect
-			res.Detect = &d
-		}
-		res.Faults.Add(out.Faults)
+		parts = append(parts, out.Stats)
 		if len(out.Records) == 0 {
 			continue
 		}
@@ -189,7 +166,6 @@ func RunUntilPrecisionContext(ctx context.Context, cfg PrecisionConfig) (*Precis
 		}
 		res.Records = append(res.Records, out.Records...)
 		res.Batches++
-		res.Experiments += len(out.Records)
 		counter.Merge(Analyze(out.Records).Total)
 		res.Estimate = metric(counter)
 		res.HalfWidth = res.Estimate.CI95()
@@ -197,9 +173,7 @@ func RunUntilPrecisionContext(ctx context.Context, cfg PrecisionConfig) (*Precis
 		// sampling until at least one observation or the budget ends.
 		res.Converged = err == nil && res.Estimate.Count > 0 && res.HalfWidth <= cfg.TargetHalfWidth
 	}
-	if res.Detect != nil {
-		res.Detect.CFEDetected, res.Detect.AutomatonDetected = TallyDetect(res.Records)
-	}
+	res.Stats = Fold(parts, res.Records)
 	if err != nil && ctx.Err() == nil {
 		return nil, err
 	}

@@ -37,9 +37,6 @@ func TestRunUntilPrecisionConverges(t *testing.T) {
 	if res.HalfWidth > 0.02 {
 		t.Errorf("half-width %v above target", res.HalfWidth)
 	}
-	if res.Experiments != len(res.Records) {
-		t.Errorf("experiment count %d != records %d", res.Experiments, len(res.Records))
-	}
 	if res.Batches < 1 {
 		t.Error("no batches recorded")
 	}
@@ -60,8 +57,8 @@ func TestRunUntilPrecisionRespectsBudget(t *testing.T) {
 	if res.Converged {
 		t.Error("cannot converge to 1e-9 in 300 experiments")
 	}
-	if res.Experiments != 300 {
-		t.Errorf("experiments = %d, want the full budget 300", res.Experiments)
+	if len(res.Records) != 300 {
+		t.Errorf("experiments = %d, want the full budget 300", len(res.Records))
 	}
 }
 
@@ -81,7 +78,7 @@ func TestRunUntilPrecisionDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Experiments != b.Experiments || a.Estimate != b.Estimate {
+	if len(a.Records) != len(b.Records) || a.Estimate != b.Estimate {
 		t.Errorf("sequential campaign not deterministic: %+v vs %+v", a, b)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"ctrlguard/internal/classify"
 	"ctrlguard/internal/control"
@@ -290,7 +289,7 @@ func RunVariableBatch(ctx context.Context, cfgs []VarConfig) ([]*Result, error) 
 		})
 	}
 	loop := newCampaignLoop[varCursor](total, &Config{})
-	loop.run = func(slot *varCursor, t int, _ time.Time) (Record, error) {
+	loop.run = func(slot *varCursor, t int, _ func() bool) (Record, error) {
 		tk := tasks[t]
 		outputs, ctrl := tk.c.run(slot, tk.c.exps[tk.id])
 		stateDiffers := !float64SlicesEqual(ctrl.State(), tk.c.goldenFinal)
@@ -307,7 +306,7 @@ func RunVariableBatch(ctx context.Context, cfgs []VarConfig) ([]*Result, error) 
 	err := ctx.Err()
 	for ci, c := range camps {
 		lo, hi := c.base, c.base+c.cfg.Experiments
-		res := &Result{Records: loop.records[lo:hi:hi], Faults: c.faults}
+		res := &Result{Records: loop.records[lo:hi:hi], Stats: Stats{Faults: c.faults}}
 		if c.warm {
 			res.WarmStart = &WarmStartStats{
 				Resumed:     int(c.resumed.Load()),

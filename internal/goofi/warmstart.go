@@ -67,25 +67,21 @@ func (w *warmState) newCursor() (*workload.Cursor, error) {
 	return workload.NewCursor(w.prog, spec)
 }
 
-// run executes spec's experiment, which splices from the golden run.
-// With cur, the calling worker's cursor slot, it forks the experiment
-// off that cursor (started on first use) when the cursor can reach the
-// injection; otherwise, and with a nil cur, it runs from instruction 0.
-// A panic drops the worker's cursor, which may have stopped mid-step,
-// so the retry starts a fresh one.
+// run executes spec's experiment, which splices from the golden run,
+// forked off cur, the calling worker's cursor slot (started on first
+// use), when the cursor can reach the injection, and from instruction 0
+// otherwise. A panic drops the worker's cursor, which may have stopped
+// mid-step, so the retry starts a fresh one.
 func (w *warmState) run(cur **workload.Cursor, spec workload.RunSpec) *workload.Outcome {
 	spec.Golden = w.golden
-	var out *workload.Outcome
-	if cur != nil {
-		c := *cur
-		*cur = nil
-		if c == nil {
-			c, _ = w.newCursor() // newWarmState proved the spec takes one
-			w.cursors.Add(1)
-		}
-		out = c.Fork(spec)
-		*cur = c
+	c := *cur
+	*cur = nil
+	if c == nil {
+		c, _ = w.newCursor() // newWarmState proved the spec takes one
+		w.cursors.Add(1)
 	}
+	out := c.Fork(spec)
+	*cur = c
 	forked := out != nil
 	if !forked {
 		out = workload.Run(w.prog, spec)

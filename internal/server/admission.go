@@ -120,11 +120,22 @@ func (m *Manager) allow(ten tenant.Tenant) error {
 	return nil
 }
 
-// enqueue checks the tenant's quotas, assigns an ID, pushes the job
-// onto the fair-share queue, charges usage, and journals the
-// submission — all under the manager lock so a runner cannot observe
-// the job half-admitted.
+// enqueue checks the tenant's quotas, assigns an ID, charges usage,
+// pushes the job onto the fair-share queue, and journals the
+// submission — all but the journal write under the manager lock so a
+// runner cannot observe the job half-admitted. A runner may pick the
+// job up the moment it is pushed, and a tune job's runner rewrites
+// c.total, so the charge and the journal entry read it before the push.
 func (m *Manager) enqueue(ten tenant.Tenant, c *Campaign) (*Campaign, error) {
+	e := journal.Entry{
+		Type: journal.EventSubmitted, Kind: string(c.Kind), State: string(StateQueued),
+		Total: c.total, Tenant: c.Tenant,
+	}
+	if c.Kind == KindTune {
+		e.TuneSpec, _ = json.Marshal(c.TuneSpec)
+	} else {
+		e.Spec, _ = json.Marshal(c.Spec)
+	}
 	m.mu.Lock()
 	u := m.usageLocked(ten.Name)
 	// The usage record is shared with finishing runners: read it only
@@ -142,27 +153,18 @@ func (m *Manager) enqueue(ten tenant.Tenant, c *Campaign) (*Campaign, error) {
 		return nil, &QuotaError{Tenant: ten.Name, Reason: reason}
 	}
 	c.ID = fmt.Sprintf("c%06d", m.nextID+1)
+	e.Job = c.ID
+	m.chargeUsageLocked(c)
 	if err := m.queue.Push(ten.Name, ten.FairWeight(), c); err != nil {
+		m.releaseUsageLocked(c)
 		m.mu.Unlock()
 		m.metrics.RequestsShed.Add(1)
 		return nil, ErrQueueFull // shed without consuming an ID
 	}
 	m.nextID++
-	m.chargeUsageLocked(c)
 	m.jobs[c.ID] = c
 	m.order = append(m.order, c.ID)
 	m.mu.Unlock()
-
-	e := journal.Entry{
-		Job: c.ID, Type: journal.EventSubmitted,
-		Kind: string(c.Kind), State: string(StateQueued), Total: c.total,
-		Tenant: c.Tenant,
-	}
-	if c.Kind == KindTune {
-		e.TuneSpec, _ = json.Marshal(c.TuneSpec)
-	} else {
-		e.Spec, _ = json.Marshal(c.Spec)
-	}
 	m.appendJournal(e)
 	return c, nil
 }
@@ -204,6 +206,10 @@ func (m *Manager) chargeUsageLocked(c *Campaign) {
 func (m *Manager) releaseUsage(c *Campaign) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.releaseUsageLocked(c)
+}
+
+func (m *Manager) releaseUsageLocked(c *Campaign) {
 	if !c.usageHeld {
 		return
 	}

@@ -199,7 +199,8 @@ func wholeCampaign(recs []goofi.Record, spec goofi.CampaignSpec) error {
 }
 
 // cachePut memoizes a cleanly completed campaign from its canonical
-// record file.
+// record file, replacing any entry under its key: an entry
+// serveFromCache rejected is repaired by the run it caused.
 func (m *Manager) cachePut(c *Campaign, faults goofi.FaultStats, path string) {
 	if faults.Abandoned > 0 || !m.memoizable(c) {
 		return

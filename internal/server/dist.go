@@ -142,7 +142,7 @@ func (m *Manager) startRun(c *Campaign, resumed bool) string {
 // whose experiment IDs start at first — through dist.Run with its
 // segments under segDir (kept until c concludes), reporting each record
 // to progress with its campaign-wide ID and count.
-func (m *Manager) distRun(ctx context.Context, c *Campaign, spec goofi.CampaignSpec, segDir string, first int, progress func(goofi.Record, int)) (*dist.Result, error) {
+func (m *Manager) distRun(ctx context.Context, c *Campaign, spec goofi.CampaignSpec, segDir string, first int, progress func(goofi.Record, int)) (*goofi.Result, error) {
 	executors, shardSize := m.executors(spec.Experiments)
 	opts := dist.Options{
 		ShardSize:  shardSize,
@@ -195,7 +195,7 @@ func (m *Manager) runCampaign(ctx context.Context, c *Campaign, resumed bool) {
 	segDir := m.startRun(c, resumed)
 	progress := m.progressFunc(c)
 	var (
-		res *dist.Result
+		res *goofi.Result
 		err error
 	)
 	if c.Spec.Sequential() {
@@ -204,10 +204,10 @@ func (m *Manager) runCampaign(ctx context.Context, c *Campaign, resumed bool) {
 		res, err = m.distRun(ctx, c, c.Spec, segDir, 0, progress)
 	}
 	if res == nil {
-		res = &dist.Result{}
+		res = new(goofi.Result)
 	}
 	m.metrics.ExperimentsResumed.Add(int64(res.Faults.Resumed))
-	m.noteStats(c, res.Prune, res.Detect)
+	m.noteStats(c, res.Stats)
 	// Salvaged segments count towards progress as they are opened,
 	// but their outcomes arrive only with the result.
 	outcomes := make(map[string]int)
@@ -217,13 +217,13 @@ func (m *Manager) runCampaign(ctx context.Context, c *Campaign, resumed bool) {
 	c.mu.Lock()
 	c.done, c.outcomes = len(res.Records), outcomes
 	c.mu.Unlock()
-	m.conclude(c, res.Records, res.Faults, err)
+	m.conclude(c, res, err)
 }
 
 // runPrecision executes a precision-driven campaign: goofi's stopping
 // rule runs batch b as a plain fixed-count campaign through distRun,
 // with its segments under <segDir>/b<k>/ as its resume source.
-func (m *Manager) runPrecision(ctx context.Context, c *Campaign, segDir string, progress func(goofi.Record, int)) (*dist.Result, error) {
+func (m *Manager) runPrecision(ctx context.Context, c *Campaign, segDir string, progress func(goofi.Record, int)) (*goofi.Result, error) {
 	cfg, err := c.Spec.Resolve()
 	if err != nil { // validated at Submit; only a programming error lands here
 		return nil, err
@@ -236,17 +236,13 @@ func (m *Manager) runPrecision(ctx context.Context, c *Campaign, segDir string, 
 			spec := c.Spec
 			spec.Precision, spec.MaxExperiments = 0, 0
 			spec.Experiments, spec.Seed = batch.Experiments, batch.Seed
-			out, err := m.distRun(ctx, c, spec, batchDir(segDir, b), b*goofi.DefaultBatchSize, progress)
-			if out == nil {
-				return nil, err
-			}
-			return &goofi.Result{Records: out.Records, Faults: out.Faults, Prune: out.Prune, Detect: out.Detect}, err
+			return m.distRun(ctx, c, spec, batchDir(segDir, b), b*goofi.DefaultBatchSize, progress)
 		},
 	})
 	if res == nil {
 		return nil, err
 	}
-	return &dist.Result{Records: res.Records, Faults: res.Faults, Prune: res.Prune, Detect: res.Detect}, err
+	return &res.Result, err
 }
 
 // progressFunc returns the callback a running campaign reports each
@@ -273,41 +269,42 @@ func (m *Manager) progressFunc(c *Campaign) func(rec goofi.Record, done int) {
 	}
 }
 
-// noteStats publishes a run's pruning and detector stats on the
-// campaign view and in the process metrics.
-func (m *Manager) noteStats(c *Campaign, p *goofi.PruneStats, d *goofi.DetectStats) {
-	if p != nil {
+// noteStats publishes a run's stats on the campaign view and its
+// pruning and detector counts in the process metrics (finalize counts
+// its fault handling).
+func (m *Manager) noteStats(c *Campaign, s goofi.Stats) {
+	if p := s.Prune; p != nil {
 		m.metrics.ExperimentsPlanned.Add(int64(p.Planned))
 		m.metrics.ExperimentsSimulated.Add(int64(p.Simulated))
 		m.metrics.ExperimentsPrunedDead.Add(int64(p.PrunedDead))
 		m.metrics.ExperimentsCollapsed.Add(int64(p.Collapsed))
 	}
-	if d != nil {
+	if d := s.Detect; d != nil {
 		m.metrics.DetectorCFEDetected.Add(int64(d.CFEDetected))
 		m.metrics.DetectorAutomatonDetected.Add(int64(d.AutomatonDetected))
 		m.metrics.DetectorFalsePositives.Add(int64(d.FalsePositives))
 	}
 	c.mu.Lock()
-	c.prune, c.detect = p, d
+	c.stats = s
 	c.mu.Unlock()
 }
 
-// conclude settles a campaign whose run returned. A campaign merely
+// conclude settles a campaign whose run returned res. A campaign merely
 // interrupted by shutdown keeps its segments for the next start to
 // resume from. Otherwise its records — complete, or the partial set of
 // a cancelled or failed run — become the canonical experiment-ordered
 // <id>.jsonl, the segments go, and a clean result is memoized. A chaos
 // kill persists nothing, exactly like a real SIGKILL.
-func (m *Manager) conclude(c *Campaign, recs []goofi.Record, faults goofi.FaultStats, runErr error) {
+func (m *Manager) conclude(c *Campaign, res *goofi.Result, runErr error) {
 	if !m.killed.Load() && !m.interrupted(c, runErr) {
 		var file *recordFile
-		if len(recs) > 0 {
+		if len(res.Records) > 0 {
 			var err error
-			if file, err = saveRecordFile(m.recordPath(c), recs); err != nil && runErr == nil {
+			if file, err = saveRecordFile(m.recordPath(c), res.Records); err != nil && runErr == nil {
 				runErr = err
 			}
 		}
-		if file != nil || len(recs) == 0 {
+		if file != nil || len(res.Records) == 0 {
 			// The file replaces the segments as the campaign's records.
 			c.mu.Lock()
 			segDir := c.segDir
@@ -319,10 +316,10 @@ func (m *Manager) conclude(c *Campaign, recs []goofi.Record, faults goofi.FaultS
 			os.RemoveAll(segDir)
 		}
 		if runErr == nil && file != nil {
-			m.cachePut(c, faults, file.path)
+			m.cachePut(c, res.Faults, file.path)
 		}
 	}
-	m.finalize(c, faults, runErr)
+	m.finalize(c, runErr)
 }
 
 // --- executor registry HTTP endpoints -------------------------------

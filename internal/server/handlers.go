@@ -10,6 +10,7 @@ import (
 	"strconv"
 
 	"ctrlguard/internal/goofi"
+	"ctrlguard/internal/jsonl"
 	"ctrlguard/internal/tenant"
 	"ctrlguard/internal/tune"
 	"ctrlguard/internal/workload"
@@ -324,8 +325,8 @@ func (s *Server) handleSubmitTune(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusAccepted, c.Snapshot())
 }
 
-// handleTuneResult serves a finished tune job's outcome: the Pareto
-// front, the baseline, and the recommendation.
+// handleTuneResult serves a finished tune job's outcome — the Pareto
+// front, the baseline, and the recommendation — from the job's file.
 func (s *Server) handleTuneResult(w http.ResponseWriter, r *http.Request) {
 	c := s.campaign(w, r)
 	if c == nil {
@@ -335,12 +336,20 @@ func (s *Server) handleTuneResult(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusConflict, "campaign %s is not a tune job", c.ID)
 		return
 	}
-	outcome := c.Outcome()
-	if outcome == nil {
-		s.writeError(w, http.StatusConflict, "tune job %s has no result yet (state %s)", c.ID, c.Snapshot().State)
+	v := c.Snapshot()
+	if v.RecordsPath == "" {
+		s.writeError(w, http.StatusConflict, "tune job %s has no result yet (state %s)", c.ID, v.State)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, outcome)
+	outcome, err := jsonl.Load[tune.Outcome](v.RecordsPath)
+	if err == nil && len(outcome) != 1 {
+		err = fmt.Errorf("%d outcomes, want 1", len(outcome))
+	}
+	if err != nil {
+		s.writeError(w, http.StatusInternalServerError, "reading tune result: %v", err)
+		return
+	}
+	s.writeJSON(w, http.StatusOK, outcome[0])
 }
 
 // handleVariants lists the workload variants a spec may name.

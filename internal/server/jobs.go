@@ -16,6 +16,7 @@ import (
 	"ctrlguard/internal/dist"
 	"ctrlguard/internal/goofi"
 	"ctrlguard/internal/journal"
+	"ctrlguard/internal/jsonl"
 	"ctrlguard/internal/tenant"
 	"ctrlguard/internal/tune"
 )
@@ -95,22 +96,19 @@ type Campaign struct {
 
 	mu         sync.Mutex
 	state      State
-	outcome    *tune.Outcome // tune jobs: the finished search
 	started    time.Time
 	finished   time.Time
 	done       int
 	total      int
 	outcomes   map[string]int
 	errMsg     string
-	dataPath   string      // <id>.jsonl: a finished campaign's records
-	file       *recordFile // dataPath's index, built on first use
-	segDir     string      // <id>.shards/: live record segments (resume source)
-	cacheHit   bool        // served from the content-addressed result cache
-	resumed    bool        // re-enqueued by journal recovery after a restart
-	userCancel bool        // cancelled via the API, as opposed to a shutdown
-	faults     goofi.FaultStats
-	prune      *goofi.PruneStats
-	detect     *goofi.DetectStats
+	dataPath   string       // <id>.jsonl: a finished campaign's records
+	file       *recordFile  // dataPath's index, built on first use
+	segDir     string       // <id>.shards/: live record segments (resume source)
+	cacheHit   bool         // served from the content-addressed result cache
+	resumed    bool         // re-enqueued by journal recovery after a restart
+	userCancel bool         // cancelled via the API, as opposed to a shutdown
+	stats      goofi.Stats  // set when the run returns
 	shardsDone map[int]bool // journal-replayed completed shards (dist resume)
 	cancel     context.CancelFunc
 	subs       map[chan Event]struct{}
@@ -135,10 +133,8 @@ type View struct {
 	Records     int                `json:"records"`
 	RecordsPath string             `json:"recordsPath,omitempty"`
 	Resumed     bool               `json:"resumed,omitempty"`
-	Faults      goofi.FaultStats   `json:"faults,omitempty"`
-	Prune       *goofi.PruneStats  `json:"prune,omitempty"`
-	Detect      *goofi.DetectStats `json:"detect,omitempty"`
-	Error       string             `json:"error,omitempty"`
+	goofi.Stats
+	Error string `json:"error,omitempty"`
 }
 
 // Snapshot returns a consistent copy of the campaign's state.
@@ -160,9 +156,7 @@ func (c *Campaign) Snapshot() View {
 		Records:     c.recordCountLocked(),
 		RecordsPath: c.dataPath,
 		Resumed:     c.resumed,
-		Faults:      c.faults,
-		Prune:       c.prune,
-		Detect:      c.detect,
+		Stats:       c.stats,
 		Error:       c.errMsg,
 	}
 	if !c.started.IsZero() {
@@ -583,7 +577,7 @@ func (m *Manager) Close() {
 	// graceful-drain half of the paper's best-effort recovery applied
 	// to the service itself.
 	for _, c := range m.queue.Drain() {
-		m.finalize(c, goofi.FaultStats{}, context.Canceled)
+		m.finalize(c, context.Canceled)
 	}
 	m.wg.Wait()
 	m.release()
@@ -735,7 +729,8 @@ func (m *Manager) execute(c *Campaign) {
 
 // runTune executes a tuning job: the full design-space search, with
 // candidate-evaluation progress fanned out to subscribers and the
-// final per-candidate results persisted like campaign records.
+// finished search persisted as the job's file, one tune.Outcome on one
+// line, which /api/v1/tune/{id}/result serves.
 func (m *Manager) runTune(ctx context.Context, c *Campaign) {
 	outcome, err := tune.Search(ctx, *c.TuneSpec, func(done, total int) {
 		c.mu.Lock()
@@ -745,9 +740,9 @@ func (m *Manager) runTune(ctx context.Context, c *Campaign) {
 	})
 
 	path := ""
-	if outcome != nil && len(outcome.Results) > 0 {
+	if outcome != nil {
 		path = m.recordPath(c)
-		if saveErr := tune.SaveResults(path, outcome.Results); saveErr != nil {
+		if saveErr := jsonl.Save(path, []tune.Outcome{*outcome}); saveErr != nil {
 			path = ""
 			if err == nil {
 				err = saveErr
@@ -755,30 +750,22 @@ func (m *Manager) runTune(ctx context.Context, c *Campaign) {
 		}
 	}
 	c.mu.Lock()
-	c.outcome, c.dataPath = outcome, path
+	c.dataPath = path
 	c.mu.Unlock()
-	m.finalize(c, goofi.FaultStats{}, err)
-}
-
-// Outcome returns a tune job's finished search, or nil while the
-// search is still running (or for plain campaigns).
-func (c *Campaign) Outcome() *tune.Outcome {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.outcome
+	m.finalize(c, err)
 }
 
 // finalize records the campaign's terminal state, notifies subscribers,
 // and journals the transition. A cancellation during graceful shutdown
 // lands in StateInterrupted — the journal keeps the job alive for the
 // next start — while a user cancellation is final.
-func (m *Manager) finalize(c *Campaign, faults goofi.FaultStats, err error) {
+func (m *Manager) finalize(c *Campaign, err error) {
 	c.mu.Lock()
 	if c.state.Terminal() {
 		c.mu.Unlock()
 		return
 	}
-	c.faults = faults
+	faults := c.stats.Faults
 	c.finished = time.Now()
 	switch {
 	case m.interruptedLocked(c, err):

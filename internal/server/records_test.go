@@ -247,7 +247,8 @@ func TestMemoizationUnwritableHitRunsForReal(t *testing.T) {
 // TestMemoizationTruncatedEntryRunsForReal: a cache entry cut short at
 // a record boundary still parses, so only its record count and IDs
 // show it is not the whole campaign. Cut to n-1 records or emptied, it
-// is a miss and the campaign runs for real, into the same bytes.
+// is a miss and the campaign runs for real, into the same bytes, which
+// replace the entry, so the next submission is a hit again.
 func TestMemoizationTruncatedEntryRunsForReal(t *testing.T) {
 	dataDir, cacheDir := t.TempDir(), t.TempDir()
 	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4, DataDir: dataDir, CacheDir: cacheDir})
@@ -281,5 +282,17 @@ func TestMemoizationTruncatedEntryRunsForReal(t *testing.T) {
 		if mm := metricsMap(t, ts); mm["cache_hits"] != 0 || mm["cache_misses"] != float64(i+2) {
 			t.Fatalf("cache_hits = %v, cache_misses = %v, want 0 and %d", mm["cache_hits"], mm["cache_misses"], i+2)
 		}
+	}
+	// The real run repaired the entry: the next submission is a hit
+	// that serves the whole campaign's bytes.
+	if blob, err := os.ReadFile(blobs[0]); err != nil || !bytes.Equal(blob, want) {
+		t.Fatalf("the real run left a %d-byte entry, want the campaign's %d bytes (%v)", len(blob), len(want), err)
+	}
+	v := submit(t, ts, spec)
+	if !v.CacheHit {
+		t.Fatal("the repaired entry was not served as a cache hit")
+	}
+	if got, err := os.ReadFile(filepath.Join(dataDir, v.ID+".jsonl")); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("the cache hit's record file differs from the first run's (%v)", err)
 	}
 }

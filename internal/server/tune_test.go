@@ -1,14 +1,19 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
+	"log"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"ctrlguard/internal/journal"
+	"ctrlguard/internal/jsonl"
 	"ctrlguard/internal/tune"
 )
 
@@ -17,7 +22,7 @@ import (
 // the per-candidate results persisted like campaign records.
 func TestServerTuneJobLifecycle(t *testing.T) {
 	dataDir := t.TempDir()
-	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4, DataDir: dataDir})
+	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4, DataDir: dataDir})
 
 	spec := `{
 		"space": {
@@ -91,26 +96,128 @@ func TestServerTuneJobLifecycle(t *testing.T) {
 	if final.RecordsPath != wantPath {
 		t.Fatalf("records path = %q, want %q", final.RecordsPath, wantPath)
 	}
-	saved, err := tune.LoadResults(wantPath)
+	saved, err := jsonl.Load[tune.Outcome](wantPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(saved) != len(outcome.Results) {
-		t.Errorf("persisted %d results, outcome has %d", len(saved), len(outcome.Results))
+	if len(saved) != 1 || len(saved[0].Results) != len(outcome.Results) {
+		t.Errorf("persisted %d outcomes, want 1 with the outcome's %d results", len(saved), len(outcome.Results))
 	}
 
 	// The report endpoint stays a campaign-only feature.
 	if code := getJSON(t, ts.URL+"/api/v1/campaigns/"+v.ID+"/report", nil); code != http.StatusConflict {
 		t.Errorf("report on a tune job returned %d, want conflict", code)
 	}
+}
 
-	// The in-process accessor serves the same outcome.
-	c, err := s.mgr.Get(v.ID)
+// smallTuneSpec is a two-candidate, one-round search.
+func smallTuneSpec() tune.Spec {
+	return tune.Spec{
+		Space: tune.Space{Policies: []tune.Policy{tune.PolicyNone, tune.PolicyRollback},
+			Learned: []bool{false}, Slacks: []float64{0}, RateLimits: []float64{0}},
+		Seed: 17, InitialExperiments: 20, Rounds: 1,
+	}
+}
+
+// tuneResultBody fetches a tune job's result endpoint, returning the
+// status and the body.
+func tuneResultBody(t *testing.T, ts *httptest.Server, id string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/api/v1/tune/" + id + "/result")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Outcome() == nil || c.Outcome().Recommended == nil {
-		t.Error("Campaign.Outcome missing the finished search")
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, body
+}
+
+// TestTuneResultSurvivesRestart: a finished tune job's outcome is its
+// file, so a journal-backed restart serves the same result body.
+func TestTuneResultSurvivesRestart(t *testing.T) {
+	opts := Options{Workers: 1, QueueDepth: 4, DataDir: t.TempDir(), JournalDir: t.TempDir(),
+		Logger: log.New(io.Discard, "", 0)}
+	s1, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(s1.Handler())
+	spec := smallTuneSpec()
+	spec.InitialExperiments = 40
+	c, err := s1.mgr.SubmitTune(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitForState(t, ts1, c.ID, StateDone, 2*time.Minute)
+	code, want := tuneResultBody(t, ts1, c.ID)
+	ts1.Close()
+	s1.Close()
+	if code != http.StatusOK {
+		t.Fatalf("result before the restart returned %d: %s", code, want)
+	}
+
+	_, ts2 := newTestServer(t, opts)
+	waitForState(t, ts2, c.ID, StateDone, time.Second)
+	if code, got := tuneResultBody(t, ts2, c.ID); code != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("result after the restart returned %d: %s\nwant the body served before it:\n%s", code, got, want)
+	}
+}
+
+// TestTuneAdmissionRace submits tune jobs back to back to a one-worker
+// manager, so a runner may pick a job up, and rewrite its total from
+// the search's progress, while its submission is still being
+// admitted. Every journaled total and every quota charge must be the
+// job's planned evaluations; CI runs it under -race.
+func TestTuneAdmissionRace(t *testing.T) {
+	jnlDir := t.TempDir()
+	m, err := NewManager(Options{Workers: 1, QueueDepth: 8, JournalDir: jnlDir, Logger: log.New(io.Discard, "", 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	spec := smallTuneSpec()
+	want := spec.PlannedEvaluations()
+	var jobs []*Campaign
+	for round := 0; round < 5; round++ {
+		// The first job of a round reaches an idle runner.
+		for i := 0; i < 2; i++ {
+			c, err := m.SubmitTune(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs = append(jobs, c)
+		}
+		for _, c := range jobs[len(jobs)-2:] {
+			select {
+			case <-c.Done():
+			case <-time.After(2 * time.Minute):
+				t.Fatalf("tune job %s did not finish", c.ID)
+			}
+		}
+	}
+	m.mu.Lock()
+	for _, c := range jobs {
+		if c.usageN != want {
+			t.Errorf("job %s charged %d experiments, want %d", c.ID, c.usageN, want)
+		}
+	}
+	m.mu.Unlock()
+
+	entries, err := jsonl.Load[journal.Entry](filepath.Join(jnlDir, "journal.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitted := 0
+	for _, e := range entries {
+		if e.Type == journal.EventSubmitted {
+			submitted++
+			if e.Total != want {
+				t.Errorf("job %s journaled total %d, want %d", e.Job, e.Total, want)
+			}
+		}
+	}
+	if submitted != len(jobs) {
+		t.Errorf("%d submissions journaled, want %d", submitted, len(jobs))
 	}
 }
 

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"math"
-	"time"
 
 	"ctrlguard/internal/cpu"
 	"ctrlguard/internal/plant"
@@ -145,7 +144,6 @@ func statefulMonitor(m Monitor) StatefulMonitor {
 type RunSpec struct {
 	Iterations  int
 	CycleBudget int // per-iteration instruction limit (0 = default)
-	IdleSpins   int // ready-flag polls per sample period (0 = default)
 
 	// EngineCfg and Reference configure the default (engine)
 	// environment; they are ignored when NewEnv is set.
@@ -182,17 +180,13 @@ type RunSpec struct {
 
 	// Abort, if non-nil, is polled at every iteration boundary; when it
 	// returns true the run stops before the next iteration and the
-	// Outcome is returned with Aborted set. Used to cancel detail-mode
-	// traces, which are far slower than ordinary runs.
+	// Outcome is returned with Aborted set. A single wedged iteration is
+	// already bounded by the cycle-budget watchdog, so an Abort over a
+	// wall-clock deadline bounds the whole run: the campaign engine's
+	// worker fault isolation abandons hung experiments that way, and
+	// detail-mode traces, far slower than ordinary runs, are cancelled
+	// through it.
 	Abort func() bool
-
-	// Deadline, if non-zero, bounds the run's wall-clock time: once it
-	// passes, the run stops at the next iteration boundary with Aborted
-	// and DeadlineExceeded set. A single wedged iteration is already
-	// bounded by the cycle-budget watchdog, so boundary checks bound the
-	// whole run. Used by the campaign engine's worker fault isolation
-	// to abandon hung experiments instead of wedging a worker.
-	Deadline time.Time
 
 	// Golden, if non-nil, is the fault-free outcome of the same spec,
 	// recorded with RecordStateHashes. After the injection the run
@@ -266,13 +260,9 @@ type Outcome struct {
 	// precise point of a chosen control iteration.
 	IterationStarts []uint64
 
-	// Aborted reports that RunSpec.Abort or RunSpec.Deadline stopped the
-	// run early; the outcome then covers only the completed iterations.
+	// Aborted reports that RunSpec.Abort stopped the run early; the
+	// outcome then covers only the completed iterations.
 	Aborted bool
-
-	// DeadlineExceeded reports that the abort was RunSpec.Deadline
-	// expiring rather than the Abort callback.
-	DeadlineExceeded bool
 
 	// StateHashes holds the machine-state digest at the start of each
 	// iteration; populated only when RunSpec.RecordStateHashes is set.
@@ -477,10 +467,6 @@ func newRunner(prog *cpu.Program, spec RunSpec) *runner {
 	if budget <= 0 {
 		budget = DefaultCycleBudget
 	}
-	idle := spec.IdleSpins
-	if idle <= 0 {
-		idle = DefaultIdleSpins
-	}
 	ports := spec.Ports
 	if ports == (PortLayout{}) {
 		ports = sisoPorts
@@ -491,7 +477,7 @@ func newRunner(prog *cpu.Program, spec RunSpec) *runner {
 	mon := statefulMonitor(spec.Monitor)
 	unmonitorable := spec.Monitor != nil && mon == nil
 
-	port := newIOPort(ports, idle)
+	port := newIOPort(ports, DefaultIdleSpins)
 	out := &Outcome{MultiOutputs: make([][]float64, ports.Outputs)}
 	for j := range out.MultiOutputs {
 		out.MultiOutputs[j] = make([]float64, 0, spec.Iterations)
@@ -537,16 +523,7 @@ func (r *runner) run() *Outcome {
 		if !r.mid {
 			if spec.Abort != nil && spec.Abort() {
 				out.Aborted = true
-				out.Instructions = vm.InstrCount()
-				out.finish(env)
-				return out
-			}
-			if !spec.Deadline.IsZero() && time.Now().After(spec.Deadline) {
-				out.Aborted = true
-				out.DeadlineExceeded = true
-				out.Instructions = vm.InstrCount()
-				out.finish(env)
-				return out
+				return r.end(nil)
 			}
 			if spec.RecordStateHashes {
 				out.StateHashes = append(out.StateHashes, vm.StateDigest())
@@ -610,11 +587,7 @@ func (r *runner) run() *Outcome {
 			if n == 0 {
 				if spec.Monitor != nil {
 					if t := spec.Monitor.OnInstr(k, vm.InstrCount(), vm); t != nil {
-						out.Trap = t
-						out.TrapIteration = k
-						out.Instructions = vm.InstrCount()
-						out.finish(env)
-						return out
+						return r.end(t)
 					}
 				}
 				var err error
@@ -624,11 +597,7 @@ func (r *runner) run() *Outcome {
 					n, err = 1, vm.Step()
 				}
 				if err != nil {
-					out.Trap = asTrap(err)
-					out.TrapIteration = k
-					out.Instructions = vm.InstrCount()
-					out.finish(env)
-					return out
+					return r.end(asTrap(err))
 				}
 				if restore != nil {
 					restore()
@@ -637,12 +606,8 @@ func (r *runner) run() *Outcome {
 			}
 			r.cycles += int(n)
 			if r.cycles > r.budget {
-				out.Trap = &cpu.TrapError{Mech: cpu.MechWatchdog,
-					Info: "iteration exceeded its cycle budget"}
-				out.TrapIteration = k
-				out.Instructions = vm.InstrCount()
-				out.finish(env)
-				return out
+				return r.end(&cpu.TrapError{Mech: cpu.MechWatchdog,
+					Info: "iteration exceeded its cycle budget"})
 			}
 		}
 
@@ -657,18 +622,23 @@ func (r *runner) run() *Outcome {
 		env.Deliver(k, u)
 		if spec.Monitor != nil {
 			if t := spec.Monitor.OnIteration(k, vm); t != nil {
-				out.Trap = t
-				out.TrapIteration = k
-				out.Instructions = vm.InstrCount()
-				out.finish(env)
-				return out
+				return r.end(t)
 			}
 		}
 	}
 	out.FinalState = vm.FinalState()
-	out.Instructions = vm.InstrCount()
-	out.finish(env)
-	return out
+	return r.end(nil)
+}
+
+// end stops the run where it stands, in iteration r.k: trapped when
+// trap is non-nil, else aborted or at its end.
+func (r *runner) end(trap *cpu.TrapError) *Outcome {
+	if trap != nil {
+		r.out.Trap, r.out.TrapIteration = trap, r.k
+	}
+	r.out.Instructions = r.vm.InstrCount()
+	r.out.finish(r.env)
+	return r.out
 }
 
 // untilEvent returns how many instructions the machine may run before

@@ -286,26 +286,29 @@ func TestOutcomeDetectedAccessor(t *testing.T) {
 }
 
 // TestDeadlineAbortsRun checks the per-run deadline used by the
-// campaign engine's worker fault isolation: an expired deadline stops
-// the run at an iteration boundary with Aborted + DeadlineExceeded,
-// while a generous one changes nothing.
+// campaign engine's worker fault isolation, an Abort over a wall-clock
+// deadline: an expired deadline stops the run at an iteration boundary
+// with Aborted, while a generous one changes nothing.
 func TestDeadlineAbortsRun(t *testing.T) {
 	prog := Program(AlgorithmI)
+	pastDeadline := func(deadline time.Time) func() bool {
+		return func() bool { return time.Now().After(deadline) }
+	}
 
 	spec := PaperRunSpec()
-	spec.Deadline = time.Now().Add(-time.Second)
+	spec.Abort = pastDeadline(time.Now().Add(-time.Second))
 	out := Run(prog, spec)
-	if !out.Aborted || !out.DeadlineExceeded {
-		t.Fatalf("expired deadline: Aborted=%v DeadlineExceeded=%v, want both", out.Aborted, out.DeadlineExceeded)
+	if !out.Aborted {
+		t.Fatalf("expired deadline: Aborted=%v, want true", out.Aborted)
 	}
 	if len(out.Outputs) != 0 {
 		t.Errorf("expired deadline completed %d iterations, want 0", len(out.Outputs))
 	}
 
 	spec = PaperRunSpec()
-	spec.Deadline = time.Now().Add(time.Hour)
+	spec.Abort = pastDeadline(time.Now().Add(time.Hour))
 	out = Run(prog, spec)
-	if out.Aborted || out.DeadlineExceeded {
+	if out.Aborted {
 		t.Fatalf("generous deadline aborted the run: %+v", out)
 	}
 	if len(out.Outputs) != spec.Iterations {
